@@ -1,7 +1,9 @@
 """fusionlab command-line front end.
 
 Exit codes: 0 ok, 1 usage or parse error, 2 theorem contradiction,
-3 order cap exceeded.  FUSIONLAB_CACHE overrides the cache directory.
+3 order cap exceeded.  Every verdict is computed afresh: nothing is cached
+on disk.  ``verify`` writes the witness of a contradiction to
+contradiction-witness.txt in the current directory.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import os
 import sys
 
 from . import __version__
-from .cache import default_cache_dir
 from .catalog import CATALOG_NAMES, catalog_group, validate_catalog
 from .errors import (
     FusionlabError,
@@ -49,6 +50,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONTRADICTION = 2
 EXIT_CAP = 3
+
+WITNESS_FILE = "contradiction-witness.txt"
 
 
 def _load_group(spec, cap):
@@ -222,7 +225,7 @@ def cmd_verify(args):
             else:
                 report = verify_theorem_3(F, family=fam)
     except InternalInconsistency as exc:
-        _dump_witness(args, str(exc))
+        _dump_witness(str(exc))
         print(f"CONTRADICTION: {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION
     print(f"{report.theorem_id} on {report.instance}: "
@@ -231,25 +234,26 @@ def cmd_verify(args):
     for key, value in sorted(report.detail.items(), key=lambda kv: kv[0]):
         print(f"  {key}: {value}")
     if report.contradiction:
-        _dump_witness(args, repr(report))
+        _dump_witness(repr(report))
         return EXIT_CONTRADICTION
     return EXIT_OK
 
 
-def _dump_witness(args, text):
-    path = os.path.join(args.cache_dir or ".", "contradiction-witness.txt")
+def _dump_witness(text):
+    """Write the witness to WITNESS_FILE in the current directory."""
+    path = os.path.abspath(WITNESS_FILE)
     try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        print(f"witness dump written to {path}", file=sys.stderr)
-    except OSError:
-        pass
+    except OSError as exc:
+        print(f"witness dump could not be written to {path}: {exc}",
+              file=sys.stderr)
+        return
+    print(f"witness dump written to {path}", file=sys.stderr)
 
 
 def cmd_suite(args):
     config = RunConfig(order_cap=args.order_cap, aut_cap=args.aut_cap,
-                       cache_dir=args.cache_dir,
                        report_dir=args.report_dir,
                        output_format=args.format)
     groups = []
@@ -276,8 +280,17 @@ def cmd_catalog(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_USAGE on a bad argument; argparse's own 2 is the
+    contradiction code here.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fusionlab",
         description="fusion systems of finite groups at desk scale")
     parser.add_argument("--version", action="version", version=__version__)
@@ -285,9 +298,6 @@ def build_parser():
                         help="largest admissible group order")
     parser.add_argument("--aut-cap", type=int, default=256,
                         help="largest order for automorphism enumeration")
-    parser.add_argument("--cache-dir", default=None,
-                        help="cache directory (default: FUSIONLAB_CACHE or "
-                             "~/.cache/fusionlab)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="basic structure of a group")
@@ -362,8 +372,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cache_dir is None:
-        args.cache_dir = default_cache_dir()
     try:
         return args.func(args)
     except ParseError as exc:

@@ -110,7 +110,3 @@ class ParseError(FusionlabError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class CacheCorrupt(FusionlabError):
-    """A cache entry could not be decoded (recoverable: recompute)."""

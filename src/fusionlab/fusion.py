@@ -24,6 +24,7 @@ from .groups import (
     Subgroup,
     mask_of,
     o_p,
+    p_part,
     sylow,
 )
 
@@ -407,7 +408,7 @@ def classify_subgroup(F, Q) -> SubgroupProfile:
         raise InternalInconsistency("Aut_S(Q) not inside Aut_F(Q)")
     aut_f_order = autg.order
     aut_s_order = len(aut_s)
-    sylow_cond = _p_part(aut_f_order, F.p) == aut_s_order
+    sylow_cond = p_part(aut_f_order, F.p) == aut_s_order
     if fn != (fc and sylow_cond):
         raise InternalInconsistency(
             f"fully-normalized characterization failed on {Q!r}")
@@ -421,14 +422,6 @@ def classify_subgroup(F, Q) -> SubgroupProfile:
     return profile
 
 
-def _p_part(n, p):
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
-
-
 def _strongly_p_embedded(out, p):
     """A proper subgroup M containing a Sylow p-subgroup P of ``out`` with
     P != phi(P) and phi(P) & P = 1 for every phi outside M, or None.
@@ -436,7 +429,7 @@ def _strongly_p_embedded(out, p):
     A p'-group has a trivial Sylow (condition P != phi(P) fails) and a
     p-group has a normal one, so neither admits such a subgroup.
     """
-    pp = _p_part(out.order, p)
+    pp = p_part(out.order, p)
     if pp == 1:
         return None
     subs = out.subgroups()
@@ -539,7 +532,7 @@ def _verify(F, host, carrier):
     aut_s_s = set(F.aut_s_tuples(carrier))
     if not aut_s_s <= set(aut_f_s):
         return AxiomReport("failed", ("FS2", "Aut_S(S) not contained"))
-    if _p_part(len(aut_f_s), F.p) != len(aut_s_s):
+    if p_part(len(aut_f_s), F.p) != len(aut_s_s):
         return AxiomReport("failed", ("FS2", len(aut_f_s), len(aut_s_s)))
 
     # FS3: morphisms with fully normalized image extend to N_phi

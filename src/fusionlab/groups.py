@@ -36,6 +36,15 @@ def bits(mask):
         mask ^= low
 
 
+def p_part(n, p):
+    """The largest power of p dividing n (n >= 1)."""
+    out = 1
+    while n % p == 0:
+        out *= p
+        n //= p
+    return out
+
+
 def mask_of(indices):
     m = 0
     for i in indices:
@@ -686,11 +695,7 @@ def sylow(G, p, cap=DEFAULT_ORDER_CAP):
     """The canonical Sylow p-subgroup (least bit-vector among conjugates)."""
     if G.order > cap:
         raise OrderCapExceeded(f"order {G.order} exceeds cap {cap}")
-    target = 1
-    n = G.order
-    while (G.order // target) % p == 0:
-        target *= p
-    pmask = 1
+    target = p_part(G.order, p)
     psub = G.subgroup(1)
     while psub.order < target:
         nmask = psub.normalizer_in(G.full_subgroup)
@@ -708,7 +713,7 @@ def sylow(G, p, cap=DEFAULT_ORDER_CAP):
                 break
         if not grown:  # cannot happen for a true group
             raise NonAssociative("Sylow growth stalled")
-    best = min(psub.conjugate_mask(g) for g in range(n))
+    best = min(psub.conjugate_mask(g) for g in range(G.order))
     return G.subgroup(best)
 
 
@@ -743,17 +748,11 @@ def standard_subgroup(G, kind, q=None, within=None, p=None):
         return o_p_prime(G, p, within=W)
     if kind == "omega1":
         target = W if q is None else q
-        if not _is_p_group_order(target.order, p):
+        if p_part(target.order, p) != target.order:
             raise NotAPGroup(f"omega1 target of order {target.order} is "
                              f"not a {p}-group")
         return G.subgroup(omega_mask(G, target.mask, p))
     raise ValueError(f"unknown standard subgroup kind {kind!r}")
-
-
-def _is_p_group_order(n, p):
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def o_p(G, p, within=None):

@@ -24,6 +24,7 @@ from .groups import (
     is_involved,
     mask_of,
     o_p,
+    p_part,
     quotient_group,
 )
 from .subsystems import model_group
@@ -122,7 +123,7 @@ def sigma3_involvement_check(G, cap=DEFAULT_ORDER_CAP):
     a, _ = is_involved(s4, G, cap=cap)
     b = False
     for Q in subgroup_conjugacy_reps(
-            G, pred=lambda H: H.order > 1 and _is_2_power(H.order)):
+            G, pred=lambda H: H.order > 1 and p_part(H.order, 2) == H.order):
         N = Q.normalizer_in(G.full_subgroup)
         C = Q.centralizer_in(N)
         local, embed = N.as_group()
@@ -138,10 +139,6 @@ def sigma3_involvement_check(G, cap=DEFAULT_ORDER_CAP):
             f"S4-involvement ({a}) disagrees with the N/C criterion ({b}) "
             f"on {G.name}")
     return a, b
-
-
-def _is_2_power(n):
-    return n & (n - 1) == 0
 
 
 def remark67_check(G, cap=DEFAULT_ORDER_CAP):

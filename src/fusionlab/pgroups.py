@@ -17,6 +17,7 @@ from .groups import (
     bits,
     mask_of,
     omega_mask,
+    p_part,
 )
 
 
@@ -28,9 +29,7 @@ def p_of(sub: Subgroup):
     p = 2
     while n % p != 0:
         p += 1
-    while n % p == 0:
-        n //= p
-    if n != 1:
+    if p_part(n, p) != n:
         raise NotAPGroup(f"order {sub.order} is not a prime power")
     return p
 

@@ -189,8 +189,8 @@ def compute_W_iterative(family: CandidateFamily) -> WComputation:
         alpha = auts[ai]
         grown_local = _member_orbit_closure(S, member, w_image_local)
         w_new = _apply_aut_mask(S, _aut_inverse(S, alpha), grown_local)
-        if not (_subset(a_mask, w) and _subset(w, w_new) and w != w_new
-                and _subset(w_new, b_mask)):
+        if not (a_mask & ~w == 0 and w & ~w_new == 0 and w != w_new
+                and w_new & ~b_mask == 0):
             raise SandwichViolated(
                 "growth step left Omega(Z(S)) <= W < W' <= Omega(Z(J(S))); "
                 "the family contains an inconsistent member")
@@ -204,10 +204,6 @@ def compute_W_iterative(family: CandidateFamily) -> WComputation:
                         witnesses=tuple(witnesses), W_iter=W_iter,
                         W_oneshot=W_oneshot, equal=W_oneshot.mask == w,
                         A=S.subgroup(a_mask), B=S.subgroup(b_mask))
-
-
-def _subset(a, b):
-    return a & ~b == 0
 
 
 def _apply_aut_mask(S, images, mask):
@@ -276,7 +272,7 @@ def compute_W_oneshot(family: CandidateFamily) -> Subgroup:
         orbit_gens.update(alpha[i] for i in bits(raw))
     result = S.closure_mask(sorted(orbit_gens), 1)
     W = S.subgroup(result)
-    assert _subset(w0, result) and _subset(result, td.B.mask), \
+    assert w0 & ~result == 0 and result & ~td.B.mask == 0, \
         "one-shot W must satisfy A(S) <= W <= B(S)"
     return W
 

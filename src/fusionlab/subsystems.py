@@ -35,6 +35,7 @@ from .fusion import (
 from .groups import (
     Subgroup,
     o_p_prime,
+    p_part,
     quotient_group,
 )
 from .pgroups import is_characteristic
@@ -443,12 +444,7 @@ def _validate_model(model, p):
         raise ModelValidationFailed("image of Q is not normal in L")
     NS = F.n_in_carrier(Q)
     SL = model.push_subgroup(NS)
-    want = 1
-    n = L.order
-    while n % p == 0:
-        want *= p
-        n //= p
-    if SL.order != want:
+    if SL.order != p_part(L.order, p):
         raise ModelValidationFailed("image of N_S(Q) is not Sylow in L")
     ZL = model.push_subgroup(Q.center())
     Lbar, _ = quotient_group(L, ZL, name="L/Z(Q)")

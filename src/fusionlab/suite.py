@@ -2,7 +2,7 @@
 
 Every check appends one deterministic row (section, instance, check,
 status, detail); the TSV rendering of those rows is byte-stable across
-runs and cache states, which is what the determinism contract requires.
+runs and hash seeds, which is what the determinism contract requires.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import tempfile
 from dataclasses import dataclass, field
 
 from .catalog import CATALOG_NAMES, catalog_group, validate_catalog
-from .cache import ResultCache
 from .errors import (
     FusionlabError,
     HypothesisViolated,
@@ -55,7 +54,6 @@ PRIMES = (2, 3)
 class RunConfig:
     order_cap: int = DEFAULT_ORDER_CAP
     aut_cap: int = 256
-    cache_dir: str = None
     report_dir: str = None
     output_format: str = "text"   # or "tsv"
 
@@ -129,7 +127,6 @@ class SuiteRunner:
 
     def __init__(self, config: RunConfig, groups=None, scope="catalog"):
         self.config = config
-        self.cache = ResultCache(config.cache_dir)
         self.result = SuiteResult()
         self.extra_groups = list(groups or [])
         self.scope = scope
@@ -139,20 +136,8 @@ class SuiteRunner:
         key = (G.table_hash(), p)
         if key not in self._systems:
             S = sylow(G, p)
-            F = realize_fusion(G, p, S)
-            self.cache.attach_homsets(F)
-            self._systems[key] = F
+            self._systems[key] = realize_fusion(G, p, S)
         return self._systems[key]
-
-    def _prepare_group(self, G):
-        self.cache.attach_lattice(G)
-
-    def _persist(self, G, p=None):
-        self.cache.store_lattice(G)
-        if p is not None:
-            key = (G.table_hash(), p)
-            if key in self._systems:
-                self.cache.store_homsets(self._systems[key])
 
     # -- sections -----------------------------------------------------
 
@@ -167,14 +152,11 @@ class SuiteRunner:
             except AssertionError as exc:
                 res.add("catalog", "builtin", "orders+qd2", "fail", exc)
             instances.extend(catalog_instances())
-        for G, _ in instances:
-            self._prepare_group(G)
         for G in self.extra_groups:
             if G.order > self.config.order_cap:
                 res.add("scope", G.name, "order-cap", "skip",
                         f"order {G.order} exceeds cap")
                 continue
-            self._prepare_group(G)
             for p in PRIMES:
                 if G.order % p == 0:
                     instances.append((G, p))
@@ -196,9 +178,6 @@ class SuiteRunner:
             self._run_generation(G, p)
         for G, p in instances:
             self._run_alperin(G, p)
-
-        for G, p in instances:
-            self._persist(G, p)
         return res
 
     def _run_axioms(self, G, p):

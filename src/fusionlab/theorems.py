@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .catalog import catalog_group
 from .errors import HypothesisViolated, InternalInconsistency
 from .fusion import FusionSystem, conj_tuple, mask_of
-from .groups import Subgroup, sylow
+from .groups import Subgroup, bits, p_part, sylow
 from .hfree import is_fusion_H_free, qd_group
 from .stellmacher import (
     CandidateFamily,
@@ -72,17 +72,10 @@ def _w_subgroup_in_host(F, fam):
         if not ok:
             raise InternalInconsistency("family model does not match carrier")
         ident = tuple(embed[iso(i)] for i in range(fam.S.order))
-        host_mask = mask_of(ident[i] for i in _bits(wc.W_iter.mask))
+        host_mask = mask_of(ident[i] for i in bits(wc.W_iter.mask))
     else:
         host_mask = inner.push_mask(wc.W_iter.mask)
     return F.host.subgroup(host_mask), wc
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def is_trivial_fusion(F):
@@ -183,17 +176,12 @@ def has_normal_p_complement(G, p) -> bool:
         elems = G.elems
         orders = [parent.elem_orders[x] for x in elems]
         mul = parent._mul
-        total = G.order
     else:
         elems = range(G.order)
         orders = G.elem_orders
         mul = G._mul
-        total = G.order
-    target = total
-    while target % p == 0:
-        target //= p
     pprime = [x for x, k in zip(elems, orders) if k % p != 0]
-    if len(pprime) != target:
+    if len(pprime) != G.order // p_part(G.order, p):
         return False
     members = set(pprime)
     return all(mul[a][b] in members for a in pprime for b in pprime)
@@ -215,9 +203,7 @@ def frobenius_check(G, p) -> TheoremReport:
         N = Q.normalizer_in(full)
         C = Q.centralizer_in(full)
         index = N.order // C.order
-        while index % p == 0:
-            index //= p
-        if index != 1:
+        if p_part(index, p) != index:
             b = False
             b_witness = Q
             break
@@ -286,7 +272,7 @@ def thompson_group_check(G, p, family=None) -> TheoremReport:
         ident = tuple(embed[iso(i)] for i in range(family.S.order))
     else:
         ident = embed
-    W = G.subgroup(mask_of(ident[i] for i in _bits(wc.W_iter.mask)))
+    W = G.subgroup(mask_of(ident[i] for i in bits(wc.W_iter.mask)))
     NW = W.normalizer_in(G.full_subgroup)
     lhs = has_normal_p_complement(G, p)
     rhs = has_normal_p_complement(NW, p)

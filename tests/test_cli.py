@@ -1,8 +1,9 @@
 
 import pytest
 
+from fusionlab import cli
 from fusionlab.cli import main
-from fusionlab.errors import ParseError
+from fusionlab.errors import InternalInconsistency, ParseError
 from fusionlab.groupfile import (
     eval_subgroup_spec,
     parse_group_text,
@@ -128,17 +129,16 @@ def test_cli_wcompute(capsys, tmp_path, d8_path):
     assert "W(S): order 2" in out
 
 
-def test_cli_verify_ok(capsys, tmp_path):
-    rc = main(["--cache-dir", str(tmp_path), "verify", "--theorem", "1",
-               "--group", "SL(2,3)", "--p", "2"])
+def test_cli_verify_ok(capsys):
+    rc = main(["verify", "--theorem", "1", "--group", "SL(2,3)", "--p", "2"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "hypotheses=True" in out and "conclusion=True" in out
 
 
-def test_cli_verify_frobenius(capsys, tmp_path):
-    rc = main(["--cache-dir", str(tmp_path), "verify", "--theorem",
-               "frobenius", "--group", "A4", "--p", "3"])
+def test_cli_verify_frobenius(capsys):
+    rc = main(["verify", "--theorem", "frobenius", "--group", "A4",
+               "--p", "3"])
     assert rc == 0
 
 
@@ -150,6 +150,50 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
 
 def test_cli_cap_exceeded_exit_code(capsys):
     assert main(["--order-cap", "10", "analyze", "S4"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["--bogus", "catalog"],
+    ["verify", "--theorem", "9", "--group", "S4", "--p", "2"],
+    ["--cache-dir", "somewhere", "catalog"],
+])
+def test_cli_usage_error_exits_1_not_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_cli_help_and_version_exit_0(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+
+
+def _contradicting_theorem(F, family=None):
+    raise InternalInconsistency("routes disagree on W")
+
+
+def test_cli_contradiction_dumps_witness_in_cwd(monkeypatch, tmp_path,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "verify_theorem_1", _contradicting_theorem)
+    rc = main(["verify", "--theorem", "1", "--group", "S4", "--p", "2"])
+    assert rc == 2
+    dump = tmp_path / "contradiction-witness.txt"
+    assert dump.read_text() == "routes disagree on W\n"
+    assert str(dump) in capsys.readouterr().err
+
+
+def test_cli_unwritable_witness_dump_is_reported(monkeypatch, tmp_path,
+                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "contradiction-witness.txt").mkdir()
+    monkeypatch.setattr(cli, "verify_theorem_1", _contradicting_theorem)
+    rc = main(["verify", "--theorem", "1", "--group", "S4", "--p", "2"])
+    assert rc == 2
+    assert "could not be written" in capsys.readouterr().err
 
 
 def test_cli_catalog(capsys):
@@ -187,8 +231,8 @@ def test_cli_wcompute_with_family_file(capsys, tmp_path):
 def test_cli_verify_with_family_file(capsys, tmp_path):
     sl = tmp_path / "sl23.grp"
     sl.write_text(SL23_FILE)
-    rc = main(["--cache-dir", str(tmp_path), "verify", "--theorem", "2",
-               "--group", str(sl), "--p", "2", "--family", str(sl)])
+    rc = main(["verify", "--theorem", "2", "--group", str(sl), "--p", "2",
+               "--family", str(sl)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "conclusion=True" in out

@@ -135,8 +135,8 @@ def test_dicyclic_frobenius_quantifier_nuance():
     assert q.order == 6 and not q.is_abelian()   # S3, not a 2-group
 
 
-def test_files_scope_suite_over_extras(tmp_path, extra_groups):
-    config = RunConfig(cache_dir=str(tmp_path))
+def test_files_scope_suite_over_extras(extra_groups):
+    config = RunConfig()
     result = run_suite(config, groups=extra_groups, scope="files")
     assert result.contradictions == 0
     assert result.failures == 0

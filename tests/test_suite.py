@@ -1,8 +1,5 @@
 import os
-import sys
 
-
-from fusionlab.cache import ResultCache, default_cache_dir
 from fusionlab.catalog import catalog_group
 from fusionlab.cli import main
 from fusionlab.groups import build_group
@@ -16,15 +13,15 @@ perm 4
 """
 
 
-def test_empty_files_scope_gives_empty_summary(tmp_path):
-    config = RunConfig(cache_dir=str(tmp_path))
+def test_empty_files_scope_gives_empty_summary():
+    config = RunConfig()
     result = run_suite(config, groups=[], scope="files")
     assert result.rows == []
     assert result.failures == 0
 
 
-def test_files_scope_runs_only_given_groups(tmp_path):
-    config = RunConfig(cache_dir=str(tmp_path))
+def test_files_scope_runs_only_given_groups():
+    config = RunConfig()
     d8 = build_group([(1, 0, 2, 3), (2, 3, 1, 0)], name="D8x", kind="perms")
     result = run_suite(config, groups=[d8], scope="files")
     assert result.rows
@@ -33,8 +30,8 @@ def test_files_scope_runs_only_given_groups(tmp_path):
     assert result.contradictions == 0 and result.failures == 0
 
 
-def test_above_cap_group_skipped_with_note(tmp_path):
-    config = RunConfig(order_cap=100, cache_dir=str(tmp_path))
+def test_above_cap_group_skipped_with_note():
+    config = RunConfig(order_cap=100)
     qd3 = catalog_group("Qd(3)")
     result = run_suite(config, groups=[qd3], scope="files")
     skips = [r for r in result.rows if r[3] == "skip" and r[0] == "scope"]
@@ -43,8 +40,7 @@ def test_above_cap_group_skipped_with_note(tmp_path):
 
 
 def test_report_files_written_atomically(tmp_path):
-    config = RunConfig(cache_dir=str(tmp_path / "c"),
-                       report_dir=str(tmp_path / "r"))
+    config = RunConfig(report_dir=str(tmp_path / "r"))
     d8 = build_group([(1, 0, 2, 3), (2, 3, 1, 0)], name="D8x", kind="perms")
     run_suite(config, groups=[d8], scope="files")
     reports = sorted(os.listdir(tmp_path / "r"))
@@ -52,56 +48,17 @@ def test_report_files_written_atomically(tmp_path):
     assert all(name.endswith(".tsv") for name in reports)
 
 
-def test_cache_roundtrip_and_corruption_recovery(tmp_path, capsys):
-    cache = ResultCache(str(tmp_path))
-    g = build_group([(1, 0, 2, 3), (2, 3, 1, 0)], name="D8y", kind="perms")
-    g.subgroups()
-    cache.store_lattice(g)
-    fresh = build_group([(1, 0, 2, 3), (2, 3, 1, 0)], name="D8z",
-                        kind="perms")
-    assert cache.attach_lattice(fresh)
-    assert len(fresh.subgroups()) == 10
-    # corrupt the entry: must warn and recompute, not fail
-    path = [p for p in os.listdir(tmp_path) if p.startswith("lattice-")][0]
-    with open(os.path.join(str(tmp_path), path), "w") as fh:
-        fh.write("{ not json")
-    third = build_group([(1, 0, 2, 3), (2, 3, 1, 0)], name="D8w",
-                        kind="perms")
-    assert not cache.attach_lattice(third)
-    assert "corrupt" in capsys.readouterr().err.lower()
-    assert len(third.subgroups()) == 10
-
-
-def test_env_var_overrides_cache_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("FUSIONLAB_CACHE", str(tmp_path / "envcache"))
-    assert default_cache_dir() == str(tmp_path / "envcache")
-
-
 def test_cli_suite_files_scope(tmp_path, capsys):
     path = tmp_path / "d8.grp"
     path.write_text(D8_FILE)
-    rc = main(["--cache-dir", str(tmp_path / "cache"), "suite", "--scope",
-               "files", "--format", "tsv", str(path)])
+    rc = main(["suite", "--scope", "files", "--format", "tsv", str(path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "D8file@p=2" in out
 
 
-def test_cli_suite_empty_files_scope_exits_zero(tmp_path, capsys):
-    rc = main(["--cache-dir", str(tmp_path), "suite", "--scope", "files"])
+def test_cli_suite_empty_files_scope_exits_zero(capsys):
+    rc = main(["suite", "--scope", "files"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "0 failed" in out
-
-
-def test_homset_cache_roundtrip(tmp_path):
-    from fusionlab.fusion import realize_fusion
-
-    cache = ResultCache(str(tmp_path))
-    F = realize_fusion(catalog_group("SL(2,3)"), 2)
-    F.materialize()
-    cache.store_homsets(F)
-    F2 = realize_fusion(catalog_group("SL(2,3)"), 2)
-    assert cache.attach_homsets(F2)
-    for P in F.objects():
-        assert F2._maps_cache[P.mask] == F.maps(P)
