@@ -2,7 +2,7 @@
 
 Exit codes: 0 ok, 1 usage or parse error, 2 theorem contradiction,
 3 order cap exceeded.  Every verdict is computed afresh: nothing is cached
-on disk.  ``verify`` writes the witness of a contradiction to
+on disk.  Every exit 2 writes the witness of the contradiction to
 contradiction-witness.txt in the current directory.
 """
 
@@ -37,7 +37,7 @@ from .stellmacher import (
     functor_checks,
 )
 from .subsystems import centralizer_like_system, normalizer_system, quotient_system
-from .suite import RunConfig, run_suite
+from .suite import RunConfig, SuiteResult, run_suite
 from .theorems import (
     frobenius_check,
     thompson_group_check,
@@ -201,7 +201,10 @@ def cmd_wcompute(args):
           f"nontrivial={rep.nontrivial} "
           f"order-independent={rep.order_independent} "
           f"identification-independent={rep.identification_independent}")
-    return EXIT_OK if rep.all_hold() else EXIT_CONTRADICTION
+    if not rep.all_hold():
+        _dump_witness(repr(rep))
+        return EXIT_CONTRADICTION
+    return EXIT_OK
 
 
 def cmd_verify(args):
@@ -211,23 +214,18 @@ def cmd_verify(args):
     if extras:
         S = sylow(G, args.p)
         fam = canonical_family(S, args.p, extras=extras)
-    try:
-        if args.theorem == "frobenius":
-            report = frobenius_check(G, args.p)
-        elif args.theorem == "thompson":
-            report = thompson_group_check(G, args.p, family=fam)
+    if args.theorem == "frobenius":
+        report = frobenius_check(G, args.p)
+    elif args.theorem == "thompson":
+        report = thompson_group_check(G, args.p, family=fam)
+    else:
+        F = realize_fusion(G, args.p)
+        if args.theorem == "1":
+            report = verify_theorem_1(F, family=fam)
+        elif args.theorem == "2":
+            report = verify_theorem_2(F, family=fam)
         else:
-            F = realize_fusion(G, args.p)
-            if args.theorem == "1":
-                report = verify_theorem_1(F, family=fam)
-            elif args.theorem == "2":
-                report = verify_theorem_2(F, family=fam)
-            else:
-                report = verify_theorem_3(F, family=fam)
-    except InternalInconsistency as exc:
-        _dump_witness(str(exc))
-        print(f"CONTRADICTION: {exc}", file=sys.stderr)
-        return EXIT_CONTRADICTION
+            report = verify_theorem_3(F, family=fam)
     print(f"{report.theorem_id} on {report.instance}: "
           f"hypotheses={report.hypotheses_hold} "
           f"conclusion={report.conclusion_holds}")
@@ -253,9 +251,7 @@ def _dump_witness(text):
 
 
 def cmd_suite(args):
-    config = RunConfig(order_cap=args.order_cap, aut_cap=args.aut_cap,
-                       report_dir=args.report_dir,
-                       output_format=args.format)
+    config = RunConfig(order_cap=args.order_cap, report_dir=args.report_dir)
     groups = []
     for path in args.files:
         try:
@@ -266,6 +262,8 @@ def cmd_suite(args):
     out = result.to_tsv() if args.format == "tsv" else result.to_text()
     sys.stdout.write(out)
     if result.contradictions:
+        rows = [r for r in result.rows if r[3] == "contradiction"]
+        _dump_witness(SuiteResult(rows=rows).to_tsv().rstrip("\n"))
         return EXIT_CONTRADICTION
     return EXIT_OK if result.failures == 0 else EXIT_USAGE
 
@@ -296,8 +294,6 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--order-cap", type=int, default=1000,
                         help="largest admissible group order")
-    parser.add_argument("--aut-cap", type=int, default=256,
-                        help="largest order for automorphism enumeration")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="basic structure of a group")
@@ -381,6 +377,7 @@ def main(argv=None):
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except InternalInconsistency as exc:
+        _dump_witness(str(exc))
         print(f"CONTRADICTION: {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION
     except FusionlabError as exc:

@@ -358,7 +358,8 @@ def _n_phi_tuple(F, P, t):
     m = mask_of(members)
     sub = G.subgroup(m)  # validates subgroup-ness
     floor = P.join(F.c_in_carrier(P))
-    assert floor <= sub and sub <= nq, "Q C_S(Q) <= N_phi <= N_S(Q) violated"
+    if not (floor <= sub and sub <= nq):
+        raise InternalInconsistency("Q C_S(Q) <= N_phi <= N_S(Q) violated")
     return sub
 
 
@@ -543,7 +544,7 @@ def _verify(F, host, carrier):
                 continue
             try:
                 nphi = _n_phi_tuple(F, P, t)
-            except AssertionError:
+            except InternalInconsistency:
                 return AxiomReport("failed", ("FS3-nphi", P, t))
             if nphi.mask == P.mask:
                 continue

@@ -622,10 +622,7 @@ def _prime_power_indices(G):
     out = []
     for x in range(1, G.order):
         k = G.elem_orders[x]
-        p = _smallest_prime_factor(k)
-        while k % p == 0:
-            k //= p
-        if k == 1:
+        if p_part(k, _smallest_prime_factor(k)) == k:
             out.append(x)
     return out
 
@@ -688,6 +685,29 @@ def subgroup_lattice(G, cap=DEFAULT_ORDER_CAP):
     return G.subgroups(cap=cap)
 
 
+def subgroup_class_reps(G, subgroups):
+    """The first member of each G-conjugacy class met in ``subgroups``, in
+    the order given."""
+    gens = G.generators()
+    seen = set()
+    reps = []
+    for H in subgroups:
+        if H.mask in seen:
+            continue
+        reps.append(H)
+        orbit = {H.mask}
+        frontier = [H.mask]
+        while frontier:
+            sub = G.subgroup(frontier.pop())
+            for g in gens:
+                c = sub.conjugate_mask(g)
+                if c not in orbit:
+                    orbit.add(c)
+                    frontier.append(c)
+        seen |= orbit
+    return reps
+
+
 # -- standard subgroups ----------------------------------------------------
 
 
@@ -703,10 +723,7 @@ def sylow(G, p, cap=DEFAULT_ORDER_CAP):
         for x in nmask.elems:
             if x in psub:
                 continue
-            k = G.elem_orders[x]
-            while k % p == 0:
-                k //= p
-            if k == 1:
+            if p_part(G.elem_orders[x], p) == G.elem_orders[x]:
                 gens = list(psub.generators()) + [x]
                 psub = G.subgroup(G.closure_mask(gens, psub.mask))
                 grown = True
@@ -755,40 +772,50 @@ def standard_subgroup(G, kind, q=None, within=None, p=None):
     raise ValueError(f"unknown standard subgroup kind {kind!r}")
 
 
-def o_p(G, p, within=None):
-    """Largest normal p-subgroup of ``within`` (default G): Sylow core."""
+def _o_pi(G, within, in_pi):
+    """O_pi(W), the largest normal pi-subgroup of W = ``within`` (default
+    G); ``in_pi(n)`` says whether the order n is a pi-number.
+
+    An element x lies in O_pi(W) exactly when its normal closure in W is a
+    pi-group, so one pass over W joins those closures into N.  The closure
+    of N and x grows one W-conjugate at a time and is dropped as soon as
+    its order leaves pi (every overgroup's order is a multiple)."""
     W = within if within is not None else G.full_subgroup
-    if W.order % p != 0:
-        return G.trivial_subgroup
-    if W.mask == G.full_mask:
-        P = sylow(G, p)
-        members = range(G.order)
-    else:
-        sub, embed = W.as_group()
-        Ploc = sylow(sub, p)
-        P = G.subgroup(mask_of(embed[e] for e in Ploc.elems))
-        members = W.elems
-    core = P.mask
-    for g in members:
-        core &= P.conjugate_mask(g)
-        if core == 1:
-            break
-    return G.subgroup(core)
+    mul, inv, orders = G._mul, G.inv, G.elem_orders
+    wgens = W.generators()
+    join, join_gens = 1, []
+    rejected = 0
+    for x in W.elems:
+        if (join | rejected) >> x & 1 or not in_pi(orders[x]):
+            continue
+        gens = join_gens + [x]
+        mask = G.closure_mask(gens, join)
+        todo = [x]
+        while todo and in_pi(mask.bit_count()):
+            g = todo.pop()
+            for w in wgens:
+                c = mul[mul[w][g]][inv[w]]
+                if not mask >> c & 1:
+                    gens.append(c)
+                    todo.append(c)
+                    mask = G.closure_mask(gens, mask)
+        if in_pi(mask.bit_count()):
+            join, join_gens = mask, gens
+        else:
+            # every generator past N's is a W-conjugate of x
+            rejected |= mask_of(gens[len(join_gens):])
+    return G.subgroup(join)
+
+
+def o_p(G, p, within=None):
+    """Largest normal p-subgroup of ``within`` (default G)."""
+    return _o_pi(G, within, lambda n: p_part(n, p) == n)
 
 
 def o_p_prime(G, p, within=None):
-    """Largest normal subgroup of order coprime to p (join of all such)."""
-    W = within if within is not None else G.full_subgroup
-    gens = W.generators()
-    join = G.subgroup(1)
-    for H in W.subgroups_within():
-        if H.order % p == 0 or H.order == 1:
-            continue
-        if not H <= join and all(H.conjugate_mask(g) == H.mask for g in gens):
-            join = join.join(H)
-    # join of normal p'-subgroups is a normal p'-subgroup
-    assert join.order % p != 0 or join.order == 1
-    return join
+    """Largest normal subgroup of ``within`` (default G) of order prime
+    to p."""
+    return _o_pi(G, within, lambda n: n % p != 0)
 
 
 # -- quotients ---------------------------------------------------------------

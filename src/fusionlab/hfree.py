@@ -26,6 +26,7 @@ from .groups import (
     o_p,
     p_part,
     quotient_group,
+    subgroup_class_reps,
 )
 from .subsystems import model_group
 
@@ -90,29 +91,6 @@ def is_fusion_H_free(F, H, cap=DEFAULT_ORDER_CAP) -> HFreeReport:
 # -- appendix cross-checks ----------------------------------------------------
 
 
-def subgroup_conjugacy_reps(G, pred=None):
-    """One representative per G-conjugacy class of subgroups."""
-    seen = set()
-    reps = []
-    for H in G.subgroups():
-        if H.mask in seen:
-            continue
-        orbit = {H.mask}
-        frontier = [H.mask]
-        while frontier:
-            m = frontier.pop()
-            sub = G.subgroup(m)
-            for g in G.generators():
-                c = sub.conjugate_mask(g)
-                if c not in orbit:
-                    orbit.add(c)
-                    frontier.append(c)
-        seen |= orbit
-        if pred is None or pred(H):
-            reps.append(H)
-    return reps
-
-
 def sigma3_involvement_check(G, cap=DEFAULT_ORDER_CAP):
     """(S4 involved in G, exists 2-subgroup Q with S3 involved in N/C).
 
@@ -122,8 +100,9 @@ def sigma3_involvement_check(G, cap=DEFAULT_ORDER_CAP):
     s3 = catalog_group("S3")
     a, _ = is_involved(s4, G, cap=cap)
     b = False
-    for Q in subgroup_conjugacy_reps(
-            G, pred=lambda H: H.order > 1 and p_part(H.order, 2) == H.order):
+    two_subgroups = [H for H in G.subgroups()
+                     if H.order > 1 and p_part(H.order, 2) == H.order]
+    for Q in subgroup_class_reps(G, two_subgroups):
         N = Q.normalizer_in(G.full_subgroup)
         C = Q.centralizer_in(N)
         local, embed = N.as_group()

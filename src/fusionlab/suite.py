@@ -53,13 +53,11 @@ PRIMES = (2, 3)
 @dataclass
 class RunConfig:
     order_cap: int = DEFAULT_ORDER_CAP
-    aut_cap: int = 256
     report_dir: str = None
-    output_format: str = "text"   # or "tsv"
 
     def __post_init__(self):
-        if self.order_cap <= 0 or self.aut_cap <= 0:
-            raise ValueError("caps must be positive")
+        if self.order_cap <= 0:
+            raise ValueError("the order cap must be positive")
 
 
 @dataclass

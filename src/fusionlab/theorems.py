@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 from .catalog import catalog_group
 from .errors import HypothesisViolated, InternalInconsistency
 from .fusion import FusionSystem, conj_tuple, mask_of
-from .groups import Subgroup, bits, p_part, sylow
+from .groups import (
+    Subgroup,
+    bits,
+    o_p_prime,
+    p_part,
+    subgroup_class_reps,
+    sylow,
+)
 from .hfree import is_fusion_H_free, qd_group
 from .stellmacher import (
     CandidateFamily,
@@ -169,22 +176,10 @@ def verify_theorem_3(F, family=None) -> TheoremReport:
 
 
 def has_normal_p_complement(G, p) -> bool:
-    """|O_p'(G)| equals the p'-part of |G|; equivalently the p'-order
-    elements are multiplicatively closed and count exactly the p'-part."""
-    if isinstance(G, Subgroup):
-        parent = G.parent
-        elems = G.elems
-        orders = [parent.elem_orders[x] for x in elems]
-        mul = parent._mul
-    else:
-        elems = range(G.order)
-        orders = G.elem_orders
-        mul = G._mul
-    pprime = [x for x, k in zip(elems, orders) if k % p != 0]
-    if len(pprime) != G.order // p_part(G.order, p):
-        return False
-    members = set(pprime)
-    return all(mul[a][b] in members for a in pprime for b in pprime)
+    """|O_p'(G)| equals the p'-part of |G| (G a group or a Subgroup)."""
+    W = G if isinstance(G, Subgroup) else G.full_subgroup
+    complement = o_p_prime(W.parent, p, within=W)
+    return complement.order * p_part(G.order, p) == G.order
 
 
 def frobenius_check(G, p) -> TheoremReport:
@@ -196,7 +191,8 @@ def frobenius_check(G, p) -> TheoremReport:
     full = G.full_subgroup
     a = has_normal_p_complement(G, p)
 
-    reps = _s_subgroup_class_reps(G, S)
+    reps = subgroup_class_reps(
+        G, [Q for Q in S.subgroups_within() if Q.order > 1])
     b = True
     b_witness = None
     for Q in reps:
@@ -229,29 +225,6 @@ def frobenius_check(G, p) -> TheoremReport:
                          hypotheses_hold=True, conclusion_holds=agree,
                          detail={"complement": a, "nc_witness": b_witness,
                                  "normalizer_witness": c_witness})
-
-
-def _s_subgroup_class_reps(G, S):
-    """Nontrivial subgroups of S, one per G-conjugacy class."""
-    seen = set()
-    reps = []
-    gens = G.generators()
-    for Q in S.subgroups_within():
-        if Q.order == 1 or Q.mask in seen:
-            continue
-        orbit = {Q.mask}
-        frontier = [Q.mask]
-        while frontier:
-            m = frontier.pop()
-            sub = G.subgroup(m)
-            for g in gens:
-                c = sub.conjugate_mask(g)
-                if c not in orbit:
-                    orbit.add(c)
-                    frontier.append(c)
-        seen |= orbit
-        reps.append(Q)
-    return reps
 
 
 def thompson_group_check(G, p, family=None) -> TheoremReport:

@@ -25,6 +25,44 @@ def closure_set(G, seed):
     return frozenset(elems)
 
 
+def is_power_of(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def o_pi_brute(G, W_elems, in_pi):
+    """O_pi(W) as the set of x in W whose W-conjugacy class generates a
+    group of pi-number order (``in_pi``); W is given by its members."""
+    out, seen = set(), set()
+    for x in W_elems:
+        if x in seen:
+            continue
+        klass = {G.mul(G.mul(w, x), G.inv[w]) for w in W_elems}
+        seen |= klass
+        if in_pi(len(closure_set(G, klass))):
+            out |= klass
+    return frozenset(out)
+
+
+def has_normal_p_complement_brute(G, W_elems, p):
+    """The elements of p'-order in W are closed under products and number
+    exactly the p'-part of |W|."""
+    def order(x):
+        k, y = 1, x
+        while y != 0:
+            y = G.mul(y, x)
+            k += 1
+        return k
+
+    pprime = {x for x in W_elems if order(x) % p != 0}
+    p_power = 1
+    while len(W_elems) % (p_power * p) == 0:
+        p_power *= p
+    return (len(pprime) * p_power == len(W_elems)
+            and all(G.mul(a, b) in pprime for a in pprime for b in pprime))
+
+
 def brute_force_subgroups(G, max_gens=3):
     """All subgroups generated by at most ``max_gens`` elements.
 

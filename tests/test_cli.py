@@ -1,4 +1,9 @@
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 
 from fusionlab import cli
@@ -9,6 +14,7 @@ from fusionlab.groupfile import (
     parse_group_text,
     perm_to_cycles,
 )
+from fusionlab.suite import SuiteResult
 
 D8_FILE = """\
 # dihedral group of order 8
@@ -156,6 +162,7 @@ def test_cli_cap_exceeded_exit_code(capsys):
     ["--bogus", "catalog"],
     ["verify", "--theorem", "9", "--group", "S4", "--p", "2"],
     ["--cache-dir", "somewhere", "catalog"],
+    ["--aut-cap", "64", "catalog"],
 ])
 def test_cli_usage_error_exits_1_not_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -184,6 +191,63 @@ def test_cli_contradiction_dumps_witness_in_cwd(monkeypatch, tmp_path,
     dump = tmp_path / "contradiction-witness.txt"
     assert dump.read_text() == "routes disagree on W\n"
     assert str(dump) in capsys.readouterr().err
+
+
+def test_cli_any_subcommand_contradiction_dumps_witness(monkeypatch, tmp_path,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "thompson_data", _contradicting_theorem)
+    assert main(["jthompson", "S4", "2"]) == 2
+    dump = tmp_path / "contradiction-witness.txt"
+    assert dump.read_text() == "routes disagree on W\n"
+    assert str(dump) in capsys.readouterr().err
+
+
+def test_cli_wcompute_failed_functor_check_dumps_witness(monkeypatch,
+                                                         tmp_path, capsys,
+                                                         d8_path):
+    real = cli.functor_checks
+    reports = []
+
+    def nontrivial_fails(S, fam):
+        reports.append(dataclasses.replace(real(S, fam), nontrivial=False))
+        return reports[-1]
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "functor_checks", nontrivial_fails)
+    assert main(["wcompute", d8_path, "2", "--catalog"]) == 2
+    dump = tmp_path / "contradiction-witness.txt"
+    assert dump.read_text() == repr(reports[-1]) + "\n"
+
+
+def test_cli_suite_contradiction_dumps_rows(monkeypatch, tmp_path, capsys):
+    def one_contradiction(config, groups=(), scope="catalog"):
+        res = SuiteResult()
+        res.add("axioms", "S3@p=2", "FS1-FS3+category", "pass")
+        res.add("theorems", "S4@p=2", "T1.1", "contradiction", "W moved")
+        return res
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_suite", one_contradiction)
+    assert main(["suite", "--format", "tsv"]) == 2
+    dump = tmp_path / "contradiction-witness.txt"
+    assert dump.read_text() == ("section\tinstance\tcheck\tstatus\tdetail\n"
+                                "theorems\tS4@p=2\tT1.1\tcontradiction\t"
+                                "W moved\n")
+
+
+def test_cli_verify_same_under_python_O(tmp_path):
+    argv = ["-m", "fusionlab.cli", "verify", "--theorem", "1", "--group",
+            "SL(2,3)", "--p", "2"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], capture_output=True,
+                       cwd=tmp_path, env=env, timeout=300)
+        for flags in ((), ("-O",)))
+    assert plain.returncode == 0, plain.stderr.decode()
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode,
+                                                        plain.stdout)
 
 
 def test_cli_unwritable_witness_dump_is_reported(monkeypatch, tmp_path,

@@ -13,6 +13,8 @@ from fusionlab.groups import (
     group_from_function,
     is_involved,
     is_isomorphic,
+    o_p,
+    o_p_prime,
     quotient_group,
     standard_subgroup,
     sylow,
@@ -20,8 +22,10 @@ from fusionlab.groups import (
 
 from oracles import (
     brute_force_subgroups,
+    is_power_of,
     looks_like_a4,
     looks_like_s3,
+    o_pi_brute,
     order_histogram,
 )
 
@@ -165,6 +169,18 @@ def test_o_p_prime(cat):
     assert standard_subgroup(cat["S3"], "O_p'", p=2).order == 3
     assert standard_subgroup(cat["S3"], "O_p'", p=3).order == 1
     assert standard_subgroup(cat["A4"], "O_p'", p=3).order == 4
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_o_p_and_o_p_prime_match_oracle_within_every_subgroup(cat, p):
+    for G in cat.values():
+        if G.order > 48:
+            continue
+        for W in G.subgroups():
+            assert set(o_p(G, p, within=W).elems) == o_pi_brute(
+                G, W.elems, lambda n: is_power_of(n, p))
+            assert set(o_p_prime(G, p, within=W).elems) == o_pi_brute(
+                G, W.elems, lambda n: n % p != 0)
 
 
 def test_standard_subgroups_within_a_subgroup(cat):

@@ -5,9 +5,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fusionlab.groups import (
     build_group,
     is_isomorphic,
+    o_p,
+    o_p_prime,
     quotient_group,
     sylow,
 )
+from fusionlab.theorems import has_normal_p_complement
+
+from oracles import has_normal_p_complement_brute, is_power_of, o_pi_brute
 
 POOL = [
     (1, 0, 2, 3, 4),          # (1 2)
@@ -106,3 +111,16 @@ def test_thompson_anchors_nested(gens, p):
     assert td.B <= td.J
     assert td.J <= s
     assert td.A.order > 1
+
+
+@settings(**COMMON)
+@given(group_specs, st.sampled_from([2, 3, 5]))
+def test_normal_pi_subgroups_match_oracles(gens, p):
+    g = build_group([list(q) for q in gens], kind="perms", cap=200)
+    for W in g.subgroups():
+        assert set(o_p(g, p, within=W).elems) == o_pi_brute(
+            g, W.elems, lambda n: is_power_of(n, p))
+        assert set(o_p_prime(g, p, within=W).elems) == o_pi_brute(
+            g, W.elems, lambda n: n % p != 0)
+        assert has_normal_p_complement(W, p) == \
+            has_normal_p_complement_brute(g, W.elems, p)

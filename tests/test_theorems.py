@@ -1,3 +1,5 @@
+import pytest
+
 
 from fusionlab.fusion import realize_fusion
 from fusionlab.groups import group_from_function
@@ -10,6 +12,8 @@ from fusionlab.theorems import (
     verify_theorem_2,
     verify_theorem_3,
 )
+
+from oracles import has_normal_p_complement_brute
 
 
 def test_t1_sl23(systems):
@@ -93,6 +97,18 @@ def test_has_normal_p_complement(cat):
     assert has_normal_p_complement(cat["A4"], 3)
     assert not has_normal_p_complement(cat["A4"], 2)
     assert has_normal_p_complement(cat["C3"], 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_has_normal_p_complement_matches_definition(cat, p):
+    for G in cat.values():
+        if G.order > 48:
+            continue
+        assert has_normal_p_complement(G, p) == has_normal_p_complement_brute(
+            G, range(G.order), p)
+        for W in G.subgroups():
+            assert has_normal_p_complement(W, p) == \
+                has_normal_p_complement_brute(G, W.elems, p)
 
 
 def test_frobenius_examples(cat):
