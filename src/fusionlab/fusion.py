@@ -586,7 +586,10 @@ class AlperinDecomposition:
             dom = psi.domain
             images = [psi(x) for x in images]
             target = self.subgroup_chain[k + 1]
-            assert mask_of(images) == target.mask
+            if mask_of(images) != target.mask:
+                raise InternalInconsistency(
+                    f"Alperin step {k} maps the chain onto {mask_of(images):x}, "
+                    f"not onto the chain member {target.mask:x}")
         return dict(zip(q0.elems, images))
 
 
@@ -664,7 +667,11 @@ def _build_decomposition(F, phi, P, cur, seen, final):
                                 automorphisms=tuple(autos))
     got = deco.recompose()
     want = dict(zip(P.elems, morphism_tuple(F, phi)))
-    assert got == want, "recomposition failed to reproduce the morphism"
+    if got != want:
+        x = next(x for x in P.elems if got[x] != want[x])
+        raise InternalInconsistency(
+            f"Alperin recomposition on P = {P.mask:x} sends {x} to {got[x]}, "
+            f"the morphism sends it to {want[x]}")
     return deco
 
 

@@ -27,6 +27,8 @@ MAX_PERM_POINTS = 64
 
 _ASSOC_SAMPLE = 10_000
 
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 def bits(mask):
     """Yield the set bit positions of mask in increasing order."""
@@ -218,30 +220,50 @@ class FiniteGroup:
         return m
 
     def closure_mask(self, generators, seed_mask=1):
-        """Mask of the subgroup generated by ``generators`` over a known
-        subgroup ``seed_mask``.  The generator list must generate the seed
-        subgroup too (pass the seed's generators along); new elements are
-        explored on both sides, which reaches every mixed word."""
+        """Mask of the subgroup generated by the seed and ``generators``
+        (Dimino's algorithm).  The seed must be a subgroup.
+
+        Generators are adjoined one at a time, and one already in the
+        current subgroup H is skipped.  A new one extends H by whole right
+        cosets: each coset representative r (the identity first) times each
+        generator s adjoined so far gives t = r*s, and a t outside the
+        current set brings in H*t as a new coset.  The stage ends when every
+        such product stays inside; the union is then closed under right
+        multiplication by generators of the new subgroup, so it is that
+        subgroup.  The multipliers must generate the seed as well, so the
+        seed is built first from the listed generators inside it, and from
+        its own elements if those fall short."""
         mul = self._mul
-        mask = seed_mask
-        frontier = []
+        member = bytearray(self.order)
+        member[0] = 1
+        elems = [0]
         gens = []
-        for g in generators:
-            gens.append(g)
-            if not mask >> g & 1:
-                mask |= 1 << g
-                frontier.append(g)
-        while frontier:
-            nxt = []
-            for f in frontier:
-                rowf = mul[f]
-                for g in gens:
-                    for z in (rowf[g], mul[g][f]):
-                        if not mask >> z & 1:
-                            mask |= 1 << z
-                            nxt.append(z)
-            frontier = nxt
-        return mask
+
+        def adjoin(candidates):
+            for g in candidates:
+                if member[g]:
+                    continue
+                gens.append(g)
+                block = elems[:]
+                reps = [0]
+                for r in reps:
+                    row = mul[r]
+                    for s in gens:
+                        t = row[s]
+                        if not member[t]:
+                            coset = [mul[h][t] for h in block]
+                            for z in coset:
+                                member[z] = 1
+                            elems.extend(coset)
+                            reps.append(t)
+
+        generators = list(generators)
+        adjoin(g for g in generators if seed_mask >> g & 1)
+        if len(elems) != seed_mask.bit_count():
+            adjoin(bits(seed_mask))
+        adjoin(generators)
+        # the flags, read as a binary numeral with element 0 last
+        return int(member.translate(_BINARY_DIGITS)[::-1], 2)
 
     def generators(self):
         """A small deterministic generating sequence (greedy closure)."""
@@ -413,8 +435,8 @@ class Subgroup:
 
     def join(self, other):
         """Subgroup generated by self and other."""
-        gens = list(self.generators()) + list(other.generators())
-        return self.parent.subgroup(self.parent.closure_mask(gens, self.mask))
+        return self.parent.subgroup(
+            self.parent.closure_mask(other.generators(), self.mask))
 
     def meet(self, other):
         return self.parent.subgroup(self.mask & other.mask)
@@ -1006,6 +1028,11 @@ def is_involved(H, G, cap=DEFAULT_ORDER_CAP):
     h = H.order
     if G.order % h != 0:
         return False, None
+    if h == G.order:
+        # the only section of that order is G/1, the lattice loop's answer
+        if not is_isomorphic(G, H, cap=cap)[0]:
+            return False, None
+        return True, (G.full_subgroup, G.trivial_subgroup)
     h_hist = tuple(sorted(_order_histogram(H).items()))
     for B in G.subgroups():
         if B.order % h != 0:

@@ -40,7 +40,9 @@ def qd_group(p) -> FiniteGroup:
     if p not in _qd_cache:
         g = build_group(affine_qd_perms(p), name=f"Qd({p})", kind="perms")
         expected = p * p * _sl2_order(p)
-        assert g.order == expected, f"Qd({p}) has order {g.order}"
+        if g.order != expected:
+            raise InternalInconsistency(
+                f"Qd({p}) has order {g.order}, expected {expected}")
         _qd_cache[p] = g
     return _qd_cache[p]
 

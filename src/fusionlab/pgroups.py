@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAPGroup
+from .errors import InternalInconsistency, NotAPGroup
 from .groups import (
     DEFAULT_AUT_CAP,
     Subgroup,
@@ -58,7 +58,10 @@ def thompson_data(S: Subgroup) -> ThompsonData:
     J = G.subgroup(G.closure_mask(jgens, 1))
     A = G.subgroup(omega_mask(G, S.center().mask, p))
     B = G.subgroup(omega_mask(G, J.centralizer_in(J).mask, p))
-    assert A <= B, "A(S) <= B(S) must hold (Z(S) <= J(S))"
+    if not A <= B:
+        raise InternalInconsistency(
+            f"A(S) = {A.mask:x} is not inside B(S) = {B.mask:x} for S = "
+            f"{S.mask:x} in {G.name}, although Z(S) <= J(S)")
     return ThompsonData(S=S, p=p, max_abelian_order=best,
                         max_abelian_subgroups=witnesses, J=J, A=A, B=B)
 

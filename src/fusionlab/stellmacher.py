@@ -11,7 +11,7 @@ characteristic and independent of the chosen identifications.
 Two constructions are computed: the iterative orbit-closure chain
 W_0 < W_1 < ... (the canonical value) and the one-shot generation from
 images of W_0 = Omega(Z(S)) under morphisms defined on J(S); the provable
-containment W_oneshot <= W_iter is asserted on every run and equality is
+containment W_oneshot <= W_iter is checked on every run and equality is
 reported.
 """
 
@@ -19,7 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NotAPGroup, SandwichViolated, SylowMismatch
+from .errors import (
+    InternalInconsistency,
+    NotAPGroup,
+    SandwichViolated,
+    SylowMismatch,
+)
 from .fusion import FusionSystem, classify_subgroup, mask_of
 from .groups import (
     FiniteGroup,
@@ -88,16 +93,18 @@ def admit_member(S: FiniteGroup, G: FiniteGroup, p: int) -> FamilyMember:
     member = FamilyMember(system=F, identification=identification,
                           j_normal=j_normal, qd_free=qd_free)
     if member.admitted:
-        _assert_constrained(F)
+        _check_constrained(F)
     return member
 
 
-def _assert_constrained(F):
+def _check_constrained(F):
     """Admitted members are constrained: J(S) is centric, and the model of
     O_p(F) is p-constrained (C_L(O_p(L)) <= O_p(L))."""
     J = thompson_data(F.carrier).J
     prof = classify_subgroup(F, J)
-    assert prof.centric, "J(S) must be centric when it is normal in F"
+    if not prof.centric:
+        raise InternalInconsistency(
+            f"J(S) = {J.mask:x} is normal in {F.name} but not centric")
     Q = o_p_of_F(F)
     model = model_group(F, Q)
     L = model.L
@@ -105,9 +112,15 @@ def _assert_constrained(F):
     from .groups import o_p as _o_p
 
     opl = _o_p(L, F.p)
-    assert QL <= opl or QL.mask == opl.mask
+    if not QL <= opl:
+        raise InternalInconsistency(
+            f"the image {QL.mask:x} of O_p({F.name}) in its model is not "
+            f"inside O_p(L) = {opl.mask:x}")
     C = opl.centralizer_in(L.full_subgroup)
-    assert C <= opl, "model is not p-constrained"
+    if not C <= opl:
+        raise InternalInconsistency(
+            f"the model of {F.name} is not p-constrained: C_L(O_p(L)) = "
+            f"{C.mask:x} is not inside O_p(L) = {opl.mask:x}")
 
 
 def canonical_family(S_sub: Subgroup, p: int, extras=(),
@@ -199,7 +212,10 @@ def compute_W_iterative(family: CandidateFamily) -> WComputation:
         chain.append(w)
     W_iter = S.subgroup(w)
     W_oneshot = compute_W_oneshot(family)
-    assert W_oneshot <= W_iter, "one-shot W must sit inside the iterative W"
+    if not W_oneshot <= W_iter:
+        raise InternalInconsistency(
+            f"the one-shot W = {W_oneshot.mask:x} is not inside the "
+            f"iterative W = {w:x}")
     return WComputation(family=family, chain=tuple(chain),
                         witnesses=tuple(witnesses), W_iter=W_iter,
                         W_oneshot=W_oneshot, equal=W_oneshot.mask == w,
@@ -272,8 +288,10 @@ def compute_W_oneshot(family: CandidateFamily) -> Subgroup:
         orbit_gens.update(alpha[i] for i in bits(raw))
     result = S.closure_mask(sorted(orbit_gens), 1)
     W = S.subgroup(result)
-    assert w0 & ~result == 0 and result & ~td.B.mask == 0, \
-        "one-shot W must satisfy A(S) <= W <= B(S)"
+    if w0 & ~result or result & ~td.B.mask:
+        raise InternalInconsistency(
+            f"the one-shot W = {result:x} is not between A(S) = {w0:x} and "
+            f"B(S) = {td.B.mask:x}")
     return W
 
 

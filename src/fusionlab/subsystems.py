@@ -511,7 +511,9 @@ def _well_placing_morphism(F, Q):
         if F.is_fully_normalized(host.subgroup(mask_of(t))):
             psi = t
             break
-    assert psi is not None, "every class has a fully normalized member"
+    if psi is None:
+        raise InternalInconsistency(
+            f"the F-class of Q = {Q.mask:x} has no fully normalized member")
     img, psi_inv = invert_tuple(host, Q, psi)
     qpos = Q.pos_map()
     conj_auts = set()
@@ -532,13 +534,19 @@ def _well_placing_morphism(F, Q):
         if good:
             tau = cand
             break
-    assert tau is not None, "Sylow conjugation inside Aut_F(img) must succeed"
+    if tau is None:
+        raise InternalInconsistency(
+            f"no member of Aut_F({img.mask:x}) conjugates the image of "
+            f"Aut_S(Q) into Aut_S({img.mask:x}), Q = {Q.mask:x}")
     alpha = compose_tuples(psi, img, tau)
     from .fusion import _n_phi_tuple
 
     nphi = _n_phi_tuple(F, Q, alpha)
     dom = F.n_in_carrier(Q)
-    assert nphi.mask == dom.mask, "N_alpha must be the full normalizer"
+    if nphi.mask != dom.mask:
+        raise InternalInconsistency(
+            f"N_alpha = {nphi.mask:x} is not N_S(Q) = {dom.mask:x}, "
+            f"Q = {Q.mask:x}")
     for ext in F.maps(dom):
         if restrict_tuple(dom, ext, Q) == alpha:
             return ext

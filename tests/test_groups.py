@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from fusionlab.catalog import CATALOG_NAMES, EXPECTED_ORDERS
 from fusionlab.errors import (
     NonAssociative,
     NotAPGroup,
@@ -9,10 +12,12 @@ from fusionlab.errors import (
 from fusionlab.groups import (
     automorphisms,
     automorphisms_raw,
+    bits,
     build_group,
     group_from_function,
     is_involved,
     is_isomorphic,
+    mask_of,
     o_p,
     o_p_prime,
     quotient_group,
@@ -22,6 +27,7 @@ from fusionlab.groups import (
 
 from oracles import (
     brute_force_subgroups,
+    closure_set,
     is_power_of,
     looks_like_a4,
     looks_like_s3,
@@ -108,6 +114,43 @@ def test_lattice_closed_under_meet_and_conjugation(cat, name):
             assert H.mask & K.mask in masks
         for x in range(g.order):
             assert H.conjugate_mask(x) in masks
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in CATALOG_NAMES if EXPECTED_ORDERS[n] <= 24])
+def test_lattice_matches_brute_force(cat, name):
+    g = cat[name]
+    masks = [H.mask for H in g.subgroups()]
+    assert len(set(masks)) == len(masks)
+    assert set(masks) == {mask_of(H) for H in brute_force_subgroups(g)}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in CATALOG_NAMES if EXPECTED_ORDERS[n] <= 48])
+def test_closure_mask_matches_oracle(cat, name):
+    """Seeds that are subgroups (trivial, cyclic, lattice members), each
+    with 1-3 extra generators that need not normalize the seed."""
+    g = cat[name]
+    rng = random.Random(name)
+    lattice = g.subgroups()
+    seeds = [1, g.cyclic_mask(rng.randrange(g.order)),
+             g.cyclic_mask(rng.randrange(g.order))]
+    seeds += [H.mask for H in rng.sample(lattice, min(4, len(lattice)))]
+    for seed in seeds:
+        for k in (1, 2, 3):
+            extra = [rng.randrange(g.order) for _ in range(k)]
+            want = mask_of(closure_set(g, list(bits(seed)) + extra))
+            assert g.closure_mask(extra, seed) == want, (seed, extra)
+
+
+def test_join_of_non_normalizing_subgroups(cat):
+    s4 = cat["S4"]
+    two = [H for H in s4.subgroups() if H.order == 2]
+    three = [H for H in s4.subgroups() if H.order == 3]
+    for H in two:
+        for K in three:
+            want = mask_of(closure_set(s4, H.elems + K.elems))
+            assert H.join(K).mask == K.join(H).mask == want
 
 
 def test_lattice_canonical_order(cat):
@@ -342,6 +385,48 @@ def test_s3_involved_in_s4_with_order6_witness(cat):
     ok, (b, a) = is_involved(cat["S3"], cat["S4"])
     assert ok
     assert b.order // a.order == 6
+
+
+def _involved_via_lattice(H, G):
+    """The section search of ``is_involved`` over the whole lattice of G,
+    without its short-cut for |H| = |G|."""
+    h = H.order
+    for B in G.subgroups():
+        if B.order % h:
+            continue
+        sub, _ = B.as_group()
+        for A in B.subgroups_within():
+            if B.order != A.order * h or not A.is_normal_in(B):
+                continue
+            Q, _ = quotient_group(
+                sub, sub.subgroup(mask_of(B.pos(x) for x in A.elems)))
+            if is_isomorphic(Q, H)[0]:
+                return True, (B, A)
+    return False, None
+
+
+def _relabelled(G, seed):
+    """A copy of G with its non-identity elements shuffled."""
+    new_of_old = [0] + random.Random(seed).sample(range(1, G.order),
+                                                  G.order - 1)
+    old_of_new = sorted(range(G.order), key=new_of_old.__getitem__)
+    table = [[new_of_old[G.mul(a, b)] for b in old_of_new] for a in old_of_new]
+    return build_group(table, name=f"{G.name}'", kind="table")
+
+
+@pytest.mark.parametrize("h_name,g_name,expected", [
+    ("S4", "S4", True),
+    ("Qd(3)", "Qd(3)", True),
+    ("S4", "SL(2,3)", False),
+])
+def test_involved_same_order_matches_lattice_path(cat, h_name, g_name,
+                                                  expected):
+    H = cat[h_name]
+    G = _relabelled(cat[g_name], 7)   # a fresh object: no cached lattice
+    ok, witness = is_involved(H, G)
+    assert G._lattice is None
+    assert ok is expected
+    assert (ok, witness) == _involved_via_lattice(H, G)
 
 
 def test_involution_monotone_on_subgroups(cat):

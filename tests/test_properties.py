@@ -3,8 +3,10 @@
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fusionlab.groups import (
+    bits,
     build_group,
     is_isomorphic,
+    mask_of,
     o_p,
     o_p_prime,
     quotient_group,
@@ -12,7 +14,13 @@ from fusionlab.groups import (
 )
 from fusionlab.theorems import has_normal_p_complement
 
-from oracles import has_normal_p_complement_brute, is_power_of, o_pi_brute
+from oracles import (
+    brute_force_subgroups,
+    closure_set,
+    has_normal_p_complement_brute,
+    is_power_of,
+    o_pi_brute,
+)
 
 POOL = [
     (1, 0, 2, 3, 4),          # (1 2)
@@ -55,6 +63,33 @@ def test_lattice_closed_under_meet_and_conjugation(gens):
             assert (H.mask & K.mask) in masks
         for x in range(g.order):
             assert H.conjugate_mask(x) in masks
+
+
+@settings(**COMMON)
+@given(group_specs, st.data())
+def test_closure_mask_matches_oracle(gens, data):
+    g = build_group([list(p) for p in gens], kind="perms", cap=200)
+    element = st.integers(0, g.order - 1)
+    seeds = [1, g.cyclic_mask(data.draw(element)),
+             data.draw(st.sampled_from(g.subgroups())).mask]
+    for seed in seeds:
+        extra = data.draw(st.lists(element, min_size=1, max_size=3))
+        want = mask_of(closure_set(g, list(bits(seed)) + extra))
+        assert g.closure_mask(extra, seed) == want
+
+
+@settings(**COMMON)
+@given(group_specs)
+def test_lattice_matches_brute_force(gens):
+    g = build_group([list(p) for p in gens], kind="perms", cap=200)
+    masks = [H.mask for H in g.subgroups()]
+    assert len(set(masks)) == len(masks)
+    if g.order <= 24:
+        assert set(masks) == {mask_of(H) for H in brute_force_subgroups(g)}
+    else:
+        # the only larger POOL group is S5 (order 120), with 156 subgroups;
+        # three generators at a time is out of the oracle's reach there
+        assert g.order == 120 and len(masks) == 156
 
 
 @settings(**COMMON)
