@@ -1,12 +1,15 @@
 """Built-in desk-scale group catalog.
 
 Every entry carries a faithful permutation presentation on <= 64 points and
-an expected order that is re-checked by ``validate_catalog``.  The largest
+an expected order, checked when the entry is built.  The largest
 entry is Qd(3) of order 216.
 """
 
 from __future__ import annotations
 
+import functools
+
+from .errors import InternalInconsistency
 from .groups import (
     FiniteGroup,
     build_group,
@@ -16,12 +19,6 @@ from .groups import (
 
 _SL23_GENS = (((1, 1), (0, 1)), ((0, 2), (1, 0)))  # transvection, rotation
 _GL23_GENS = (((1, 1), (0, 1)), ((0, 1), (1, 0)))  # transvection, swap (det -1)
-
-
-def _f3_vectors(dim):
-    if dim == 1:
-        return [(a,) for a in range(3)]
-    return [(a,) + v for a in range(3) for v in _f3_vectors(dim - 1)]
 
 
 def _matvec(mat, vec, p):
@@ -85,27 +82,6 @@ def _c13c3_perms():
     return [a, b]
 
 
-def _perm_specs():
-    s = {}
-    s["C2"] = (2, [(1, 0)])
-    s["C3"] = (3, [(1, 2, 0)])
-    s["C4"] = (4, [(1, 2, 3, 0)])
-    s["V4"] = (4, [(1, 0, 3, 2), (2, 3, 0, 1)])
-    s["S3"] = (6, [(1, 0, 2), (1, 2, 0)])
-    s["D8"] = (8, [(1, 2, 3, 0), (2, 1, 0, 3)])  # rotation, reflection
-    s["Q8"] = (8, None)  # built from the unit quaternions below
-    s["C3xC3"] = (9, [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3)])
-    s["A4"] = (12, [(1, 2, 0, 3), (0, 2, 3, 1)])
-    s["S4"] = (24, [(1, 0, 2, 3), (1, 2, 3, 0)])
-    s["SL(2,3)"] = (24, _linear_perms(_SL23_GENS, 3, 2))
-    s["GL(2,3)"] = (48, _linear_perms(_GL23_GENS, 3, 2))
-    s["3^(1+2)+"] = (27, _heisenberg3_perms())
-    s["3^(1+2)-"] = (27, _extraspecial27_exp9())
-    s["C13:C3"] = (39, _c13c3_perms())
-    s["Qd(3)"] = (216, affine_qd_perms(3))
-    return s
-
-
 def _quaternion_perms():
     units = [(s, k) for s in (1, -1) for k in "1ijk"]
 
@@ -127,33 +103,58 @@ def _quaternion_perms():
     return regular_generators(g, [g.generators()[0], g.generators()[1]])
 
 
-CATALOG_NAMES = ["C2", "C3", "C4", "V4", "S3", "D8", "Q8", "C3xC3", "A4",
-                 "S4", "SL(2,3)", "GL(2,3)", "3^(1+2)+", "3^(1+2)-",
-                 "C13:C3", "Qd(3)"]
+# name -> generator permutations, built only when the group is asked for
+_PERM_SPECS = {
+    "C2": lambda: [(1, 0)],
+    "C3": lambda: [(1, 2, 0)],
+    "C4": lambda: [(1, 2, 3, 0)],
+    "V4": lambda: [(1, 0, 3, 2), (2, 3, 0, 1)],
+    "S3": lambda: [(1, 0, 2), (1, 2, 0)],
+    "D8": lambda: [(1, 2, 3, 0), (2, 1, 0, 3)],  # rotation, reflection
+    "Q8": _quaternion_perms,
+    "C3xC3": lambda: [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3)],
+    "A4": lambda: [(1, 2, 0, 3), (0, 2, 3, 1)],
+    "S4": lambda: [(1, 0, 2, 3), (1, 2, 3, 0)],
+    "SL(2,3)": lambda: _linear_perms(_SL23_GENS, 3, 2),
+    "GL(2,3)": lambda: _linear_perms(_GL23_GENS, 3, 2),
+    "3^(1+2)+": _heisenberg3_perms,
+    "3^(1+2)-": _extraspecial27_exp9,
+    "C13:C3": _c13c3_perms,
+    "Qd(3)": lambda: affine_qd_perms(3),
+}
 
 EXPECTED_ORDERS = {"C2": 2, "C3": 3, "C4": 4, "V4": 4, "S3": 6, "D8": 8,
                    "Q8": 8, "C3xC3": 9, "A4": 12, "S4": 24, "SL(2,3)": 24,
                    "GL(2,3)": 48, "3^(1+2)+": 27, "3^(1+2)-": 27,
                    "C13:C3": 39, "Qd(3)": 216}
 
+CATALOG_NAMES = list(EXPECTED_ORDERS)
+
 _cache: dict[str, FiniteGroup] = {}
+
+
+def _build(name, perms, expected):
+    g = build_group(perms, name=name, kind="perms")
+    if g.order != expected:
+        raise InternalInconsistency(
+            f"catalog group {name} has order {g.order}, expected {expected}")
+    return g
 
 
 def catalog_group(name) -> FiniteGroup:
     """Build (and memoize) a catalog group by name."""
     if name not in _cache:
-        specs = _perm_specs()
-        if name not in specs:
+        if name not in _PERM_SPECS:
             raise KeyError(f"unknown catalog group {name!r}")
-        expected, perms = specs[name]
-        if name == "Q8":
-            perms = _quaternion_perms()
-        g = build_group(perms, name=name, kind="perms")
-        if g.order != expected:
-            raise AssertionError(
-                f"catalog group {name} has order {g.order}, expected {expected}")
-        _cache[name] = g
+        _cache[name] = _build(name, _PERM_SPECS[name](),
+                              EXPECTED_ORDERS[name])
     return _cache[name]
+
+
+@functools.cache
+def qd2_group() -> FiniteGroup:
+    """Qd(2) = (Z_2 x Z_2) : SL(2,2), built once; it is S4 in disguise."""
+    return _build("Qd(2)", affine_qd_perms(2), EXPECTED_ORDERS["S4"])
 
 
 def catalog() -> dict[str, FiniteGroup]:
@@ -162,17 +163,12 @@ def catalog() -> dict[str, FiniteGroup]:
 
 
 def validate_catalog():
-    """Order checks plus the Qd(2) ~ S4 isomorphism sanity check."""
+    """Every entry at its expected order (checked as it is built) plus the
+    Qd(2) ~ S4 isomorphism sanity check."""
     from .groups import is_isomorphic
 
-    report = {}
-    for name in CATALOG_NAMES:
-        g = catalog_group(name)
-        report[name] = (g.order, EXPECTED_ORDERS[name])
-        if g.order != EXPECTED_ORDERS[name]:
-            raise AssertionError(f"catalog order mismatch for {name}")
-    qd2 = build_group(affine_qd_perms(2), name="Qd(2)", kind="perms")
-    ok, _ = is_isomorphic(qd2, catalog_group("S4"))
-    if not ok:
-        raise AssertionError("Qd(2) is not isomorphic to the S4 entry")
+    report = {name: (g.order, EXPECTED_ORDERS[name])
+              for name, g in catalog().items()}
+    if not is_isomorphic(qd2_group(), catalog_group("S4"))[0]:
+        raise InternalInconsistency("Qd(2) is not isomorphic to the S4 entry")
     return report

@@ -352,9 +352,7 @@ class Subgroup:
 
     def pos(self, x):
         """Index of element x inside the sorted element tuple."""
-        if self._pos is None:
-            self._pos = {e: i for i, e in enumerate(self._elems)}
-        return self._pos[x]
+        return self.pos_map()[x]
 
     def pos_map(self):
         if self._pos is None:
@@ -845,7 +843,8 @@ def o_p_prime(G, p, within=None):
 
 @dataclass(frozen=True)
 class QuotientMap:
-    """Surjective projection G -> G/N as a per-element coset index table."""
+    """Surjective projection B -> B/N as a per-element coset index table
+    over the whole parent group; ``coset_of`` is -1 outside B."""
 
     source: FiniteGroup
     quotient: FiniteGroup
@@ -862,47 +861,52 @@ class QuotientMap:
         return self.quotient.subgroup(self.push_mask(sub.mask))
 
     def pull_mask(self, qmask):
-        return mask_of(x for x in range(self.source.order)
-                       if qmask >> self.coset_of[x] & 1)
+        return mask_of(x for x, c in enumerate(self.coset_of)
+                       if c >= 0 and qmask >> c & 1)
 
     def pull_subgroup(self, qsub):
         return self.source.subgroup(self.pull_mask(qsub.mask))
 
     def kernel_mask(self):
-        return mask_of(x for x in range(self.source.order)
-                       if self.coset_of[x] == 0)
+        return mask_of(x for x, c in enumerate(self.coset_of) if c == 0)
 
 
-def quotient_group(G, N, name=None):
-    """(G/N, projection); cosets indexed by least member, identity first."""
-    if not N.is_normal_in(G.full_subgroup):
-        raise NotNormal("quotient by a non-normal subgroup")
-    n = G.order
+def quotient_group(G, N, name=None, within=None):
+    """(B/N, projection) for N normal in B = ``within`` (default G), built
+    on G's own table.  B's elements are walked in increasing order and each
+    coset is labelled by its least member, identity first, so B/N has the
+    table a standalone copy of B would give."""
+    B = within if within is not None else G.full_subgroup
+    if not (N <= B and N.is_normal_in(B)):
+        raise NotNormal("quotient by a subgroup that is not normal in B")
     mul = G._mul
-    coset_of = [-1] * n
+    coset_of = [-1] * G.order
     reps = []
-    for x in range(n):
+    for x in B.elems:
         if coset_of[x] < 0:
             idx = len(reps)
             reps.append(x)
+            row = mul[x]
             for h in N.elems:
-                coset_of[mul[x][h]] = idx
+                coset_of[row[h]] = idx
     k = len(reps)
     table = [[coset_of[mul[reps[a]][reps[b]]] for b in range(k)]
              for a in range(k)]
-    name = name or f"{G.name}/{N.order}"
+    if name is None:
+        base = G.name if B.order == G.order else f"{G.name}|sub{B.order}"
+        name = f"{base}/{N.order}"
     Q = FiniteGroup(table, name=name, validate=False)
     proj = QuotientMap(G, Q, tuple(coset_of), tuple(reps))
-    _check_projection(G, N, proj)
+    _check_projection(B, N, proj)
     return Q, proj
 
 
-def _check_projection(G, N, proj):
-    # surjective homomorphism with kernel exactly N
-    mul, qmul = G._mul, proj.quotient._mul
+def _check_projection(B, N, proj):
+    # a homomorphism on B with kernel exactly N (onto by construction)
+    mul, qmul = B.parent._mul, proj.quotient._mul
     co = proj.coset_of
-    gens = G.generators()
-    for x in range(G.order):
+    gens = B.generators()
+    for x in B.elems:
         for g in gens:
             if co[mul[x][g]] != qmul[co[x]][co[g]]:
                 raise NonAssociative("projection is not a homomorphism")
@@ -1034,18 +1038,14 @@ def is_involved(H, G, cap=DEFAULT_ORDER_CAP):
             return False, None
         return True, (G.full_subgroup, G.trivial_subgroup)
     h_hist = tuple(sorted(_order_histogram(H).items()))
-    for B in G.subgroups():
-        if B.order % h != 0:
-            continue
-        bgens = B.generators()
-        sub, embed = B.as_group()
+    # conjugate sections have isomorphic quotients, and a class's first
+    # member is the first of it the plain loop over B would reach
+    for B in subgroup_class_reps(
+            G, [B for B in G.subgroups() if B.order % h == 0]):
         for A in B.subgroups_within():
-            if B.order != A.order * h:
+            if B.order != A.order * h or not A.is_normal_in(B):
                 continue
-            if not all(A.conjugate_mask(g) == A.mask for g in bgens):
-                continue
-            a_local = sub.subgroup(mask_of(B.pos(x) for x in A.elems))
-            Q, _ = quotient_group(sub, a_local)
+            Q, _ = quotient_group(G, A, within=B)
             if tuple(sorted(_order_histogram(Q).items())) != h_hist:
                 continue
             ok, _ = is_isomorphic(Q, H, cap=cap)

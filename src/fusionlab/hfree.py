@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import affine_qd_perms, catalog_group
+from .catalog import catalog_group, qd2_group
 from .errors import (
     HypothesisViolated,
     InternalInconsistency,
@@ -20,9 +20,7 @@ from .fusion import classify_subgroup
 from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
-    build_group,
     is_involved,
-    mask_of,
     o_p,
     p_part,
     quotient_group,
@@ -30,25 +28,15 @@ from .groups import (
 )
 from .subsystems import model_group
 
-_qd_cache = {}
-
 
 def qd_group(p) -> FiniteGroup:
-    """Qd(p) = (Z_p x Z_p) : SL(2,p) as affine maps of the p^2 vectors."""
-    if p not in (2, 3):
-        raise UnsupportedPrime(f"Qd({p}) is beyond desk scale")
-    if p not in _qd_cache:
-        g = build_group(affine_qd_perms(p), name=f"Qd({p})", kind="perms")
-        expected = p * p * _sl2_order(p)
-        if g.order != expected:
-            raise InternalInconsistency(
-                f"Qd({p}) has order {g.order}, expected {expected}")
-        _qd_cache[p] = g
-    return _qd_cache[p]
-
-
-def _sl2_order(p):
-    return p * (p * p - 1)
+    """Qd(p) = (Z_p x Z_p) : SL(2,p) as affine maps of the p^2 vectors: the
+    catalog's Qd(3), or Qd(2)."""
+    if p == 3:
+        return catalog_group("Qd(3)")
+    if p == 2:
+        return qd2_group()
+    raise UnsupportedPrime(f"Qd({p}) is beyond desk scale")
 
 
 @dataclass(frozen=True)
@@ -107,10 +95,7 @@ def sigma3_involvement_check(G, cap=DEFAULT_ORDER_CAP):
     for Q in subgroup_class_reps(G, two_subgroups):
         N = Q.normalizer_in(G.full_subgroup)
         C = Q.centralizer_in(N)
-        local, embed = N.as_group()
-        pos = N.pos_map()
-        c_local = local.subgroup(mask_of(pos[x] for x in C.elems))
-        NC, _ = quotient_group(local, c_local)
+        NC, _ = quotient_group(G, C, within=N)
         involved, _ = is_involved(s3, NC, cap=cap)
         if involved:
             b = True

@@ -108,7 +108,7 @@ def _check_constrained(F):
     Q = o_p_of_F(F)
     model = model_group(F, Q)
     L = model.L
-    QL = model.push_subgroup(Q)
+    QL = model.proj.push_subgroup(Q)
     from .groups import o_p as _o_p
 
     opl = _o_p(L, F.p)

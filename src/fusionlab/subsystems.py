@@ -44,11 +44,14 @@ from .pgroups import is_characteristic
 # -- normality in F ----------------------------------------------------------
 
 
-def is_normal_in_F(F, W, use_shortcut=True):
+def is_normal_in_F(F, W):
     """Does every morphism extend W-preservingly?  (bool, counterexample).
 
     W must be normal in the carrier; otherwise the answer is immediately
-    False (the normalizer system would live on a smaller carrier).
+    False (the normalizer system would live on a smaller carrier).  A
+    realized system is answered by conjugation in its ambient group; the
+    general route over the hom-sets serves explicit systems and is the
+    reference the realized route is tested against.
     """
     F.require_object(W)
     S = F.carrier
@@ -57,7 +60,7 @@ def is_normal_in_F(F, W, use_shortcut=True):
         return False, wrap_tuple(F, W, S, conj_tuple(F.host, u, W))
     if W.order == 1:
         return True, None
-    if use_shortcut and F.ambient is not None and F._explicit is None:
+    if F.ambient is not None and F._explicit is None:
         return _normal_realized(F, W)
     return _normal_general(F, W)
 
@@ -238,48 +241,23 @@ def _check_against_realized(sub, ambient):
 # -- quotient systems ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientSystemMap:
-    """Translation data between F and F/Q."""
-
-    source: FusionSystem
-    quotient: FusionSystem
-    s_local: object          # standalone copy of the base group used
-    embed: tuple             # local index -> source-host index
-    proj: object             # QuotientMap on the local group
-
-    def push_subgroup(self, P):
-        """Image of a source-host subgroup P (with Q <= P) in the quotient."""
-        pos = {e: i for i, e in enumerate(self.embed)}
-        qmask = mask_of(self.proj(pos[x]) for x in P.elems)
-        return self.quotient.host.subgroup(qmask)
-
-    def pull_subgroup(self, Pbar):
-        members = [self.embed[x] for x in range(len(self.embed))
-                   if Pbar.mask >> self.proj(x) & 1]
-        return self.source.host.subgroup(mask_of(members))
-
-
 def quotient_system(F, Q):
-    """(F/Q on S/Q, translation map); requires Q normal in F."""
+    """(F/Q on S/Q, the projection of the host onto the quotient's host);
+    requires Q normal in F."""
     ok, counter = is_normal_in_F(F, Q)
     if not ok:
         raise NotNormalInF(f"Q is not normal in F (counterexample {counter!r})")
     use_ambient = (F.ambient is not None and F._explicit is None
                    and Q.is_normal_in(F.ambient))
     base_sub = F.ambient if use_ambient else F.carrier
-    local, embed = base_sub.as_group()
-    pos = base_sub.pos_map()
-    q_local = local.subgroup(mask_of(pos[x] for x in Q.elems))
-    lquot, proj = quotient_group(local, q_local, name=f"{F.name}/Q")
-    carrier_bar = lquot.subgroup(
-        mask_of(proj(pos[x]) for x in F.carrier.elems))
+    lquot, proj = quotient_group(F.host, Q, name=f"{F.name}/Q",
+                                 within=base_sub)
+    carrier_bar = proj.push_subgroup(F.carrier)
     maps_by_domain = {}
     for P in F.objects():
         if not Q <= P:
             continue
-        pbar_mask = mask_of(proj(pos[x]) for x in P.elems)
-        Pbar = lquot.subgroup(pbar_mask)
+        Pbar = proj.push_subgroup(P)
         ppos = Pbar.pos_map()
         res = set()
         for t in F.maps(P):
@@ -288,23 +266,22 @@ def quotient_system(F, Q):
                     "morphism does not stabilize the normal subgroup")
             images = [None] * Pbar.order
             for x, v in zip(P.elems, t):
-                i = ppos[proj(pos[x])]
-                w = proj(pos[v])
+                i = ppos[proj(x)]
+                w = proj(v)
                 if images[i] is None:
                     images[i] = w
                 elif images[i] != w:
                     raise InternalInconsistency(
                         "projected morphism is not well defined")
             res.add(tuple(images))
-        maps_by_domain[pbar_mask] = tuple(sorted(res))
+        maps_by_domain[Pbar.mask] = tuple(sorted(res))
     ambient_bar = lquot.full_subgroup if use_ambient else None
     qsys = FusionSystem.explicit_system(lquot, F.p, carrier_bar,
                                         maps_by_domain, ambient=ambient_bar,
                                         name=f"{F.name}/Q{Q.order}")
     if ambient_bar is not None:
         _check_against_realized(qsys, ambient_bar)
-    return qsys, QuotientSystemMap(source=F, quotient=qsys, s_local=local,
-                                   embed=embed, proj=proj)
+    return qsys, proj
 
 
 # -- generated systems --------------------------------------------------------
@@ -387,13 +364,7 @@ class Model:
     Q: Subgroup
     normalizer: Subgroup      # N_ambient(Q)
     kernel: Subgroup          # O_p'(C_ambient(Q))
-    embed: tuple              # local index of normalizer -> host index
-    proj: object              # QuotientMap on the local normalizer copy
-
-    def push_subgroup(self, P):
-        """Image in L of a host subgroup P <= N_ambient(Q)."""
-        pos = {e: i for i, e in enumerate(self.embed)}
-        return self.L.subgroup(mask_of(self.proj(pos[x]) for x in P.elems))
+    proj: object              # QuotientMap N_ambient(Q) -> L on the host
 
 
 def model_group(F, Q) -> Model:
@@ -423,12 +394,9 @@ def model_group(F, Q) -> Model:
             f"p'-elements of C_G(Q) do not close: {exc}") from exc
     if Z.mask & K.mask != 1 or Z.order * K.order != C.order:
         raise ModelValidationFailed("C_G(Q) != Z(Q) x O_p'(C_G(Q))")
-    local, embed = N.as_group()
-    pos = N.pos_map()
-    k_local = local.subgroup(mask_of(pos[x] for x in K.elems))
-    L, proj = quotient_group(local, k_local, name=f"L({F.name},|Q|={Q.order})")
-    model = Model(L=L, F=F, Q=Q, normalizer=N, kernel=K, embed=embed,
-                  proj=proj)
+    L, proj = quotient_group(G, K, name=f"L({F.name},|Q|={Q.order})",
+                             within=N)
+    model = Model(L=L, F=F, Q=Q, normalizer=N, kernel=K, proj=proj)
     _validate_model(model, p)
     return model
 
@@ -439,14 +407,14 @@ def _validate_model(model, p):
     Q = model.Q
     if o_p_prime(L, p).order != 1:
         raise ModelValidationFailed("O_p'(L) is nontrivial")
-    QL = model.push_subgroup(Q)
+    QL = model.proj.push_subgroup(Q)
     if not QL.is_normal_in(L.full_subgroup):
         raise ModelValidationFailed("image of Q is not normal in L")
     NS = F.n_in_carrier(Q)
-    SL = model.push_subgroup(NS)
+    SL = model.proj.push_subgroup(NS)
     if SL.order != p_part(L.order, p):
         raise ModelValidationFailed("image of N_S(Q) is not Sylow in L")
-    ZL = model.push_subgroup(Q.center())
+    ZL = model.proj.push_subgroup(Q.center())
     Lbar, _ = quotient_group(L, ZL, name="L/Z(Q)")
     autg, _, _ = F.aut_group(Q)
     from .groups import is_isomorphic

@@ -147,7 +147,7 @@ class SuiteRunner:
             try:
                 validate_catalog()
                 res.add("catalog", "builtin", "orders+qd2", "pass")
-            except AssertionError as exc:
+            except InternalInconsistency as exc:
                 res.add("catalog", "builtin", "orders+qd2", "fail", exc)
             instances.extend(catalog_instances())
         for G in self.extra_groups:

@@ -16,6 +16,7 @@ from .fusion import FusionSystem, conj_tuple, mask_of
 from .groups import (
     Subgroup,
     bits,
+    is_isomorphic,
     o_p_prime,
     p_part,
     subgroup_class_reps,
@@ -66,23 +67,24 @@ def _family_for(F, family):
     return fam
 
 
-def _w_subgroup_in_host(F, fam):
-    """W(S | family) pushed onto F's carrier through the inner member."""
-    wc = compute_W_iterative(fam)
-    inner = fam.members[0]
-    if inner.system.host is not F.host:
-        # family was supplied externally: recompute the identification
-        local, embed = F.carrier.as_group()
-        from .groups import is_isomorphic
+def _w_in(S, fam):
+    """(W(S | fam) as a subgroup of S's parent, the W computation).
 
+    The family's model is S's own standalone copy only when the family was
+    built on S itself; a cached family may have been built on another
+    subgroup with the same table, so otherwise the model is identified
+    with S afresh.  W is characteristic, so any isomorphism will do."""
+    wc = compute_W_iterative(fam)
+    local, embed = S.as_group()
+    if fam.S is local:
+        ident = embed
+    else:
         ok, iso = is_isomorphic(fam.S, local)
         if not ok:
-            raise InternalInconsistency("family model does not match carrier")
+            raise InternalInconsistency("family model does not match S")
         ident = tuple(embed[iso(i)] for i in range(fam.S.order))
-        host_mask = mask_of(ident[i] for i in bits(wc.W_iter.mask))
-    else:
-        host_mask = inner.push_mask(wc.W_iter.mask)
-    return F.host.subgroup(host_mask), wc
+    W = S.parent.subgroup(mask_of(ident[i] for i in bits(wc.W_iter.mask)))
+    return W, wc
 
 
 def is_trivial_fusion(F):
@@ -102,7 +104,7 @@ def verify_theorem_1(F, family=None) -> TheoremReport:
         raise HypothesisViolated("this statement is specific to p = 2")
     s4 = catalog_group("S4")
     hyp = is_fusion_H_free(F, s4).free
-    W, wc = _w_subgroup_in_host(F, _family_for(F, family))
+    W, wc = _w_in(F.carrier, _family_for(F, family))
     conc, counter = is_normal_in_F(F, W)
     detail = {"W_order": W.order, "chain_length": len(wc.chain) - 1,
               "counterexample": counter}
@@ -124,8 +126,8 @@ def _constrained_route(F, W):
     if not classify_subgroup(F, Q).centric:
         return "not-constrained"
     model = model_group(F, Q)
-    SL = model.push_subgroup(F.carrier)
-    WL = model.push_subgroup(W)
+    SL = model.proj.push_subgroup(F.carrier)
+    WL = model.proj.push_subgroup(W)
     FL = FusionSystem.realized(model.L, F.p, SL, name=f"F({model.L.name})")
     ok, _ = is_normal_in_F(FL, WL)
     if not ok:
@@ -144,7 +146,7 @@ def verify_theorem_2(F, family=None) -> TheoremReport:
                              conclusion_holds=base.conclusion_holds,
                              detail=dict(base.detail, delegated="T1.1"))
     hyp = is_fusion_H_free(F, qd_group(F.p)).free
-    W, wc = _w_subgroup_in_host(F, _family_for(F, family))
+    W, wc = _w_in(F.carrier, _family_for(F, family))
     conc, counter = is_normal_in_F(F, W)
     return TheoremReport(theorem_id="T1.2", instance=F.name,
                          hypotheses_hold=hyp, conclusion_holds=conc,
@@ -157,7 +159,7 @@ def verify_theorem_3(F, family=None) -> TheoremReport:
     """For odd p: F is trivial fusion iff N_F(W(S)) is trivial fusion."""
     if F.p % 2 == 0:
         raise HypothesisViolated("this statement requires an odd prime")
-    W, _ = _w_subgroup_in_host(F, _family_for(F, family))
+    W, _ = _w_in(F.carrier, _family_for(F, family))
     lhs = is_trivial_fusion(F)
     nf = normalizer_system(F, W)
     if nf.carrier.mask != F.carrier.mask:
@@ -234,18 +236,7 @@ def thompson_group_check(G, p, family=None) -> TheoremReport:
     S = sylow(G, p)
     if family is None:
         family = cached_canonical_family(S, p)
-    wc = compute_W_iterative(family)
-    local, embed = S.as_group()
-    if family.S is not local:
-        from .groups import is_isomorphic
-
-        ok, iso = is_isomorphic(family.S, local)
-        if not ok:
-            raise InternalInconsistency("family model does not match Sylow")
-        ident = tuple(embed[iso(i)] for i in range(family.S.order))
-    else:
-        ident = embed
-    W = G.subgroup(mask_of(ident[i] for i in bits(wc.W_iter.mask)))
+    W, _ = _w_in(S, family)
     NW = W.normalizer_in(G.full_subgroup)
     lhs = has_normal_p_complement(G, p)
     rhs = has_normal_p_complement(NW, p)

@@ -222,3 +222,33 @@ def brute_strongly_p_embedded(table, p):
             if ok:
                 return M, P
     return None
+
+
+def assert_section_matches_copy(B, A):
+    """quotient_group(G, A, within=B) on G's own table against the long way
+    round: the quotient of a standalone copy of B by the copy of A, with its
+    coset labels read back onto G (-1 outside B).  The tables, the coset
+    labels, push, pull and the kernel must agree."""
+    from fusionlab.groups import mask_of, quotient_group
+
+    G = B.parent
+    sub, embed = B.as_group()
+    q_copy, proj_copy = quotient_group(
+        sub, sub.subgroup(mask_of(B.pos(x) for x in A.elems)))
+    coset_of = [-1] * G.order
+    for i, x in enumerate(embed):
+        coset_of[x] = proj_copy(i)
+    q, proj = quotient_group(G, A, within=B)
+    assert [q.mul_row(a) for a in range(q.order)] == \
+        [q_copy.mul_row(a) for a in range(q_copy.order)]
+    assert list(proj.coset_of) == coset_of
+    # walked in increasing order, the labels first appear as 0, 1, 2, ...:
+    # each coset is labelled by the rank of its least member
+    assert list(dict.fromkeys(c for c in coset_of if c >= 0)) == \
+        list(range(q.order))
+    assert proj.kernel_mask() == A.mask
+    for K in B.subgroups_within():
+        assert proj.push_mask(K.mask) == mask_of(coset_of[x] for x in K.elems)
+    for qmask in [1 << c for c in range(q.order)] + [q.full_mask]:
+        assert proj.pull_mask(qmask) == mask_of(
+            x for x, c in enumerate(coset_of) if c >= 0 and qmask >> c & 1)

@@ -266,6 +266,21 @@ def test_cli_catalog(capsys):
     assert "Qd(3)" in out and "validated 16 entries" in out
 
 
+def test_cli_catalog_order_mismatch_exits_2_with_dump(monkeypatch, tmp_path,
+                                                      capsys):
+    import importlib
+
+    catalog = importlib.import_module("fusionlab.catalog")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(catalog, "_cache", {})
+    monkeypatch.setitem(catalog.EXPECTED_ORDERS, "D8", 16)
+    assert main(["catalog"]) == 2
+    dump = tmp_path / "contradiction-witness.txt"
+    assert dump.read_text() == ("catalog group D8 has order 8, expected "
+                                "16\n")
+    assert "CONTRADICTION" in capsys.readouterr().err
+
+
 Q8_FILE = """\
 group Q8file
 perm 8

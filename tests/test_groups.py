@@ -26,6 +26,7 @@ from fusionlab.groups import (
 )
 
 from oracles import (
+    assert_section_matches_copy,
     brute_force_subgroups,
     closure_set,
     is_power_of,
@@ -268,7 +269,7 @@ def test_sylow_returns_trivial_when_p_does_not_divide(cat):
 def test_sylow_is_canonical_minimum(cat):
     s4 = cat["S4"]
     syl = sylow(s4, 2)
-    assert all(syl.mask <= syl.conjugate_mask(g) or True for g in range(24))
+    assert all(syl.mask <= syl.conjugate_mask(g) for g in range(24))
     assert syl.mask == min(syl.conjugate_mask(g) for g in range(24))
 
 
@@ -316,6 +317,29 @@ def test_quotient_projection_is_surjective_hom(cat):
         for b in range(g.order):
             assert proj(g.mul(a, b)) == q.mul(proj(a), proj(b))
     assert set(proj.coset_of) == set(range(q.order))
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in CATALOG_NAMES if EXPECTED_ORDERS[n] <= 48])
+def test_section_quotient_matches_standalone_copy(cat, name):
+    """B/A built on G's table against the quotient of B's standalone copy,
+    for every B <= G and every A normal in B."""
+    for B in cat[name].subgroups():
+        for A in B.subgroups_within():
+            if A.is_normal_in(B):
+                assert_section_matches_copy(B, A)
+
+
+def test_section_quotient_rejects_a_outside_b_or_not_normal(cat):
+    s4 = cat["S4"]
+    a4 = next(H for H in s4.subgroups() if H.order == 12)
+    d8 = next(H for H in s4.subgroups() if H.order == 8)
+    with pytest.raises(NotNormal):
+        quotient_group(s4, a4, within=d8)        # A4 is not inside D8
+    t = next(H for H in d8.subgroups_within()
+             if H.order == 2 and not H.is_normal_in(d8))
+    with pytest.raises(NotNormal):
+        quotient_group(s4, t, within=d8)
 
 
 # -- isomorphism ------------------------------------------------------------
@@ -427,6 +451,17 @@ def test_involved_same_order_matches_lattice_path(cat, h_name, g_name,
     assert G._lattice is None
     assert ok is expected
     assert (ok, witness) == _involved_via_lattice(H, G)
+
+
+@pytest.mark.parametrize("g_name", CATALOG_NAMES)
+def test_involved_over_class_reps_matches_all_b_loop(cat, g_name):
+    """Trying one B per G-conjugacy class gives the verdict and the witness
+    of trying every B."""
+    G = cat[g_name]
+    for h_name in ("C2", "C3", "C4", "V4", "S3", "D8", "Q8", "C3xC3", "A4",
+                   "S4"):
+        H = cat[h_name]
+        assert is_involved(H, G) == _involved_via_lattice(H, G)
 
 
 def test_involution_monotone_on_subgroups(cat):

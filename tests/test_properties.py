@@ -15,6 +15,7 @@ from fusionlab.groups import (
 from fusionlab.theorems import has_normal_p_complement
 
 from oracles import (
+    assert_section_matches_copy,
     brute_force_subgroups,
     closure_set,
     has_normal_p_complement_brute,
@@ -117,6 +118,16 @@ def test_quotients_by_normal_subgroups_project(gens):
         q, proj = quotient_group(g, H)
         assert q.order * H.order == g.order
         assert proj.kernel_mask() == H.mask
+
+
+@settings(**COMMON)
+@given(group_specs)
+def test_section_quotients_match_standalone_copies(gens):
+    g = build_group([list(p) for p in gens], kind="perms", cap=200)
+    for B in g.subgroups():
+        for A in B.subgroups_within():
+            if A.is_normal_in(B):
+                assert_section_matches_copy(B, A)
 
 
 @settings(**COMMON)

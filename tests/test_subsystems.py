@@ -12,6 +12,8 @@ from fusionlab.fusion import (
 )
 from fusionlab.groups import is_isomorphic, mask_of, standard_subgroup
 from fusionlab.subsystems import (
+    _normal_general,
+    _normal_realized,
     centralizer_like_system,
     generated_system,
     is_normal_in_F,
@@ -61,9 +63,9 @@ def test_normality_shortcut_matches_general_path(cat, systems):
                 ("S3", 3), ("Qd(3)", 3)):
         F = systems[key]
         for W in F.objects():
-            fast = is_normal_in_F(F, W, use_shortcut=True)[0]
-            slow = is_normal_in_F(F, W, use_shortcut=False)[0]
-            assert fast == slow
+            if W.order == 1 or not W.is_normal_in(F.carrier):
+                continue
+            assert _normal_realized(F, W)[0] == _normal_general(F, W)[0]
 
 
 def test_o_p_of_F(cat, systems):
@@ -157,7 +159,7 @@ def test_quotient_sl23_by_center(systems):
     qsys, qmap = quotient_system(F, z)
     assert qsys.carrier.order == 4
     assert len(qsys.aut_tuples(qsys.carrier)) == 3   # realized by A4
-    assert looks_like_a4(qmap.proj.quotient) or True
+    assert looks_like_a4(qmap.quotient)
     assert verify_axioms(qsys).status == "verified"
 
 
@@ -260,7 +262,7 @@ def test_model_of_v4n_is_s4(cat, systems):
     m = model_group(F, v4n_of(cat))
     ok, _ = is_isomorphic(m.L, cat["S4"])
     assert ok
-    zq = m.push_subgroup(v4n_of(cat).center())
+    zq = m.proj.push_subgroup(v4n_of(cat).center())
     from fusionlab.groups import quotient_group
 
     lbar, _ = quotient_group(m.L, zq)

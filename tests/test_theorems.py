@@ -150,3 +150,28 @@ def test_theorem_sweep_has_no_contradiction(cat, systems):
             assert not verify_theorem_3(F).contradiction
             assert not thompson_group_check(cat[name], p).contradiction
         assert not frobenius_check(cat[name], p).contradiction
+
+
+@pytest.mark.parametrize("name,p", [("S4", 2), ("GL(2,3)", 2),
+                                    ("SL(2,3)", 3), ("Qd(3)", 3)])
+def test_verdicts_do_not_depend_on_the_sylow_subgroup(cat, monkeypatch,
+                                                      name, p):
+    """W is found inside whichever Sylow subgroup carries F, even when the
+    cached family was built on another Sylow subgroup with the same table;
+    the non-canonical ones go first, into an empty family cache."""
+    from fusionlab import stellmacher
+    from fusionlab.groups import sylow
+
+    monkeypatch.setattr(stellmacher, "_family_cache", {})
+    G = cat[name]
+    canonical = sylow(G, p)
+    others = [P for P in G.subgroups()
+              if P.order == canonical.order and P != canonical]
+    assert others
+    verify = verify_theorem_1 if p == 2 else verify_theorem_2
+    verdicts = []
+    for P in others + [canonical]:
+        rep = verify(realize_fusion(G, p, P))
+        verdicts.append((rep.hypotheses_hold, rep.conclusion_holds,
+                         rep.detail["W_order"]))
+    assert len(set(verdicts)) == 1
