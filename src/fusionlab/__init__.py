@@ -28,7 +28,6 @@ from .groups import (
     is_isomorphic,
     quotient_group,
     standard_subgroup,
-    subgroup_lattice,
     sylow,
 )
 from .pgroups import ThompsonData, is_characteristic, thompson_data

@@ -170,9 +170,6 @@ class FusionSystem:
             self.maps(P)
         return {P.mask: self._maps_cache[P.mask] for P in self.objects()}
 
-    def has_morphism(self, P, t):
-        return t in self.maps(P)
-
     # -- conjugacy, normalizers ------------------------------------------
 
     def n_in_carrier(self, Q):

@@ -411,21 +411,48 @@ class Subgroup:
     def conjugate(self, g):
         return self.parent.subgroup(self.conjugate_mask(g))
 
+    def _normalizing_mask(self, xs):
+        """Mask of the x in xs with x self x^-1 = self.  Testing the
+        generators of self is enough: once x conjugates each of them into
+        self, x self x^-1 lies in self and has its order."""
+        G = self.parent
+        mul, inv = G._mul, G.inv
+        mask = self.mask
+        gens = self.generators()
+        m = 0
+        for x in xs:
+            row, xi = mul[x], inv[x]
+            for h in gens:
+                if not mask >> mul[row[h]][xi] & 1:
+                    break
+            else:
+                m |= 1 << x
+        return m
+
     def is_normal_in(self, other):
-        """True if ``other`` (Subgroup) normalizes self elementwise."""
-        return all(self.conjugate_mask(g) == self.mask for g in other.generators())
+        """True if ``other`` (Subgroup) normalizes self; testing its
+        generators is enough."""
+        gens = other.generators()
+        return self._normalizing_mask(gens) == mask_of(gens)
 
     def normalizer_in(self, other):
         """{x in other : x self x^-1 = self} as a Subgroup."""
-        m = mask_of(x for x in other.elems if self.conjugate_mask(x) == self.mask)
-        return self.parent.subgroup(m)
+        return self.parent.subgroup(self._normalizing_mask(other.elems))
 
     def centralizer_in(self, other):
+        """{x in other : x commutes with self} as a Subgroup; x commutes
+        with self as soon as it commutes with each generator of self."""
         G = self.parent
         mul = G._mul
-        es = self._elems
-        m = mask_of(x for x in other.elems
-                    if all(mul[x][y] == mul[y][x] for y in es))
+        gens = self.generators()
+        m = 0
+        for x in other.elems:
+            row = mul[x]
+            for h in gens:
+                if row[h] != mul[h][x]:
+                    break
+            else:
+                m |= 1 << x
         return G.subgroup(m)
 
     def center(self):
@@ -463,9 +490,6 @@ class Subgroup:
                               validate=False)
             self._as_group = (sub, es)
         return self._as_group
-
-    def element_orders(self):
-        return sorted(self.parent.elem_orders[x] for x in self._elems)
 
 
 @dataclass(frozen=True)
@@ -508,13 +532,6 @@ class GroupMorphism:
 
     def is_bijective(self):
         return self.domain.order == self.codomain.order == len(self.images)
-
-    def restrict(self, sub):
-        """Restriction to a subgroup of the domain."""
-        if not sub <= self.domain:
-            raise NotASubgroup("restriction target is not inside the domain")
-        return GroupMorphism(sub, self.codomain,
-                             {x: self.images[x] for x in sub.elems})
 
     def as_tuple(self):
         """Images aligned with the sorted domain elements."""
@@ -575,22 +592,30 @@ def _group_from_perms(perms, name, cap):
     ident = identity_perm(degree)
     elements = [ident]
     index = {ident: 0}
-    queue = [ident]
-    while queue:
-        nxt = []
-        for x in queue:
-            for g in gens:
-                y = compose_perms(x, g)
-                if y not in index:
-                    if len(elements) >= cap:
-                        raise OrderCapExceeded(
-                            f"closure exceeded order cap {cap}")
-                    index[y] = len(elements)
-                    elements.append(y)
-                    nxt.append(y)
-        queue = nxt
-    n = len(elements)
-    table = [[index[compose_perms(a, b)] for b in elements] for a in elements]
+    # times[k][x]: the index of x*gens[k]; steps: (y, x, times[k]) for each
+    # element y = x*gens[k] met first that way, in the order found
+    times = [[] for _ in gens]
+    steps = []
+    # elements grows while it is walked: a breadth-first closure
+    for i, x in enumerate(elements):
+        for g, col in zip(gens, times):
+            y = compose_perms(x, g)
+            j = index.get(y)
+            if j is None:
+                if len(elements) >= cap:
+                    raise OrderCapExceeded(
+                        f"closure exceeded order cap {cap}")
+                j = index[y] = len(elements)
+                elements.append(y)
+                steps.append((j, i, col))
+            col.append(j)
+    # row a of the table: a*y = (a*x)*g is a lookup in times
+    table = []
+    for a in range(len(elements)):
+        row = [a] * len(elements)
+        for y, x, col in steps:
+            row[y] = col[row[x]]
+        table.append(row)
     gen_indices = tuple(index[g] for g in gens)
     return FiniteGroup(table, name=name, perm_rep=gens,
                        gen_indices=gen_indices, perm_elements=elements)
@@ -700,11 +725,6 @@ def _subgroup_lattice_masks(G):
     return masks
 
 
-def subgroup_lattice(G, cap=DEFAULT_ORDER_CAP):
-    """All subgroups of G exactly once, canonically ordered."""
-    return G.subgroups(cap=cap)
-
-
 def subgroup_class_reps(G, subgroups):
     """The first member of each G-conjugacy class met in ``subgroups``, in
     the order given."""
@@ -773,12 +793,12 @@ def standard_subgroup(G, kind, q=None, within=None, p=None):
     if kind == "normalizer":
         return q.normalizer_in(W)
     if kind == "derived":
-        comms = set()
-        es = W.elems
-        for x in es:
-            for y in es:
-                comms.add(G.commutator(x, y))
-        return G.subgroup(G.closure_mask(sorted(comms), 1))
+        # [W, W] is the normal closure in W of the commutators of W's
+        # generators: modulo that closure the generators commute
+        wgens = W.generators()
+        comms = sorted({G.commutator(a, b) for a in wgens for b in wgens})
+        mask = G.closure_mask(comms, 1)
+        return G.subgroup(_grow_normal(G, wgens, comms, mask, list(comms)))
     if kind == "O_p":
         return o_p(G, p, within=W)
     if kind == "O_p'":
@@ -792,6 +812,26 @@ def standard_subgroup(G, kind, q=None, within=None, p=None):
     raise ValueError(f"unknown standard subgroup kind {kind!r}")
 
 
+def _grow_normal(G, wgens, gens, mask, todo, keep=lambda n: True):
+    """Grow mask = <gens> one conjugate at a time until it is closed under
+    conjugation by ``wgens``, or until ``keep`` rejects its order.
+
+    Each entry of ``todo`` (a generator not yet conjugated) is conjugated by
+    every w in wgens; a conjugate outside the mask is appended to ``gens``
+    (in place) and to ``todo``.  Closed under conjugation of its generators
+    by wgens, the subgroup is normalized by <wgens>."""
+    mul, inv = G._mul, G.inv
+    while todo and keep(mask.bit_count()):
+        g = todo.pop()
+        for w in wgens:
+            c = mul[mul[w][g]][inv[w]]
+            if not mask >> c & 1:
+                gens.append(c)
+                todo.append(c)
+                mask = G.closure_mask(gens, mask)
+    return mask
+
+
 def _o_pi(G, within, in_pi):
     """O_pi(W), the largest normal pi-subgroup of W = ``within`` (default
     G); ``in_pi(n)`` says whether the order n is a pi-number.
@@ -801,7 +841,7 @@ def _o_pi(G, within, in_pi):
     of N and x grows one W-conjugate at a time and is dropped as soon as
     its order leaves pi (every overgroup's order is a multiple)."""
     W = within if within is not None else G.full_subgroup
-    mul, inv, orders = G._mul, G.inv, G.elem_orders
+    orders = G.elem_orders
     wgens = W.generators()
     join, join_gens = 1, []
     rejected = 0
@@ -809,16 +849,8 @@ def _o_pi(G, within, in_pi):
         if (join | rejected) >> x & 1 or not in_pi(orders[x]):
             continue
         gens = join_gens + [x]
-        mask = G.closure_mask(gens, join)
-        todo = [x]
-        while todo and in_pi(mask.bit_count()):
-            g = todo.pop()
-            for w in wgens:
-                c = mul[mul[w][g]][inv[w]]
-                if not mask >> c & 1:
-                    gens.append(c)
-                    todo.append(c)
-                    mask = G.closure_mask(gens, mask)
+        mask = _grow_normal(G, wgens, gens, G.closure_mask(gens, join), [x],
+                            in_pi)
         if in_pi(mask.bit_count()):
             join, join_gens = mask, gens
         else:
@@ -863,9 +895,6 @@ class QuotientMap:
     def pull_mask(self, qmask):
         return mask_of(x for x, c in enumerate(self.coset_of)
                        if c >= 0 and qmask >> c & 1)
-
-    def pull_subgroup(self, qsub):
-        return self.source.subgroup(self.pull_mask(qsub.mask))
 
     def kernel_mask(self):
         return mask_of(x for x, c in enumerate(self.coset_of) if c == 0)

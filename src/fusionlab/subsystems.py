@@ -34,6 +34,7 @@ from .fusion import (
 )
 from .groups import (
     Subgroup,
+    bits,
     o_p_prime,
     p_part,
     quotient_group,
@@ -72,18 +73,19 @@ def _normal_realized(F, W):
     smask = F.carrier.mask
     mul = G._mul
     for P in F.objects():
-        # g C_A(P) subset-of N_A(W)-cosets test: g in N_A(W) * C_A(P)
+        # c_g on P extends W-stably iff g lies in N_A(W) * C_A(P), built one
+        # left coset n C_A(P) at a time; an n already inside adds nothing
         cp = P.centralizer_in(A)
         reach = 0
         for x in nw.elems:
+            if reach >> x & 1:
+                continue
             row = mul[x]
             for c in cp.elems:
                 reach |= 1 << row[c]
         pgens = P.generators()
-        for g in A.elems:
-            if not all(smask >> G.conj(g, x) & 1 for x in pgens):
-                continue
-            if not reach >> g & 1:
+        for g in bits(A.mask & ~reach):
+            if all(smask >> G.conj(g, x) & 1 for x in pgens):
                 return False, wrap_tuple(F, P, F.carrier, conj_tuple(G, g, P))
     return True, None
 

@@ -252,3 +252,74 @@ def assert_section_matches_copy(B, A):
     for qmask in [1 << c for c in range(q.order)] + [q.full_mask]:
         assert proj.pull_mask(qmask) == mask_of(
             x for x, c in enumerate(coset_of) if c >= 0 and qmask >> c & 1)
+
+
+# -- element-wise references for the generator-based kernels -------------
+
+
+def normalizer_brute(H, K):
+    """{x in K : x H x^-1 = H}, conjugating every element of H."""
+    G = H.parent
+    h = frozenset(H.elems)
+    return frozenset(x for x in K.elems
+                     if frozenset(G.conj(x, y) for y in h) == h)
+
+
+def centralizer_brute(H, K):
+    """{x in K : x y = y x for every y in H}."""
+    G = H.parent
+    return frozenset(x for x in K.elems
+                     if all(G.mul(x, y) == G.mul(y, x) for y in H.elems))
+
+
+def is_normal_brute(H, K):
+    """Every element of K conjugates H onto itself."""
+    return normalizer_brute(H, K) == frozenset(K.elems)
+
+
+def derived_brute(G, W_elems):
+    """[W, W] as the subgroup generated by all |W|^2 commutators."""
+    comms = {G.mul(G.mul(G.mul(x, y), G.inv[x]), G.inv[y])
+             for x in W_elems for y in W_elems}
+    return closure_set(G, comms)
+
+
+def assert_kernels_match_oracles(G):
+    """Normalizer, centralizer, normality and [W, W], which the kernels test
+    on generators, against the element-wise references: on every pair of
+    subgroups up to order 24, and on every pair of conjugacy-class
+    representatives above."""
+    from fusionlab.groups import standard_subgroup, subgroup_class_reps
+
+    subs = G.subgroups()
+    if G.order > 24:
+        subs = subgroup_class_reps(G, subs)
+    for H in subs:
+        derived = standard_subgroup(G, "derived", within=H)
+        assert set(derived.elems) == derived_brute(G, H.elems)
+        for K in subs:
+            assert set(H.normalizer_in(K).elems) == normalizer_brute(H, K)
+            assert set(H.centralizer_in(K).elems) == centralizer_brute(H, K)
+            assert H.is_normal_in(K) == is_normal_brute(H, K)
+
+
+def perm_table_brute(perms):
+    """(table, elements, gen_indices) of the group generated by ``perms``:
+    elements in breadth-first order of the closure (generators in input
+    order), then every product a*b composed as a permutation, a(b(x))."""
+    perms = [tuple(p) for p in perms]
+    degree = len(perms[0]) if perms else 1
+
+    def compose(a, b):
+        return tuple(a[b[i]] for i in range(degree))
+
+    elements = [tuple(range(degree))]
+    index = {elements[0]: 0}
+    for x in elements:
+        for g in perms:
+            y = compose(x, g)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+    table = [[index[compose(a, b)] for b in elements] for a in elements]
+    return table, elements, tuple(index[g] for g in perms)

@@ -158,6 +158,34 @@ def test_cli_cap_exceeded_exit_code(capsys):
     assert main(["--order-cap", "10", "analyze", "S4"]) == 3
 
 
+C3_TABLE = """\
+group c3
+table 3
+0 1 2
+1 2 0
+2 0 1
+"""
+
+
+@pytest.mark.parametrize("text,cap,reason", [
+    (D8_FILE, "5", "closure exceeded order cap 5"),
+    (C3_TABLE, "2", "table order 3 exceeds cap 2"),
+], ids=["perm", "table"])
+def test_cli_group_file_above_cap_exits_3(tmp_path, text, cap, reason):
+    """A perm file stops inside the closure, a table file at its size:
+    either way a typed error and exit 3, with no traceback."""
+    path = tmp_path / "big.grp"
+    path.write_text(text)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "fusionlab.cli", "--order-cap", cap, "analyze",
+         str(path)], capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert run.returncode == 3
+    assert run.stderr == f"cap exceeded: {reason}\n"
+    assert run.stdout == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["--bogus", "catalog"],
     ["verify", "--theorem", "9", "--group", "S4", "--p", "2"],

@@ -26,6 +26,7 @@ from fusionlab.groups import (
 )
 
 from oracles import (
+    assert_kernels_match_oracles,
     assert_section_matches_copy,
     brute_force_subgroups,
     closure_set,
@@ -34,6 +35,7 @@ from oracles import (
     looks_like_s3,
     o_pi_brute,
     order_histogram,
+    perm_table_brute,
 )
 
 
@@ -243,6 +245,24 @@ def test_standard_subgroups_within_a_subgroup(cat):
     s3 = next(H for H in s4.subgroups() if H.order == 6)
     with pytest.raises(NotASubgroup):
         standard_subgroup(s4, "centralizer", q=d8, within=s3)
+
+
+# -- generator-based kernels against element-wise oracles -------------------
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in CATALOG_NAMES if EXPECTED_ORDERS[n] <= 48])
+def test_normalizer_centralizer_derived_match_oracles(cat, name):
+    assert_kernels_match_oracles(cat[name])
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_perm_table_matches_all_pairs_composition(cat, name):
+    G = cat[name]
+    table, elements, gen_indices = perm_table_brute(G.perm_rep)
+    assert [G.mul_row(a) for a in range(G.order)] == table
+    assert G.perm_elements == elements
+    assert G.gen_indices == gen_indices
 
 
 # -- sylow ---------------------------------------------------------------

@@ -15,12 +15,14 @@ from fusionlab.groups import (
 from fusionlab.theorems import has_normal_p_complement
 
 from oracles import (
+    assert_kernels_match_oracles,
     assert_section_matches_copy,
     brute_force_subgroups,
     closure_set,
     has_normal_p_complement_brute,
     is_power_of,
     o_pi_brute,
+    perm_table_brute,
 )
 
 POOL = [
@@ -51,6 +53,16 @@ def test_built_groups_satisfy_axioms(gens):
         for y in range(n):
             for z in (0, min(x, y)):
                 assert g.mul(g.mul(x, y), z) == g.mul(x, g.mul(y, z))
+
+
+@settings(**COMMON)
+@given(group_specs)
+def test_perm_table_matches_all_pairs_composition(gens):
+    g = build_group([list(p) for p in gens], kind="perms", cap=200)
+    table, elements, gen_indices = perm_table_brute(gens)
+    assert [g.mul_row(a) for a in range(g.order)] == table
+    assert g.perm_elements == elements
+    assert g.gen_indices == gen_indices
 
 
 @settings(**COMMON)
@@ -170,3 +182,10 @@ def test_normal_pi_subgroups_match_oracles(gens, p):
             g, W.elems, lambda n: n % p != 0)
         assert has_normal_p_complement(W, p) == \
             has_normal_p_complement_brute(g, W.elems, p)
+
+
+@settings(**COMMON)
+@given(group_specs)
+def test_normalizer_centralizer_derived_match_oracles(gens):
+    g = build_group([list(q) for q in gens], kind="perms", cap=200)
+    assert_kernels_match_oracles(g)

@@ -8,6 +8,7 @@ from fusionlab.errors import (
 from fusionlab.fusion import (
     FusionSystem,
     fusion_equal,
+    restrict_tuple,
     verify_axioms,
 )
 from fusionlab.groups import is_isomorphic, mask_of, standard_subgroup
@@ -59,13 +60,28 @@ def test_characteristic_subgroups_normal_in_inner(cat):
 
 
 def test_normality_shortcut_matches_general_path(cat, systems):
+    counterexamples = 0
     for key in (("S4", 2), ("SL(2,3)", 2), ("A4", 2), ("GL(2,3)", 2),
                 ("S3", 3), ("Qd(3)", 3)):
         F = systems[key]
         for W in F.objects():
             if W.order == 1 or not W.is_normal_in(F.carrier):
                 continue
-            assert _normal_realized(F, W)[0] == _normal_general(F, W)[0]
+            ok, counter = _normal_realized(F, W)
+            assert ok == _normal_general(F, W)[0]
+            if ok:
+                continue
+            # the counterexample is a morphism of F on some P that no
+            # morphism of F on WP extends with W mapped onto W
+            P = counter.domain
+            t = counter.as_tuple()
+            assert t in F.maps(P)
+            WP = W.join(P)
+            assert all(mask_of(restrict_tuple(WP, ext, W)) != W.mask
+                       or restrict_tuple(WP, ext, P) != t
+                       for ext in F.maps(WP))
+            counterexamples += 1
+    assert counterexamples > 0
 
 
 def test_o_p_of_F(cat, systems):
