@@ -265,21 +265,50 @@ class FusionSystem:
 
 
 def _group_from_maps(Q, tuples, name):
-    """Finite group from automorphism tuples under composition."""
+    """Finite group from automorphism tuples under composition.
+
+    The tuples are closed from the identity by right composition with
+    generators, each tuple not yet reached becoming the next generator,
+    so every tuple is reached and a product that leaves the set is met;
+    row a of the table then follows by lookups, a o y = (a o x) o g for
+    each tuple y = x o g met first that way."""
     pos = Q.pos_map()
     index = {t: i for i, t in enumerate(tuples)}
     n = len(tuples)
-    table = [[0] * n for _ in range(n)]
-    for i, a in enumerate(tuples):
-        for j, b in enumerate(tuples):
-            # (a o b)(x) = a[b(x)]
-            c = tuple(a[pos[v]] for v in b)
-            if c not in index:
-                raise MorphismNotInF(
-                    "automorphism set is not composition-closed; the input "
-                    "category violates the axioms")
-            table[i][j] = index[c]
-    ident = index[identity_tuple(Q)]
+    not_closed = MorphismNotInF(
+        "automorphism set is not composition-closed; the input "
+        "category violates the axioms")
+    ident = index.get(identity_tuple(Q))
+    if ident is None:
+        raise not_closed
+    reached = [ident]
+    seen = {ident}
+    gens, times, steps = [], [], []
+    for cand in range(n):
+        if cand in seen:
+            continue
+        gens.append(tuples[cand])
+        times.append([None] * n)
+        for x in reached:   # grows while it is walked
+            a = tuples[x]
+            for g, col in zip(gens, times):
+                if col[x] is not None:
+                    continue
+                # (a o g)(v) = a[g(v)]
+                y = index.get(tuple(a[pos[v]] for v in g))
+                if y is None:
+                    raise not_closed
+                col[x] = y
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+                    steps.append((y, x, col))
+    table = []
+    for a in range(n):
+        row = [a] * n
+        for y, x, col in steps:
+            row[y] = col[row[x]]
+        table.append(row)
     if ident != 0:
         order_map = [ident] + [k for k in range(n) if k != ident]
         new_of_old = [0] * n

@@ -308,7 +308,12 @@ class FiniteGroup:
             raise OrderCapExceeded(
                 f"group order {self.order} exceeds lattice cap {cap}")
         if self._lattice is None:
-            self._lattice = _subgroup_lattice_masks(self)
+            found = _subgroup_lattice_masks(self)
+            for m, gens in found.items():
+                sub = self.subgroup(m)
+                if sub._gens is None:
+                    sub._gens = gens
+            self._lattice = sorted(found, key=lambda m: (m.bit_count(), m))
         return [self.subgroup(m) for m in self._lattice]
 
 
@@ -683,20 +688,24 @@ def _smallest_prime_factor(n):
     return n
 
 
-def _subgroup_lattice_masks(G):
-    """Every subgroup mask, found by adjoining prime-power-order elements
-    to known subgroups; complete because every subgroup is reached along a
-    chain that adds one prime-power generator at a time."""
+def _subgroup_lattice_masks(G, seeds=None):
+    """{mask: generators} of every subgroup that contains one of ``seeds``
+    (Subgroups; by default the trivial one and every cyclic subgroup, so
+    the whole lattice), found by adjoining prime-power-order elements to
+    known subgroups; complete because every overgroup of a seed is reached
+    along a chain that adds one prime-power generator at a time."""
     n = G.order
     mul = G._mul
     pp_elems = _prime_power_indices(G)
-    found = {1: ()}
-    frontier = [1]
-    for x in range(1, n):
-        m = G.cyclic_mask(x)
-        if m not in found:
-            found[m] = (x,)
-            frontier.append(m)
+    if seeds is None:
+        found = {1: ()}
+        for x in range(1, n):
+            m = G.cyclic_mask(x)
+            if m not in found:
+                found[m] = (x,)
+    else:
+        found = {S.mask: S.generators() for S in seeds}
+    frontier = list(found)
     while frontier:
         fresh = []
         for hmask in frontier:
@@ -717,34 +726,35 @@ def _subgroup_lattice_masks(G):
                     for h2 in helems:
                         covered |= 1 << row[h2]
         frontier = fresh
-    masks = sorted(found, key=lambda m: (m.bit_count(), m))
-    for m, gens in found.items():
-        sub = G.subgroup(m)
-        if sub._gens is None:
-            sub._gens = gens
-    return masks
+    return found
+
+
+def _conjugates(G, mask):
+    """The set of G-conjugates of the subgroup ``mask``, reached by
+    conjugating masks with G's generators."""
+    mul, inv = G._mul, G.inv
+    gens = [(mul[g], inv[g]) for g in G.generators()]
+    orbit = {mask}
+    frontier = [mask]
+    while frontier:
+        elems = tuple(bits(frontier.pop()))
+        for row, gi in gens:
+            c = mask_of(mul[row[x]][gi] for x in elems)
+            if c not in orbit:
+                orbit.add(c)
+                frontier.append(c)
+    return orbit
 
 
 def subgroup_class_reps(G, subgroups):
     """The first member of each G-conjugacy class met in ``subgroups``, in
     the order given."""
-    gens = G.generators()
     seen = set()
     reps = []
     for H in subgroups:
-        if H.mask in seen:
-            continue
-        reps.append(H)
-        orbit = {H.mask}
-        frontier = [H.mask]
-        while frontier:
-            sub = G.subgroup(frontier.pop())
-            for g in gens:
-                c = sub.conjugate_mask(g)
-                if c not in orbit:
-                    orbit.add(c)
-                    frontier.append(c)
-        seen |= orbit
+        if H.mask not in seen:
+            reps.append(H)
+            seen |= _conjugates(G, H.mask)
     return reps
 
 
@@ -857,6 +867,43 @@ def _o_pi(G, within, in_pi):
             # every generator past N's is a W-conjugate of x
             rejected |= mask_of(gens[len(join_gens):])
     return G.subgroup(join)
+
+
+def _normal_subgroups_of_order(G, B, k):
+    """Masks of the normal subgroups of B of order k, in increasing order.
+
+    A normal subgroup of B is the join of the normal closures in B of its
+    elements, and the closure of x depends only on x's B-class; so these
+    are the joins of one closure per class.  A closure or join whose order
+    does not divide k lies in no normal subgroup of order k and is not
+    grown further."""
+    mul, inv = G._mul, G.inv
+    bgens = B.generators()
+
+    def divides(n):
+        return k % n == 0
+
+    closures = []
+    classed = 1
+    for x in B.elems:
+        if classed >> x & 1 or not divides(G.elem_orders[x]):
+            continue
+        classed |= mask_of(mul[mul[w][x]][inv[w]] for w in B.elems)
+        gens = [x]
+        mask = _grow_normal(G, bgens, gens, G.cyclic_mask(x), [x], divides)
+        if divides(mask.bit_count()):
+            closures.append((mask, gens))
+    found = {1}
+    joins = [1]
+    for n in joins:   # grows while it is walked
+        for c, gens in closures:
+            if c & ~n:
+                j = G.closure_mask(gens, n)
+                if j not in found:
+                    found.add(j)
+                    if divides(j.bit_count()):
+                        joins.append(j)
+    return sorted(m for m in found if m.bit_count() == k)
 
 
 def o_p(G, p, within=None):
@@ -1067,13 +1114,33 @@ def is_involved(H, G, cap=DEFAULT_ORDER_CAP):
             return False, None
         return True, (G.full_subgroup, G.trivial_subgroup)
     h_hist = tuple(sorted(_order_histogram(H).items()))
-    # conjugate sections have isomorphic quotients, and a class's first
-    # member is the first of it the plain loop over B would reach
-    for B in subgroup_class_reps(
-            G, [B for B in G.subgroups() if B.order % h == 0]):
-        for A in B.subgroups_within():
-            if B.order != A.order * h or not A.is_normal_in(B):
-                continue
+    # a B with h dividing |B| has a subgroup of order q, the largest
+    # prime-power part r^a of h, and a G-conjugate of it lies in the
+    # canonical Sylow r-subgroup P; so every G-class of such B meets the
+    # overgroups of one subgroup of order q of P per G-class
+    if h == 1:
+        seeds = [G.trivial_subgroup]
+    else:
+        r = max((p for p in range(2, h + 1)
+                 if h % p == 0 and _smallest_prime_factor(p) == p),
+                key=lambda p: p_part(h, p))
+        q = p_part(h, r)
+        P = sylow(G, r, cap=cap)
+        seeds = [P] if q == P.order else subgroup_class_reps(
+            G, [R for R in P.subgroups_within() if R.order == q])
+    # conjugate sections have isomorphic quotients: try the least member of
+    # each class, in the (order, mask) order of the whole lattice
+    seen = set()
+    firsts = []
+    for m in _subgroup_lattice_masks(G, seeds):
+        if m.bit_count() % h == 0 and m not in seen:
+            orbit = _conjugates(G, m)
+            seen |= orbit
+            firsts.append(min(orbit))
+    for bmask in sorted(firsts, key=lambda m: (m.bit_count(), m)):
+        B = G.subgroup(bmask)
+        for amask in _normal_subgroups_of_order(G, B, B.order // h):
+            A = G.subgroup(amask)
             Q, _ = quotient_group(G, A, within=B)
             if tuple(sorted(_order_histogram(Q).items())) != h_hist:
                 continue

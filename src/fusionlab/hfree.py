@@ -22,9 +22,9 @@ from .groups import (
     FiniteGroup,
     is_involved,
     o_p,
-    p_part,
     quotient_group,
     subgroup_class_reps,
+    sylow,
 )
 from .subsystems import model_group
 
@@ -90,8 +90,9 @@ def sigma3_involvement_check(G, cap=DEFAULT_ORDER_CAP):
     s3 = catalog_group("S3")
     a, _ = is_involved(s4, G, cap=cap)
     b = False
-    two_subgroups = [H for H in G.subgroups()
-                     if H.order > 1 and p_part(H.order, 2) == H.order]
+    # every 2-subgroup is conjugate into the Sylow 2-subgroup
+    two_subgroups = [H for H in sylow(G, 2, cap=cap).subgroups_within()
+                     if H.order > 1]
     for Q in subgroup_class_reps(G, two_subgroups):
         N = Q.normalizer_in(G.full_subgroup)
         C = Q.centralizer_in(N)

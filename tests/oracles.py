@@ -323,3 +323,45 @@ def perm_table_brute(perms):
                 elements.append(y)
     table = [[index[compose(a, b)] for b in elements] for a in elements]
     return table, elements, tuple(index[g] for g in perms)
+
+
+# -- all-pairs and all-subgroups references ---------------------------------
+
+
+def involved_brute(H, G):
+    """Is H a section B/A of G?  (bool, (B, A) or None), trying every B of
+    G's lattice and every A of B's lattice in canonical order, each
+    quotient built on a standalone copy of B."""
+    from fusionlab.groups import is_isomorphic, mask_of, quotient_group
+
+    h = H.order
+    for B in G.subgroups():
+        if B.order % h:
+            continue
+        sub, _ = B.as_group()
+        for A in B.subgroups_within():
+            if B.order != A.order * h or not A.is_normal_in(B):
+                continue
+            Q, _ = quotient_group(
+                sub, sub.subgroup(mask_of(B.pos(x) for x in A.elems)))
+            if is_isomorphic(Q, H)[0]:
+                return True, (B, A)
+    return False, None
+
+
+def group_from_maps_brute(Q, tuples):
+    """The Cayley table of a set of automorphism tuples of Q (images of
+    Q's sorted elements), composing all n^2 pairs, (a o b)(x) = a[b(x)];
+    None if a product leaves the set."""
+    pos = Q.pos_map()
+    index = {t: i for i, t in enumerate(tuples)}
+    table = []
+    for a in tuples:
+        row = []
+        for b in tuples:
+            c = tuple(a[pos[v]] for v in b)
+            if c not in index:
+                return None
+            row.append(index[c])
+        table.append(row)
+    return table

@@ -31,6 +31,7 @@ from fusionlab.pgroups import is_characteristic, thompson_data
 from fusionlab.stellmacher import (
     CandidateFamily,
     FamilyMember,
+    admit_member,
     cached_canonical_family,
     compute_W_iterative,
     functor_checks,
@@ -203,14 +204,12 @@ def test_criterion_07_w_properties(cat, systems, wreath648):
     model, embed = S.as_group()
     inner = FusionSystem.inner(S, 3)
     jn, _ = is_normal_in_F(inner, thompson_data(S).J)
+    member = admit_member(model, G, 3)   # J-normality and Qd(3)-freeness
+    assert member.admitted                # computed, not assumed
     members = (
         FamilyMember(system=inner, identification=embed, j_normal=jn,
                      qd_free=True),
-        # Sylow-2 of the fixture is elementary abelian, so every section
-        # has abelian Sylow-2 and Qd(3) (with quaternion Sylow-2) is not
-        # involved in any model: the member is Qd(3)-free by construction
-        FamilyMember(system=FusionSystem.realized(G, 3, S),
-                     identification=embed, j_normal=True, qd_free=True),
+        member,
     )
     fam = CandidateFamily(S=model, p=3, members=members)
     wc = compute_W_iterative(fam)

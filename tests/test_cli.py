@@ -343,3 +343,26 @@ def test_cli_verify_with_family_file(capsys, tmp_path):
     assert rc == 0
     out = capsys.readouterr().out
     assert "conclusion=True" in out
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("group Cut\nperm 4\n(1 2\n", "line 3: malformed cycle notation"),
+    ("group HeaderOnly\n", "line 1: missing 'perm <n>' or 'table <n>'"),
+    ("group Short\ntable 2\n0 1\n", "line 3: table has 1 rows, expected 2"),
+], ids=["truncated", "header-only", "short-table"])
+@pytest.mark.parametrize("argv", [
+    ["wcompute", "{q8}", "2", "--family", "{bad}"],
+    ["verify", "--theorem", "2", "--group", "{q8}", "--p", "2",
+     "--family", "{bad}"],
+], ids=["wcompute", "verify"])
+def test_cli_bad_family_file_is_a_parse_error(capsys, tmp_path, text, reason,
+                                              argv):
+    q8 = tmp_path / "q8.grp"
+    q8.write_text(Q8_FILE)
+    bad = tmp_path / "bad.grp"
+    bad.write_text(text)
+    argv = [a.format(q8=q8, bad=bad) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {reason}")
+    assert "Traceback" not in err

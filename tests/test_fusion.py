@@ -3,6 +3,7 @@ import pytest
 from fusionlab.errors import MorphismNotInF, NotSylow, ObjectOutsideS
 from fusionlab.fusion import (
     FusionSystem,
+    _group_from_maps,
     alperin_decompose,
     classify_subgroup,
     conj_tuple,
@@ -17,7 +18,12 @@ from fusionlab.fusion import (
 from fusionlab.groups import GroupMorphism, mask_of, standard_subgroup, sylow
 from fusionlab.subsystems import category_closure
 
-from oracles import brute_centric, brute_out_group, brute_strongly_p_embedded
+from oracles import (
+    brute_centric,
+    brute_out_group,
+    brute_strongly_p_embedded,
+    group_from_maps_brute,
+)
 
 
 def v4n_of(cat):
@@ -113,6 +119,30 @@ def test_classify_nonnormal_klein_four_not_essential(cat, systems):
     assert prof.centric and not prof.essential
     out, _, _ = F.out_group(v4prime)
     assert out.order == 2
+
+
+def test_aut_group_table_matches_all_pairs_composition(systems):
+    """Aut_F(Q), filled by lookups from a generating subset, against
+    composing every pair of automorphism tuples."""
+    for F in systems.values():
+        for Q in F.objects():
+            autg, tuples, index = F.aut_group(Q)
+            assert tuples[0] == Q.elems and len(index) == autg.order
+            assert [autg.mul_row(a) for a in range(autg.order)] == \
+                group_from_maps_brute(Q, tuples)
+
+
+def test_group_from_maps_rejects_a_set_not_closed(cat, systems):
+    F = systems[("S4", 2)]
+    Q = v4n_of(cat)
+    auts = F.aut_tuples(Q)          # Aut(V4) = S3: six tuples
+    order3 = next(t for t in auts
+                  if group_from_maps_brute(Q, (Q.elems, t)) is None
+                  and group_from_maps_brute(Q, (t,)) is None)
+    for subset in ((Q.elems, order3), (order3,), auts[1:]):
+        assert group_from_maps_brute(Q, subset) is None
+        with pytest.raises(MorphismNotInF):
+            _group_from_maps(Q, subset, name="bad")
 
 
 def test_carrier_is_fully_normalized_and_centralized(systems):

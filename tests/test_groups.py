@@ -10,6 +10,7 @@ from fusionlab.errors import (
     OrderCapExceeded,
 )
 from fusionlab.groups import (
+    _normal_subgroups_of_order,
     automorphisms,
     automorphisms_raw,
     bits,
@@ -22,14 +23,18 @@ from fusionlab.groups import (
     o_p_prime,
     quotient_group,
     standard_subgroup,
+    subgroup_class_reps,
     sylow,
 )
+from fusionlab.hfree import sigma3_involvement_check
 
 from oracles import (
     assert_kernels_match_oracles,
     assert_section_matches_copy,
     brute_force_subgroups,
     closure_set,
+    involved_brute,
+    is_normal_brute,
     is_power_of,
     looks_like_a4,
     looks_like_s3,
@@ -431,24 +436,6 @@ def test_s3_involved_in_s4_with_order6_witness(cat):
     assert b.order // a.order == 6
 
 
-def _involved_via_lattice(H, G):
-    """The section search of ``is_involved`` over the whole lattice of G,
-    without its short-cut for |H| = |G|."""
-    h = H.order
-    for B in G.subgroups():
-        if B.order % h:
-            continue
-        sub, _ = B.as_group()
-        for A in B.subgroups_within():
-            if B.order != A.order * h or not A.is_normal_in(B):
-                continue
-            Q, _ = quotient_group(
-                sub, sub.subgroup(mask_of(B.pos(x) for x in A.elems)))
-            if is_isomorphic(Q, H)[0]:
-                return True, (B, A)
-    return False, None
-
-
 def _relabelled(G, seed):
     """A copy of G with its non-identity elements shuffled."""
     new_of_old = [0] + random.Random(seed).sample(range(1, G.order),
@@ -470,18 +457,66 @@ def test_involved_same_order_matches_lattice_path(cat, h_name, g_name,
     ok, witness = is_involved(H, G)
     assert G._lattice is None
     assert ok is expected
-    assert (ok, witness) == _involved_via_lattice(H, G)
+    assert (ok, witness) == involved_brute(H, G)
+
+
+SECTION_TARGETS = ("C2", "C3", "C4", "V4", "S3", "D8", "Q8", "C3xC3", "A4",
+                   "S4", "SL(2,3)")
 
 
 @pytest.mark.parametrize("g_name", CATALOG_NAMES)
 def test_involved_over_class_reps_matches_all_b_loop(cat, g_name):
-    """Trying one B per G-conjugacy class gives the verdict and the witness
-    of trying every B."""
+    """Trying one B per G-conjugacy class, among the overgroups of the
+    Sylow seeds, gives the verdict and the witness of trying every B."""
     G = cat[g_name]
-    for h_name in ("C2", "C3", "C4", "V4", "S3", "D8", "Q8", "C3xC3", "A4",
-                   "S4"):
+    for h_name in SECTION_TARGETS:
         H = cat[h_name]
-        assert is_involved(H, G) == _involved_via_lattice(H, G)
+        assert is_involved(H, G) == involved_brute(H, G), h_name
+
+
+def _direct_product(G, H):
+    pairs = [(a, b) for a in range(G.order) for b in range(H.order)]
+    return group_from_function(
+        pairs, lambda x, y: (G.mul(x[0], y[0]), H.mul(x[1], y[1])),
+        name=f"{G.name}x{H.name}")
+
+
+@pytest.mark.parametrize("left,right", [("S3", "S3"), ("C2", "S4"),
+                                        ("Q8", "S3")])
+def test_involved_in_direct_products_matches_all_b_loop(cat, left, right):
+    """Products where the largest prime-power part of |H| is below that of
+    |G| for most H, so the seeds are several classes of subgroups of the
+    Sylow subgroup."""
+    G = _direct_product(cat[left], cat[right])
+    for h_name in SECTION_TARGETS:
+        H = cat[h_name]
+        assert is_involved(H, G) == involved_brute(H, G), h_name
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_normal_subgroups_of_order_match_lattice_filter(cat, name):
+    G = cat[name]
+    for B in subgroup_class_reps(G, G.subgroups()):
+        for k in range(1, B.order + 1):
+            if B.order % k:
+                continue
+            expected = sorted(A.mask for A in B.subgroups_within()
+                              if A.order == k and is_normal_brute(A, B))
+            assert _normal_subgroups_of_order(G, B, k) == expected, (B, k)
+
+
+def test_section_search_builds_no_lattice_of_the_ambient_group(cat,
+                                                               wreath648):
+    """Counts, not timings: a search that tries every class of B, on fresh
+    copies, leaves the ambient lattice unbuilt."""
+    G = _relabelled(cat["Qd(3)"], 11)
+    assert not is_involved(cat["S4"], G)[0]
+    assert G._lattice is None
+    G = _relabelled(cat["Qd(3)"], 12)
+    assert sigma3_involvement_check(G) == (False, False)
+    assert G._lattice is None
+    assert not is_involved(cat["Qd(3)"], wreath648)[0]
+    assert wreath648._lattice is None
 
 
 def test_involution_monotone_on_subgroups(cat):

@@ -2,9 +2,11 @@
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from fusionlab.catalog import catalog_group
 from fusionlab.groups import (
     bits,
     build_group,
+    is_involved,
     is_isomorphic,
     mask_of,
     o_p,
@@ -20,6 +22,7 @@ from oracles import (
     brute_force_subgroups,
     closure_set,
     has_normal_p_complement_brute,
+    involved_brute,
     is_power_of,
     o_pi_brute,
     perm_table_brute,
@@ -153,6 +156,17 @@ def test_isomorphism_is_reflexive_and_detects_relabeling(gens):
                             cap=200)
     ok2, _ = is_isomorphic(g, relabeled)
     assert ok2
+
+
+@settings(**COMMON)
+@given(group_specs, st.sampled_from(["C2", "C3", "C4", "V4", "S3", "D8",
+                                     "A4", "S4"]))
+def test_involvement_matches_all_b_loop(gens, h_name):
+    """Verdict and witness (B, A) of the Sylow-seeded section search
+    against trying every B and every A of the lattice."""
+    g = build_group([list(p) for p in gens], kind="perms", cap=200)
+    H = catalog_group(h_name)
+    assert is_involved(H, g) == involved_brute(H, g)
 
 
 @settings(**COMMON)
