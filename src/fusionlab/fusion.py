@@ -96,7 +96,10 @@ class FusionSystem:
         self.carrier = carrier
         self.ambient = ambient
         self._explicit = explicit
-        self.saturation_status = UNCHECKED
+        # F_S(G) for a Sylow p-subgroup S of G is saturated
+        self.saturation_status = (
+            VERIFIED if explicit is None
+            and carrier.order == p_part(ambient.order, p) else UNCHECKED)
         self.name = name or f"F_{carrier.order}({host.name})"
         if ambient is not None and not carrier <= ambient:
             raise ObjectOutsideS("carrier must sit inside the ambient subgroup")

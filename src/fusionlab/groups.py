@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import (
+    InternalInconsistency,
     InvalidPermutation,
     NonAssociative,
     NotAPGroup,
@@ -140,6 +141,9 @@ class FiniteGroup:
         for x in range(1, self.order):
             k, y = 1, x
             while y != 0:
+                if k == self.order:
+                    raise InternalInconsistency(
+                        f"no power of element {x} is the identity")
                 y = mul[y][x]
                 k += 1
             orders[x] = k

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .errors import (
     CarrierMismatch,
     ChainConditionViolated,
+    HypothesisViolated,
     InternalInconsistency,
     JoinNotNormal,
     ModelValidationFailed,
@@ -20,10 +21,13 @@ from .errors import (
     NotNormalInF,
 )
 from .fusion import (
+    UNCHECKED,
+    VERIFIED,
     FusionSystem,
     classify_subgroup,
     compose_tuples,
     conj_tuple,
+    essential_subgroups,
     identity_tuple,
     invert_tuple,
     is_hom_tuple,
@@ -49,10 +53,10 @@ def is_normal_in_F(F, W):
     """Does every morphism extend W-preservingly?  (bool, counterexample).
 
     W must be normal in the carrier; otherwise the answer is immediately
-    False (the normalizer system would live on a smaller carrier).  A
-    realized system is answered by conjugation in its ambient group; the
-    general route over the hom-sets serves explicit systems and is the
-    reference the realized route is tested against.
+    False (the normalizer system would live on a smaller carrier).  The
+    definition is tested on every object, for every kind of system, and the
+    counterexample is the least unextended morphism on the first object
+    that has one.
     """
     F.require_object(W)
     S = F.carrier
@@ -61,65 +65,50 @@ def is_normal_in_F(F, W):
         return False, wrap_tuple(F, W, S, conj_tuple(F.host, u, W))
     if W.order == 1:
         return True, None
-    if F.ambient is not None and F._explicit is None:
-        return _normal_realized(F, W)
-    return _normal_general(F, W)
-
-
-def _normal_realized(F, W):
-    G = F.host
-    A = F.ambient
-    nw = W.normalizer_in(A)
-    smask = F.carrier.mask
-    mul = G._mul
     for P in F.objects():
-        # c_g on P extends W-stably iff g lies in N_A(W) * C_A(P), built one
-        # left coset n C_A(P) at a time; an n already inside adds nothing
-        cp = P.centralizer_in(A)
-        reach = 0
-        for x in nw.elems:
-            if reach >> x & 1:
-                continue
-            row = mul[x]
-            for c in cp.elems:
-                reach |= 1 << row[c]
-        pgens = P.generators()
-        for g in bits(A.mask & ~reach):
-            if all(smask >> G.conj(g, x) & 1 for x in pgens):
-                return False, wrap_tuple(F, P, F.carrier, conj_tuple(G, g, P))
+        t = _first_unextended(F, W, P)
+        if t is not None:
+            return False, wrap_tuple(F, P, S, t)
     return True, None
 
 
-def _normal_general(F, W):
-    host = F.host
-    wmask = W.mask
-    for P in F.objects():
-        WP = W.join(P)
-        stable = []
-        for ext in F.maps(WP):
-            if mask_of(restrict_tuple(WP, ext, W)) == wmask:
-                stable.append(restrict_tuple(WP, ext, P))
-        stable = set(stable)
-        for t in F.maps(P):
-            if t not in stable:
-                return False, wrap_tuple(F, P, F.carrier, t)
-    return True, None
+def _first_unextended(F, W, P):
+    """The least morphism on P that no morphism on WP mapping W onto W
+    restricts to, or None."""
+    WP = W.join(P)
+    stable = {restrict_tuple(WP, ext, P) for ext in F.maps(WP)
+              if mask_of(restrict_tuple(WP, ext, W)) == W.mask}
+    return next((t for t in F.maps(P) if t not in stable), None)
 
 
 def o_p_of_F(F):
-    """The largest subgroup normal in F (join of all of them)."""
-    S = F.carrier
-    join = F.host.subgroup(1)
-    for W in F.objects():
-        if W.order == 1 or W <= join or not W.is_normal_in(S):
-            continue
-        ok, _ = is_normal_in_F(F, W)
-        if ok:
-            join = join.join(W)
-    ok, _ = is_normal_in_F(F, join)
+    """The largest subgroup normal in a saturated F: the largest one inside
+    S and the fully normalized essentials that their F-automorphisms all map
+    onto itself, reached by intersecting with images until stable.  An F
+    whose saturation is unchecked has its axioms verified first."""
+    if F.saturation_status == UNCHECKED:
+        verify_axioms(F)
+    if F.saturation_status != VERIFIED:
+        raise HypothesisViolated("O_p(F) needs a saturated fusion system")
+    alperin = (*essential_subgroups(F)[1], F.carrier)
+    m = F.carrier.mask
+    for P in alperin:
+        m &= P.mask
+    changed = True
+    while changed:
+        changed = False
+        for P in alperin:
+            pos = P.pos_map()
+            for a in F.aut_tuples(P):
+                image = mask_of(a[pos[x]] for x in bits(m))
+                if image != m:
+                    m &= image
+                    changed = True
+    core = F.host.subgroup(m)
+    ok, _ = is_normal_in_F(F, core)
     if not ok:
-        raise JoinNotNormal("join of normal-in-F subgroups is not normal in F")
-    return join
+        raise JoinNotNormal("the fixpoint O_p(F) is not normal in F")
+    return core
 
 
 # -- normalizer / centralizer / mixed / product subsystems -------------------
@@ -227,15 +216,9 @@ def _subsystem_ambient(F, Q, rule):
 
 def _check_against_realized(sub, ambient):
     """The extension rule and the conjugation shortcut must agree."""
-    G = sub.host
-    smask = sub.carrier.mask
+    realized = FusionSystem(sub.host, sub.p, sub.carrier, ambient=ambient)
     for P in sub.objects():
-        pgens = P.generators()
-        shortcut = set()
-        for g in ambient.elems:
-            if all(smask >> G.conj(g, x) & 1 for x in pgens):
-                shortcut.add(conj_tuple(G, g, P))
-        if shortcut != set(sub.maps(P)):
+        if sub.maps(P) != realized.maps(P):
             raise InternalInconsistency(
                 f"subsystem routes disagree on domain of order {P.order}")
 

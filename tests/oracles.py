@@ -365,3 +365,35 @@ def group_from_maps_brute(Q, tuples):
             row.append(index[c])
         table.append(row)
     return table
+
+
+# -- normality in a fusion system, by the definition ----------------------
+
+
+def normal_in_F_brute(F, W):
+    """(bool, counterexample) for W normal in S, by the definition: every
+    morphism on every object P extends to a morphism on WP that maps W onto
+    W.  The counterexample is the least unextended morphism of the first
+    object, in canonical order, that has one."""
+    from fusionlab.fusion import mask_of, restrict_tuple, wrap_tuple
+
+    for P in F.objects():
+        WP = W.join(P)
+        stable = set()
+        for ext in F.maps(WP):
+            if mask_of(restrict_tuple(WP, ext, W)) == W.mask:
+                stable.add(restrict_tuple(WP, ext, P))
+        for t in F.maps(P):
+            if t not in stable:
+                return False, wrap_tuple(F, P, F.carrier, t)
+    return True, None
+
+
+def o_p_brute(F):
+    """O_p(F) as the join of every subgroup normal in S that the
+    definition finds normal in F."""
+    join = F.host.subgroup(1)
+    for W in F.objects():
+        if W.is_normal_in(F.carrier) and normal_in_F_brute(F, W)[0]:
+            join = join.join(W)
+    return join

@@ -4,12 +4,14 @@ import pytest
 
 from fusionlab.catalog import CATALOG_NAMES, EXPECTED_ORDERS
 from fusionlab.errors import (
+    InternalInconsistency,
     NonAssociative,
     NotAPGroup,
     NotNormal,
     OrderCapExceeded,
 )
 from fusionlab.groups import (
+    FiniteGroup,
     _normal_subgroups_of_order,
     automorphisms,
     automorphisms_raw,
@@ -68,6 +70,12 @@ def test_build_group_s3_from_two_generators():
 def test_build_group_rejects_non_group_table():
     with pytest.raises(NonAssociative):
         build_group([[0, 1], [1, 1]], kind="table")
+
+
+def test_unvalidated_non_group_table_raises_instead_of_hanging():
+    # no power of element 1 is the identity, so its order loop must stop
+    with pytest.raises(InternalInconsistency):
+        FiniteGroup([[0, 1], [1, 1]], validate=False)
 
 
 def test_build_group_relabels_identity_to_zero():

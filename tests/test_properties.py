@@ -3,6 +3,7 @@
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fusionlab.catalog import catalog_group
+from fusionlab.fusion import realize_fusion
 from fusionlab.groups import (
     bits,
     build_group,
@@ -14,6 +15,7 @@ from fusionlab.groups import (
     quotient_group,
     sylow,
 )
+from fusionlab.subsystems import is_normal_in_F, o_p_of_F
 from fusionlab.theorems import has_normal_p_complement
 
 from oracles import (
@@ -24,6 +26,8 @@ from oracles import (
     has_normal_p_complement_brute,
     involved_brute,
     is_power_of,
+    normal_in_F_brute,
+    o_p_brute,
     o_pi_brute,
     perm_table_brute,
 )
@@ -203,3 +207,22 @@ def test_normal_pi_subgroups_match_oracles(gens, p):
 def test_normalizer_centralizer_derived_match_oracles(gens):
     g = build_group([list(q) for q in gens], kind="perms", cap=200)
     assert_kernels_match_oracles(g)
+
+
+@settings(**COMMON)
+@given(group_specs, st.sampled_from([2, 3]))
+def test_normality_in_F_and_core_match_the_definition(gens, p):
+    """Verdict and counterexample against the oracle's definition, and the
+    Alperin-set fixpoint O_p(F) against the join of the normal subgroups."""
+    g = build_group([list(q) for q in gens], kind="perms", cap=200)
+    F = realize_fusion(g, p)
+    for W in F.objects():
+        if not W.is_normal_in(F.carrier):
+            continue
+        got = is_normal_in_F(F, W)
+        want = normal_in_F_brute(F, W)
+        assert got[0] == want[0]
+        if not got[0]:
+            assert got[1].domain == want[1].domain
+            assert got[1].as_tuple() == want[1].as_tuple()
+    assert o_p_of_F(F) == o_p_brute(F)

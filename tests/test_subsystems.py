@@ -2,6 +2,7 @@ import pytest
 
 from fusionlab.errors import (
     ChainConditionViolated,
+    HypothesisViolated,
     NotCentric,
     NotNormalInF,
 )
@@ -13,8 +14,7 @@ from fusionlab.fusion import (
 )
 from fusionlab.groups import is_isomorphic, mask_of, standard_subgroup
 from fusionlab.subsystems import (
-    _normal_general,
-    _normal_realized,
+    category_closure,
     centralizer_like_system,
     generated_system,
     is_normal_in_F,
@@ -25,11 +25,24 @@ from fusionlab.subsystems import (
     straighten_chain,
 )
 
-from oracles import looks_like_a4, looks_like_s3
+from oracles import (
+    looks_like_a4,
+    looks_like_s3,
+    normal_in_F_brute,
+    o_p_brute,
+)
 
 
 def v4n_of(cat):
     return standard_subgroup(cat["S4"], "O_p", p=2)
+
+
+def verdict(result):
+    """(bool, (domain mask, image tuple) of the counterexample or None)."""
+    ok, counter = result
+    if counter is None:
+        return ok, None
+    return ok, (counter.domain.mask, counter.as_tuple())
 
 
 # -- normality in F ------------------------------------------------------------
@@ -60,6 +73,8 @@ def test_characteristic_subgroups_normal_in_inner(cat):
 
 
 def test_normality_shortcut_matches_general_path(cat, systems):
+    """is_normal_in_F gives the verdict and the counterexample of the
+    separately written definition in the oracles."""
     counterexamples = 0
     for key in (("S4", 2), ("SL(2,3)", 2), ("A4", 2), ("GL(2,3)", 2),
                 ("S3", 3), ("Qd(3)", 3)):
@@ -67,8 +82,9 @@ def test_normality_shortcut_matches_general_path(cat, systems):
         for W in F.objects():
             if W.order == 1 or not W.is_normal_in(F.carrier):
                 continue
-            ok, counter = _normal_realized(F, W)
-            assert ok == _normal_general(F, W)[0]
+            got = is_normal_in_F(F, W)
+            assert verdict(got) == verdict(normal_in_F_brute(F, W))
+            ok, counter = got
             if ok:
                 continue
             # the counterexample is a morphism of F on some P that no
@@ -84,12 +100,60 @@ def test_normality_shortcut_matches_general_path(cat, systems):
     assert counterexamples > 0
 
 
+def test_realized_and_explicit_copy_give_the_same_counterexample(systems):
+    """One witness rule for every system: first object, then least tuple."""
+    for key in (("A4", 2), ("Qd(3)", 2), ("Qd(3)", 3)):
+        F = systems[key]
+        E = FusionSystem.explicit_system(F.host, F.p, F.carrier,
+                                         F.materialize(), name="copy")
+        for W in F.objects():
+            assert verdict(is_normal_in_F(F, W)) == \
+                verdict(is_normal_in_F(E, W))
+
+
+def test_unsaturated_systems_follow_the_definition(cat):
+    """A category that is not saturated gets the same verdicts as the
+    definition, and O_p(F) refuses it: the closure of one C2 -> C2 swap on V4, and S4 realized on
+    its normal Klein four subgroup, which is not a Sylow 2-subgroup."""
+    v4 = cat["V4"]
+    Sv = v4.full_subgroup
+    c2s = [H for H in Sv.subgroups_within() if H.order == 2]
+    fake = category_closure(v4, 2, Sv,
+                            {c2s[0].mask: ((0, c2s[1].elems[1]),)},
+                            name="fake")
+    s4 = cat["S4"]
+    non_sylow = FusionSystem(s4, 2, v4n_of(cat), ambient=s4.full_subgroup)
+    for F in (fake, non_sylow):
+        for W in F.objects():
+            got, want = is_normal_in_F(F, W), normal_in_F_brute(F, W)
+            assert got[0] == want[0]
+            if W.is_normal_in(F.carrier):
+                assert verdict(got) == verdict(want)
+        with pytest.raises(HypothesisViolated):
+            o_p_of_F(F)
+
+
 def test_o_p_of_F(cat, systems):
     assert o_p_of_F(systems[("S4", 2)]).mask == v4n_of(cat).mask
     assert o_p_of_F(systems[("SL(2,3)", 2)]).order == 8
     inner = FusionSystem.inner(cat["D8"].full_subgroup, 2)
     assert o_p_of_F(inner).order == 8
     assert o_p_of_F(systems[("Qd(3)", 3)]).order == 9
+    for F in systems.values():
+        assert o_p_of_F(F).mask == o_p_brute(F).mask
+
+
+def test_o_p_of_F_verifies_an_explicit_copy_first(systems):
+    """An explicit copy starts unchecked; O_p(F) verifies its axioms and
+    then agrees with the join of the normal subgroups."""
+    for key in (("S4", 2), ("A4", 2), ("Qd(3)", 3)):
+        F = systems[key]
+        E = FusionSystem.explicit_system(F.host, F.p, F.carrier,
+                                         F.materialize(), name="copy")
+        assert F.saturation_status == "verified"
+        assert E.saturation_status == "unchecked"
+        assert o_p_of_F(E).mask == o_p_brute(E).mask == o_p_of_F(F).mask
+        assert E.saturation_status == "verified"
 
 
 # -- normalizer system -----------------------------------------------------------
