@@ -65,17 +65,22 @@ def invert_tuple(G: FiniteGroup, P: Subgroup, t: tuple):
 
 
 def is_hom_tuple(G: FiniteGroup, P: Subgroup, t: tuple):
-    """Injective homomorphism test for a raw image tuple."""
-    if len(set(t)) != len(t):
+    """Injective homomorphism test for a raw image tuple.
+
+    It checks t(1) = 1 and t(x g) = t(x) t(g) for every x in P and every
+    generator g of P.  That is the whole homomorphism property: each y in
+    P is a word g_1 ... g_k in the generators, and induction on k gives
+    t(x g_1 ... g_k) = t(x g_1 ... g_{k-1}) t(g_k) = t(x) t(g_1 ... g_k),
+    the empty word resting on t(1) = 1.  The cost is |P| times the number
+    of generators, not |P|^2."""
+    if len(set(t)) != len(t) or t[0] != 0:
         return False
     pos = P.pos_map()
     mul = G._mul
-    es = P.elems
-    for i, x in enumerate(es):
-        row = mul[x]
-        ti = t[i]
-        for j, y in enumerate(es):
-            if t[pos[row[y]]] != mul[ti][t[j]]:
+    for g in P.generators():
+        tg = t[pos[g]]
+        for x, tx in zip(P.elems, t):
+            if t[pos[mul[x][g]]] != mul[tx][tg]:
                 return False
     return True
 
@@ -107,6 +112,7 @@ class FusionSystem:
         self._objects = None
         self._classes = None
         self._profiles = {}
+        self._floors = {}
         self._autgroup_cache = {}
 
     # -- constructors ---------------------------------------------------
@@ -373,20 +379,28 @@ def n_phi(F, phi):
 
 
 def _n_phi_tuple(F, P, t):
+    """N_phi = {x in N_S(P) : phi c_x phi^-1 in Aut_S(phi P)}.
+
+    An automorphism of phi(P) is fixed by its values on phi(gens P), so x
+    lies in N_phi exactly when (phi(x g x^-1))_g, g over the generators of
+    P, equals (y phi(g) y^-1)_g for some y in N_S(phi P)."""
     G = F.host
-    img, tinv = invert_tuple(G, P, t)
-    nq = F.n_in_carrier(P)
-    aut_s_img = set(F.aut_s_tuples(img))
+    conj = G.conj
     pos = P.pos_map()
-    members = []
+    gens = P.generators()
+    tgens = [t[pos[g]] for g in gens]
+    img = G.subgroup(mask_of(t))
+    keys = {tuple(conj(y, v) for v in tgens)
+            for y in F.n_in_carrier(img).elems}
+    nq = F.n_in_carrier(P)
+    m = 0
     for x in nq.elems:
-        # phi o c_x o phi^{-1} must be conjugation by some y in N_S(phi Q)
-        psi = tuple(t[pos[G.conj(x, u)]] for u in tinv)
-        if psi in aut_s_img:
-            members.append(x)
-    m = mask_of(members)
+        if tuple(t[pos[conj(x, g)]] for g in gens) in keys:
+            m |= 1 << x
     sub = G.subgroup(m)  # validates subgroup-ness
-    floor = P.join(F.c_in_carrier(P))
+    floor = F._floors.get(P.mask)
+    if floor is None:
+        floor = F._floors[P.mask] = P.join(F.c_in_carrier(P))
     if not (floor <= sub and sub <= nq):
         raise InternalInconsistency("Q C_S(Q) <= N_phi <= N_S(Q) violated")
     return sub
@@ -521,7 +535,8 @@ def verify_axioms(F) -> AxiomReport:
 def _verify(F, host, carrier):
     objs = F.objects()
     maps_of = {P.mask: F.maps(P) for P in objs}
-    sub_of = {P.mask: P for P in objs}
+    # built once per object; each built the same way iterates the same way
+    sets_of = {m: set(ms) for m, ms in maps_of.items()}
 
     # morphisms are injective homomorphisms into the carrier
     for P in objs:
@@ -533,25 +548,26 @@ def _verify(F, host, carrier):
 
     # category axioms: inclusions, inverses of induced isos, composition
     for P in objs:
-        ms = set(maps_of[P.mask])
+        ms = sets_of[P.mask]
         if identity_tuple(P) not in ms:
             return AxiomReport("failed", ("missing-inclusion", P))
+        below = [Q for Q in objs if Q < P]
         for t in ms:
             img, tinv = invert_tuple(host, P, t)
-            if tinv not in set(maps_of[img.mask]):
+            if tinv not in sets_of[img.mask]:
                 return AxiomReport("failed", ("missing-inverse", P, t))
             for u in maps_of[img.mask]:
                 if compose_tuples(t, img, u) not in ms:
                     return AxiomReport("failed", ("not-composition-closed",
                                                   P, t, u))
-            for Q in objs:
-                if Q < P and restrict_tuple(P, t, Q) not in set(maps_of[Q.mask]):
+            for Q in below:
+                if restrict_tuple(P, t, Q) not in sets_of[Q.mask]:
                     return AxiomReport("failed", ("not-restriction-closed",
                                                   P, t, Q))
 
     # FS1: all S-conjugation maps present
     for P in objs:
-        ms = set(maps_of[P.mask])
+        ms = sets_of[P.mask]
         for u in carrier.elems:
             cu = conj_tuple(host, u, P)
             if mask_of(cu) & ~carrier.mask == 0 and cu not in ms:
@@ -565,11 +581,20 @@ def _verify(F, host, carrier):
     if p_part(len(aut_f_s), F.p) != len(aut_s_s):
         return AxiomReport("failed", ("FS2", len(aut_f_s), len(aut_s_s)))
 
-    # FS3: morphisms with fully normalized image extend to N_phi
+    # FS3: morphisms with fully normalized image extend to N_phi; every
+    # morphism is a homomorphism by now, so an extension restricts to t
+    # as soon as it agrees with t on the generators of P
+    fully_normalized = {}
     for P in objs:
+        pos = P.pos_map()
+        gens = P.generators()
         for t in maps_of[P.mask]:
-            img = host.subgroup(mask_of(t))
-            if not F.is_fully_normalized(img):
+            m = mask_of(t)
+            fn = fully_normalized.get(m)
+            if fn is None:
+                fn = fully_normalized[m] = F.is_fully_normalized(
+                    host.subgroup(m))
+            if not fn:
                 continue
             try:
                 nphi = _n_phi_tuple(F, P, t)
@@ -577,9 +602,11 @@ def _verify(F, host, carrier):
                 return AxiomReport("failed", ("FS3-nphi", P, t))
             if nphi.mask == P.mask:
                 continue
-            ext_found = any(restrict_tuple(nphi, ext, P) == t
-                            for ext in maps_of[nphi.mask])
-            if not ext_found:
+            npos = nphi.pos_map()
+            at = [npos[g] for g in gens]
+            want = [t[pos[g]] for g in gens]
+            if not any([ext[i] for i in at] == want
+                       for ext in maps_of[nphi.mask]):
                 return AxiomReport("failed", ("FS3", P, t, nphi))
 
     return AxiomReport(VERIFIED)

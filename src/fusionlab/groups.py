@@ -83,6 +83,7 @@ class FiniteGroup:
         self._generators = None
         self._factorization = None
         self._auts_raw = None
+        self._sylow = {}
         self._hash = None
 
     # -- construction-time checks -------------------------------------
@@ -766,9 +767,17 @@ def subgroup_class_reps(G, subgroups):
 
 
 def sylow(G, p, cap=DEFAULT_ORDER_CAP):
-    """The canonical Sylow p-subgroup (least bit-vector among conjugates)."""
+    """The canonical Sylow p-subgroup (least bit-vector among conjugates),
+    computed once per group and prime."""
     if G.order > cap:
         raise OrderCapExceeded(f"order {G.order} exceeds cap {cap}")
+    got = G._sylow.get(p)
+    if got is None:
+        got = G._sylow[p] = _canonical_sylow(G, p)
+    return got
+
+
+def _canonical_sylow(G, p):
     target = p_part(G.order, p)
     psub = G.subgroup(1)
     while psub.order < target:

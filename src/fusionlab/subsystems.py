@@ -74,10 +74,15 @@ def is_normal_in_F(F, W):
 
 def _first_unextended(F, W, P):
     """The least morphism on P that no morphism on WP mapping W onto W
-    restricts to, or None."""
+    restricts to, or None.  A morphism is an injective homomorphism, so
+    it maps W onto W as soon as it maps W's generators into W."""
     WP = W.join(P)
-    stable = {restrict_tuple(WP, ext, P) for ext in F.maps(WP)
-              if mask_of(restrict_tuple(WP, ext, W)) == W.mask}
+    pos = WP.pos_map()
+    on_w = [pos[g] for g in W.generators()]
+    on_p = [pos[x] for x in P.elems]
+    wmask = W.mask
+    stable = {tuple(ext[i] for i in on_p) for ext in F.maps(WP)
+              if all(wmask >> ext[i] & 1 for i in on_w)}
     return next((t for t in F.maps(P) if t not in stable), None)
 
 

@@ -397,3 +397,119 @@ def o_p_brute(F):
         if W.is_normal_in(F.carrier) and normal_in_F_brute(F, W)[0]:
             join = join.join(W)
     return join
+
+
+# -- fusion-system axioms, element by element ------------------------------
+
+
+def is_hom_brute(G, P, t):
+    """Injective homomorphism test on all |P|^2 pairs: t(x y) = t(x) t(y)."""
+    if len(set(t)) != len(t):
+        return False
+    pos = P.pos_map()
+    for x, tx in zip(P.elems, t):
+        for y, ty in zip(P.elems, t):
+            if t[pos[G.mul(x, y)]] != G.mul(tx, ty):
+                return False
+    return True
+
+
+def n_phi_brute(F, P, t):
+    """N_phi by the definition: the x in N_S(P) for which some y in
+    N_S(phi P) has phi(x u x^-1) = y phi(u) y^-1 for every u in P.  Raises
+    InternalInconsistency unless P C_S(P) <= N_phi <= N_S(P)."""
+    from fusionlab.errors import InternalInconsistency
+    from fusionlab.fusion import mask_of
+
+    G, S = F.host, F.carrier
+    phi = dict(zip(P.elems, t))
+    img = frozenset(t)
+    n_img = [y for y in S.elems if {G.conj(y, v) for v in img} == img]
+    n_p = normalizer_brute(P, S)
+    members = [x for x in n_p
+               if any(all(phi[G.conj(x, u)] == G.conj(y, phi[u])
+                          for u in P.elems) for y in n_img)]
+    sub = G.subgroup(mask_of(members))
+    floor = closure_set(G, list(P.elems) + list(centralizer_brute(P, S)))
+    if not floor <= set(members) <= n_p:
+        raise InternalInconsistency("Q C_S(Q) <= N_phi <= N_S(Q) violated")
+    return sub
+
+
+def verify_axioms_brute(F):
+    """The AxiomReport of verify_axioms, with every check made on whole
+    image tuples: the homomorphism test on all pairs, N_phi element-wise,
+    every set, full-normality test and restriction rebuilt where it is
+    used, and the checks in the same order, so the first failure and its
+    witness are the same."""
+    from fusionlab.errors import InternalInconsistency
+    from fusionlab.fusion import (
+        VERIFIED,
+        AxiomReport,
+        compose_tuples,
+        conj_tuple,
+        identity_tuple,
+        invert_tuple,
+        mask_of,
+        p_part,
+        restrict_tuple,
+    )
+
+    host, carrier = F.host, F.carrier
+    objs = F.objects()
+    maps_of = {P.mask: F.maps(P) for P in objs}
+
+    for P in objs:
+        for t in maps_of[P.mask]:
+            if mask_of(t) & ~carrier.mask:
+                return AxiomReport("failed", ("image-outside-S", P, t))
+            if not is_hom_brute(host, P, t):
+                return AxiomReport("failed", ("not-injective-hom", P, t))
+
+    for P in objs:
+        ms = set(maps_of[P.mask])
+        if identity_tuple(P) not in ms:
+            return AxiomReport("failed", ("missing-inclusion", P))
+        for t in ms:
+            img, tinv = invert_tuple(host, P, t)
+            if tinv not in set(maps_of[img.mask]):
+                return AxiomReport("failed", ("missing-inverse", P, t))
+            for u in maps_of[img.mask]:
+                if compose_tuples(t, img, u) not in ms:
+                    return AxiomReport("failed", ("not-composition-closed",
+                                                  P, t, u))
+            for Q in objs:
+                if Q < P and restrict_tuple(P, t, Q) not in set(maps_of[Q.mask]):
+                    return AxiomReport("failed", ("not-restriction-closed",
+                                                  P, t, Q))
+
+    for P in objs:
+        ms = set(maps_of[P.mask])
+        for u in carrier.elems:
+            cu = conj_tuple(host, u, P)
+            if mask_of(cu) & ~carrier.mask == 0 and cu not in ms:
+                return AxiomReport("failed", ("FS1", P, u))
+
+    aut_f_s = F.aut_tuples(carrier)
+    aut_s_s = {conj_tuple(host, u, carrier) for u in carrier.elems}
+    if not aut_s_s <= set(aut_f_s):
+        return AxiomReport("failed", ("FS2", "Aut_S(S) not contained"))
+    if p_part(len(aut_f_s), F.p) != len(aut_s_s):
+        return AxiomReport("failed", ("FS2", len(aut_f_s), len(aut_s_s)))
+
+    for P in objs:
+        for t in maps_of[P.mask]:
+            img = host.subgroup(mask_of(t))
+            if not F.is_fully_normalized(img):
+                continue
+            try:
+                nphi = n_phi_brute(F, P, t)
+            except InternalInconsistency:
+                return AxiomReport("failed", ("FS3-nphi", P, t))
+            if nphi.mask == P.mask:
+                continue
+            if not any(restrict_tuple(nphi, ext, P) == t
+                       for ext in maps_of[nphi.mask]):
+                return AxiomReport("failed", ("FS3", P, t, nphi))
+
+    return AxiomReport(VERIFIED)

@@ -19,6 +19,8 @@ from fusionlab.subsystems import (
     o_p_of_F,
 )
 
+from oracles import verify_axioms_brute
+
 
 @pytest.fixture()
 def explicit_copy(systems):
@@ -83,6 +85,34 @@ def test_fs2_failure_detected(cat):
     report = verify_axioms(spliced)
     assert report.status == "failed"
     assert report.witness[0] == "FS2"
+    assert report == verify_axioms_brute(spliced)
+
+
+def test_fs3_failure_on_a_two_generator_domain():
+    """Inner fusion of D8 x C2 with one more automorphism of its first
+    elementary abelian subgroup E of order 8 fails FS3 on a subgroup of
+    order 4: the failing map must be compared with the extensions on both
+    generators of its domain, not on one."""
+    from fusionlab.groups import automorphisms_raw, build_group
+
+    g = build_group([[1, 2, 3, 0, 4, 5], [0, 3, 2, 1, 4, 5],
+                     [0, 1, 2, 3, 5, 4]], kind="perms", name="D8xC2")
+    S = g.full_subgroup
+    inner = FusionSystem.inner(S, 2).materialize()
+    E = next(Q for Q in S.subgroups_within()
+             if Q.order == 8 and all(g.elem_orders[x] <= 2 for x in Q.elems))
+    sub, embed = E.as_group()
+    outer = [t for t in (tuple(embed[im[k]] for k in range(E.order))
+                         for im in automorphisms_raw(sub))
+             if t not in inner[E.mask]]
+    for t in outer[:2]:
+        seed = dict(inner)
+        seed[E.mask] = inner[E.mask] + (t,)
+        spliced = category_closure(g, 2, S, seed, name="d8xc2-spliced")
+        report = verify_axioms(spliced)
+        assert report == verify_axioms_brute(spliced)
+        assert report.witness[0] == "FS3"
+        assert len(report.witness[1].generators()) == 2
 
 
 def test_missing_inclusion_detected(cat):
@@ -95,6 +125,7 @@ def test_missing_inclusion_detected(cat):
     report = verify_axioms(broken)
     assert report.status == "failed"
     assert report.witness[0] == "missing-inclusion"
+    assert report == verify_axioms_brute(broken)
 
 
 def test_straighten_two_step_chain(systems):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from fusionlab.errors import MorphismNotInF, NotSylow, ObjectOutsideS
@@ -10,6 +12,7 @@ from fusionlab.fusion import (
     essential_subgroups,
     fusion_equal,
     hom_set,
+    is_hom_tuple,
     n_phi,
     realize_fusion,
     verify_axioms,
@@ -23,6 +26,9 @@ from oracles import (
     brute_out_group,
     brute_strongly_p_embedded,
     group_from_maps_brute,
+    is_hom_brute,
+    n_phi_brute,
+    verify_axioms_brute,
 )
 
 
@@ -229,26 +235,14 @@ def test_n_phi_of_carrier_automorphism_is_carrier(systems):
         assert n_phi(F, phi).mask == S.mask
 
 
-def test_n_phi_matches_elementwise_oracle(cat, systems):
-    F = systems[("S4", 2)]
-    G = cat["S4"]
-    S = F.carrier
-    for Q in F.objects():
-        if Q.order == 1:
-            continue
-        for t in F.maps(Q):
-            phi = wrap_tuple(F, Q, S, t)
-            got = n_phi(F, phi)
-            img = mask_of(t)
-            n_img = [y for y in S.elems
-                     if mask_of(G.conj(y, v) for v in t) == img]
-            expected = []
-            for x in F.n_in_carrier(Q).elems:
-                tmap = dict(zip(Q.elems, t))
-                if any(all(tmap[G.conj(x, u)] == G.conj(y, tmap[u])
-                           for u in Q.elems) for y in n_img):
-                    expected.append(x)
-            assert got.mask == mask_of(expected)
+def test_n_phi_matches_elementwise_oracle(systems):
+    """N_phi from the images of P's generators against the definition,
+    element by element, for every morphism of every catalog system."""
+    for F in systems.values():
+        for Q in F.objects():
+            for t in F.maps(Q):
+                got = n_phi(F, wrap_tuple(F, Q, F.carrier, t))
+                assert got == n_phi_brute(F, Q, t)
 
 
 def test_n_phi_sandwich(systems):
@@ -288,9 +282,9 @@ def test_axioms_verified_on_catalog(systems):
         assert verify_axioms(F).status == "verified"
 
 
-def test_axioms_fail_on_spliced_category(cat):
-    """Inner D8 fusion plus one extra fusing morphism is not a fusion
-    system: the spliced map has no extension to its N_phi."""
+def spliced_d8(cat):
+    """(inner D8 fusion closed up with one map sending a non-central
+    subgroup of order 2 onto the center, that subgroup, the map)."""
     d8 = cat["D8"]
     S = d8.full_subgroup
     inner = FusionSystem.inner(S, 2)
@@ -299,11 +293,24 @@ def test_axioms_fail_on_spliced_category(cat):
                   if H.order == 2 and H.mask != z.mask
                   and H.centralizer_in(S).order == 4)
     seed = dict(inner.materialize())
-    splice = tuple(z.elems[i] for i in range(z.order))
-    # map the transposition subgroup onto the center
     splice = (0, z.elems[1])
     seed[transp.mask] = tuple(sorted(set(seed[transp.mask]) | {splice}))
     spliced = category_closure(d8, 2, S, seed, name="spliced")
+    return spliced, transp, splice
+
+
+def non_sylow_s4(cat):
+    """Conjugation by all of S4 on the carrier V4n, which is not Sylow."""
+    s4 = cat["S4"]
+    v4n = standard_subgroup(s4, "O_p", p=2)
+    return FusionSystem(s4, 2, v4n, ambient=s4.full_subgroup,
+                        name="non-sylow")
+
+
+def test_axioms_fail_on_spliced_category(cat):
+    """Inner D8 fusion plus one extra fusing morphism is not a fusion
+    system: the spliced map has no extension to its N_phi."""
+    spliced, _, _ = spliced_d8(cat)
     report = verify_axioms(spliced)
     assert report.status == "failed"
     assert report.witness[0] in ("FS3", "FS2")
@@ -319,12 +326,67 @@ def test_axioms_fail_on_non_sylow_carrier(cat):
     """Conjugation of the full ambient group on a non-Sylow carrier is a
     category but not a fusion system: the outer automorphisms outnumber
     what the carrier can supply (FS2)."""
-    s4 = cat["S4"]
-    v4n = standard_subgroup(s4, "O_p", p=2)
-    F = FusionSystem(s4, 2, v4n, ambient=s4.full_subgroup, name="non-sylow")
-    report = verify_axioms(F)
+    report = verify_axioms(non_sylow_s4(cat))
     assert report.status == "failed"
     assert report.witness[0] == "FS2"
+
+
+def test_axiom_reports_match_the_oracle(cat, systems):
+    """The whole report, status and witness tuple, against the checks
+    made on whole image tuples: every catalog system, the spliced D8
+    category and the non-Sylow S4 carrier."""
+    failing = [spliced_d8(cat)[0], non_sylow_s4(cat)]
+    for F in [*systems.values(), *failing]:
+        assert verify_axioms(F) == verify_axioms_brute(F), F.name
+    assert not any(verify_axioms(F) for F in failing)
+
+
+def test_verify_decides_full_normality_once_per_image(cat, monkeypatch):
+    """Counts, not timings: FS3 asks whether an image is fully normalized
+    once per image, not once per morphism."""
+    calls = []
+    real = FusionSystem.is_fully_normalized
+
+    def counting(self, Q):
+        calls.append(Q.mask)
+        return real(self, Q)
+
+    monkeypatch.setattr(FusionSystem, "is_fully_normalized", counting)
+    for name in ("S4", "GL(2,3)"):
+        F = realize_fusion(cat[name], 2)
+        images = {mask_of(t) for P in F.objects() for t in F.maps(P)}
+        calls.clear()
+        assert verify_axioms(F)
+        assert len(calls) == len(set(calls))
+        assert set(calls) <= images
+        assert len(images) < sum(len(F.maps(P)) for P in F.objects())
+
+
+# -- the homomorphism test ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["S3", "V4"])
+def test_hom_test_on_generators_matches_all_pairs(cat, name):
+    """Every bijection of the group onto itself: the test on generators
+    and the all-pairs test agree, and they find exactly Aut(G)."""
+    from fusionlab.groups import automorphisms_raw
+
+    G = cat[name]
+    P = G.full_subgroup
+    bijections = list(permutations(P.elems))
+    verdicts = [is_hom_tuple(G, P, t) for t in bijections]
+    assert verdicts == [is_hom_brute(G, P, t) for t in bijections]
+    assert {t for t, ok in zip(bijections, verdicts) if ok} == \
+        {tuple(im) for im in automorphisms_raw(G)}
+
+
+def test_hom_test_rejects_non_injective_tuples(cat):
+    G = cat["S3"]
+    for P in G.subgroups():
+        for v in range(G.order):
+            t = (v,) * P.order
+            assert is_hom_tuple(G, P, t) == is_hom_brute(G, P, t)
+            assert is_hom_tuple(G, P, t) == (P.order == 1 and v == 0)
 
 
 # -- Alperin ---------------------------------------------------------------------
@@ -385,17 +447,7 @@ def test_alperin_raises_not_generated_on_bad_category(cat):
     it has no essentials and inner maximal automorphisms never reach it."""
     from fusionlab.errors import NotGenerated
 
-    d8 = cat["D8"]
-    S = d8.full_subgroup
-    inner = FusionSystem.inner(S, 2)
-    z = S.center()
-    transp = next(H for H in S.subgroups_within()
-                  if H.order == 2 and H.mask != z.mask
-                  and H.centralizer_in(S).order == 4)
-    seed = dict(inner.materialize())
-    splice = (0, z.elems[1])
-    seed[transp.mask] = tuple(sorted(set(seed[transp.mask]) | {splice}))
-    spliced = category_closure(d8, 2, S, seed, name="spliced")
-    phi = wrap_tuple(spliced, transp, S, splice)
+    spliced, transp, splice = spliced_d8(cat)
+    phi = wrap_tuple(spliced, transp, spliced.carrier, splice)
     with pytest.raises(NotGenerated):
         alperin_decompose(spliced, phi)

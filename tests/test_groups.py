@@ -306,6 +306,28 @@ def test_sylow_is_canonical_minimum(cat):
     assert syl.mask == min(syl.conjugate_mask(g) for g in range(24))
 
 
+def test_sylow_is_computed_once_per_group_and_prime(cat, monkeypatch):
+    """Counts, not timings: a repeat call is a lookup on the group, and
+    the order cap is still checked on every call."""
+    from fusionlab import groups
+
+    calls = []
+    real = groups._canonical_sylow
+
+    def counting(G, p):
+        calls.append(p)
+        return real(G, p)
+
+    monkeypatch.setattr(groups, "_canonical_sylow", counting)
+    G = _relabelled(cat["S4"], 13)
+    first = sylow(G, 2)
+    assert sylow(G, 2) is first
+    assert sylow(G, 3) is sylow(G, 3)
+    assert calls == [2, 3]
+    with pytest.raises(OrderCapExceeded):
+        sylow(G, 2, cap=G.order - 1)
+
+
 # -- quotients -------------------------------------------------------------
 
 

@@ -3,7 +3,13 @@
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fusionlab.catalog import catalog_group
-from fusionlab.fusion import realize_fusion
+from fusionlab.fusion import (
+    FusionSystem,
+    conj_tuple,
+    is_hom_tuple,
+    realize_fusion,
+    verify_axioms,
+)
 from fusionlab.groups import (
     bits,
     build_group,
@@ -25,11 +31,13 @@ from oracles import (
     closure_set,
     has_normal_p_complement_brute,
     involved_brute,
+    is_hom_brute,
     is_power_of,
     normal_in_F_brute,
     o_p_brute,
     o_pi_brute,
     perm_table_brute,
+    verify_axioms_brute,
 )
 
 POOL = [
@@ -226,3 +234,34 @@ def test_normality_in_F_and_core_match_the_definition(gens, p):
             assert got[1].domain == want[1].domain
             assert got[1].as_tuple() == want[1].as_tuple()
     assert o_p_of_F(F) == o_p_brute(F)
+
+
+@settings(**COMMON)
+@given(group_specs, st.data())
+def test_hom_test_on_generators_matches_all_pairs(gens, data):
+    """On a drawn subgroup P: a conjugation map, the same map with two
+    images swapped, and a random bijection of P."""
+    g = build_group([list(q) for q in gens], kind="perms", cap=200)
+    P = data.draw(st.sampled_from(g.subgroups()))
+    conj = conj_tuple(g, data.draw(st.integers(0, g.order - 1)), P)
+    i, j = sorted(data.draw(st.lists(st.integers(0, P.order - 1),
+                                     min_size=2, max_size=2)))
+    swapped = list(conj)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    shuffled = tuple(data.draw(st.permutations(P.elems)))
+    assert is_hom_tuple(g, P, conj)
+    for t in (tuple(swapped), shuffled):
+        assert is_hom_tuple(g, P, t) == is_hom_brute(g, P, t)
+
+
+@settings(**COMMON)
+@given(group_specs, st.sampled_from([2, 3]))
+def test_axiom_reports_match_the_oracle(gens, p):
+    """The whole AxiomReport against the oracle's checks on whole image
+    tuples: on F_S(G), and on conjugation by G on every subgroup of S as
+    the carrier, a category that fails FS2 or FS3 on many of them."""
+    g = build_group([list(q) for q in gens], kind="perms", cap=200)
+    F = realize_fusion(g, p)
+    for Q in F.objects():
+        E = FusionSystem(g, p, Q, ambient=g.full_subgroup)
+        assert verify_axioms(E) == verify_axioms_brute(E)

@@ -9,10 +9,16 @@ from fusionlab.errors import (
 from fusionlab.fusion import (
     FusionSystem,
     fusion_equal,
+    realize_fusion,
     restrict_tuple,
     verify_axioms,
 )
-from fusionlab.groups import is_isomorphic, mask_of, standard_subgroup
+from fusionlab.groups import (
+    build_group,
+    is_isomorphic,
+    mask_of,
+    standard_subgroup,
+)
 from fusionlab.subsystems import (
     category_closure,
     centralizer_like_system,
@@ -72,7 +78,7 @@ def test_characteristic_subgroups_normal_in_inner(cat):
         assert ok
 
 
-def test_normality_shortcut_matches_general_path(cat, systems):
+def test_normality_in_F_matches_the_definition(cat, systems):
     """is_normal_in_F gives the verdict and the counterexample of the
     separately written definition in the oracles."""
     counterexamples = 0
@@ -98,6 +104,26 @@ def test_normality_shortcut_matches_general_path(cat, systems):
                        for ext in F.maps(WP))
             counterexamples += 1
     assert counterexamples > 0
+
+
+@pytest.mark.parametrize("name", ["SL(2,3)", "Qd(3)"])
+def test_normality_in_F_on_subgroups_with_two_generators(cat, name):
+    """On a fresh copy of the table no lattice is built, so each W keeps
+    the generators read off its sorted elements, two for some C4: the test
+    that W is mapped onto W must look at both."""
+    G = cat[name]
+    copy = build_group([G.mul_row(a) for a in range(G.order)],
+                       name=f"{name}'", kind="table")
+    F = realize_fusion(copy, 2)
+    two_gens = 0
+    for W in F.objects():
+        if W.order == 1 or not W.is_normal_in(F.carrier):
+            continue
+        assert verdict(is_normal_in_F(F, W)) == \
+            verdict(normal_in_F_brute(F, W))
+        cyclic = max(copy.elem_orders[x] for x in W.elems) == W.order
+        two_gens += cyclic and len(W.generators()) == 2
+    assert two_gens > 0
 
 
 def test_realized_and_explicit_copy_give_the_same_counterexample(systems):
