@@ -100,7 +100,7 @@ def _quaternion_perms():
         return (s * t * r, c)
 
     g = group_from_function(units, qmul, name="tmp")
-    return regular_generators(g, [g.generators()[0], g.generators()[1]])
+    return regular_generators(g, g.full_subgroup.generators()[:2])
 
 
 # name -> generator permutations, built only when the group is asked for

@@ -22,6 +22,7 @@ from .groups import (
     FiniteGroup,
     GroupMorphism,
     Subgroup,
+    identity_first,
     mask_of,
     o_p,
     p_part,
@@ -113,6 +114,7 @@ class FusionSystem:
         self._classes = None
         self._profiles = {}
         self._floors = {}
+        self._normalizers = {}
         self._autgroup_cache = {}
 
     # -- constructors ---------------------------------------------------
@@ -182,7 +184,11 @@ class FusionSystem:
     # -- conjugacy, normalizers ------------------------------------------
 
     def n_in_carrier(self, Q):
-        return Q.normalizer_in(self.carrier)
+        """N_S(Q), computed once per object."""
+        got = self._normalizers.get(Q.mask)
+        if got is None:
+            got = self._normalizers[Q.mask] = Q.normalizer_in(self.carrier)
+        return got
 
     def c_in_carrier(self, Q):
         return Q.centralizer_in(self.carrier)
@@ -319,12 +325,7 @@ def _group_from_maps(Q, tuples, name):
             row[y] = col[row[x]]
         table.append(row)
     if ident != 0:
-        order_map = [ident] + [k for k in range(n) if k != ident]
-        new_of_old = [0] * n
-        for new, old in enumerate(order_map):
-            new_of_old[old] = new
-        table = [[new_of_old[table[a][b]] for b in order_map]
-                 for a in order_map]
+        table, order_map = identity_first(table, ident)
         tuples = tuple(tuples[k] for k in order_map)
         index = {t: i for i, t in enumerate(tuples)}
     g = FiniteGroup(table, name=name, validate=False)

@@ -9,7 +9,6 @@ so subset tests, intersections and deduplication stay cheap at desk scale
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass
 
 from .errors import (
@@ -25,8 +24,6 @@ from .errors import (
 DEFAULT_ORDER_CAP = 1000
 DEFAULT_AUT_CAP = 256
 MAX_PERM_POINTS = 64
-
-_ASSOC_SAMPLE = 10_000
 
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -59,8 +56,8 @@ class FiniteGroup:
     """A finite group given by its multiplication table.
 
     ``mul_row[a][b]`` is the index of the product a*b.  Construction checks
-    the identity/inverse laws on the whole table and associativity
-    exhaustively up to order 64 (randomly, >= 10^4 triples, above that).
+    the identity/inverse laws on the whole table and associativity exactly,
+    with Light's test (see ``_validate_table``).
     """
 
     def __init__(self, mul_row, name="G", perm_rep=None, gen_indices=None,
@@ -79,8 +76,6 @@ class FiniteGroup:
         self.inv = self._compute_inverses()
         self.elem_orders = self._compute_orders()
         self._subgroup_cache = {}
-        self._lattice = None
-        self._generators = None
         self._factorization = None
         self._auts_raw = None
         self._sylow = {}
@@ -105,25 +100,35 @@ class FiniteGroup:
         for x in range(n):
             if not any(mul[x][y] == 0 and mul[y][x] == 0 for y in range(n)):
                 raise NonAssociative(f"element {x} has no two-sided inverse")
-        if n <= 64:
-            for a in range(n):
-                ra = mul[a]
-                for b in range(n):
-                    rb = mul[b]
-                    ab = ra[b]
-                    rab = mul[ab]
-                    for c in range(n):
-                        if rab[c] != ra[rb[c]]:
-                            raise NonAssociative(
-                                f"({a}*{b})*{c} != {a}*({b}*{c})")
-        else:
-            rng = random.Random(0xA55)
-            for _ in range(_ASSOC_SAMPLE):
-                a = rng.randrange(n)
-                b = rng.randrange(n)
-                c = rng.randrange(n)
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    raise NonAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+        # Light's test: the a with (x a) y = x (a y) for all x and y include
+        # the identity and are closed under products, so it is enough to
+        # check a over a set whose right-multiplication walk from the
+        # identity reaches every element, at n^2 lookups per a (Clifford
+        # and Preston, Algebraic Theory of Semigroups I, 1.2).  Each element
+        # not yet reached is checked, then walked from; the first j that
+        # pass reach a group of order >= 2^j, so at most log2(n) + 1 are
+        # checked.  The walk multiplies each element by each a once.
+        seen = bytearray(n)
+        seen[0] = 1
+        reached, walk = [0], []
+        for a in range(1, n):
+            if seen[a]:
+                continue
+            ra = mul[a]
+            for x in range(n):
+                rx = mul[x]
+                row = mul[rx[a]]
+                if row != list(map(rx.__getitem__, ra)):
+                    y = next(y for y in range(n) if row[y] != rx[ra[y]])
+                    raise NonAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
+            walk.append(a)
+            old = len(reached)
+            for i, x in enumerate(reached):   # grows while it is walked
+                row = mul[x]
+                for g in (walk if i >= old else (a,)):
+                    if not seen[row[g]]:
+                        seen[row[g]] = 1
+                        reached.append(row[g])
 
     def _compute_inverses(self):
         mul = self._mul
@@ -270,26 +275,13 @@ class FiniteGroup:
         # the flags, read as a binary numeral with element 0 last
         return int(member.translate(_BINARY_DIGITS)[::-1], 2)
 
-    def generators(self):
-        """A small deterministic generating sequence (greedy closure)."""
-        if self._generators is None:
-            gens = []
-            mask = 1
-            while mask != self.full_mask:
-                for x in range(1, self.order):
-                    if not mask >> x & 1:
-                        gens.append(x)
-                        mask = self.closure_mask(gens, mask)
-                        break
-            self._generators = tuple(gens)
-        return self._generators
-
     def factorization(self):
-        """(element, parent, generator) triples in BFS order wrt
-        ``generators()``; element = parent*gen, parents always resolved
-        first.  Used to push generator images through candidate maps."""
+        """(element, parent, generator) triples in BFS order with respect
+        to the generators of the full subgroup (``Subgroup.generators``);
+        element = parent*gen, parents always resolved first.  Used to push
+        generator images through candidate maps."""
         if self._factorization is None:
-            gens = self.generators()
+            gens = self.full_subgroup.generators()
             seen = [False] * self.order
             seen[0] = True
             fact = []
@@ -312,14 +304,7 @@ class FiniteGroup:
         if self.order > cap:
             raise OrderCapExceeded(
                 f"group order {self.order} exceeds lattice cap {cap}")
-        if self._lattice is None:
-            found = _subgroup_lattice_masks(self)
-            for m, gens in found.items():
-                sub = self.subgroup(m)
-                if sub._gens is None:
-                    sub._gens = gens
-            self._lattice = sorted(found, key=lambda m: (m.bit_count(), m))
-        return [self.subgroup(m) for m in self._lattice]
+        return self.full_subgroup.subgroups_within()
 
 
 class Subgroup:
@@ -329,7 +314,8 @@ class Subgroup:
     inverse plus Lagrange are checked on first construction.
     """
 
-    __slots__ = ("parent", "mask", "_elems", "_pos", "_gens", "_as_group")
+    __slots__ = ("parent", "mask", "_elems", "_pos", "_gens", "_lattice",
+                 "_as_group")
 
     def __init__(self, parent, mask):
         self.parent = parent
@@ -337,6 +323,7 @@ class Subgroup:
         self._elems = tuple(bits(mask))
         self._pos = None
         self._gens = None
+        self._lattice = None
         self._as_group = None
         if not mask & 1:
             raise NotASubgroup("subgroup must contain the identity")
@@ -393,6 +380,9 @@ class Subgroup:
         return (self.order, self.mask)
 
     def generators(self):
+        """A small generating sequence, a function of the mask alone: walk
+        the sorted elements and keep each one outside the subgroup the
+        kept ones generate, until that subgroup is self."""
         if self._gens is None:
             G = self.parent
             gens = []
@@ -477,17 +467,13 @@ class Subgroup:
         return self.parent.subgroup(self.mask & other.mask)
 
     def subgroups_within(self):
-        """All subgroups contained in self, canonically ordered.
-
-        Uses the parent lattice when it is already cached, otherwise works
-        on the standalone copy of self (cheaper when the parent is large).
-        """
-        G = self.parent
-        if self.mask == G.full_mask or G._lattice is not None:
-            return [H for H in G.subgroups() if H.mask & ~self.mask == 0]
-        sub, embed = self.as_group()
-        return [G.subgroup(mask_of(embed[e] for e in H.elems))
-                for H in sub.subgroups()]
+        """All subgroups contained in self, canonically ordered (size, then
+        bit-vector).  One lattice walk on the parent's own table, limited
+        to self's elements; the sorted masks are kept on self."""
+        if self._lattice is None:
+            found = _subgroup_lattice_masks(self.parent, within=self)
+            self._lattice = sorted(found, key=lambda m: (m.bit_count(), m))
+        return [self.parent.subgroup(m) for m in self._lattice]
 
     def as_group(self):
         """(standalone FiniteGroup, embed) with embed[i] the parent index."""
@@ -647,13 +633,19 @@ def _group_from_table(table, name, cap):
     if ident is None:
         raise NonAssociative("table has no two-sided identity")
     if ident != 0:
-        # deterministic relabel: identity to 0, all other indices stable
-        old_of_new = [ident] + [x for x in range(n) if x != ident]
-        new_of_old = [0] * n
-        for new, old in enumerate(old_of_new):
-            new_of_old[old] = new
-        rows = [[new_of_old[rows[a][b]] for b in old_of_new] for a in old_of_new]
+        rows, _ = identity_first(rows, ident)
     return FiniteGroup(rows, name=name)
+
+
+def identity_first(table, ident):
+    """(table relabelled so that ``ident`` becomes 0, the old index of each
+    new one); every other index keeps its relative order."""
+    old_of_new = [ident] + [x for x in range(len(table)) if x != ident]
+    new_of_old = [0] * len(table)
+    for new, old in enumerate(old_of_new):
+        new_of_old[old] = new
+    return ([[new_of_old[table[a][b]] for b in old_of_new]
+             for a in old_of_new], old_of_new)
 
 
 def group_from_function(elements, op, name="G"):
@@ -666,20 +658,11 @@ def group_from_function(elements, op, name="G"):
 def regular_generators(G, gen_idx=None):
     """Left-regular permutation generators for G (on G.order points)."""
     if gen_idx is None:
-        gen_idx = G.generators()
+        gen_idx = G.full_subgroup.generators()
     return [tuple(G.mul(g, x) for x in range(G.order)) for g in gen_idx]
 
 
 # -- subgroup lattice ----------------------------------------------------
-
-
-def _prime_power_indices(G):
-    out = []
-    for x in range(1, G.order):
-        k = G.elem_orders[x]
-        if p_part(k, _smallest_prime_factor(k)) == k:
-            out.append(x)
-    return out
 
 
 def _smallest_prime_factor(n):
@@ -693,18 +676,25 @@ def _smallest_prime_factor(n):
     return n
 
 
-def _subgroup_lattice_masks(G, seeds=None):
-    """{mask: generators} of every subgroup that contains one of ``seeds``
-    (Subgroups; by default the trivial one and every cyclic subgroup, so
-    the whole lattice), found by adjoining prime-power-order elements to
-    known subgroups; complete because every overgroup of a seed is reached
-    along a chain that adds one prime-power generator at a time."""
-    n = G.order
-    mul = G._mul
-    pp_elems = _prime_power_indices(G)
+def _subgroup_lattice_masks(G, seeds=None, within=None):
+    """{mask: generators} of every subgroup of W = ``within`` (a Subgroup;
+    default G) that contains one of ``seeds`` (Subgroups of W; by default
+    the trivial one and every cyclic subgroup of W, so W's whole lattice).
+
+    The walk runs on G's own table: it adjoins prime-power-order elements
+    of W to known subgroups, and is complete because every overgroup of a
+    seed inside W is reached along a chain that adds one prime-power
+    generator at a time.  The generators are the walk's own; they are not
+    handed to the Subgroups, whose ``generators()`` depend on the mask
+    alone."""
+    mul, orders = G._mul, G.elem_orders
+    elems = range(1, G.order) if within is None else within.elems[1:]
+    pp_elems = [x for x in elems
+                if p_part(orders[x], _smallest_prime_factor(orders[x]))
+                == orders[x]]
     if seeds is None:
         found = {1: ()}
-        for x in range(1, n):
+        for x in elems:
             m = G.cyclic_mask(x)
             if m not in found:
                 found[m] = (x,)
@@ -738,7 +728,7 @@ def _conjugates(G, mask):
     """The set of G-conjugates of the subgroup ``mask``, reached by
     conjugating masks with G's generators."""
     mul, inv = G._mul, G.inv
-    gens = [(mul[g], inv[g]) for g in G.generators()]
+    gens = [(mul[g], inv[g]) for g in G.full_subgroup.generators()]
     orbit = {mask}
     frontier = [mask]
     while frontier:
@@ -1022,7 +1012,7 @@ def _iso_invariants(G):
 def _propagate(G, H, gen_images):
     """Extend generator images to a full map via the factorization; returns
     the image list or None if the result is not an injective homomorphism."""
-    gens = G.generators()
+    gens = G.full_subgroup.generators()
     img_of_gen = dict(zip(gens, gen_images))
     fact = G.factorization()
     n = G.order
@@ -1043,7 +1033,7 @@ def _propagate(G, H, gen_images):
 
 
 def _gen_image_candidates(G, H):
-    gens = G.generators()
+    gens = G.full_subgroup.generators()
     by_order = {}
     for x in range(H.order):
         by_order.setdefault(H.elem_orders[x], []).append(x)

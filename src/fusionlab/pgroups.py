@@ -13,6 +13,7 @@ from .errors import InternalInconsistency, NotAPGroup
 from .groups import (
     DEFAULT_AUT_CAP,
     Subgroup,
+    _smallest_prime_factor,
     automorphisms_raw,
     bits,
     mask_of,
@@ -26,9 +27,7 @@ def p_of(sub: Subgroup):
     n = sub.order
     if n == 1:
         raise NotAPGroup("trivial group has no defining prime")
-    p = 2
-    while n % p != 0:
-        p += 1
+    p = _smallest_prime_factor(n)
     if p_part(n, p) != n:
         raise NotAPGroup(f"order {sub.order} is not a prime power")
     return p

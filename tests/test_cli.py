@@ -154,6 +154,25 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert main(["analyze", str(bad)]) == 1
 
 
+def test_cli_analyze_rejects_a_table_that_is_not_associative(tmp_path,
+                                                            capsys):
+    """C2^7 with one intercalate swapped (rows 1, 3 and columns 4, 6): the
+    identity and inverses are intact, so only the associativity check can
+    stop it, and it must do so before any verdict is printed."""
+    n = 128
+    table = [[a ^ b for b in range(n)] for a in range(n)]
+    for row in (table[1], table[3]):
+        row[4], row[6] = row[6], row[4]
+    path = tmp_path / "loop128.grp"
+    path.write_text(f"group loop128\ntable {n}\n"
+                    + "".join(" ".join(map(str, row)) + "\n"
+                              for row in table))
+    assert main(["analyze", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: (") and "!=" in err
+
+
 def test_cli_cap_exceeded_exit_code(capsys):
     assert main(["--order-cap", "10", "analyze", "S4"]) == 3
 

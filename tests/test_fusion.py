@@ -362,6 +362,30 @@ def test_verify_decides_full_normality_once_per_image(cat, monkeypatch):
         assert len(images) < sum(len(F.maps(P)) for P in F.objects())
 
 
+def test_normalizer_in_carrier_is_computed_once_per_object(cat, monkeypatch):
+    """Counts, not timings: N_S(Q) is computed once per object of F, however
+    often the axiom check and the classification ask for it."""
+    from fusionlab.groups import Subgroup
+
+    calls = []
+    real = Subgroup.normalizer_in
+
+    def counting(self, other):
+        calls.append((self.mask, other.mask))
+        return real(self, other)
+
+    monkeypatch.setattr(Subgroup, "normalizer_in", counting)
+    for name in ("S4", "GL(2,3)"):
+        F = realize_fusion(cat[name], 2)
+        calls.clear()
+        assert verify_axioms(F)
+        essential_subgroups(F)
+        asked = [q for q, s in calls if s == F.carrier.mask]
+        assert len(asked) == len(set(asked))
+        assert all(F.n_in_carrier(Q).mask == real(Q, F.carrier).mask
+                   for Q in F.objects())
+
+
 # -- the homomorphism test ---------------------------------------------------
 
 

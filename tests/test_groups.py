@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -70,6 +71,72 @@ def test_build_group_s3_from_two_generators():
 def test_build_group_rejects_non_group_table():
     with pytest.raises(NonAssociative):
         build_group([[0, 1], [1, 1]], kind="table")
+
+
+def _intercalate_swapped(n, op, r, c, d):
+    """The table of op on range(n) with the intercalate on rows r, r*d and
+    columns c, c*d swapped: a Latin square with the same identity and
+    inverses, but no longer a group table."""
+    table = [[op(a, b) for b in range(n)] for a in range(n)]
+    r2, c2 = op(r, d), op(c, d)
+    assert table[r][c] == table[r2][c2] and table[r][c2] == table[r2][c]
+    for row in (table[r], table[r2]):
+        row[c], row[c2] = row[c2], row[c]
+    return table
+
+
+def _is_associative_brute(table):
+    n = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+@pytest.mark.parametrize("n,op,d", [
+    (128, operator.xor, 2),
+    (256, operator.xor, 2),
+    (512, operator.xor, 2),
+    (1000, lambda a, b: (a + b) % 1000, 500),
+], ids=["C2^7", "C2^8", "C2^9", "C1000"])
+def test_one_swapped_intercalate_is_rejected_at_every_order(n, op, d):
+    """Four cells away from row and column 0 are wrong; an associativity
+    check that samples triples can miss them, Light's test cannot."""
+    with pytest.raises(NonAssociative):
+        build_group(_intercalate_swapped(n, op, 1, 4, d), kind="table")
+
+
+@pytest.mark.parametrize("name", ["D8", "Q8"])
+def test_associativity_check_matches_brute_force_on_every_swap(cat, name):
+    """Every intercalate of a small group table, swapped one at a time
+    (rows, columns and products kept off the identity): the verdict of
+    ``build_group`` is the verdict of checking all n^3 triples.  So is its
+    verdict on C2 times that table, with C2's generator at index 1: there
+    the first element of the walk is associative, and only a later one
+    shows the fault."""
+    def accepts(table):
+        try:
+            build_group(table, kind="table")
+        except NonAssociative:
+            return False
+        return True
+
+    G = cat[name]
+    n = G.order
+    swaps = 0
+    for r in range(1, n):
+        for c in range(1, n):
+            for d in range(1, n):
+                r2, c2 = G.mul(r, d), G.mul(c, d)
+                if not (r < r2 and c < c2 and G.mul(r, c) == G.mul(r2, c2)
+                        and G.mul(r, c2) == G.mul(r2, c)
+                        and 0 not in (G.mul(r, c), G.mul(r, c2))):
+                    continue
+                table = _intercalate_swapped(n, G.mul, r, c, d)
+                doubled = [[(a ^ b) & 1 | table[a >> 1][b >> 1] << 1
+                            for b in range(2 * n)] for a in range(2 * n)]
+                swaps += 1
+                for t in (table, doubled):
+                    assert accepts(t) == _is_associative_brute(t), (r, c, d)
+    assert swaps > 0
 
 
 def test_unvalidated_non_group_table_raises_instead_of_hanging():
@@ -173,6 +240,30 @@ def test_lattice_canonical_order(cat):
     subs = cat["D8"].subgroups()
     keys = [(H.order, H.mask) for H in subs]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_generators_and_lattices_do_not_depend_on_call_history(cat, name):
+    """On two fresh copies of the table, every subgroup is read once before
+    ``subgroups()`` has run and once after: its generators and the
+    subgroups within it are the same, and the latter are the whole
+    lattice filtered to it."""
+    G = cat[name]
+    masks = [H.mask for H in G.subgroups()]
+    before, after = (build_group([G.mul_row(a) for a in range(G.order)],
+                                 name=f"{name}'", kind="table")
+                     for _ in range(2))
+
+    def read(copy):
+        gens = [copy.subgroup(m).generators() for m in masks]
+        within = [[H.mask for H in copy.subgroup(m).subgroups_within()]
+                  for m in masks]
+        return gens, within
+
+    first = read(before)
+    after.subgroups()
+    assert read(after) == first
+    assert first[1] == [[k for k in masks if k & ~m == 0] for m in masks]
 
 
 def test_subgroups_within_paths_agree(cat):
@@ -485,7 +576,7 @@ def test_involved_same_order_matches_lattice_path(cat, h_name, g_name,
     H = cat[h_name]
     G = _relabelled(cat[g_name], 7)   # a fresh object: no cached lattice
     ok, witness = is_involved(H, G)
-    assert G._lattice is None
+    assert G.full_subgroup._lattice is None
     assert ok is expected
     assert (ok, witness) == involved_brute(H, G)
 
@@ -541,12 +632,12 @@ def test_section_search_builds_no_lattice_of_the_ambient_group(cat,
     copies, leaves the ambient lattice unbuilt."""
     G = _relabelled(cat["Qd(3)"], 11)
     assert not is_involved(cat["S4"], G)[0]
-    assert G._lattice is None
+    assert G.full_subgroup._lattice is None
     G = _relabelled(cat["Qd(3)"], 12)
     assert sigma3_involvement_check(G) == (False, False)
-    assert G._lattice is None
+    assert G.full_subgroup._lattice is None
     assert not is_involved(cat["Qd(3)"], wreath648)[0]
-    assert wreath648._lattice is None
+    assert wreath648.full_subgroup._lattice is None
 
 
 def test_involution_monotone_on_subgroups(cat):

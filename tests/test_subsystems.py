@@ -108,9 +108,10 @@ def test_normality_in_F_matches_the_definition(cat, systems):
 
 @pytest.mark.parametrize("name", ["SL(2,3)", "Qd(3)"])
 def test_normality_in_F_on_subgroups_with_two_generators(cat, name):
-    """On a fresh copy of the table no lattice is built, so each W keeps
-    the generators read off its sorted elements, two for some C4: the test
-    that W is mapped onto W must look at both."""
+    """Each W's generators are read greedily off its sorted elements, two
+    for some C4: the test that W is mapped onto W must look at both.  The
+    system is built on a fresh copy of the table, so it shares no state
+    with the catalog fixture."""
     G = cat[name]
     copy = build_group([G.mul_row(a) for a in range(G.order)],
                        name=f"{name}'", kind="table")
