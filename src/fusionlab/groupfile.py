@@ -102,9 +102,7 @@ def parse_group_text(text, cap=DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise ParseError("missing 'perm <n>' or 'table <n>' section",
                          line=len(lines))
     if mode == "perm":
-        if not perms:
-            perms = []
-        return build_group([list(p) for p in perms] or [], name=name,
+        return build_group([list(p) for p in perms], name=name,
                            cap=cap, kind="perms")
     if len(rows) != n:
         raise ParseError(f"table has {len(rows)} rows, expected {n}",

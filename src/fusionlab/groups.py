@@ -76,7 +76,6 @@ class FiniteGroup:
         self.inv = self._compute_inverses()
         self.elem_orders = self._compute_orders()
         self._subgroup_cache = {}
-        self._factorization = None
         self._auts_raw = None
         self._sylow = {}
         self._hash = None
@@ -275,30 +274,6 @@ class FiniteGroup:
         # the flags, read as a binary numeral with element 0 last
         return int(member.translate(_BINARY_DIGITS)[::-1], 2)
 
-    def factorization(self):
-        """(element, parent, generator) triples in BFS order with respect
-        to the generators of the full subgroup (``Subgroup.generators``);
-        element = parent*gen, parents always resolved first.  Used to push
-        generator images through candidate maps."""
-        if self._factorization is None:
-            gens = self.full_subgroup.generators()
-            seen = [False] * self.order
-            seen[0] = True
-            fact = []
-            frontier = [0]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in gens:
-                        y = self._mul[x][g]
-                        if not seen[y]:
-                            seen[y] = True
-                            fact.append((y, x, g))
-                            nxt.append(y)
-                frontier = nxt
-            self._factorization = tuple(fact)
-        return self._factorization
-
     def subgroups(self, cap=DEFAULT_ORDER_CAP):
         """All subgroups, canonically ordered (size, then bit-vector)."""
         if self.order > cap:
@@ -488,6 +463,29 @@ class Subgroup:
         return self._as_group
 
 
+def is_hom_tuple(H, P, t):
+    """Is t an injective homomorphism from P into the group H?  t lists
+    the images in H of P's sorted elements; P's own parent may be another
+    group.
+
+    It checks t(1) = 1 and t(x g) = t(x) t(g) for every x in P and every
+    generator g of P.  That is the whole homomorphism property: each y in
+    P is a word g_1 ... g_k in the generators, and induction on k gives
+    t(x g_1 ... g_k) = t(x g_1 ... g_{k-1}) t(g_k) = t(x) t(g_1 ... g_k),
+    the empty word resting on t(1) = 1.  The cost is |P| times the number
+    of generators, not |P|^2."""
+    if len(set(t)) != len(t) or t[0] != 0:
+        return False
+    pos = P.pos_map()
+    gmul, hmul = P.parent._mul, H._mul
+    for g in P.generators():
+        tg = t[pos[g]]
+        for x, tx in zip(P.elems, t):
+            if t[pos[gmul[x][g]]] != hmul[tx][tg]:
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class GroupMorphism:
     """An injective homomorphism between subgroups, as an image table.
@@ -511,11 +509,8 @@ class GroupMorphism:
             raise NotASubgroup("morphism is not injective")
         if any(v not in cod for v in vals):
             raise NotASubgroup("image escapes the codomain")
-        gm, hm = dom.parent._mul, cod.parent._mul
-        for x in dom.elems:
-            for y in dom.elems:
-                if imgs[gm[x][y]] != hm[imgs[x]][imgs[y]]:
-                    raise NotASubgroup("image table is not multiplicative")
+        if not is_hom_tuple(cod.parent, dom, self.as_tuple()):
+            raise NotASubgroup("image table is not multiplicative")
 
     def __call__(self, x):
         return self.images[x]
@@ -1009,69 +1004,79 @@ def _iso_invariants(G):
     return (G.order, tuple(sorted(_order_histogram(G).items())), center, derived)
 
 
-def _propagate(G, H, gen_images):
-    """Extend generator images to a full map via the factorization; returns
-    the image list or None if the result is not an injective homomorphism."""
-    gens = G.full_subgroup.generators()
-    img_of_gen = dict(zip(gens, gen_images))
-    fact = G.factorization()
-    n = G.order
-    images = [None] * n
-    images[0] = 0
-    for x, parent, g in fact:
-        images[x] = H._mul[images[parent]][img_of_gen[g]]
-    if len(set(images)) != n:
-        return None
-    hm = H._mul
-    gm = G._mul
-    for x in range(n):
-        ix = images[x]
-        for g in gens:
-            if images[gm[x][g]] != hm[ix][img_of_gen[g]]:
-                return None
-    return images
+def _iso_search(G, H, find_all=False):
+    """Image lists of the injective homomorphisms G -> H (H of G's order,
+    so isomorphisms): all of them if ``find_all``, else the first or None.
 
-
-def _gen_image_candidates(G, H):
+    A backtrack over the generators g_1..g_k of ``G.full_subgroup``; each
+    g_i takes the elements of H of its order as candidate images, in
+    increasing order.  The map is built as it goes on the elements of
+    <g_1..g_i> reached so far: picking the image of g_i walks that
+    subgroup as ``FiniteGroup._validate_table`` does (each old element
+    times g_i, each new element times every g_j with j <= i) and sets
+    t(x g) = t(x) t(g).  A clash with an image already set, or an element
+    other than 1 sent to 1, shows that no homomorphism extends the prefix,
+    so it is cut with its whole subtree.  A prefix that survives is an
+    injective homomorphism on <g_1..g_i>: every product x g_j there has
+    been checked, and its kernel is trivial.  Only subtrees without a
+    valid leaf are cut, so the lists come in the order of the candidate
+    tuples."""
     gens = G.full_subgroup.generators()
     by_order = {}
     for x in range(H.order):
         by_order.setdefault(H.elem_orders[x], []).append(x)
-    pools = []
-    for g in gens:
-        pool = by_order.get(G.elem_orders[g])
-        if not pool:
-            return None
-        pools.append(pool)
-    return pools
-
-
-def _iso_search(G, H, find_all=False):
-    pools = _gen_image_candidates(G, H)
-    if pools is None:
-        return [] if find_all else None
+    pools = [by_order.get(G.elem_orders[g], ()) for g in gens]
+    gmul, hmul = G._mul, H._mul
+    img = [None] * G.order
+    img[0] = 0
+    reached = [0]
+    pairs = []   # (g_j, t(g_j)) for the generators fixed so far
     results = []
 
-    def rec(i, chosen):
-        if i == len(pools):
-            images = _propagate(G, H, chosen)
-            if images is not None:
-                results.append(images)
-                return not find_all
-            return False
-        for cand in pools[i]:
-            if rec(i + 1, chosen + [cand]):
+    def walk(old):
+        # extend t from the first ``old`` reached elements to <g_1..g_i>
+        last = pairs[-1:]
+        for i, x in enumerate(reached):   # grows while it is walked
+            row, trow = gmul[x], hmul[img[x]]
+            for g, tg in (pairs if i >= old else last):
+                y, ty = row[g], trow[tg]
+                have = img[y]
+                if have is None:
+                    if ty == 0:
+                        return False
+                    img[y] = ty
+                    reached.append(y)
+                elif have != ty:
+                    return False
+        return True
+
+    def extend(i):
+        # True once the search may stop
+        if i == len(gens):
+            results.append(img[:])
+            return not find_all
+        old = len(reached)
+        for c in pools[i]:
+            pairs.append((gens[i], c))
+            if walk(old) and extend(i + 1):
                 return True
+            pairs.pop()
+            for y in reached[old:]:
+                img[y] = None
+            del reached[old:]
         return False
 
-    rec(0, [])
+    extend(0)
     if find_all:
         return results
     return results[0] if results else None
 
 
 def is_isomorphic(G, H, cap=DEFAULT_ORDER_CAP):
-    """(bool, witness GroupMorphism or None); exact backtracking search."""
+    """(bool, witness GroupMorphism or None).  Groups that differ in
+    order, element-order counts, centre or derived subgroup are told apart
+    at once; otherwise the witness is the first map ``_iso_search`` finds,
+    the least tuple of generator images that extends to an isomorphism."""
     if G.order > cap or H.order > cap:
         raise OrderCapExceeded("isomorphism test beyond order cap")
     if _iso_invariants(G) != _iso_invariants(H):
@@ -1085,7 +1090,9 @@ def is_isomorphic(G, H, cap=DEFAULT_ORDER_CAP):
 
 
 def automorphisms_raw(S, cap=DEFAULT_AUT_CAP):
-    """All automorphisms of S as image lists (cached on the group)."""
+    """All automorphisms of S as image tuples, sorted, computed once per
+    group by ``_iso_search`` on S -> S.  The list has |Aut(S)| entries,
+    so groups of order above ``cap`` are refused."""
     if S.order > cap:
         raise OrderCapExceeded(
             f"automorphism enumeration beyond cap {cap} (order {S.order})")

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistency, NotAPGroup
 from .groups import (
-    DEFAULT_AUT_CAP,
     Subgroup,
     _smallest_prime_factor,
     automorphisms_raw,
@@ -65,7 +64,7 @@ def thompson_data(S: Subgroup) -> ThompsonData:
                         max_abelian_subgroups=witnesses, J=J, A=A, B=B)
 
 
-def is_characteristic(W: Subgroup, S: Subgroup, cap=DEFAULT_AUT_CAP) -> bool:
+def is_characteristic(W: Subgroup, S: Subgroup) -> bool:
     """alpha(W) = W for every alpha in Aut(S) (full enumeration)."""
     if not W <= S:
         raise NotAPGroup("W must be a subgroup of S")
@@ -73,7 +72,7 @@ def is_characteristic(W: Subgroup, S: Subgroup, cap=DEFAULT_AUT_CAP) -> bool:
     pos = S.pos_map()
     local = mask_of(pos[x] for x in W.elems)
     wbits = list(bits(local))
-    for images in automorphisms_raw(group, cap=cap):
+    for images in automorphisms_raw(group):
         if mask_of(images[b] for b in wbits) != local:
             return False
     return True

@@ -24,13 +24,13 @@ from .fusion import (
     UNCHECKED,
     VERIFIED,
     FusionSystem,
+    check_hom_tuples,
     classify_subgroup,
     compose_tuples,
     conj_tuple,
     essential_subgroups,
     identity_tuple,
     invert_tuple,
-    is_hom_tuple,
     mask_of,
     restrict_tuple,
     verify_axioms,
@@ -282,17 +282,10 @@ def category_closure(host, p, carrier, seed_maps, ambient=None, name=None):
     closed under composition, restriction, inversion of isomorphisms and
     inclusions (fixed-point iteration; finiteness bounds termination)."""
     objs = carrier.subgroups_within()
-    by_mask = {P.mask: P for P in objs}
-    maps = {P.mask: set() for P in objs}
-    for P in objs:
-        maps[P.mask].add(identity_tuple(P))
+    maps = {P.mask: {identity_tuple(P)} for P in objs}
+    check_hom_tuples(host, carrier, seed_maps)
     for pmask, tuples in seed_maps.items():
-        P = by_mask[pmask]
-        for t in tuples:
-            if not is_hom_tuple(host, P, t) or mask_of(t) & ~carrier.mask:
-                raise CarrierMismatch("seed morphism is not an injective "
-                                      "homomorphism into the carrier")
-            maps[pmask].add(t)
+        maps[pmask].update(tuples)
     changed = True
     while changed:
         changed = False

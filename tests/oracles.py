@@ -6,7 +6,7 @@ order-8/12 classification by element-order counts, and essential-subgroup
 detection through the normalizer/centralizer quotient of the ambient group.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 
 def closure_set(G, seed):
@@ -513,3 +513,46 @@ def verify_axioms_brute(F):
                 return AxiomReport("failed", ("FS3", P, t, nphi))
 
     return AxiomReport(VERIFIED)
+
+
+# -- isomorphism search, leaf by leaf ----------------------------------------
+
+
+def iso_search_brute(G, H, find_all=False):
+    """The image lists of ``groups._iso_search``, found by trying every
+    complete tuple of generator images on its own: no prefix is cut.
+
+    The generators of ``G.full_subgroup`` take the elements of H of their
+    order as candidates, in increasing order.  Each tuple is walked
+    breadth-first from 1 over all generators at once, setting
+    t(x g) = t(x) t(g); the tuple is dropped at the first product that
+    clashes with an image already set or repeats an image, and kept if the
+    walk reaches every element."""
+    gens = G.full_subgroup.generators()
+    pools = [[x for x in range(H.order)
+              if H.elem_orders[x] == G.elem_orders[g]] for g in gens]
+    results = []
+    for chosen in product(*pools):
+        pairs = list(zip(gens, chosen))
+        images = [None] * G.order
+        images[0] = 0
+        used = {0}
+        order = [0]
+        for x in order:   # grows while it is walked
+            row, hrow = G.mul_row(x), H.mul_row(images[x])
+            for g, c in pairs:
+                y, v = row[g], hrow[c]
+                if images[y] is None and v not in used:
+                    images[y] = v
+                    used.add(v)
+                    order.append(y)
+                elif images[y] != v:
+                    break
+            else:
+                continue
+            break
+        else:
+            results.append(images)
+            if not find_all:
+                return images
+    return results if find_all else None

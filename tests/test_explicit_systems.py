@@ -3,6 +3,7 @@ and axiom verification must pinpoint each kind of defect."""
 
 import pytest
 
+from fusionlab.errors import CarrierMismatch
 from fusionlab.fusion import (
     FusionSystem,
     alperin_decompose,
@@ -126,6 +127,35 @@ def test_missing_inclusion_detected(cat):
     assert report.status == "failed"
     assert report.witness[0] == "missing-inclusion"
     assert report == verify_axioms_brute(broken)
+
+
+def test_explicit_map_that_is_not_a_homomorphism_is_rejected(cat):
+    """A bijection of D8 that agrees with the identity on the generators
+    but swaps two other elements: checks that read only generator images
+    would take it for the identity, so it is refused on entry.  So are a
+    tuple of the wrong length and a map with its image or its domain
+    outside the carrier."""
+    d8 = cat["D8"]
+    S = d8.full_subgroup
+    gens = S.generators()
+    i, j = [k for k, x in enumerate(S.elems) if x and x not in gens][:2]
+    bad = list(S.elems)
+    bad[i], bad[j] = bad[j], bad[i]
+    with pytest.raises(CarrierMismatch):
+        FusionSystem.explicit_system(d8, 2, S, {S.mask: (S.elems,
+                                                         tuple(bad))})
+    with pytest.raises(CarrierMismatch):   # wrong length
+        FusionSystem.explicit_system(d8, 2, S, {S.mask: (S.elems[:-1],)})
+    c4 = next(H for H in S.subgroups_within()
+              if H.order == 4 and len(H.generators()) == 1)
+    z = next(H for H in c4.subgroups_within() if H.order == 2)
+    outside = next(x for x in S.elems
+                   if x not in c4 and d8.elem_orders[x] == 2)
+    with pytest.raises(CarrierMismatch):   # image outside the carrier
+        FusionSystem(d8, 2, c4, explicit={z.mask: ((0, outside),)})
+    with pytest.raises(CarrierMismatch):   # domain outside the carrier
+        category_closure(d8, 2, c4, {d8.subgroup_of((0, outside)).mask:
+                                     ((0, z.elems[1]),)})
 
 
 def test_straighten_two_step_chain(systems):

@@ -12,13 +12,18 @@ from fusionlab.fusion import (
     essential_subgroups,
     fusion_equal,
     hom_set,
-    is_hom_tuple,
     n_phi,
     realize_fusion,
     verify_axioms,
     wrap_tuple,
 )
-from fusionlab.groups import GroupMorphism, mask_of, standard_subgroup, sylow
+from fusionlab.groups import (
+    GroupMorphism,
+    is_hom_tuple,
+    mask_of,
+    standard_subgroup,
+    sylow,
+)
 from fusionlab.subsystems import category_closure
 
 from oracles import (

@@ -13,6 +13,7 @@ from fusionlab.errors import (
 )
 from fusionlab.groups import (
     FiniteGroup,
+    _iso_search,
     _normal_subgroups_of_order,
     automorphisms,
     automorphisms_raw,
@@ -25,6 +26,7 @@ from fusionlab.groups import (
     o_p,
     o_p_prime,
     quotient_group,
+    regular_generators,
     standard_subgroup,
     subgroup_class_reps,
     sylow,
@@ -38,6 +40,7 @@ from oracles import (
     closure_set,
     involved_brute,
     is_normal_brute,
+    iso_search_brute,
     is_power_of,
     looks_like_a4,
     looks_like_s3,
@@ -538,6 +541,79 @@ def test_is_isomorphic_equivalence_on_catalog(cat):
     assert ok1 and ok2
 
 
+def _sylow_models(G):
+    """The canonical Sylow subgroups of G, one per prime, as groups."""
+    return [sylow(G, p).as_group()[0] for p in range(2, G.order + 1)
+            if G.order % p == 0 and all(p % q for q in range(2, p))]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_iso_search_matches_leaf_oracle_on_catalog(cat, name):
+    """Pruning each prefix keeps exactly the leaves of the search that
+    tests only complete tuples of generator images, in the same order."""
+    for G in [cat[name]] + _sylow_models(cat[name]):
+        assert _iso_search(G, G, True) == iso_search_brute(G, G, True), G
+
+
+def _disjoint_perms(cycles, points):
+    """One permutation per cycle (a tuple of points) on ``points`` points."""
+    out = []
+    for cyc in cycles:
+        p = list(range(points))
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            p[a] = b
+        out.append(tuple(p))
+    return out
+
+
+def _product_groups(cat):
+    q8 = [g + (8, 9) for g in regular_generators(cat["Q8"])]
+    return [
+        build_group([(1, 2, 3, 0, 4, 5), (0, 3, 2, 1, 4, 5),
+                     (0, 1, 2, 3, 5, 4)], kind="perms", name="D8xC2"),
+        build_group(q8 + [tuple(range(8)) + (9, 8)], kind="perms",
+                    name="Q8xC2"),
+        build_group(_disjoint_perms([(0, 1), (2, 3), (4, 5), (6, 7)], 8),
+                    kind="perms", name="C2^4"),
+        build_group(_disjoint_perms([(0, 1, 2), (3, 4, 5), (6, 7, 8)], 9),
+                    kind="perms", name="C3^3"),
+    ]
+
+
+def test_iso_search_matches_leaf_oracle_on_products(cat):
+    """Groups with three and four generators, where a prefix is a proper
+    subgroup that is not cyclic."""
+    for G, n_auts in zip(_product_groups(cat), (64, 192, 20160, 11232)):
+        got = _iso_search(G, G, True)
+        assert len(got) == n_auts, G
+        assert got == iso_search_brute(G, G, True), G
+
+
+def test_is_isomorphic_witness_is_the_oracles_first_leaf(cat):
+    names = list(cat)
+    for a in names:
+        for b in names:
+            if cat[a].order != cat[b].order:
+                continue
+            ok, w = is_isomorphic(cat[a], cat[b])
+            first = iso_search_brute(cat[a], cat[b])
+            assert ok == (first is not None), (a, b)
+            if ok:
+                assert w.as_tuple() == tuple(first), (a, b)
+    assert iso_search_brute(cat["D8"], cat["Q8"]) is None
+    assert _iso_search(cat["D8"], cat["Q8"]) is None
+
+
+def test_automorphisms_of_d8_x_d8():
+    """|Aut(D8 x D8)| = |Aut(D8)|^2 * 2 * |Hom(D8, Z(D8))|^2 = 2048."""
+    d8 = [(1, 2, 3, 0), (0, 3, 2, 1)]
+    g = build_group([a + tuple(range(4, 8)) for a in d8]
+                    + [tuple(range(4)) + tuple(x + 4 for x in a) for a in d8],
+                    kind="perms", name="D8xD8")
+    assert g.order == 64
+    assert len(automorphisms_raw(g)) == 2048
+
+
 # -- involvement -------------------------------------------------------------
 
 
@@ -709,3 +785,12 @@ def test_group_morphism_validation(cat):
         GroupMorphism(c4, c4, {0: 0, 1: 2, 2: 1, 3: 3})
     with pytest.raises(NotASubgroup):   # not injective
         GroupMorphism(c4, c4, {0: 0, 1: 0, 2: 0, 3: 0})
+    # across two tables: S3 onto a relabelled copy
+    s3, copy = cat["S3"], _relabelled(cat["S3"], 5)
+    ok, w = is_isomorphic(s3, copy)
+    assert ok and w.codomain.parent is copy
+    GroupMorphism(w.domain, w.codomain, dict(w.images))
+    swapped = dict(w.images)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    with pytest.raises(NotASubgroup):   # not multiplicative
+        GroupMorphism(w.domain, w.codomain, swapped)

@@ -6,13 +6,14 @@ from fusionlab.catalog import catalog_group
 from fusionlab.fusion import (
     FusionSystem,
     conj_tuple,
-    is_hom_tuple,
     realize_fusion,
     verify_axioms,
 )
 from fusionlab.groups import (
+    _iso_search,
     bits,
     build_group,
+    is_hom_tuple,
     is_involved,
     is_isomorphic,
     mask_of,
@@ -32,6 +33,7 @@ from oracles import (
     has_normal_p_complement_brute,
     involved_brute,
     is_hom_brute,
+    iso_search_brute,
     is_power_of,
     normal_in_F_brute,
     o_p_brute,
@@ -168,6 +170,14 @@ def test_isomorphism_is_reflexive_and_detects_relabeling(gens):
                             cap=200)
     ok2, _ = is_isomorphic(g, relabeled)
     assert ok2
+
+
+@settings(**COMMON)
+@given(group_specs)
+def test_iso_search_matches_leaf_oracle(gens):
+    """Every automorphism, in the oracle's order, of a drawn group."""
+    g = build_group([list(p) for p in gens], kind="perms", cap=200)
+    assert _iso_search(g, g, True) == iso_search_brute(g, g, True)
 
 
 @settings(**COMMON)
