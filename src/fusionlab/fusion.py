@@ -49,6 +49,27 @@ def conj_tuple(G: FiniteGroup, g: int, P: Subgroup):
     return tuple(mul[row[x]][gi] for x in P.elems)
 
 
+def conj_maps(G: FiniteGroup, P: Subgroup, by, into):
+    """The distinct maps x -> g x g^-1 on P, for g in ``by``, that send P
+    into the subgroup mask ``into``, sorted.  A conjugation map is fixed by
+    the images of P's generators, so one tuple is built per distinct
+    generator-image key, not one per element of ``by``."""
+    mul, inv = G._mul, G.inv
+    gens = P.generators()
+    seen = set()
+    out = []
+    for g in by:
+        row, gi = mul[g], inv[g]
+        key = tuple([mul[row[x]][gi] for x in gens])
+        if key in seen:
+            continue
+        seen.add(key)
+        if all(into >> y & 1 for y in key):
+            out.append(conj_tuple(G, g, P))
+    out.sort()
+    return tuple(out)
+
+
 def restrict_tuple(P: Subgroup, t: tuple, Q: Subgroup):
     pos = P.pos_map()
     return tuple(t[pos[x]] for x in Q.elems)
@@ -117,18 +138,35 @@ class FusionSystem:
         self._floors = {}
         self._normalizers = {}
         self._autgroup_cache = {}
+        self._models = {}   # subsystems.model_group, by Q.mask
+        self._normal = {}   # subsystems.is_normal_in_F, by W.mask
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def conjugation(cls, host, p, carrier, ambient, name=None):
+        """The system on ``carrier`` whose morphisms are conjugations by
+        ``ambient``, built once per host and (p, carrier, ambient, name):
+        every fact computed on it (hom-sets, profiles, normalizers, models,
+        normality verdicts) is a function of that key, so each is computed
+        once however many callers ask."""
+        name = name or f"F_{carrier.order}({host.name})"
+        key = (p, carrier.mask, ambient.mask, name)
+        F = host._systems.get(key)
+        if F is None:
+            F = host._systems[key] = cls(host, p, carrier, ambient=ambient,
+                                         name=name)
+        return F
+
+    @classmethod
     def realized(cls, G, p, S, name=None):
-        return cls(G, p, S, ambient=G.full_subgroup, name=name)
+        return cls.conjugation(G, p, S, G.full_subgroup, name=name)
 
     @classmethod
     def inner(cls, S, p, name=None):
         """F_S(S): conjugation by S only."""
-        return cls(S.parent, p, S, ambient=S,
-                   name=name or f"F_S(S)|{S.parent.name}")
+        return cls.conjugation(S.parent, p, S, S,
+                               name=name or f"F_S(S)|{S.parent.name}")
 
     @classmethod
     def explicit_system(cls, host, p, carrier, maps_by_domain, ambient=None,
@@ -165,14 +203,8 @@ class FusionSystem:
         if self._explicit is not None:
             raise ObjectOutsideS("explicit system lacks hom-sets for this "
                                  "domain; carrier mismatch?")
-        out = set()
-        G = self.host
-        smask = self.carrier.mask
-        pgens = P.generators()
-        for g in self.ambient.elems:
-            if all(smask >> G.conj(g, x) & 1 for x in pgens):
-                out.add(conj_tuple(G, g, P))
-        result = tuple(sorted(out))
+        result = conj_maps(self.host, P, self.ambient.elems,
+                           self.carrier.mask)
         self._maps_cache[P.mask] = result
         return result
 
@@ -250,11 +282,10 @@ class FusionSystem:
 
     def aut_s_tuples(self, Q):
         """Aut_S(Q): conjugation maps by carrier elements normalizing Q."""
-        return tuple(sorted({conj_tuple(self.host, u, Q)
-                             for u in self.n_in_carrier(Q).elems}))
+        return conj_maps(self.host, Q, self.n_in_carrier(Q).elems, Q.mask)
 
     def inn_tuples(self, Q):
-        return tuple(sorted({conj_tuple(self.host, q, Q) for q in Q.elems}))
+        return conj_maps(self.host, Q, Q.elems, Q.mask)
 
     def aut_group(self, Q):
         """(FiniteGroup of Aut_F(Q), elements as image tuples, index map)."""
@@ -540,34 +571,50 @@ def verify_axioms(F) -> AxiomReport:
 def _verify(F, host, carrier):
     objs = F.objects()
     maps_of = {P.mask: F.maps(P) for P in objs}
-    # built once per object; each built the same way iterates the same way
-    sets_of = {m: set(ms) for m, ms in maps_of.items()}
+    # every stored map is an injective homomorphism, and so is every
+    # inverse, composite, restriction and conjugation map tested below;
+    # such a map is fixed by the images of its domain's generators, so a
+    # map lies in a hom-set exactly when its key of those images does
+    gens_of = {P.mask: P.generators() for P in objs}
+    keys_of = {}
+    for P in objs:
+        pos = P.pos_map()
+        at = [pos[g] for g in gens_of[P.mask]]
+        keys_of[P.mask] = {tuple([t[i] for i in at]) for t in maps_of[P.mask]}
 
     # category axioms: inclusions, inverses of induced isos, composition
     for P in objs:
-        ms = sets_of[P.mask]
-        if identity_tuple(P) not in ms:
+        keys = keys_of[P.mask]
+        if gens_of[P.mask] not in keys:   # the inclusion's key
             return AxiomReport("failed", ("missing-inclusion", P))
-        below = [Q for Q in objs if Q < P]
-        for t in ms:
-            img, tinv = invert_tuple(host, P, t)
-            if tinv not in sets_of[img.mask]:
+        pos = P.pos_map()
+        at = [pos[g] for g in gens_of[P.mask]]
+        below = [(Q, [pos[g] for g in gens_of[Q.mask]], keys_of[Q.mask])
+                 for Q in objs if Q < P]
+        # walked as a set, the order the element-wise definition walks in
+        for t in set(maps_of[P.mask]):
+            img = host.subgroup(mask_of(t))
+            inv_key = tuple(P.elems[t.index(h)] for h in gens_of[img.mask])
+            if inv_key not in keys_of[img.mask]:
                 return AxiomReport("failed", ("missing-inverse", P, t))
+            ipos = img.pos_map()
+            on_img = [ipos[t[i]] for i in at]
             for u in maps_of[img.mask]:
-                if compose_tuples(t, img, u) not in ms:
+                if tuple([u[i] for i in on_img]) not in keys:
                     return AxiomReport("failed", ("not-composition-closed",
                                                   P, t, u))
-            for Q in below:
-                if restrict_tuple(P, t, Q) not in sets_of[Q.mask]:
+            for Q, on_q, qkeys in below:
+                if tuple([t[i] for i in on_q]) not in qkeys:
                     return AxiomReport("failed", ("not-restriction-closed",
                                                   P, t, Q))
 
     # FS1: all S-conjugation maps present
+    conj = host.conj
     for P in objs:
-        ms = sets_of[P.mask]
+        keys = keys_of[P.mask]
+        gens = gens_of[P.mask]
         for u in carrier.elems:
-            cu = conj_tuple(host, u, P)
-            if mask_of(cu) & ~carrier.mask == 0 and cu not in ms:
+            if tuple([conj(u, g) for g in gens]) not in keys:
                 return AxiomReport("failed", ("FS1", P, u))
 
     # FS2: Aut_S(S) is a Sylow p-subgroup of Aut_F(S)

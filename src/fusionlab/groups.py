@@ -77,6 +77,9 @@ class FiniteGroup:
         self.elem_orders = self._compute_orders()
         self._subgroup_cache = {}
         self._auts_raw = None
+        # conjugation fusion systems on this group, interned by
+        # fusion.FusionSystem.conjugation
+        self._systems = {}
         self._sylow = {}
         self._hash = None
 
@@ -290,7 +293,7 @@ class Subgroup:
     """
 
     __slots__ = ("parent", "mask", "_elems", "_pos", "_gens", "_lattice",
-                 "_as_group")
+                 "_as_group", "_thompson")
 
     def __init__(self, parent, mask):
         self.parent = parent
@@ -300,6 +303,7 @@ class Subgroup:
         self._gens = None
         self._lattice = None
         self._as_group = None
+        self._thompson = None   # pgroups.thompson_data, once computed
         if not mask & 1:
             raise NotASubgroup("subgroup must contain the identity")
         mul = parent._mul

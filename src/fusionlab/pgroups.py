@@ -46,7 +46,14 @@ class ThompsonData:
 
 
 def thompson_data(S: Subgroup) -> ThompsonData:
-    """J(S), A(S) = Omega(Z(S)) and B(S) = Omega(Z(J(S))) for a p-group S."""
+    """J(S), A(S) = Omega(Z(S)) and B(S) = Omega(Z(J(S))) for a p-group S,
+    computed once per subgroup and kept on it."""
+    if S._thompson is None:
+        S._thompson = _thompson_data(S)
+    return S._thompson
+
+
+def _thompson_data(S):
     p = p_of(S)
     G = S.parent
     abelians = [H for H in S.subgroups_within() if H.is_abelian()]

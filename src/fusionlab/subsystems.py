@@ -27,6 +27,7 @@ from .fusion import (
     check_hom_tuples,
     classify_subgroup,
     compose_tuples,
+    conj_maps,
     conj_tuple,
     essential_subgroups,
     identity_tuple,
@@ -56,9 +57,16 @@ def is_normal_in_F(F, W):
     False (the normalizer system would live on a smaller carrier).  The
     definition is tested on every object, for every kind of system, and the
     counterexample is the least unextended morphism on the first object
-    that has one.
+    that has one.  The verdict is computed once per (F, W) and kept on F.
     """
     F.require_object(W)
+    got = F._normal.get(W.mask)
+    if got is None:
+        got = F._normal[W.mask] = _normal_in_F(F, W)
+    return got
+
+
+def _normal_in_F(F, W):
     S = F.carrier
     if not W.is_normal_in(S):
         u = next(u for u in S.elems if W.conjugate_mask(u) != W.mask)
@@ -75,15 +83,21 @@ def is_normal_in_F(F, W):
 def _first_unextended(F, W, P):
     """The least morphism on P that no morphism on WP mapping W onto W
     restricts to, or None.  A morphism is an injective homomorphism, so
-    it maps W onto W as soon as it maps W's generators into W."""
+    it maps W onto W as soon as it maps W's generators into W, and it
+    restricts to a morphism t on P as soon as it agrees with t on P's
+    generators."""
     WP = W.join(P)
     pos = WP.pos_map()
     on_w = [pos[g] for g in W.generators()]
-    on_p = [pos[x] for x in P.elems]
+    pgens = P.generators()
+    on_p = [pos[g] for g in pgens]
     wmask = W.mask
-    stable = {tuple(ext[i] for i in on_p) for ext in F.maps(WP)
+    stable = {tuple([ext[i] for i in on_p]) for ext in F.maps(WP)
               if all(wmask >> ext[i] & 1 for i in on_w)}
-    return next((t for t in F.maps(P) if t not in stable), None)
+    ppos = P.pos_map()
+    at = [ppos[g] for g in pgens]
+    return next((t for t in F.maps(P)
+                 if tuple([t[i] for i in at]) not in stable), None)
 
 
 def o_p_of_F(F):
@@ -174,7 +188,7 @@ def _extension_subsystem(F, Q, carrier, rule, name):
     elif rule == "mixed":
         allowed = set(F.aut_s_tuples(Q))
     elif rule == "product":
-        allowed = {conj_tuple(host, x, Q) for x in F.carrier.elems}
+        allowed = set(conj_maps(host, Q, F.carrier.elems, Q.mask))
     qmask = Q.mask
     maps_by_domain = {}
     for R in carrier.subgroups_within():
@@ -221,7 +235,7 @@ def _subsystem_ambient(F, Q, rule):
 
 def _check_against_realized(sub, ambient):
     """The extension rule and the conjugation shortcut must agree."""
-    realized = FusionSystem(sub.host, sub.p, sub.carrier, ambient=ambient)
+    realized = FusionSystem.conjugation(sub.host, sub.p, sub.carrier, ambient)
     for P in sub.objects():
         if sub.maps(P) != realized.maps(P):
             raise InternalInconsistency(
@@ -353,7 +367,16 @@ class Model:
 def model_group(F, Q) -> Model:
     """L_Q = N_G(Q)/O_p'(C_G(Q)) with the contract post-conditions checked:
     O_p'(L) = 1, image of Q normal, image of N_S(Q) a Sylow p-subgroup and
-    L / Z(Q)-image isomorphic to Aut_F(Q)."""
+    L / Z(Q)-image isomorphic to Aut_F(Q).  Built once per (F, Q) and kept
+    on F."""
+    F.require_object(Q)
+    got = F._models.get(Q.mask)
+    if got is None:
+        got = F._models[Q.mask] = _model_group(F, Q)
+    return got
+
+
+def _model_group(F, Q):
     if F.ambient is None:
         raise ModelValidationFailed(
             "model construction needs a conjugation source")

@@ -117,7 +117,9 @@ def _instance_name(G, p):
 
 
 class SuiteRunner:
-    """Runs the sweep; realized systems and families are built once each.
+    """Runs the sweep.  Each section asks ``realize_fusion`` for its system;
+    realized systems are interned on their host group, so every section,
+    family and theorem harness shares one system per (G, p).
 
     ``scope`` is "catalog" (built-ins plus any extra groups) or "files"
     (extra groups only; an empty list yields an empty summary).
@@ -128,14 +130,6 @@ class SuiteRunner:
         self.result = SuiteResult()
         self.extra_groups = list(groups or [])
         self.scope = scope
-        self._systems = {}
-
-    def system(self, G, p):
-        key = (G.table_hash(), p)
-        if key not in self._systems:
-            S = sylow(G, p)
-            self._systems[key] = realize_fusion(G, p, S)
-        return self._systems[key]
 
     # -- sections -----------------------------------------------------
 
@@ -180,7 +174,7 @@ class SuiteRunner:
 
     def _run_axioms(self, G, p):
         name = _instance_name(G, p)
-        F = self.system(G, p)
+        F = realize_fusion(G, p)
         report = verify_axioms(F)
         self.result.add("axioms", name, "FS1-FS3+category",
                         "pass" if report else "fail",
@@ -188,7 +182,7 @@ class SuiteRunner:
 
     def _run_classification(self, G, p):
         name = _instance_name(G, p)
-        F = self.system(G, p)
+        F = realize_fusion(G, p)
         try:
             count = sum(1 for Q in F.objects()
                         if classify_subgroup(F, Q) is not None)
@@ -200,21 +194,21 @@ class SuiteRunner:
 
     def _run_goldens(self):
         res = self.result
-        F = self.system(catalog_group("S4"), 2)
+        F = realize_fusion(catalog_group("S4"), 2)
         v4n = standard_subgroup(catalog_group("S4"), "O_p", p=2)
         ess, _ = essential_subgroups(F)
         ok = len(ess) == 1 and ess[0].mask == v4n.mask
         res.add("essentials", "S4@p=2", "essentials=={V4n}",
                 "pass" if ok else "fail",
                 f"{len(ess)} found")
-        F2 = self.system(catalog_group("SL(2,3)"), 2)
+        F2 = realize_fusion(catalog_group("SL(2,3)"), 2)
         ess2, _ = essential_subgroups(F2)
         res.add("essentials", "SL(2,3)@p=2", "essentials==empty",
                 "pass" if not ess2 else "fail", f"{len(ess2)} found")
 
     def _run_models(self, G, p):
         name = _instance_name(G, p)
-        F = self.system(G, p)
+        F = realize_fusion(G, p)
         count = 0
         try:
             for Q in centric_radical_fn_subgroups(F):
@@ -247,10 +241,10 @@ class SuiteRunner:
             except InternalInconsistency as exc:
                 res.add("hfree", G.name, "O2-quotient-agreement",
                         "contradiction", exc)
-        rep = is_fusion_H_free(self.system(catalog_group("SL(2,3)"), 2), s4)
+        rep = is_fusion_H_free(realize_fusion(catalog_group("SL(2,3)"), 2), s4)
         res.add("hfree", "SL(2,3)@p=2", "S4-free",
                 "pass" if rep.free else "fail")
-        rep = is_fusion_H_free(self.system(s4, 2), s4)
+        rep = is_fusion_H_free(realize_fusion(s4, 2), s4)
         res.add("hfree", "S4@p=2", "not-S4-free+witness",
                 "pass" if (not rep.free and rep.witness) else "fail")
 
@@ -278,7 +272,7 @@ class SuiteRunner:
 
     def _run_theorems(self, G, p):
         name = _instance_name(G, p)
-        F = self.system(G, p)
+        F = realize_fusion(G, p)
         res = self.result
 
         def record(theorem, thunk):
@@ -304,7 +298,7 @@ class SuiteRunner:
 
     def _run_alperin(self, G, p):
         name = _instance_name(G, p)
-        F = self.system(G, p)
+        F = realize_fusion(G, p)
         if F.carrier.order > 16:
             self.result.add("alperin", name, "roundtrip", "skip",
                             "carrier above the roundtrip bound")
@@ -328,7 +322,7 @@ class SuiteRunner:
 
     def _run_generation(self, G, p):
         name = _instance_name(G, p)
-        F = self.system(G, p)
+        F = realize_fusion(G, p)
         res = self.result
         Q = o_p_of_F(F)
         if Q.order == 1:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .catalog import catalog_group
 from .errors import HypothesisViolated, InternalInconsistency
-from .fusion import FusionSystem, conj_tuple, mask_of
+from .fusion import FusionSystem, mask_of
 from .groups import (
     Subgroup,
     bits,
@@ -89,13 +89,8 @@ def _w_in(S, fam):
 
 def is_trivial_fusion(F):
     """F = F_S(S): every hom-set reduces to carrier-conjugation maps."""
-    host = F.host
-    S = F.carrier
-    for P in F.objects():
-        inner = {conj_tuple(host, u, P) for u in S.elems}
-        if set(F.maps(P)) != inner:
-            return False
-    return True
+    inner = FusionSystem.inner(F.carrier, F.p)
+    return all(set(F.maps(P)) == set(inner.maps(P)) for P in F.objects())
 
 
 def verify_theorem_1(F, family=None) -> TheoremReport:

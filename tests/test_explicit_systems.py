@@ -20,7 +20,7 @@ from fusionlab.subsystems import (
     o_p_of_F,
 )
 
-from oracles import verify_axioms_brute
+from oracles import normal_in_F_brute, verify_axioms_brute
 
 
 @pytest.fixture()
@@ -127,6 +127,126 @@ def test_missing_inclusion_detected(cat):
     assert report.status == "failed"
     assert report.witness[0] == "missing-inclusion"
     assert report == verify_axioms_brute(broken)
+
+
+def _tampered(G, extra):
+    """Explicit system on the whole of G: the inclusions, plus ``extra``, a
+    list of (domain, images of the domain's sorted elements)."""
+    S = G.full_subgroup
+    maps = {P.mask: [P.elems] for P in S.subgroups_within()}
+    for P, t in extra:
+        maps[P.mask].append(tuple(t))
+    return FusionSystem(G, 2, S, explicit={m: tuple(ts)
+                                           for m, ts in maps.items()},
+                        name="tampered")
+
+
+def _c2_cubed():
+    """C2^3 and its subgroups of order 2, keyed by their involution."""
+    from fusionlab.groups import build_group
+
+    e8 = build_group([[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5],
+                      [0, 1, 2, 3, 5, 4]], kind="perms", name="C2^3")
+    return e8, {H.elems[1]: H for H in e8.full_subgroup.subgroups_within()
+                if H.order == 2}
+
+
+# Each tampered system below has several failing maps on one domain, met
+# in another order when the hom-set is walked as a sorted tuple than as a
+# set, as the oracle walks it; the first witness must be the oracle's.
+
+
+def test_missing_inverse_detected():
+    """<1> -> <v> for every other involution v, with no inverses."""
+    e8, c2 = _c2_cubed()
+    broken = _tampered(e8, [(c2[1], (0, v)) for v in range(2, 8)])
+    report = verify_axioms(broken)
+    assert report.witness[0] == "missing-inverse"
+    assert report == verify_axioms_brute(broken)
+
+
+def test_missing_composite_detected():
+    """<1> <-> <2> <-> <5> and <1> <-> <7> <-> <6>, each with its inverse,
+    but not the composites <1> -> <5> and <1> -> <6>."""
+    e8, c2 = _c2_cubed()
+    pairs = [(1, 2), (2, 5), (1, 7), (7, 6)]
+    broken = _tampered(e8, [(c2[v], (0, w)) for a, b in pairs
+                            for v, w in ((a, b), (b, a))])
+    report = verify_axioms(broken)
+    assert report.witness[0] == "not-composition-closed"
+    assert report == verify_axioms_brute(broken)
+
+
+def test_missing_restriction_detected(cat):
+    """All of Aut(V4), without the restrictions of the automorphisms that
+    move a subgroup of order 2."""
+    from fusionlab.groups import automorphisms_raw
+
+    v4 = cat["V4"]
+    S = v4.full_subgroup
+    broken = _tampered(v4, [(S, im) for im in automorphisms_raw(v4)
+                            if tuple(im) != S.elems])
+    report = verify_axioms(broken)
+    assert report.witness[0] == "not-restriction-closed"
+    assert report == verify_axioms_brute(broken)
+
+
+def test_composites_compared_on_every_generator():
+    """On C2^3 = <a, b, c>: X (b -> ab) and Y (c -> ac), but not their
+    composite.  All three fix a, so a test that compared maps on the first
+    generator alone would take the composite for the identity."""
+    e8, _ = _c2_cubed()
+    S = e8.full_subgroup
+    a, b, c = S.generators()
+
+    def on_generators(images):
+        t = {0: 0}
+        reached = [0]
+        for x in reached:   # grows while it is walked
+            for g, h in zip((a, b, c), images):
+                y = e8.mul(x, g)
+                if y not in t:
+                    t[y] = e8.mul(t[x], h)
+                    reached.append(y)
+        return tuple(t[x] for x in S.elems)
+
+    ab, ac = e8.mul(a, b), e8.mul(a, c)
+    broken = _tampered(e8, [(S, on_generators((a, ab, c))),
+                            (S, on_generators((a, b, ac)))])
+    report = verify_axioms(broken)
+    assert report.witness[0] == "not-composition-closed"
+    assert report == verify_axioms_brute(broken)
+
+
+def test_normality_compares_maps_on_every_generator(cat):
+    """V4 = <a, b> with one more automorphism, a -> a and b -> ab.  It does
+    not map <b> onto itself, so <b> is not normal, although the identity,
+    which agrees with it on a, does: the definition must compare maps on
+    all of V4's generators, not on the first alone."""
+    v4 = cat["V4"]
+    S = v4.full_subgroup
+    a, b = S.generators()
+    tamper = _tampered(v4, [(S, tuple({b: v4.mul(a, b),
+                                       v4.mul(a, b): b}.get(e, e)
+                                      for e in S.elems))])
+    for W in S.subgroups_within():
+        ok, counter = is_normal_in_F(tamper, W)
+        want, want_counter = normal_in_F_brute(tamper, W)
+        assert ok == want
+        assert (counter and counter.as_tuple()) == \
+            (want_counter and want_counter.as_tuple())
+    assert not is_normal_in_F(tamper, v4.subgroup_of((0, b)))[0]
+
+
+def test_fs1_failure_detected(cat):
+    """The inclusions alone on D8: a category, but conjugation by D8 moves
+    its non-central subgroups of order 2, and those maps are missing."""
+    d8 = cat["D8"]
+    S = d8.full_subgroup
+    bare = FusionSystem.explicit_system(d8, 2, S, {}, name="inclusions")
+    report = verify_axioms(bare)
+    assert report.witness[0] == "FS1"
+    assert report == verify_axioms_brute(bare)
 
 
 def test_explicit_map_that_is_not_a_homomorphism_is_rejected(cat):

@@ -336,6 +336,24 @@ def test_o_p_and_o_p_prime_match_oracle_within_every_subgroup(cat, p):
                 G, W.elems, lambda n: n % p != 0)
 
 
+def test_subgroup_refuses_every_mask_that_is_not_a_subgroup(cat):
+    """A mask handed in from outside is checked when it is first interned:
+    every subset of S3 and of D8 is refused with NotASubgroup exactly when
+    it differs from the subgroup it generates."""
+    from fusionlab.errors import NotASubgroup
+
+    for name in ("S3", "D8"):
+        G = cat[name]
+        for m in range(1 << G.order):
+            elems = set(bits(m))
+            closed = elems == closure_set(G, elems)
+            if closed:
+                assert G.subgroup(m).mask == m
+            else:
+                with pytest.raises(NotASubgroup):
+                    G.subgroup(m)
+
+
 def test_standard_subgroups_within_a_subgroup(cat):
     from fusionlab.errors import NotASubgroup
     from fusionlab.groups import sylow

@@ -462,3 +462,30 @@ def test_straighten_rejects_bad_chain(cat, systems):
                   if H.order == 2 and H.mask != z.mask)
     with pytest.raises(ChainConditionViolated):
         straighten_chain(F, [z, transp])
+
+
+# -- memos against systems built from scratch --------------------------------
+
+
+def test_memoized_verdicts_and_models_match_fresh_systems(cat):
+    """After a whole suite run has used the shared realized systems, their
+    kept normality verdicts agree with the definition on a system built
+    from scratch, for every W normal in S, and their kept models with
+    models built from scratch."""
+    from fusionlab.hfree import centric_radical_fn_subgroups
+    from fusionlab.suite import RunConfig, catalog_instances, run_suite
+
+    assert run_suite(RunConfig()).failures == 0
+    for G, p in catalog_instances():
+        F = realize_fusion(G, p)
+        fresh = FusionSystem(G, p, F.carrier, ambient=G.full_subgroup)
+        assert fresh is not F and realize_fusion(G, p) is F
+        for W in F.objects():
+            if W.is_normal_in(F.carrier):
+                assert verdict(is_normal_in_F(F, W)) == \
+                    verdict(normal_in_F_brute(fresh, W))
+        for Q in centric_radical_fn_subgroups(F):
+            kept, new = model_group(F, Q), model_group(fresh, Q)
+            assert model_group(F, Q) is kept
+            assert (kept.L.order, kept.kernel.mask) == \
+                (new.L.order, new.kernel.mask)

@@ -62,3 +62,38 @@ def test_cli_suite_empty_files_scope_exits_zero(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "0 failed" in out
+
+
+def test_cold_suite_builds_each_system_and_thompson_datum_once(monkeypatch):
+    """Counts, not timings: on freshly built catalog groups, one suite run
+    constructs each conjugation system (host, p, carrier, ambient, name)
+    once, and computes J(S), A(S) and B(S) once per subgroup, however many
+    sections, families and theorem harnesses ask for them."""
+    import importlib
+
+    from fusionlab import pgroups, stellmacher
+    from fusionlab.fusion import FusionSystem
+
+    catalog = importlib.import_module("fusionlab.catalog")
+    monkeypatch.setattr(catalog, "_cache", {})
+    monkeypatch.setattr(stellmacher, "_family_cache", {})
+    systems, bodies = [], []
+    real_init, real_p_of = FusionSystem.__init__, pgroups.p_of
+
+    def counting_init(self, host, p, carrier, ambient=None, explicit=None,
+                      name=None):
+        real_init(self, host, p, carrier, ambient=ambient, explicit=explicit,
+                  name=name)
+        if explicit is None:
+            systems.append((host, p, carrier.mask, ambient.mask, self.name))
+
+    def counting_p_of(S):   # the first step of thompson_data's body
+        bodies.append(S)
+        return real_p_of(S)
+
+    monkeypatch.setattr(FusionSystem, "__init__", counting_init)
+    monkeypatch.setattr(pgroups, "p_of", counting_p_of)
+    result = run_suite(RunConfig())
+    assert result.failures == 0
+    assert systems and len(systems) == len(set(systems))
+    assert bodies and len(bodies) == len(set(bodies))
