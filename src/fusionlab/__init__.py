@@ -22,7 +22,7 @@ from .groups import (
     FiniteGroup,
     GroupMorphism,
     Subgroup,
-    automorphisms,
+    aut_generators,
     build_group,
     is_involved,
     is_isomorphic,

@@ -192,8 +192,8 @@ def cmd_wcompute(args):
     wc = compute_W_iterative(fam)
     print(f"chain: {' < '.join(format(m, 'x') for m in wc.chain)}"
           f" (length {len(wc.chain) - 1})")
-    for mi, ai, mask in wc.witnesses:
-        print(f"  grew from {mask:x} at member {mi}, automorphism {ai}")
+    for mi, oi, mask in wc.witnesses:   # oi: index in the Aut(S)-orbit
+        print(f"  grew from {mask:x} at member {mi}, automorphism {oi}")
     print(f"W(S): {_subgroup_desc(wc.W_iter)}")
     print(f"one-shot W: order {wc.W_oneshot.order}, equal: {wc.equal}")
     rep = functor_checks(fam.S, fam)

@@ -22,7 +22,6 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 1000
-DEFAULT_AUT_CAP = 256
 MAX_PERM_POINTS = 64
 
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -76,7 +75,7 @@ class FiniteGroup:
         self.inv = self._compute_inverses()
         self.elem_orders = self._compute_orders()
         self._subgroup_cache = {}
-        self._auts_raw = None
+        self._aut_gens = None   # aut_generators, once found
         # conjugation fusion systems on this group, interned by
         # fusion.FusionSystem.conjugation
         self._systems = {}
@@ -1008,9 +1007,11 @@ def _iso_invariants(G):
     return (G.order, tuple(sorted(_order_histogram(G).items())), center, derived)
 
 
-def _iso_search(G, H, find_all=False):
+def _iso_search(G, H, find_all=False, prefix=()):
     """Image lists of the injective homomorphisms G -> H (H of G's order,
     so isomorphisms): all of them if ``find_all``, else the first or None.
+    ``prefix`` fixes the images of the first generators (the first
+    len(prefix) candidate pools are those images alone).
 
     A backtrack over the generators g_1..g_k of ``G.full_subgroup``; each
     g_i takes the elements of H of its order as candidate images, in
@@ -1029,7 +1030,8 @@ def _iso_search(G, H, find_all=False):
     by_order = {}
     for x in range(H.order):
         by_order.setdefault(H.elem_orders[x], []).append(x)
-    pools = [by_order.get(G.elem_orders[g], ()) for g in gens]
+    pools = [(c,) for c in prefix]
+    pools += [by_order.get(G.elem_orders[g], ()) for g in gens[len(prefix):]]
     gmul, hmul = G._mul, H._mul
     img = [None] * G.order
     img[0] = 0
@@ -1093,23 +1095,77 @@ def is_isomorphic(G, H, cap=DEFAULT_ORDER_CAP):
     return True, witness
 
 
-def automorphisms_raw(S, cap=DEFAULT_AUT_CAP):
-    """All automorphisms of S as image tuples, sorted, computed once per
-    group by ``_iso_search`` on S -> S.  The list has |Aut(S)| entries,
-    so groups of order above ``cap`` are refused."""
-    if S.order > cap:
-        raise OrderCapExceeded(
-            f"automorphism enumeration beyond cap {cap} (order {S.order})")
-    if S._auts_raw is None:
-        S._auts_raw = sorted(tuple(im) for im in _iso_search(S, S, find_all=True))
-    return S._auts_raw
+def aut_generators(S):
+    """(generators of Aut(S) as image tuples, |Aut(S)|), found once per
+    group and kept on it.
+
+    The generators form a strong generating set for the base g_1..g_k of
+    ``S.full_subgroup.generators()`` (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, ch. 4), found bottom-up.  At level i, from
+    k down to 1, the generators found so far generate the pointwise
+    stabilizer of g_1..g_i.  Each candidate image c of g_i (an element of
+    g_i's order) is tried only when it lies outside the current orbit of
+    g_i and outside every orbit already known to be dead, by one
+    first-found ``_iso_search`` with g_1..g_{i-1} fixed and g_i sent to c.
+    A hit is a new generator, and the orbit of g_i is walked again.  A
+    miss kills the whole orbit of c: an automorphism fixing g_1..g_{i-1}
+    that sent g_i into it would, composed with an element of the group
+    found so far, send g_i to c.  The level ends with the generators
+    transitive on the orbit of g_i under the stabilizer of g_1..g_{i-1},
+    and containing the stabilizer of g_1..g_i, so they generate the
+    former; |Aut(S)| is the product of the final orbit lengths."""
+    if S._aut_gens is None:
+        base = S.full_subgroup.generators()
+        orders = S.elem_orders
+        gens = []
+        size = 1
+        for i in range(len(base) - 1, -1, -1):
+            g = base[i]
+            orbit = 1 << g   # the generators so far fix g
+            dead = 0
+            for c in range(S.order):
+                if orders[c] != orders[g] or (orbit | dead) >> c & 1:
+                    continue
+                images = _iso_search(S, S, prefix=base[:i] + (c,))
+                if images is None:
+                    dead |= _point_orbit(gens, c)
+                else:
+                    gens.append(tuple(images))
+                    orbit = _point_orbit(gens, g)
+            size *= orbit.bit_count()
+        S._aut_gens = (tuple(gens), size)
+    return S._aut_gens
 
 
-def automorphisms(S, cap=DEFAULT_AUT_CAP):
-    """The full automorphism group of S as explicit bijective morphisms."""
-    full = S.full_subgroup
-    return [GroupMorphism(full, full, dict(enumerate(images)))
-            for images in automorphisms_raw(S, cap=cap)]
+def _point_orbit(gens, x):
+    """Mask of the orbit of the element x under the group generated by
+    the image tuples ``gens``."""
+    orbit, todo = 1 << x, [x]
+    while todo:
+        y = todo.pop()
+        for a in gens:
+            z = a[y]
+            if not orbit >> z & 1:
+                orbit |= 1 << z
+                todo.append(z)
+    return orbit
+
+
+def mask_orbit(gens, mask, n):
+    """The orbit of a subset ``mask`` of 0..n-1 under the group generated
+    by the image tuples ``gens``, breadth-first from ``mask``: a list of
+    (member, image tuple of an automorphism that maps ``mask`` onto it),
+    the first entry (mask, identity)."""
+    orbit = [(mask, tuple(range(n)))]
+    seen = {mask}
+    for m, alpha in orbit:   # grows while it is walked
+        elems = tuple(bits(m))
+        for a in gens:
+            c = mask_of(a[x] for x in elems)
+            if c not in seen:
+                seen.add(c)
+                orbit.append((c, tuple(a[y] for y in alpha)))
+    return orbit
 
 
 def is_involved(H, G, cap=DEFAULT_ORDER_CAP):

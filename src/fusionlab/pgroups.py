@@ -13,7 +13,7 @@ from .errors import InternalInconsistency, NotAPGroup
 from .groups import (
     Subgroup,
     _smallest_prime_factor,
-    automorphisms_raw,
+    aut_generators,
     bits,
     mask_of,
     omega_mask,
@@ -72,14 +72,17 @@ def _thompson_data(S):
 
 
 def is_characteristic(W: Subgroup, S: Subgroup) -> bool:
-    """alpha(W) = W for every alpha in Aut(S) (full enumeration)."""
+    """alpha(W) = W for every alpha in Aut(S): invariance under each
+    generator of ``aut_generators`` is enough.  S is read on its parent's
+    table when it is the whole parent, on its standalone copy otherwise."""
     if not W <= S:
         raise NotAPGroup("W must be a subgroup of S")
-    group, embed = S.as_group()
-    pos = S.pos_map()
-    local = mask_of(pos[x] for x in W.elems)
+    if S.mask == S.parent.full_mask:
+        group, local = S.parent, W.mask
+    else:
+        group, _ = S.as_group()
+        pos = S.pos_map()
+        local = mask_of(pos[x] for x in W.elems)
     wbits = list(bits(local))
-    for images in automorphisms_raw(group):
-        if mask_of(images[b] for b in wbits) != local:
-            return False
-    return True
+    gens, _ = aut_generators(group)
+    return all(mask_of(a[b] for b in wbits) == local for a in gens)

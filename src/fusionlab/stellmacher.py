@@ -29,9 +29,11 @@ from .fusion import FusionSystem, classify_subgroup, mask_of
 from .groups import (
     FiniteGroup,
     Subgroup,
-    automorphisms_raw,
+    aut_generators,
     bits,
     is_isomorphic,
+    mask_orbit,
+    p_part,
     sylow,
 )
 from .hfree import is_fusion_H_free, qd_group
@@ -127,7 +129,7 @@ def canonical_family(S_sub: Subgroup, p: int, extras=(),
                      include_catalog=True) -> CandidateFamily:
     """The inner system on S plus every admitted member built from catalog
     groups (and the extra groups) whose Sylow p-subgroup matches S."""
-    from .catalog import CATALOG_NAMES, catalog_group
+    from .catalog import EXPECTED_ORDERS, catalog_group
 
     model, embed = S_sub.as_group()
     inner = FusionSystem.inner(S_sub, p)
@@ -139,7 +141,10 @@ def canonical_family(S_sub: Subgroup, p: int, extras=(),
     members = [inner_member]
     pool = []
     if include_catalog:
-        pool.extend(catalog_group(name) for name in CATALOG_NAMES)
+        # only groups whose Sylow p-subgroup has S's order are built
+        pool.extend(catalog_group(name)
+                    for name, n in EXPECTED_ORDERS.items()
+                    if n != model.order and p_part(n, p) == model.order)
     pool.extend(extras)
     for G in pool:
         if G.order == model.order or G.order % model.order != 0:
@@ -155,6 +160,7 @@ def canonical_family(S_sub: Subgroup, p: int, extras=(),
 
 
 _family_cache = {}
+_w_cache = {}   # CandidateFamily -> its WComputation
 
 
 def cached_canonical_family(S_sub, p):
@@ -170,7 +176,7 @@ class WComputation:
 
     family: CandidateFamily
     chain: tuple                 # masks over the model S, strictly increasing
-    witnesses: tuple             # (member index, aut index, grown-from mask)
+    witnesses: tuple             # (member idx, orbit idx, grown-from mask)
     W_iter: Subgroup             # subgroup of the model S
     W_oneshot: Subgroup
     equal: bool
@@ -181,33 +187,45 @@ class WComputation:
 def compute_W_iterative(family: CandidateFamily) -> WComputation:
     """Grow W_0 = Omega(Z(S)) until its whole Aut(S)-orbit is normal in
     every admitted member; each growth step replaces W by the preimage of
-    the subgroup generated by the member-orbit of the failing image."""
+    the subgroup generated by the member-orbit of the failing image.
+    Computed once per family: two families with the same model, prime and
+    members, in the same order, are one."""
+    wc = _w_cache.get(family)
+    if wc is None:
+        wc = _w_cache[family] = _compute_W_iterative(family)
+    return wc
+
+
+def _compute_W_iterative(family):
     S = family.S
     if S.order == 1:
         raise NotAPGroup("W(S) is defined for nontrivial p-groups only")
     full = S.full_subgroup
     td = thompson_data(full)
     a_mask, b_mask = td.A.mask, td.B.mask
-    auts = automorphisms_raw(S)
+    auts, _ = aut_generators(S)
     admitted = family.admitted_members()
     w = a_mask
     chain = [w]
     witnesses = []
     while True:
-        failure = _first_normality_failure(S, auts, admitted, w)
+        orbit = mask_orbit(auts, w, S.order)
+        failure = _first_normality_failure(orbit, admitted)
         if failure is None:
             break
-        mi, ai, w_image_local = failure
+        mi, oi = failure
+        w_image_local, alpha = orbit[oi]
         member = admitted[mi]
-        alpha = auts[ai]
         grown_local = _member_orbit_closure(S, member, w_image_local)
-        w_new = _apply_aut_mask(S, _aut_inverse(S, alpha), grown_local)
+        # pulled back along alpha, which maps w onto w_image_local
+        w_new = mask_of(x for x, y in enumerate(alpha)
+                        if grown_local >> y & 1)
         if not (a_mask & ~w == 0 and w & ~w_new == 0 and w != w_new
                 and w_new & ~b_mask == 0):
             raise SandwichViolated(
                 "growth step left Omega(Z(S)) <= W < W' <= Omega(Z(J(S))); "
                 "the family contains an inconsistent member")
-        witnesses.append((mi, ai, w))
+        witnesses.append((mi, oi, w))
         w = w_new
         chain.append(w)
     W_iter = S.subgroup(w)
@@ -222,31 +240,16 @@ def compute_W_iterative(family: CandidateFamily) -> WComputation:
                         A=S.subgroup(a_mask), B=S.subgroup(b_mask))
 
 
-def _apply_aut_mask(S, images, mask):
-    return mask_of(images[i] for i in bits(mask))
-
-
-def _aut_inverse(S, images):
-    inv = [0] * S.order
-    for i, v in enumerate(images):
-        inv[v] = i
-    return inv
-
-
-def _first_normality_failure(S, auts, admitted, w):
-    """(member idx, aut idx, failing local image) for the first admitted
-    member, in canonical order, with some Aut(S)-translate of w not normal."""
+def _first_normality_failure(orbit, admitted):
+    """(member idx, orbit idx) for the first admitted member, in canonical
+    order, with some member of the Aut(S)-orbit of w (``mask_orbit``, in
+    its breadth-first order) not normal; the first such orbit member."""
     for mi, member in enumerate(admitted):
-        seen = set()
-        for ai, alpha in enumerate(auts):
-            w_local = _apply_aut_mask(S, alpha, w)
-            if w_local in seen:
-                continue
-            seen.add(w_local)
+        for oi, (w_local, _) in enumerate(orbit):
             host_sub = member.system.host.subgroup(member.push_mask(w_local))
             ok, _ = is_normal_in_F(member.system, host_sub)
             if not ok:
-                return mi, ai, w_local
+                return mi, oi
     return None
 
 
@@ -282,11 +285,14 @@ def compute_W_oneshot(family: CandidateFamily) -> Subgroup:
         for t in F.maps(J):
             img = [t[jpos[x]] for x in w0_host.elems]
             gens.update(bits(member.pull_mask(mask_of(img))))
-    raw = S.closure_mask(sorted(gens), 1)
-    orbit_gens = set()
-    for alpha in automorphisms_raw(S):
-        orbit_gens.update(alpha[i] for i in bits(raw))
-    result = S.closure_mask(sorted(orbit_gens), 1)
+    result = S.closure_mask(sorted(gens), 1)
+    auts, _ = aut_generators(S)
+    while True:   # close under the generators of Aut(S) until stable
+        grown = S.closure_mask([a[i] for a in auts for i in bits(result)],
+                               result)
+        if grown == result:
+            break
+        result = grown
     W = S.subgroup(result)
     if w0 & ~result or result & ~td.B.mask:
         raise InternalInconsistency(
@@ -334,11 +340,11 @@ def functor_checks(S: FiniteGroup, family: CandidateFamily) -> FunctorReport:
             break
 
     ident_ok = True
-    auts = automorphisms_raw(S)
-    if len(auts) > 1:
+    auts, _ = aut_generators(S)
+    if auts:
         twisted_members = []
         for j, m in enumerate(family.members):
-            alpha = auts[(j + 1) % len(auts)]
+            alpha = auts[j % len(auts)]
             twisted = tuple(m.identification[alpha[i]] for i in range(S.order))
             twisted_members.append(FamilyMember(
                 system=m.system, identification=twisted,

@@ -2,7 +2,7 @@ import pytest
 
 from fusionlab.catalog import CATALOG_NAMES, catalog_group
 from fusionlab.fusion import realize_fusion
-from fusionlab.groups import build_group
+from fusionlab.groups import build_group, sylow
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +32,24 @@ def wreath648():
     s = tuple(idx[(v[2], v[0], v[1])] for v in vecs)
     d = tuple(idx[((-v[0]) % 3, v[1], v[2])] for v in vecs)
     return build_group([t, s, d], name="W648", kind="perms")
+
+
+@pytest.fixture(scope="session")
+def aut_cases(cat):
+    """label -> group whose automorphism group the tests check against the
+    listed oracle: every catalog Sylow model (SD16 among them, as
+    "GL(2,3)@2"), D8 x D8 (2048 automorphisms) and C2^4 (20160)."""
+    out = {}
+    for name, G in cat.items():
+        for p in (2, 3):
+            if G.order % p == 0:
+                out[f"{name}@{p}"] = sylow(G, p).as_group()[0]
+    d8 = [(1, 2, 3, 0), (0, 3, 2, 1)]
+    out["D8xD8"] = build_group(
+        [a + tuple(range(4, 8)) for a in d8]
+        + [tuple(range(4)) + tuple(x + 4 for x in a) for a in d8],
+        kind="perms", name="D8xD8")
+    out["C2^4"] = build_group(
+        [tuple(x ^ 1 if x // 2 == k else x for x in range(8))
+         for k in range(4)], kind="perms", name="C2^4")
+    return out

@@ -6,7 +6,10 @@ order-8/12 classification by element-order counts, and essential-subgroup
 detection through the normalizer/centralizer quotient of the ambient group.
 """
 
+import weakref
 from itertools import combinations, product
+
+DEFAULT_AUT_CAP = 256
 
 
 def closure_set(G, seed):
@@ -556,3 +559,66 @@ def iso_search_brute(G, H, find_all=False):
             if not find_all:
                 return images
     return results if find_all else None
+
+
+# -- automorphisms, listed --------------------------------------------------
+
+_auts_raw = weakref.WeakKeyDictionary()
+
+
+def automorphisms_raw(S, cap=DEFAULT_AUT_CAP):
+    """All automorphisms of S as image tuples, sorted, computed once per
+    group by ``_iso_search`` on S -> S.  The list has |Aut(S)| entries,
+    so groups of order above ``cap`` are refused."""
+    from fusionlab.errors import OrderCapExceeded
+    from fusionlab.groups import _iso_search
+
+    if S.order > cap:
+        raise OrderCapExceeded(
+            f"automorphism enumeration beyond cap {cap} (order {S.order})")
+    if S not in _auts_raw:
+        _auts_raw[S] = sorted(tuple(im)
+                              for im in _iso_search(S, S, find_all=True))
+    return _auts_raw[S]
+
+
+def automorphisms(S, cap=DEFAULT_AUT_CAP):
+    """The full automorphism group of S as explicit bijective morphisms."""
+    from fusionlab.groups import GroupMorphism
+
+    full = S.full_subgroup
+    return [GroupMorphism(full, full, dict(enumerate(images)))
+            for images in automorphisms_raw(S, cap=cap)]
+
+
+def closure_of_maps(gens, n):
+    """The set of image tuples on 0..n-1 generated by ``gens`` under
+    composition, the identity included."""
+    ident = tuple(range(n))
+    found = {ident}
+    todo = [ident]
+    while todo:
+        a = todo.pop()
+        for g in gens:
+            b = tuple(g[x] for x in a)
+            if b not in found:
+                found.add(b)
+                todo.append(b)
+    return found
+
+
+def mask_orbit_brute(auts, mask):
+    """{alpha(mask) : alpha in auts}, each image taken element by element."""
+    return {sum(1 << a[x] for x in range(len(a)) if mask >> x & 1)
+            for a in auts}
+
+
+def mask_orbits_brute(auts, masks):
+    """{mask: its orbit under auts} for every mask in ``masks``; each orbit
+    is listed once, by ``mask_orbit_brute``, and shared by its members."""
+    orbits = {}
+    for m in masks:
+        if m not in orbits:
+            orbit = frozenset(mask_orbit_brute(auts, m))
+            orbits.update(dict.fromkeys(orbit, orbit))
+    return orbits

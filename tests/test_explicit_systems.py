@@ -20,7 +20,7 @@ from fusionlab.subsystems import (
     o_p_of_F,
 )
 
-from oracles import normal_in_F_brute, verify_axioms_brute
+from oracles import automorphisms_raw, normal_in_F_brute, verify_axioms_brute
 
 
 @pytest.fixture()
@@ -94,7 +94,7 @@ def test_fs3_failure_on_a_two_generator_domain():
     elementary abelian subgroup E of order 8 fails FS3 on a subgroup of
     order 4: the failing map must be compared with the extensions on both
     generators of its domain, not on one."""
-    from fusionlab.groups import automorphisms_raw, build_group
+    from fusionlab.groups import build_group
 
     g = build_group([[1, 2, 3, 0, 4, 5], [0, 3, 2, 1, 4, 5],
                      [0, 1, 2, 3, 5, 4]], kind="perms", name="D8xC2")
@@ -180,8 +180,6 @@ def test_missing_composite_detected():
 def test_missing_restriction_detected(cat):
     """All of Aut(V4), without the restrictions of the automorphisms that
     move a subgroup of order 2."""
-    from fusionlab.groups import automorphisms_raw
-
     v4 = cat["V4"]
     S = v4.full_subgroup
     broken = _tampered(v4, [(S, im) for im in automorphisms_raw(v4)

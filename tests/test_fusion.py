@@ -27,6 +27,7 @@ from fusionlab.groups import (
 from fusionlab.subsystems import category_closure
 
 from oracles import (
+    automorphisms_raw,
     brute_centric,
     brute_out_group,
     brute_strongly_p_embedded,
@@ -264,8 +265,6 @@ def test_n_phi_sandwich(systems):
 def test_n_phi_rejects_foreign_morphism(systems):
     # Aut(Q8) has order 24 but Aut_F(Q8) only 12: any of the missing
     # automorphisms is a valid morphism that does not belong to F
-    from fusionlab.groups import automorphisms_raw
-
     F = systems[("SL(2,3)", 2)]
     q8 = F.carrier
     in_f = set(F.aut_tuples(q8))
@@ -398,8 +397,6 @@ def test_normalizer_in_carrier_is_computed_once_per_object(cat, monkeypatch):
 def test_hom_test_on_generators_matches_all_pairs(cat, name):
     """Every bijection of the group onto itself: the test on generators
     and the all-pairs test agree, and they find exactly Aut(G)."""
-    from fusionlab.groups import automorphisms_raw
-
     G = cat[name]
     P = G.full_subgroup
     bijections = list(permutations(P.elems))

@@ -15,14 +15,15 @@ from fusionlab.groups import (
     FiniteGroup,
     _iso_search,
     _normal_subgroups_of_order,
-    automorphisms,
-    automorphisms_raw,
+    aut_generators,
     bits,
     build_group,
     group_from_function,
+    is_hom_tuple,
     is_involved,
     is_isomorphic,
     mask_of,
+    mask_orbit,
     o_p,
     o_p_prime,
     quotient_group,
@@ -36,7 +37,10 @@ from fusionlab.hfree import sigma3_involvement_check
 from oracles import (
     assert_kernels_match_oracles,
     assert_section_matches_copy,
+    automorphisms,
+    automorphisms_raw,
     brute_force_subgroups,
+    closure_of_maps,
     closure_set,
     involved_brute,
     is_normal_brute,
@@ -44,6 +48,7 @@ from oracles import (
     is_power_of,
     looks_like_a4,
     looks_like_s3,
+    mask_orbits_brute,
     o_pi_brute,
     order_histogram,
     perm_table_brute,
@@ -622,12 +627,9 @@ def test_is_isomorphic_witness_is_the_oracles_first_leaf(cat):
     assert _iso_search(cat["D8"], cat["Q8"]) is None
 
 
-def test_automorphisms_of_d8_x_d8():
+def test_automorphisms_of_d8_x_d8(aut_cases):
     """|Aut(D8 x D8)| = |Aut(D8)|^2 * 2 * |Hom(D8, Z(D8))|^2 = 2048."""
-    d8 = [(1, 2, 3, 0), (0, 3, 2, 1)]
-    g = build_group([a + tuple(range(4, 8)) for a in d8]
-                    + [tuple(range(4)) + tuple(x + 4 for x in a) for a in d8],
-                    kind="perms", name="D8xD8")
+    g = aut_cases["D8xD8"]
     assert g.order == 64
     assert len(automorphisms_raw(g)) == 2048
 
@@ -773,6 +775,45 @@ def test_automorphism_orders_match_literature(cat):
     assert len(automorphisms_raw(cat["3^(1+2)-"])) == 54
     sd16, _ = sylow(cat["GL(2,3)"], 2).as_group()
     assert len(automorphisms_raw(sd16)) == 16
+
+
+# -- Aut(S) from a strong generating set ------------------------------------
+
+
+def test_aut_generators_match_the_listed_oracle(aut_cases):
+    """|Aut(S)|, the group the generators generate, and the orbit of every
+    subgroup mask, each against the whole list; every orbit member comes
+    with an automorphism that maps the mask onto it."""
+    for label, S in aut_cases.items():
+        auts = automorphisms_raw(S)
+        listed = set(auts)
+        gens, order = aut_generators(S)
+        assert order == len(auts), label
+        assert closure_of_maps(gens, S.order) == listed, label
+        subgroups = S.subgroups()
+        classes = mask_orbits_brute(auts, [H.mask for H in subgroups])
+        for H in subgroups:
+            walked = mask_orbit(gens, H.mask, S.order)
+            assert walked[0][0] == H.mask
+            assert len(walked) == len(classes[H.mask]), (label, H.mask)
+            assert {m for m, _ in walked} == classes[H.mask], (label, H.mask)
+            for m, alpha in walked:
+                assert alpha in listed, (label, H.mask, m)
+                assert mask_of(alpha[x] for x in H.elems) == m
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_aut_order_of_elementary_abelian_is_gl(n):
+    """|Aut(C2^n)| = |GL(n, 2)|, up to 20,158,709,760 for n = 6, from the
+    generators alone."""
+    G = build_group(_disjoint_perms([(2 * i, 2 * i + 1) for i in range(n)],
+                                    2 * n), kind="perms", name=f"C2^{n}")
+    gl = 1
+    for i in range(n):
+        gl *= 2 ** n - 2 ** i
+    gens, order = aut_generators(G)
+    assert order == gl
+    assert all(is_hom_tuple(G, G.full_subgroup, a) for a in gens)
 
 
 def test_subgroup_counts_match_literature(cat):

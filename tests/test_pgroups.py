@@ -1,8 +1,10 @@
 import pytest
 
 from fusionlab.errors import NotAPGroup
-from fusionlab.groups import automorphisms_raw, mask_of, sylow
+from fusionlab.groups import mask_of, sylow
 from fusionlab.pgroups import is_characteristic, thompson_data
+
+from oracles import automorphisms_raw, mask_orbit_brute, mask_orbits_brute
 
 
 def test_thompson_data_d8(cat):
@@ -86,3 +88,34 @@ def test_aut_invariance_of_anchors(cat):
         for images in automorphisms_raw(g):
             assert mask_of(images[x] for x in td.A.elems) == td.A.mask
             assert mask_of(images[x] for x in td.B.elems) == td.B.mask
+
+
+def test_is_characteristic_matches_the_list(aut_cases):
+    """Every subgroup of every case: characteristic exactly when its orbit
+    under the whole list of automorphisms is itself."""
+    for label, S in aut_cases.items():
+        subgroups = S.subgroups()
+        orbits = mask_orbits_brute(automorphisms_raw(S),
+                                   [H.mask for H in subgroups])
+        for H in subgroups:
+            expected = orbits[H.mask] == {H.mask}
+            assert is_characteristic(H, S.full_subgroup) == expected, \
+                (label, H.mask)
+
+
+def test_is_characteristic_in_a_sylow_subgroup_matches_the_list(cat):
+    """S a proper subgroup of its parent (read on its standalone copy) or
+    the whole parent (read on the parent's table): the same verdicts as
+    the list on the copy."""
+    for name, G in cat.items():
+        for p in (2, 3):
+            if G.order % p:
+                continue
+            P = sylow(G, p)
+            model, _ = P.as_group()
+            auts = automorphisms_raw(model)
+            pos = P.pos_map()
+            for Q in P.subgroups_within():
+                local = mask_of(pos[x] for x in Q.elems)
+                expected = mask_orbit_brute(auts, local) == {local}
+                assert is_characteristic(Q, P) == expected, (name, p, Q.mask)

@@ -11,6 +11,7 @@ from fusionlab.fusion import (
 )
 from fusionlab.groups import (
     _iso_search,
+    aut_generators,
     bits,
     build_group,
     is_hom_tuple,
@@ -27,6 +28,8 @@ from fusionlab.theorems import has_normal_p_complement
 
 from oracles import (
     assert_kernels_match_oracles,
+    automorphisms_raw,
+    closure_of_maps,
     assert_section_matches_copy,
     brute_force_subgroups,
     closure_set,
@@ -178,6 +181,18 @@ def test_iso_search_matches_leaf_oracle(gens):
     """Every automorphism, in the oracle's order, of a drawn group."""
     g = build_group([list(p) for p in gens], kind="perms", cap=200)
     assert _iso_search(g, g, True) == iso_search_brute(g, g, True)
+
+
+@settings(**COMMON)
+@given(group_specs)
+def test_aut_generators_generate_the_listed_group(gens):
+    """|Aut(G)| and the group the generators generate, against the list,
+    on a drawn group (Aut(S5) has 120 elements)."""
+    g = build_group([list(p) for p in gens], kind="perms", cap=200)
+    auts = automorphisms_raw(g)
+    found, order = aut_generators(g)
+    assert order == len(auts)
+    assert closure_of_maps(found, g.order) == set(auts)
 
 
 @settings(**COMMON)

@@ -32,3 +32,16 @@ def test_no_assertion_error_raised_in_package():
         if isinstance(exc, ast.Name) and exc.id == "AssertionError":
             found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_no_aut_enumeration_in_package():
+    """Aut(S) is kept as a strong generating set (groups.aut_generators).
+    The list of every automorphism, its memo and its cap live on only as
+    the reference in tests/oracles.py."""
+    banned = {"automorphisms_raw", "DEFAULT_AUT_CAP", "_auts_raw"}
+    found = []
+    for name, node in _nodes(ast.AST):
+        for field in ("id", "attr", "name"):
+            if getattr(node, field, None) in banned:
+                found.append(f"{name}:{node.lineno}:{getattr(node, field)}")
+    assert found == []

@@ -97,3 +97,38 @@ def test_cold_suite_builds_each_system_and_thompson_datum_once(monkeypatch):
     assert result.failures == 0
     assert systems and len(systems) == len(set(systems))
     assert bodies and len(bodies) == len(set(bodies))
+
+
+def test_cold_suite_computes_w_and_aut_once_per_family(monkeypatch):
+    """Counts, not timings: on freshly built catalog groups, one suite run
+    computes W(S) once per distinct family, however many theorem
+    harnesses ask for it, and finds the generators of Aut(S) once per
+    family model, not once more on a standalone copy of it."""
+    import importlib
+
+    from fusionlab import groups, pgroups, stellmacher
+
+    catalog = importlib.import_module("fusionlab.catalog")
+    monkeypatch.setattr(catalog, "_cache", {})
+    monkeypatch.setattr(stellmacher, "_family_cache", {})
+    monkeypatch.setattr(stellmacher, "_w_cache", {})
+    families, aut_groups = [], []
+    real_w = stellmacher._compute_W_iterative
+
+    def counting_w(family):
+        families.append(family)
+        return real_w(family)
+
+    def counting_aut(S):
+        if S._aut_gens is None:
+            aut_groups.append(S)
+        return groups.aut_generators(S)
+
+    monkeypatch.setattr(stellmacher, "_compute_W_iterative", counting_w)
+    monkeypatch.setattr(stellmacher, "aut_generators", counting_aut)
+    monkeypatch.setattr(pgroups, "aut_generators", counting_aut)
+    result = run_suite(RunConfig())
+    assert result.failures == 0
+    assert families and len(families) == len(set(families))
+    assert len(aut_groups) == len(set(map(id, aut_groups)))
+    assert {id(g) for g in aut_groups} == {id(f.S) for f in families}

@@ -2,7 +2,13 @@ import pytest
 
 
 from fusionlab.fusion import realize_fusion
-from fusionlab.groups import group_from_function
+from fusionlab.groups import aut_generators, build_group, group_from_function
+from fusionlab.stellmacher import (
+    CandidateFamily,
+    admit_member,
+    canonical_family,
+    functor_checks,
+)
 from fusionlab.theorems import (
     frobenius_check,
     has_normal_p_complement,
@@ -175,3 +181,29 @@ def test_verdicts_do_not_depend_on_the_sylow_subgroup(cat, monkeypatch,
         verdicts.append((rep.hypotheses_hold, rep.conclusion_holds,
                          rep.detail["W_order"]))
     assert len(set(verdicts)) == 1
+
+
+def test_theorem_1_and_functor_checks_on_a4_x_a4_x_c2():
+    """The Sylow 2-subgroup of A4 x A4 x C2 is C2^5, whose automorphism
+    group GL(5, 2) has 9,999,360 elements: Theorem 1 and the functor checks
+    run on its generators, without listing it."""
+    a4 = [(1, 2, 0, 3), (1, 0, 3, 2)]
+
+    def placed(perm, at):
+        return tuple(range(at)) + tuple(x + at for x in perm) \
+            + tuple(range(at + len(perm), 10))
+
+    G = build_group([placed(a, 0) for a in a4] + [placed(a, 4) for a in a4]
+                    + [placed((1, 0), 8)], kind="perms", name="A4xA4xC2")
+    assert G.order == 288
+    F = realize_fusion(G, 2)
+    rep = verify_theorem_1(F)
+    assert rep.hypotheses_hold and rep.conclusion_holds
+    assert rep.detail["W_order"] == 32      # W = Omega(Z(S)) = S
+    fam = canonical_family(F.carrier, 2)
+    assert aut_generators(fam.S)[1] == 9999360
+    fam = CandidateFamily(S=fam.S, p=2,
+                          members=fam.members + (admit_member(fam.S, G, 2),))
+    assert len(fam.admitted_members()) == 2
+    report = functor_checks(fam.S, fam)
+    assert report.all_hold() and report.W_iter.order == 32
