@@ -23,6 +23,7 @@ from .groups import (
     FiniteGroup,
     GroupMorphism,
     Subgroup,
+    bits,
     identity_first,
     is_hom_tuple,
     mask_of,
@@ -269,6 +270,11 @@ class FusionSystem:
         return all(self.n_in_carrier(R).order <= nq
                    for R in self.conjugacy_class_of(Q))
 
+    def is_centric(self, Q):
+        """C_S(R) <= R for every F-conjugate R of Q."""
+        return all(self.c_in_carrier(R) <= R
+                   for R in self.conjugacy_class_of(Q))
+
     def is_fully_centralized(self, Q):
         cq = self.c_in_carrier(Q).order
         return all(self.c_in_carrier(R).order <= cq
@@ -467,7 +473,7 @@ def classify_subgroup(F, Q) -> SubgroupProfile:
                    key=lambda R: (F.n_in_carrier(R).order, -R.mask))
         witness["larger_normalizer_conjugate"] = best
 
-    centric = all(F.c_in_carrier(R) <= R for R in F.conjugacy_class_of(Q))
+    centric = F.is_centric(Q)
 
     out, proj, (autg, elems, index) = F.out_group(Q)
     radical = o_p(out, F.p).order == 1
@@ -627,11 +633,28 @@ def _verify(F, host, carrier):
 
     # FS3: morphisms with fully normalized image extend to N_phi; every
     # morphism is a homomorphism by now, so an extension restricts to t
-    # as soon as it agrees with t on the generators of P
+    # as soon as it agrees with t on the generators of P.  F is closed
+    # under composition and restriction and holds every S-conjugation map
+    # by now, so for x, y in S the map c_y o t o c_x^-1 on xPx^-1 is in F,
+    # its image is fully normalized exactly when t's is, its N_phi is
+    # x N_t x^-1, and c_y o psi o c_x^-1 extends it whenever psi extends t.
+    # FS3 holds on a whole S-orbit or fails on all of it, so only the first
+    # object of each S-class is walked, and in its hom-set only the first
+    # map of each left S-orbit (taken on generator keys).  The first
+    # failing map of the full walk is the first of its orbit on the first
+    # object of its class, so the witness is the same.
+    on_s = [conj_tuple(host, g, host.full_subgroup)
+            for g in carrier.generators()]
     fully_normalized = {}
+    walked = set()   # the S-classes of the objects walked so far
     for P in objs:
+        if P.mask in walked:
+            continue
+        walked |= _orbit(P.mask, on_s, _move_mask)
         pos = P.pos_map()
         gens = P.generators()
+        at = [pos[g] for g in gens]
+        checked = set()   # the left S-orbits of the keys checked so far
         for t in maps_of[P.mask]:
             m = mask_of(t)
             fn = fully_normalized.get(m)
@@ -640,6 +663,10 @@ def _verify(F, host, carrier):
                     host.subgroup(m))
             if not fn:
                 continue
+            key = tuple([t[i] for i in at])
+            if key in checked:
+                continue
+            checked |= _orbit(key, on_s, _move_key)
             try:
                 nphi = _n_phi_tuple(F, P, t)
             except InternalInconsistency:
@@ -647,13 +674,34 @@ def _verify(F, host, carrier):
             if nphi.mask == P.mask:
                 continue
             npos = nphi.pos_map()
-            at = [npos[g] for g in gens]
-            want = [t[pos[g]] for g in gens]
-            if not any([ext[i] for i in at] == want
+            on_p = [npos[g] for g in gens]
+            if not any(tuple([ext[i] for i in on_p]) == key
                        for ext in maps_of[nphi.mask]):
                 return AxiomReport("failed", ("FS3", P, t, nphi))
 
     return AxiomReport(VERIFIED)
+
+
+def _orbit(item, perms, move):
+    """The orbit of ``item`` under the group the permutations ``perms``
+    generate, walked breadth-first; ``move(a, item)`` applies one."""
+    orbit = {item}
+    todo = [item]
+    for x in todo:   # grows while it is walked
+        for a in perms:
+            y = move(a, x)
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
+
+
+def _move_mask(a, m):
+    return mask_of(a[x] for x in bits(m))
+
+
+def _move_key(a, key):
+    return tuple([a[v] for v in key])
 
 
 # -- Alperin decomposition ----------------------------------------------------

@@ -79,6 +79,7 @@ class FiniteGroup:
         # conjugation fusion systems on this group, interned by
         # fusion.FusionSystem.conjugation
         self._systems = {}
+        self._joins = {}    # Subgroup.join, by (smaller mask, larger mask)
         self._sylow = {}
         self._hash = None
 
@@ -437,9 +438,21 @@ class Subgroup:
         return self.centralizer_in(self)
 
     def join(self, other):
-        """Subgroup generated by self and other."""
-        return self.parent.subgroup(
-            self.parent.closure_mask(other.generators(), self.mask))
+        """Subgroup generated by self and other: the larger one when one
+        contains the other, otherwise closed once per pair of masks and
+        kept on the parent."""
+        a, b = self.mask, other.mask
+        if b & ~a == 0:
+            return self
+        if a & ~b == 0:
+            return other
+        G = self.parent
+        key = (a, b) if a < b else (b, a)
+        got = G._joins.get(key)
+        if got is None:
+            got = G._joins[key] = G.subgroup(
+                G.closure_mask(other.generators(), a))
+        return got
 
     def meet(self, other):
         return self.parent.subgroup(self.mask & other.mask)

@@ -58,9 +58,13 @@ def is_group_H_free(G, H, cap=DEFAULT_ORDER_CAP) -> HFreeReport:
 
 
 def centric_radical_fn_subgroups(F):
-    """The model range: centric AND radical AND fully normalized."""
+    """The model range: centric AND radical AND fully normalized.  Only
+    the objects that pass the two cheap tests are classified: building
+    Out_F(Q) is needed for radicality alone."""
     out = []
     for Q in F.objects():
+        if not (F.is_fully_normalized(Q) and F.is_centric(Q)):
+            continue
         prof = classify_subgroup(F, Q)
         if prof.centric and prof.radical and prof.fully_normalized:
             out.append(Q)

@@ -116,6 +116,74 @@ def test_fs3_failure_on_a_two_generator_domain():
         assert len(report.witness[1].generators()) == 2
 
 
+# FS3 holds or fails on whole S-orbits, so verify_axioms checks one object
+# of each S-class and one map of each left S-orbit in its hom-set.  The
+# first failure is then on the first object of its S-class; the systems
+# below put it behind earlier maps of its hom-set, and behind an earlier
+# F-conjugate (not S-conjugate) object on which FS3 holds, where a pruning
+# by F-orbits would skip it.
+
+
+def _spliced(g, E, images):
+    """Inner fusion of g plus the automorphism ``images`` (a dict) of E,
+    closed into a category."""
+    S = g.full_subgroup
+    seed = dict(FusionSystem.inner(S, 2).materialize())
+    seed[E.mask] += (tuple(images[x] for x in E.elems),)
+    return category_closure(g, 2, S, seed, name=f"{g.name}-spliced")
+
+
+def _fs3_witness_matches_oracle(F):
+    report = verify_axioms(F)
+    assert report == verify_axioms_brute(F)
+    assert report.witness[0] == "FS3"
+    P, t = report.witness[1:3]
+    assert F.maps(P).index(t) >= 2
+    return P
+
+
+def test_fs3_failure_behind_its_aut_f_orbit():
+    """D8 x C4 = <r, s> x <c> with the inversion of E = <sc>, which is not
+    normal: the first failing map sits on the first object of E's S-class
+    of two, behind maps that pass and that it is an Aut_F-image of."""
+    from fusionlab.groups import build_group
+
+    g = build_group([(1, 2, 3, 0, 4, 5, 6, 7), (0, 3, 2, 1, 4, 5, 6, 7),
+                     (0, 1, 2, 3, 5, 6, 7, 4)], kind="perms", name="D8xC4")
+    r, s, c = g.gen_indices
+    E = g.subgroup(g.cyclic_mask(g.mul(s, c)))
+    F = _spliced(g, E, {x: g.inv[x] for x in E.elems})
+    P = _fs3_witness_matches_oracle(F)
+    s_class = {E.conjugate_mask(x) for x in g.full_subgroup.elems}
+    assert len(s_class) == 2 and P.mask == min(s_class)
+
+
+def test_fs3_failure_behind_an_earlier_f_conjugate():
+    """D8 x C2 = <r, s> x <w> with the automorphism of E = <s, r^2, w>
+    that swaps s and w: the first failing map is on <w>, behind maps that
+    pass, and <s> is F-conjugate to <w>, earlier, and passes FS3."""
+    from fusionlab.groups import build_group
+
+    g = build_group([(1, 2, 3, 0, 4, 5), (0, 3, 2, 1, 4, 5),
+                     (0, 1, 2, 3, 5, 4)], kind="perms", name="D8xC2")
+    r, s, w = g.gen_indices
+    z = g.mul(r, r)
+    E = g.subgroup(g.closure_mask([s, z, w]))
+    swap = {}
+    for a in (0, 1):
+        for b in (0, 1):
+            for d in (0, 1):
+                swap[g.mul(g.mul(g.power(s, a), g.power(z, b)),
+                           g.power(w, d))] = g.mul(
+                    g.mul(g.power(w, a), g.power(z, b)), g.power(s, d))
+    F = _spliced(g, E, swap)
+    P = _fs3_witness_matches_oracle(F)
+    earlier = g.subgroup_of((0, s))
+    assert P.mask == g.subgroup_of((0, w)).mask
+    assert earlier.mask < P.mask
+    assert earlier in F.conjugacy_class_of(P)
+
+
 def test_missing_inclusion_detected(cat):
     v4 = cat["V4"]
     S = v4.full_subgroup

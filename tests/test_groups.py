@@ -244,6 +244,23 @@ def test_join_of_non_normalizing_subgroups(cat):
             assert H.join(K).mask == K.join(H).mask == want
 
 
+@pytest.mark.parametrize(
+    "name", [n for n in CATALOG_NAMES if EXPECTED_ORDERS[n] <= 24])
+def test_join_matches_oracle_on_every_pair(cat, name):
+    """On a fresh copy of the table, so that no join is kept yet: A.join(B)
+    for every pair of subgroups, in both orders and asked twice, is the
+    naive closure of A and B, as the interned subgroup of that mask."""
+    G = cat[name]
+    copy = build_group([G.mul_row(a) for a in range(G.order)],
+                       name=f"{name}'", kind="table")
+    subs = copy.subgroups()
+    for i, A in enumerate(subs):
+        for B in subs[i:]:
+            want = mask_of(closure_set(copy, A.elems + B.elems))
+            for X, Y in ((A, B), (B, A), (A, B), (B, A)):
+                assert X.join(Y) is copy.subgroup(want), (A.mask, B.mask)
+
+
 def test_lattice_canonical_order(cat):
     subs = cat["D8"].subgroups()
     keys = [(H.order, H.mask) for H in subs]

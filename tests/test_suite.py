@@ -132,3 +132,78 @@ def test_cold_suite_computes_w_and_aut_once_per_family(monkeypatch):
     assert families and len(families) == len(set(families))
     assert len(aut_groups) == len(set(map(id, aut_groups)))
     assert {id(g) for g in aut_groups} == {id(f.S) for f in families}
+
+
+def _s_class(F, P):
+    """The masks x P x^-1, x in the carrier, by the definition."""
+    return {P.conjugate_mask(x) for x in F.carrier.elems}
+
+
+def _left_s_orbit(F, t):
+    """The maps c_y o t, y in the carrier, by the definition."""
+    G = F.host
+    return {tuple(G.conj(y, v) for v in t) for y in F.carrier.elems}
+
+
+def test_cold_suite_checks_fs3_per_orbit_and_closes_each_join_once(
+        monkeypatch):
+    """Counts, not timings: on freshly built catalog groups, one suite run
+    computes N_phi in each axiom check on one object of each S-class, and
+    at most once per left S-orbit {c_y o t : y in S} of its hom-set; and it
+    closes a join once per pair of masks where neither contains the other,
+    never where one does."""
+    import importlib
+
+    from fusionlab import fusion, stellmacher
+    from fusionlab.groups import FiniteGroup, Subgroup
+
+    catalog = importlib.import_module("fusionlab.catalog")
+    monkeypatch.setattr(catalog, "_cache", {})
+    monkeypatch.setattr(stellmacher, "_family_cache", {})
+    checks = []   # one (F, [(P, t) with N_phi computed]) per axiom check
+    closures = {}   # (parent, smaller mask, larger mask) -> closures
+    in_join = []
+    real_verify, real_n_phi = fusion._verify, fusion._n_phi_tuple
+    real_join, real_closure = Subgroup.join, FiniteGroup.closure_mask
+
+    def counting_verify(F, host, carrier):
+        checks.append((F, []))
+        return real_verify(F, host, carrier)
+
+    def counting_n_phi(F, P, t):
+        if checks and checks[-1][0] is F:
+            checks[-1][1].append((P, t))
+        return real_n_phi(F, P, t)
+
+    def counting_join(self, other):
+        self.generators(), other.generators()   # closures of their own
+        a, b = sorted((self.mask, other.mask))
+        closures.setdefault((self.parent, a, b), 0)
+        in_join.append((self.parent, a, b))
+        try:
+            return real_join(self, other)
+        finally:
+            in_join.pop()
+
+    def counting_closure(self, generators, seed_mask=1):
+        if in_join:
+            closures[in_join[-1]] += 1
+        return real_closure(self, generators, seed_mask)
+
+    monkeypatch.setattr(fusion, "_verify", counting_verify)
+    monkeypatch.setattr(fusion, "_n_phi_tuple", counting_n_phi)
+    monkeypatch.setattr(Subgroup, "join", counting_join)
+    monkeypatch.setattr(FiniteGroup, "closure_mask", counting_closure)
+    result = run_suite(RunConfig())
+    assert result.failures == 0
+    assert sum(len(calls) for _, calls in checks) > 0
+    for F, calls in checks:
+        walked, seen = {}, set()
+        for P, t in calls:
+            for m in _s_class(F, P):
+                assert walked.setdefault(m, P.mask) == P.mask, (F.name, m)
+            assert (P.mask, t) not in seen, (F.name, P.mask, t)
+            seen |= {(P.mask, u) for u in _left_s_orbit(F, t)}
+    assert closures
+    for (_, a, b), n in closures.items():
+        assert n == (0 if a & ~b == 0 else 1), (a, b, n)
