@@ -5,8 +5,6 @@ an expected order, checked when the entry is built.  The largest
 entry is Qd(3) of order 216.
 """
 
-from __future__ import annotations
-
 import functools
 
 from .errors import InternalInconsistency

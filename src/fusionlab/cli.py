@@ -6,8 +6,6 @@ on disk.  Every exit 2 writes the witness of the contradiction to
 contradiction-witness.txt in the current directory.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys
@@ -278,6 +276,18 @@ def cmd_catalog(args):
     return EXIT_OK
 
 
+def _positive_int(text):
+    """An argparse type: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Exits with EXIT_USAGE on a bad argument; argparse's own 2 is the
     contradiction code here.  Subparsers inherit the class."""
@@ -292,7 +302,7 @@ def build_parser():
         prog="fusionlab",
         description="fusion systems of finite groups at desk scale")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--order-cap", type=int, default=1000,
+    parser.add_argument("--order-cap", type=_positive_int, default=1000,
                         help="largest admissible group order")
     sub = parser.add_subparsers(dest="command", required=True)
 

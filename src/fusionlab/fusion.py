@@ -7,9 +7,7 @@ image tuples aligned with the sorted domain elements, so realized and
 explicit systems share one code path everywhere downstream.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import (
     CarrierMismatch,
@@ -20,6 +18,7 @@ from .errors import (
     ObjectOutsideS,
 )
 from .groups import (
+    DetailRecord,
     FiniteGroup,
     GroupMorphism,
     Subgroup,
@@ -445,17 +444,13 @@ def _n_phi_tuple(F, P, t):
     return sub
 
 
-@dataclass(frozen=True)
-class SubgroupProfile:
-    """Classification of one subgroup inside a fusion system."""
+class SubgroupProfile(DetailRecord, namedtuple(
+        "SubgroupProfile", "Q fully_normalized fully_centralized centric "
+                           "radical essential witness")):
+    """Classification of one subgroup inside a fusion system; ``witness``
+    is a dict that equality and hashing leave out."""
 
-    Q: Subgroup
-    fully_normalized: bool
-    fully_centralized: bool
-    centric: bool
-    radical: bool
-    essential: bool
-    witness: dict = field(default_factory=dict, compare=False)
+    __slots__ = ()
 
 
 def classify_subgroup(F, Q) -> SubgroupProfile:
@@ -552,10 +547,12 @@ def essential_subgroups(F):
 # -- axiom verification ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    status: str                # "verified" or "failed"
-    witness: tuple = None      # (axiom, detail...) for failures
+class AxiomReport(namedtuple("AxiomReport", "status witness",
+                             defaults=(None,))):
+    """``status`` is "verified" or "failed"; ``witness`` is
+    (axiom, detail...) for a failure."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.status == VERIFIED
@@ -707,8 +704,9 @@ def _move_key(a, key):
 # -- Alperin decomposition ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlperinDecomposition:
+class AlperinDecomposition(namedtuple(
+        "AlperinDecomposition",
+        "source subgroup_chain essentials automorphisms")):
     """phi written as restrictions of essential automorphisms followed by
     the restriction of one maximal automorphism.
 
@@ -717,10 +715,7 @@ class AlperinDecomposition:
     is the maximal automorphism psi_{n+1} on S.
     """
 
-    source: GroupMorphism
-    subgroup_chain: tuple
-    essentials: tuple
-    automorphisms: tuple
+    __slots__ = ()
 
     @property
     def n_steps(self):

@@ -12,8 +12,6 @@
 Comments start with ``#`` and blank lines are ignored.
 """
 
-from __future__ import annotations
-
 import re
 
 from .errors import ParseError

@@ -6,10 +6,7 @@ so subset tests, intersections and deduplication stay cheap at desk scale
 (orders up to the configured cap, default 1000).
 """
 
-from __future__ import annotations
-
-import hashlib
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     InternalInconsistency,
@@ -190,13 +187,17 @@ class FiniteGroup:
         return (1 << self.order) - 1
 
     def table_hash(self):
-        """Content hash of the Cayley table (cache key; relabel-sensitive)."""
+        """Exact cache key of the Cayley table (relabel-sensitive): its
+        entries as unsigned 16-bit words, row by row.  Every entry is below
+        the order, and no table of order above 65,536 fits in memory."""
         if self._hash is None:
-            h = hashlib.sha256()
+            # imported here, so that importing the package does not load it
+            from array import array
+
+            packed = array("H")
             for row in self._mul:
-                h.update(b"|")
-                h.update(",".join(map(str, row)).encode())
-            self._hash = h.hexdigest()
+                packed.fromlist(row)
+            self._hash = packed.tobytes()
         return self._hash
 
     def __repr__(self):
@@ -502,8 +503,23 @@ def is_hom_tuple(H, P, t):
     return True
 
 
-@dataclass(frozen=True)
-class GroupMorphism:
+class DetailRecord:
+    """Base for a namedtuple record whose last field is a free-form dict
+    of detail or witnesses: equality and hashing leave that field out."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:-1])
+
+
+class GroupMorphism(namedtuple("GroupMorphism", "domain codomain images")):
     """An injective homomorphism between subgroups, as an image table.
 
     ``images`` maps each domain member (parent index of the domain's group)
@@ -511,22 +527,20 @@ class GroupMorphism:
     are validated as injective homomorphisms on construction.
     """
 
-    domain: Subgroup
-    codomain: Subgroup
-    images: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        dom, cod = self.domain, self.codomain
-        imgs = self.images
-        if set(imgs) != set(dom.elems):
+    def __new__(cls, domain, codomain, images):
+        self = super().__new__(cls, domain, codomain, images)
+        if set(images) != set(domain.elems):
             raise NotASubgroup("image table keys must equal the domain")
-        vals = set(imgs.values())
-        if len(vals) != len(imgs):
+        vals = set(images.values())
+        if len(vals) != len(images):
             raise NotASubgroup("morphism is not injective")
-        if any(v not in cod for v in vals):
+        if any(v not in codomain for v in vals):
             raise NotASubgroup("image escapes the codomain")
-        if not is_hom_tuple(cod.parent, dom, self.as_tuple()):
+        if not is_hom_tuple(codomain.parent, domain, self.as_tuple()):
             raise NotASubgroup("image table is not multiplicative")
+        return self
 
     def __call__(self, x):
         return self.images[x]
@@ -934,15 +948,11 @@ def o_p_prime(G, p, within=None):
 # -- quotients ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientMap:
+class QuotientMap(namedtuple("QuotientMap", "source quotient coset_of reps")):
     """Surjective projection B -> B/N as a per-element coset index table
     over the whole parent group; ``coset_of`` is -1 outside B."""
 
-    source: FiniteGroup
-    quotient: FiniteGroup
-    coset_of: tuple
-    reps: tuple
+    __slots__ = ()
 
     def __call__(self, x):
         return self.coset_of[x]

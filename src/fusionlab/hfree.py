@@ -6,9 +6,7 @@ running over the centric, radical, fully normalized subgroups (the range is
 conjunctive).  Witnesses are always materialized so failures are auditable.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .catalog import catalog_group, qd2_group
 from .errors import (
@@ -39,14 +37,12 @@ def qd_group(p) -> FiniteGroup:
     raise UnsupportedPrime(f"Qd({p}) is beyond desk scale")
 
 
-@dataclass(frozen=True)
-class HFreeReport:
-    """Outcome of an H-freeness test with a materialized witness if not free."""
+class HFreeReport(namedtuple("HFreeReport", "target H free witness",
+                             defaults=(None,))):
+    """Outcome of an H-freeness test with a materialized witness if not
+    free: (B, A) for a group, (Q, L, (B, A)) for a fusion system."""
 
-    target: str
-    H: FiniteGroup
-    free: bool
-    witness: tuple = None   # group: (B, A); fusion system: (Q, L, (B, A))
+    __slots__ = ()
 
     def __bool__(self):
         return self.free

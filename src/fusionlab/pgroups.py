@@ -5,9 +5,7 @@ order; A(S) = Omega(Z(S)) and B(S) = Omega(Z(J(S))) are the inner and outer
 anchors of every W(S) computation.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InternalInconsistency, NotAPGroup
 from .groups import (
@@ -32,17 +30,12 @@ def p_of(sub: Subgroup):
     return p
 
 
-@dataclass(frozen=True)
-class ThompsonData:
+class ThompsonData(namedtuple(
+        "ThompsonData",
+        "S p max_abelian_order max_abelian_subgroups J A B")):
     """J(S) together with the witnesses that generated it."""
 
-    S: Subgroup
-    p: int
-    max_abelian_order: int
-    max_abelian_subgroups: tuple
-    J: Subgroup
-    A: Subgroup
-    B: Subgroup
+    __slots__ = ()
 
 
 def thompson_data(S: Subgroup) -> ThompsonData:

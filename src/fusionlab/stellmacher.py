@@ -15,9 +15,7 @@ containment W_oneshot <= W_iter is checked on every run and equality is
 reported.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import (
     InternalInconsistency,
@@ -27,6 +25,7 @@ from .errors import (
 )
 from .fusion import FusionSystem, classify_subgroup, mask_of
 from .groups import (
+    DetailRecord,
     FiniteGroup,
     Subgroup,
     aut_generators,
@@ -41,14 +40,12 @@ from .pgroups import is_characteristic, thompson_data
 from .subsystems import is_normal_in_F, model_group, o_p_of_F
 
 
-@dataclass(frozen=True)
-class FamilyMember:
-    """A realized system whose carrier is identified with the model S."""
+class FamilyMember(namedtuple(
+        "FamilyMember", "system identification j_normal qd_free")):
+    """A realized system whose carrier is identified with the model S;
+    ``identification`` maps model index -> host index of the carrier."""
 
-    system: FusionSystem
-    identification: tuple       # model index -> host index of the carrier
-    j_normal: bool
-    qd_free: bool
+    __slots__ = ()
 
     @property
     def admitted(self):
@@ -62,13 +59,10 @@ class FamilyMember:
         return mask_of(back[x] for x in bits(host_mask))
 
 
-@dataclass(frozen=True)
-class CandidateFamily:
+class CandidateFamily(namedtuple("CandidateFamily", "S p members")):
     """An abstract p-group model S together with identified members."""
 
-    S: FiniteGroup
-    p: int
-    members: tuple
+    __slots__ = ()
 
     def admitted_members(self):
         return tuple(m for m in self.members if m.admitted)
@@ -170,18 +164,15 @@ def cached_canonical_family(S_sub, p):
     return _family_cache[key]
 
 
-@dataclass(frozen=True)
-class WComputation:
-    """The growth chain and both W values for one family."""
+class WComputation(namedtuple(
+        "WComputation",
+        "family chain witnesses W_iter W_oneshot equal A B")):
+    """The growth chain and both W values for one family.  ``chain`` holds
+    masks over the model S, strictly increasing; ``witnesses`` holds
+    (member idx, orbit idx, grown-from mask); W_iter and W_oneshot are
+    subgroups of the model S."""
 
-    family: CandidateFamily
-    chain: tuple                 # masks over the model S, strictly increasing
-    witnesses: tuple             # (member idx, orbit idx, grown-from mask)
-    W_iter: Subgroup             # subgroup of the model S
-    W_oneshot: Subgroup
-    equal: bool
-    A: Subgroup
-    B: Subgroup
+    __slots__ = ()
 
 
 def compute_W_iterative(family: CandidateFamily) -> WComputation:
@@ -301,20 +292,15 @@ def compute_W_oneshot(family: CandidateFamily) -> Subgroup:
     return W
 
 
-@dataclass(frozen=True)
-class FunctorReport:
-    """Functor-property verification for one family."""
+class FunctorReport(DetailRecord, namedtuple(
+        "FunctorReport",
+        "characteristic_iter characteristic_oneshot nontrivial "
+        "order_independent identification_independent oneshot_contained "
+        "equal W_iter W_oneshot details")):
+    """Functor-property verification for one family; ``details`` is a dict
+    that equality and hashing leave out."""
 
-    characteristic_iter: bool
-    characteristic_oneshot: bool
-    nontrivial: bool
-    order_independent: bool
-    identification_independent: bool
-    oneshot_contained: bool
-    equal: bool
-    W_iter: Subgroup
-    W_oneshot: Subgroup
-    details: dict = field(default_factory=dict, compare=False)
+    __slots__ = ()
 
     def all_hold(self):
         return (self.characteristic_iter and self.characteristic_oneshot

@@ -6,9 +6,7 @@ has a conjugation source the equivalent realized shortcut is computed too
 and the two routes are required to agree.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     CarrierMismatch,
@@ -38,7 +36,6 @@ from .fusion import (
     wrap_tuple,
 )
 from .groups import (
-    Subgroup,
     bits,
     o_p_prime,
     p_part,
@@ -352,16 +349,13 @@ def generated_system(parts):
 # -- constrained models -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Model:
-    """The p'-reduced p-constrained model of N_F(Q) with its projection."""
+class Model(namedtuple("Model", "L F Q normalizer kernel proj")):
+    """The p'-reduced p-constrained model of N_F(Q) with its projection:
+    the group L, the system F, Q, ``normalizer`` = N_ambient(Q),
+    ``kernel`` = O_p'(C_ambient(Q)) and ``proj``, the QuotientMap
+    N_ambient(Q) -> L on the host."""
 
-    L: object                 # FiniteGroup
-    F: FusionSystem
-    Q: Subgroup
-    normalizer: Subgroup      # N_ambient(Q)
-    kernel: Subgroup          # O_p'(C_ambient(Q))
-    proj: object              # QuotientMap N_ambient(Q) -> L on the host
+    __slots__ = ()
 
 
 def model_group(F, Q) -> Model:

@@ -5,11 +5,8 @@ status, detail); the TSV rendering of those rows is byte-stable across
 runs and hash seeds, which is what the determinism contract requires.
 """
 
-from __future__ import annotations
-
 import os
 import tempfile
-from dataclasses import dataclass, field
 
 from .catalog import CATALOG_NAMES, catalog_group, validate_catalog
 from .errors import (
@@ -50,22 +47,26 @@ from .theorems import (
 PRIMES = (2, 3)
 
 
-@dataclass
 class RunConfig:
-    order_cap: int = DEFAULT_ORDER_CAP
-    report_dir: str = None
+    """The largest admissible group order, and where per-instance TSV
+    reports go (None: nowhere)."""
 
-    def __post_init__(self):
-        if self.order_cap <= 0:
+    def __init__(self, order_cap=DEFAULT_ORDER_CAP, report_dir=None):
+        if order_cap <= 0:
             raise ValueError("the order cap must be positive")
+        self.order_cap = order_cap
+        self.report_dir = report_dir
 
 
-@dataclass
 class SuiteResult:
-    rows: list = field(default_factory=list)
-    contradictions: int = 0
-    failures: int = 0
-    skipped: int = 0
+    """The suite's rows (section, instance, check, status, detail) and
+    the count of each non-pass status."""
+
+    def __init__(self, rows=None):
+        self.rows = [] if rows is None else rows
+        self.contradictions = 0
+        self.failures = 0
+        self.skipped = 0
 
     def add(self, section, instance, check, status, detail=""):
         self.rows.append((section, instance, check, status, str(detail)))

@@ -6,14 +6,13 @@ harnesses never assume the statements they check, so a full catalog sweep
 doubles as a regression oracle for every lower module.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .catalog import catalog_group
 from .errors import HypothesisViolated, InternalInconsistency
 from .fusion import FusionSystem, mask_of
 from .groups import (
+    DetailRecord,
     Subgroup,
     bits,
     is_isomorphic,
@@ -32,13 +31,13 @@ from .stellmacher import (
 from .subsystems import is_normal_in_F, model_group, normalizer_system, o_p_of_F
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    theorem_id: str
-    instance: str
-    hypotheses_hold: bool
-    conclusion_holds: bool
-    detail: dict = field(default_factory=dict, compare=False)
+class TheoremReport(DetailRecord, namedtuple(
+        "TheoremReport",
+        "theorem_id instance hypotheses_hold conclusion_holds detail")):
+    """One theorem instance; ``detail`` is a dict that equality and
+    hashing leave out."""
+
+    __slots__ = ()
 
     @property
     def contradiction(self):

@@ -1,5 +1,4 @@
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -210,12 +209,16 @@ def test_cli_group_file_above_cap_exits_3(tmp_path, text, cap, reason):
     ["verify", "--theorem", "9", "--group", "S4", "--p", "2"],
     ["--cache-dir", "somewhere", "catalog"],
     ["--aut-cap", "64", "catalog"],
+    ["--order-cap", "0", "suite"],
+    ["--order-cap", "-2", "analyze", "S4"],
 ])
 def test_cli_usage_error_exits_1_not_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
@@ -257,7 +260,7 @@ def test_cli_wcompute_failed_functor_check_dumps_witness(monkeypatch,
     reports = []
 
     def nontrivial_fails(S, fam):
-        reports.append(dataclasses.replace(real(S, fam), nontrivial=False))
+        reports.append(real(S, fam)._replace(nontrivial=False))
         return reports[-1]
 
     monkeypatch.chdir(tmp_path)

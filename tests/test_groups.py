@@ -857,10 +857,15 @@ def test_group_morphism_validation(cat):
     from fusionlab.groups import GroupMorphism
 
     c4 = cat["C4"].full_subgroup
-    with pytest.raises(NotASubgroup):   # not multiplicative
+    with pytest.raises(NotASubgroup, match="not multiplicative"):
         GroupMorphism(c4, c4, {0: 0, 1: 2, 2: 1, 3: 3})
-    with pytest.raises(NotASubgroup):   # not injective
+    with pytest.raises(NotASubgroup, match="not injective"):
         GroupMorphism(c4, c4, {0: 0, 1: 0, 2: 0, 3: 0})
+    with pytest.raises(NotASubgroup, match="keys must equal the domain"):
+        GroupMorphism(c4, c4, {0: 0, 1: 1, 2: 2})
+    c2 = next(H for H in c4.subgroups_within() if H.order == 2)
+    with pytest.raises(NotASubgroup, match="escapes the codomain"):
+        GroupMorphism(c4, c2, {x: x for x in c4.elems})
     # across two tables: S3 onto a relabelled copy
     s3, copy = cat["S3"], _relabelled(cat["S3"], 5)
     ok, w = is_isomorphic(s3, copy)
@@ -868,5 +873,25 @@ def test_group_morphism_validation(cat):
     GroupMorphism(w.domain, w.codomain, dict(w.images))
     swapped = dict(w.images)
     swapped[1], swapped[2] = swapped[2], swapped[1]
-    with pytest.raises(NotASubgroup):   # not multiplicative
+    with pytest.raises(NotASubgroup, match="not multiplicative"):
         GroupMorphism(w.domain, w.codomain, swapped)
+
+
+def test_table_key_is_exact(cat):
+    """Two tables get the same key exactly when they are equal: over every
+    catalog group and the standalone copy of each of its Sylow subgroups,
+    many of which share a table.  A relabelled copy gets another key."""
+    groups = []
+    for G in cat.values():
+        groups.append(G)
+        for p in (2, 3, 13):    # every prime dividing a catalog order
+            if G.order % p == 0:
+                groups.append(sylow(G, p).as_group()[0])
+    keys = [G.table_hash() for G in groups]
+    assert any(A is not B and A._mul == B._mul
+               for A in groups for B in groups)
+    for A, ka in zip(groups, keys):
+        for B, kb in zip(groups, keys):
+            assert (ka == kb) == (A._mul == B._mul), (A.name, B.name)
+    s4 = cat["S4"]
+    assert _relabelled(s4, 5).table_hash() != s4.table_hash()
