@@ -11,7 +11,12 @@ import os
 import sys
 
 from . import __version__
-from .catalog import CATALOG_NAMES, catalog_group, validate_catalog
+from .catalog import (
+    CATALOG_NAMES,
+    EXPECTED_ORDERS,
+    catalog_group,
+    validate_catalog,
+)
 from .errors import (
     FusionlabError,
     InternalInconsistency,
@@ -53,10 +58,14 @@ WITNESS_FILE = "contradiction-witness.txt"
 
 
 def _load_group(spec, cap):
-    """A group file path, or a built-in catalog name."""
+    """A group file path, or a built-in catalog name; either one is
+    refused above the order cap before anything is printed."""
     if os.path.exists(spec):
         return parse_group_file(spec, cap=cap)
     if spec in CATALOG_NAMES:
+        if EXPECTED_ORDERS[spec] > cap:
+            raise OrderCapExceeded(f"catalog group {spec} has order "
+                                   f"{EXPECTED_ORDERS[spec]} above cap {cap}")
         return catalog_group(spec)
     raise ParseError(f"no such file or catalog group: {spec}")
 

@@ -532,10 +532,14 @@ def _strongly_p_embedded(out, p):
 
 
 def essential_subgroups(F):
-    """(all essential subgroups, the fully normalized ones), canonical order."""
+    """(all essential subgroups, the fully normalized ones), canonical order.
+    Every essential subgroup is centric, so an object without a profile yet
+    is classified only when it is centric."""
     ess = []
     ess_fn = []
     for Q in F.objects():
+        if Q.mask not in F._profiles and not F.is_centric(Q):
+            continue
         prof = classify_subgroup(F, Q)
         if prof.essential:
             ess.append(Q)

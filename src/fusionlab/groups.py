@@ -7,6 +7,8 @@ so subset tests, intersections and deduplication stay cheap at desk scale
 """
 
 from collections import namedtuple
+from itertools import chain
+from operator import itemgetter
 
 from .errors import (
     InternalInconsistency,
@@ -69,7 +71,9 @@ class FiniteGroup:
                               else [tuple(p) for p in perm_elements])
         if validate:
             self._validate_table()
-        self.inv = self._compute_inverses()
+        # a row without the identity (unvalidated) gets 0, and the order
+        # loop below reports the table
+        self.inv = [row.index(0) if 0 in row else 0 for row in self._mul]
         self.elem_orders = self._compute_orders()
         self._subgroup_cache = {}
         self._aut_gens = None   # aut_generators, once found
@@ -86,9 +90,15 @@ class FiniteGroup:
         n = self.order
         if n == 0:
             raise NonAssociative("empty multiplication table")
+        # each check runs a whole-row test in C first, and the element-by-
+        # element loop only where that test fails, so that the loop finds
+        # the same witness for the message
+        entries = frozenset(range(n))
         for i, row in enumerate(self._mul):
             if len(row) != n:
                 raise NonAssociative(f"row {i} has length {len(row)}, expected {n}")
+            if entries.issuperset(row):
+                continue
             for v in row:
                 if not 0 <= v < n:
                     raise NonAssociative(f"entry {v} out of range in row {i}")
@@ -96,7 +106,9 @@ class FiniteGroup:
         for x in range(n):
             if mul[0][x] != x or mul[x][0] != x:
                 raise NonAssociative("element 0 is not a two-sided identity")
-        for x in range(n):
+        for x, row in enumerate(mul):
+            if 0 in row and mul[row.index(0)][x] == 0:
+                continue
             if not any(mul[x][y] == 0 and mul[y][x] == 0 for y in range(n)):
                 raise NonAssociative(f"element {x} has no two-sided inverse")
         # Light's test: the a with (x a) y = x (a y) for all x and y include
@@ -106,7 +118,10 @@ class FiniteGroup:
         # and Preston, Algebraic Theory of Semigroups I, 1.2).  Each element
         # not yet reached is checked, then walked from; the first j that
         # pass reach a group of order >= 2^j, so at most log2(n) + 1 are
-        # checked.  The walk multiplies each element by each a once.
+        # checked.  The walk multiplies each element by each a once.  For
+        # one a the whole test compares columns: column y of (x a) y is
+        # column y of the rows x a, and that of x (a y) is column a y.
+        cols = list(zip(*mul))
         seen = bytearray(n)
         seen[0] = 1
         reached, walk = [0], []
@@ -114,12 +129,15 @@ class FiniteGroup:
             if seen[a]:
                 continue
             ra = mul[a]
-            for x in range(n):
-                rx = mul[x]
-                row = mul[rx[a]]
-                if row != list(map(rx.__getitem__, ra)):
-                    y = next(y for y in range(n) if row[y] != rx[ra[y]])
-                    raise NonAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
+            if (list(zip(*map(mul.__getitem__, cols[a])))
+                    != list(map(cols.__getitem__, ra))):
+                for x in range(n):
+                    rx = mul[x]
+                    row = mul[rx[a]]
+                    if row != list(map(rx.__getitem__, ra)):
+                        y = next(y for y in range(n) if row[y] != rx[ra[y]])
+                        raise NonAssociative(
+                            f"({x}*{a})*{y} != {x}*({a}*{y})")
             walk.append(a)
             old = len(reached)
             for i, x in enumerate(reached):   # grows while it is walked
@@ -128,17 +146,6 @@ class FiniteGroup:
                     if not seen[row[g]]:
                         seen[row[g]] = 1
                         reached.append(row[g])
-
-    def _compute_inverses(self):
-        mul = self._mul
-        n = self.order
-        inv = [0] * n
-        for x in range(n):
-            for y in range(n):
-                if mul[x][y] == 0:
-                    inv[x] = y
-                    break
-        return inv
 
     def _compute_orders(self):
         orders = [1] * self.order
@@ -309,13 +316,18 @@ class Subgroup:
             raise NotASubgroup("subgroup must contain the identity")
         mul = parent._mul
         inv = parent.inv
-        for x in self._elems:
-            if not mask >> inv[x] & 1:
-                raise NotASubgroup(f"not closed under inverse at {x}")
-            row = mul[x]
-            for y in self._elems:
-                if not mask >> row[y] & 1:
-                    raise NotASubgroup(f"not closed under product at ({x},{y})")
+        elems = self._elems
+        # the whole test in C, then the loop only to name the witness; the
+        # loop alone is as fast below 5 elements
+        if len(elems) < 5 or not _closed(elems, inv, mul):
+            for x in elems:
+                if not mask >> inv[x] & 1:
+                    raise NotASubgroup(f"not closed under inverse at {x}")
+                row = mul[x]
+                for y in elems:
+                    if not mask >> row[y] & 1:
+                        raise NotASubgroup(
+                            f"not closed under product at ({x},{y})")
         if parent.order % len(self._elems) != 0:
             raise NotASubgroup("order does not divide parent order")
 
@@ -480,6 +492,14 @@ class Subgroup:
         return self._as_group
 
 
+def _closed(elems, inv, mul):
+    """Do ``elems`` (two or more) hold their inverses and products?"""
+    members = frozenset(elems)
+    pick = itemgetter(*elems)
+    return members.issuperset(pick(inv)) and members.issuperset(
+        chain.from_iterable(map(pick, map(mul.__getitem__, elems))))
+
+
 def is_hom_tuple(H, P, t):
     """Is t an injective homomorphism from P into the group H?  t lists
     the images in H of P's sorted elements; P's own parent may be another
@@ -613,13 +633,13 @@ def _group_from_perms(perms, name, cap):
     ident = identity_perm(degree)
     elements = [ident]
     index = {ident: 0}
-    # times[k][x]: the index of x*gens[k]; steps: (y, x, times[k]) for each
+    # times[k][x]: the index of x*gens[k]; steps: (y, x, k) for each
     # element y = x*gens[k] met first that way, in the order found
     times = [[] for _ in gens]
     steps = []
     # elements grows while it is walked: a breadth-first closure
     for i, x in enumerate(elements):
-        for g, col in zip(gens, times):
+        for k, (g, col) in enumerate(zip(gens, times)):
             y = compose_perms(x, g)
             j = index.get(y)
             if j is None:
@@ -628,16 +648,21 @@ def _group_from_perms(perms, name, cap):
                         f"closure exceeded order cap {cap}")
                 j = index[y] = len(elements)
                 elements.append(y)
-                steps.append((j, i, col))
+                steps.append((j, i, k))
             col.append(j)
-    # row a of the table: a*y = (a*x)*g is a lookup in times
-    table = []
-    for a in range(len(elements)):
-        row = [a] * len(elements)
-        for y, x, col in steps:
-            row[y] = col[row[x]]
-        table.append(row)
     gen_indices = tuple(index[g] for g in gens)
+    # the row of each generator a: a*y = (a*x)*g is a lookup in times
+    gen_rows = []
+    for a in gen_indices:
+        row = [a] * len(elements)
+        for y, x, k in steps:
+            row[y] = times[k][row[x]]
+        gen_rows.append(row)
+    # every other row along the same tree: (x*g)*z = x*(g*z), so the row
+    # of x*g is the row of x read at the entries of the row of g
+    table = [list(range(len(elements)))] + [None] * len(steps)
+    for y, x, k in steps:
+        table[y] = list(map(table[x].__getitem__, gen_rows[k]))
     return FiniteGroup(table, name=name, perm_rep=gens,
                        gen_indices=gen_indices, perm_elements=elements)
 
@@ -808,8 +833,8 @@ def _canonical_sylow(G, p):
                 break
         if not grown:  # cannot happen for a true group
             raise NonAssociative("Sylow growth stalled")
-    best = min(psub.conjugate_mask(g) for g in range(G.order))
-    return G.subgroup(best)
+    # the least mask of P's orbit under G, walked over G's generators
+    return G.subgroup(min(_conjugates(G, psub.mask)))
 
 
 def omega_mask(G, sub_mask, p):

@@ -6,7 +6,6 @@ runs and hash seeds, which is what the determinism contract requires.
 """
 
 import os
-import tempfile
 
 from .catalog import CATALOG_NAMES, catalog_group, validate_catalog
 from .errors import (
@@ -370,6 +369,9 @@ def run_suite(config: RunConfig, groups=None, scope="catalog") -> SuiteResult:
 
 
 def _write_reports(config, result):
+    # imported here, so that a run without --report-dir does not load it
+    import tempfile
+
     os.makedirs(config.report_dir, exist_ok=True)
     by_instance = {}
     for row in result.rows:

@@ -328,6 +328,63 @@ def perm_table_brute(perms):
     return table, elements, tuple(index[g] for g in perms)
 
 
+def table_check_brute(mul):
+    """The message of the first check of FiniteGroup's construction that
+    the square table ``mul`` fails, or None: every check element by
+    element.  Associativity is Light's test over the same elements a as
+    ``FiniteGroup._validate_table`` takes (each one not yet reached by
+    right multiplication from the identity by those taken before), with
+    the reached set closed afresh after each a."""
+    n = len(mul)
+    if n == 0:
+        return "empty multiplication table"
+    for i, row in enumerate(mul):
+        if len(row) != n:
+            return f"row {i} has length {len(row)}, expected {n}"
+        for v in row:
+            if not 0 <= v < n:
+                return f"entry {v} out of range in row {i}"
+    for x in range(n):
+        if mul[0][x] != x or mul[x][0] != x:
+            return "element 0 is not a two-sided identity"
+    for x in range(n):
+        if not any(mul[x][y] == 0 and mul[y][x] == 0 for y in range(n)):
+            return f"element {x} has no two-sided inverse"
+    walk, reached = [], {0}
+    for a in range(1, n):
+        if a in reached:
+            continue
+        for x in range(n):
+            for y in range(n):
+                if mul[mul[x][a]][y] != mul[x][mul[a][y]]:
+                    return f"({x}*{a})*{y} != {x}*({a}*{y})"
+        walk.append(a)
+        frontier = [0]
+        reached = {0}
+        while frontier:
+            x = frontier.pop()
+            for g in walk:
+                if mul[x][g] not in reached:
+                    reached.add(mul[x][g])
+                    frontier.append(mul[x][g])
+    return None
+
+
+def closure_failure_brute(G, elems):
+    """The NotASubgroup message for the sorted element list ``elems`` (the
+    identity among them) that the element-by-element closure loop gives:
+    the first x whose inverse, or whose product x*y with an element y of
+    the list, falls outside; None if the list is closed."""
+    members = set(elems)
+    for x in elems:
+        if G.inv[x] not in members:
+            return f"not closed under inverse at {x}"
+        for y in elems:
+            if G.mul(x, y) not in members:
+                return f"not closed under product at ({x},{y})"
+    return None
+
+
 # -- all-pairs and all-subgroups references ---------------------------------
 
 

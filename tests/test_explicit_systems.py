@@ -10,6 +10,7 @@ from fusionlab.fusion import (
     classify_subgroup,
     essential_subgroups,
     fusion_equal,
+    realize_fusion,
     verify_axioms,
     wrap_tuple,
 )
@@ -48,6 +49,42 @@ def test_explicit_copy_classifies_identically(explicit_copy):
                 pe.radical, pe.essential)
     assert [x.mask for x in essential_subgroups(F)[0]] == \
            [x.mask for x in essential_subgroups(E)[0]]
+
+
+def _essentials_unfiltered(F):
+    """essential_subgroups without its centric filter: every object
+    classified."""
+    ess, ess_fn = [], []
+    for Q in F.objects():
+        prof = classify_subgroup(F, Q)
+        if prof.essential:
+            ess.append(Q.mask)
+            if prof.fully_normalized:
+                ess_fn.append(Q.mask)
+    return ess, ess_fn
+
+
+def test_essentials_filtered_by_centric_match_the_unfiltered_loop(systems):
+    """essential_subgroups classifies only centric objects; on every
+    catalog system and on its explicit copy the two lists and their order
+    are those of the loop that classifies every object.  Each list is
+    taken on a fresh system (realized systems are interned by name), so
+    neither run reads the other's profiles."""
+    seen = 0
+    for (name, p), F in systems.items():
+        def fresh(explicit, tag):
+            if explicit:
+                return FusionSystem.explicit_system(
+                    F.host, p, F.carrier, F.materialize(), name=tag)
+            return realize_fusion(F.host, p, name=tag)
+
+        for explicit in (False, True):
+            ess, ess_fn = essential_subgroups(fresh(explicit, "filtered"))
+            assert ([Q.mask for Q in ess], [Q.mask for Q in ess_fn]) == \
+                _essentials_unfiltered(fresh(explicit, "unfiltered")), \
+                (name, p, explicit)
+            seen += len(ess)
+    assert seen > 0
 
 
 def test_explicit_copy_normality_and_core(explicit_copy):

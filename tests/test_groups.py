@@ -40,6 +40,7 @@ from oracles import (
     automorphisms,
     automorphisms_raw,
     brute_force_subgroups,
+    closure_failure_brute,
     closure_of_maps,
     closure_set,
     involved_brute,
@@ -52,6 +53,7 @@ from oracles import (
     o_pi_brute,
     order_histogram,
     perm_table_brute,
+    table_check_brute,
 )
 
 
@@ -127,9 +129,19 @@ def test_associativity_check_matches_brute_force_on_every_swap(cat, name):
             return False
         return True
 
-    G = cat[name]
-    n = G.order
     swaps = 0
+    for (r, c, d), tables in _swapped_intercalates(cat[name]):
+        swaps += 1
+        for t in tables:
+            assert accepts(t) == _is_associative_brute(t), (r, c, d)
+    assert swaps > 0
+
+
+def _swapped_intercalates(G):
+    """((r, c, d), (table, C2 times table)) for every intercalate of G's
+    table on rows r, r*d and columns c, c*d, swapped one at a time, with
+    rows, columns and products kept off the identity."""
+    n = G.order
     for r in range(1, n):
         for c in range(1, n):
             for d in range(1, n):
@@ -141,10 +153,65 @@ def test_associativity_check_matches_brute_force_on_every_swap(cat, name):
                 table = _intercalate_swapped(n, G.mul, r, c, d)
                 doubled = [[(a ^ b) & 1 | table[a >> 1][b >> 1] << 1
                             for b in range(2 * n)] for a in range(2 * n)]
-                swaps += 1
-                for t in (table, doubled):
-                    assert accepts(t) == _is_associative_brute(t), (r, c, d)
-    assert swaps > 0
+                yield (r, c, d), (table, doubled)
+
+
+def _table_message(table):
+    """The NonAssociative message of FiniteGroup's checks on ``table``, or
+    None when the table is accepted."""
+    try:
+        FiniteGroup(table)
+    except NonAssociative as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["D8", "Q8"])
+def test_swapped_intercalates_name_the_triple_of_the_loops(cat, name):
+    """The whole-matrix form of Light's test falls back on the per-x loop,
+    so each swapped intercalate fails with the (x*a)*y text of the
+    element-by-element test."""
+    for where, tables in _swapped_intercalates(cat[name]):
+        for t in tables:
+            want = table_check_brute(t)
+            assert want.startswith("(") and _table_message(t) == want, where
+
+
+def test_a_row_whose_first_zero_is_one_sided(cat):
+    """Row x of a group table gets a second zero at a y before x's inverse,
+    where y*x != 1.  The fast inverse test takes the first zero and fails,
+    so the scan runs and finds the two-sided one; the table then fails
+    later, with the message of the element-by-element checks."""
+    cases = 0
+    for name in ("S3", "D8", "Q8", "A4", "S4"):
+        G = cat[name]
+        for x in range(1, G.order):
+            for y in range(1, G.inv[x]):
+                table = [G.mul_row(a)[:] for a in range(G.order)]
+                table[x][y] = 0
+                want = table_check_brute(table)
+                assert "inverse" not in want
+                assert _table_message(table) == want, (name, x, y)
+                cases += 1
+    assert cases > 0
+
+
+def test_single_cell_changes_fail_with_the_message_of_the_loops(cat):
+    """One cell of a group table set to a random value, out of range too:
+    accepted exactly when the element-by-element checks accept, and
+    otherwise refused with their message."""
+    rng = random.Random(20170)
+    messages = set()
+    for name in ("S3", "D8", "Q8", "C3xC3", "A4", "S4", "GL(2,3)"):
+        G = cat[name]
+        n = G.order
+        for _ in range(40):
+            table = [G.mul_row(a)[:] for a in range(n)]
+            table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(-1, n + 1)
+            want = table_check_brute(table)
+            assert _table_message(table) == want, name
+            messages.add(want.split()[0] if want else want)
+    assert {"entry", "element", None} <= messages
 
 
 def test_unvalidated_non_group_table_raises_instead_of_hanging():
@@ -376,6 +443,44 @@ def test_subgroup_refuses_every_mask_that_is_not_a_subgroup(cat):
                     G.subgroup(m)
 
 
+def test_subgroup_masks_of_large_groups_name_the_pair_of_the_loop(cat):
+    """Masks of GL(2,3) and Qd(3) checked on first interning: random ones,
+    compared with closure_set, and each subgroup with one element above
+    all of its own added or its largest one removed.  A mask is refused
+    exactly when it is not closed, with the (x,y) or the x that the
+    element-by-element loop names."""
+    from fusionlab.errors import NotASubgroup
+    from fusionlab.groups import Subgroup
+
+    rng = random.Random(1703)
+    refused = 0
+    for name, randoms in (("GL(2,3)", 60), ("Qd(3)", 12)):
+        G = cat[name]
+        n = G.order
+        masks = []
+        for H in G.subgroups():
+            top = H.elems[-1]
+            if top + 1 < n:
+                masks.append(H.mask | 1 << rng.randrange(top + 1, n))
+            if H.order > 1:
+                masks.append(H.mask & ~(1 << top))
+        for _ in range(randoms):
+            elems = [0] + rng.sample(range(1, n), rng.randrange(1, 12))
+            closed = set(elems) == closure_set(G, elems)
+            assert closed == (closure_failure_brute(G, sorted(elems)) is None)
+            masks.append(mask_of(elems))
+        for m in masks:
+            want = closure_failure_brute(G, list(bits(m)))
+            if want is None:
+                assert Subgroup(G, m).mask == m
+            else:
+                with pytest.raises(NotASubgroup) as exc:
+                    Subgroup(G, m)
+                assert str(exc.value) == want
+                refused += 1
+    assert refused > 0
+
+
 def test_standard_subgroups_within_a_subgroup(cat):
     from fusionlab.errors import NotASubgroup
     from fusionlab.groups import sylow
@@ -438,6 +543,19 @@ def test_sylow_is_canonical_minimum(cat):
     syl = sylow(s4, 2)
     assert all(syl.mask <= syl.conjugate_mask(g) for g in range(24))
     assert syl.mask == min(syl.conjugate_mask(g) for g in range(24))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_sylow_is_least_conjugate_in_every_catalog_group(cat, name):
+    """The canonical Sylow subgroup, taken from its orbit under G's
+    generators, is the least mask over the conjugates by every element."""
+    G = cat[name]
+    for p in (q for q in range(2, G.order + 1)
+              if G.order % q == 0 and all(q % k for k in range(2, q))):
+        P = sylow(G, p)
+        assert P.order == max(q for q in range(1, G.order + 1)
+                              if G.order % q == 0 and is_power_of(q, p))
+        assert P.mask == min(P.conjugate_mask(g) for g in range(G.order))
 
 
 def test_sylow_is_computed_once_per_group_and_prime(cat, monkeypatch):

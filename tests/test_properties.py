@@ -127,6 +127,17 @@ def test_lattice_matches_brute_force(gens):
 
 @settings(**COMMON)
 @given(group_specs, st.sampled_from([2, 3, 5]))
+def test_sylow_is_least_conjugate(gens, p):
+    """The canonical Sylow subgroup, taken from its orbit under the
+    group's generators, is the least mask over the conjugates by every
+    element."""
+    g = build_group([list(p_) for p_ in gens], kind="perms", cap=200)
+    syl = sylow(g, p)
+    assert syl.mask == min(syl.conjugate_mask(x) for x in range(g.order))
+
+
+@settings(**COMMON)
+@given(group_specs, st.sampled_from([2, 3, 5]))
 def test_sylow_has_full_p_part(gens, p):
     g = build_group([list(p_) for p_ in gens], kind="perms", cap=200)
     syl = sylow(g, p)

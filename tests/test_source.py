@@ -72,6 +72,24 @@ def test_cli_run_loads_no_dataclasses_inspect_or_hashlib():
     assert run.stdout.splitlines()[-1] == "[]"
 
 
+def test_cli_run_loads_no_tempfile():
+    """tempfile serves only the --report-dir writes of ``fusionlab suite``,
+    so other calls do not load it.  The interpreter runs with -S, because
+    site-packages .pth files may load tempfile at start-up themselves."""
+    code = ("import sys\n"
+            "assert 'tempfile' not in sys.modules\n"
+            "from fusionlab import cli\n"
+            "code = cli.main(['verify', '--theorem', '2', '--group', 'S4', "
+            "'--p', '2'])\n"
+            "print('tempfile' in sys.modules)\n"
+            "sys.exit(code)\n")
+    run = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
+
+
 RECORDS = {"GroupMorphism", "QuotientMap", "ThompsonData", "SubgroupProfile",
            "AxiomReport", "AlperinDecomposition", "Model", "HFreeReport",
            "FamilyMember", "CandidateFamily", "WComputation", "FunctorReport",
