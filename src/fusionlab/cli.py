@@ -31,7 +31,7 @@ from .fusion import (
     verify_axioms,
 )
 from .groupfile import eval_subgroup_spec, parse_group_file, perm_to_cycles
-from .groups import standard_subgroup, sylow
+from .groups import _smallest_prime_factor, standard_subgroup, sylow
 from .hfree import is_fusion_H_free, is_group_H_free, qd_group
 from .pgroups import thompson_data
 from .stellmacher import (
@@ -217,22 +217,21 @@ def cmd_wcompute(args):
 def cmd_verify(args):
     G = _load_group(args.group, args.order_cap)
     extras = [_load_group(path, args.order_cap) for path in args.family]
-    fam = None
-    if extras:
-        S = sylow(G, args.p)
-        fam = canonical_family(S, args.p, extras=extras)
     if args.theorem == "frobenius":
         report = frobenius_check(G, args.p)
-    elif args.theorem == "thompson":
-        report = thompson_group_check(G, args.p, family=fam)
     else:
-        F = realize_fusion(G, args.p)
-        if args.theorem == "1":
-            report = verify_theorem_1(F, family=fam)
-        elif args.theorem == "2":
-            report = verify_theorem_2(F, family=fam)
+        # G's own system is always a candidate, beside the --family groups
+        fam = canonical_family(sylow(G, args.p), args.p, extras=[G, *extras])
+        if args.theorem == "thompson":
+            report = thompson_group_check(G, args.p, family=fam)
         else:
-            report = verify_theorem_3(F, family=fam)
+            F = realize_fusion(G, args.p)
+            if args.theorem == "1":
+                report = verify_theorem_1(F, family=fam)
+            elif args.theorem == "2":
+                report = verify_theorem_2(F, family=fam)
+            else:
+                report = verify_theorem_3(F, family=fam)
     print(f"{report.theorem_id} on {report.instance}: "
           f"hypotheses={report.hypotheses_hold} "
           f"conclusion={report.conclusion_holds}")
@@ -297,6 +296,14 @@ def _positive_int(text):
     return value
 
 
+def _prime(text):
+    """An argparse type: a prime."""
+    value = _positive_int(text)
+    if value == 1 or _smallest_prime_factor(value) != value:
+        raise argparse.ArgumentTypeError(f"must be a prime, not {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Exits with EXIT_USAGE on a bad argument; argparse's own 2 is the
     contradiction code here.  Subparsers inherit the class."""
@@ -321,12 +328,12 @@ def build_parser():
 
     p = sub.add_parser("jthompson", help="J(S), A(S), B(S) of a Sylow subgroup")
     p.add_argument("group")
-    p.add_argument("p", type=int)
+    p.add_argument("p", type=_prime)
     p.set_defaults(func=cmd_jthompson)
 
     p = sub.add_parser("fusion", help="fusion system classification tables")
     p.add_argument("group")
-    p.add_argument("p", type=int)
+    p.add_argument("p", type=_prime)
     p.add_argument("--profile-all", action="store_true")
     p.add_argument("--essentials", action="store_true")
     p.add_argument("--dump-homs", nargs=2, metavar=("P", "R"))
@@ -335,7 +342,7 @@ def build_parser():
     p = sub.add_parser("subsystem", help="normalizer/centralizer/quotient "
                                          "subsystems")
     p.add_argument("group")
-    p.add_argument("p", type=int)
+    p.add_argument("p", type=_prime)
     p.add_argument("--kind", required=True,
                    choices=["normalizer", "centralizer", "mixed", "product",
                             "quotient"])
@@ -346,14 +353,14 @@ def build_parser():
     p = sub.add_parser("hfree", help="H-freeness of a group and its fusion "
                                      "system")
     p.add_argument("group")
-    p.add_argument("p", type=int)
+    p.add_argument("p", type=_prime)
     p.add_argument("--h", required=True,
                    help="sigma4, qd3, or a group file")
     p.set_defaults(func=cmd_hfree)
 
     p = sub.add_parser("wcompute", help="the characteristic subgroup W(S)")
     p.add_argument("sylow", help="group file for S itself")
-    p.add_argument("p", type=int)
+    p.add_argument("p", type=_prime)
     p.add_argument("--family", nargs="*", default=[],
                    help="additional candidate group files")
     p.add_argument("--catalog", action="store_true",
@@ -364,7 +371,7 @@ def build_parser():
     p.add_argument("--theorem", required=True,
                    choices=["1", "2", "3", "frobenius", "thompson"])
     p.add_argument("--group", required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--family", nargs="*", default=[])
     p.set_defaults(func=cmd_verify)
 

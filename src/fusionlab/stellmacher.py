@@ -121,30 +121,45 @@ def _check_constrained(F):
 
 def canonical_family(S_sub: Subgroup, p: int, extras=(),
                      include_catalog=True) -> CandidateFamily:
-    """The inner system on S plus every admitted member built from catalog
-    groups (and the extra groups) whose Sylow p-subgroup matches S."""
+    """The inner system on S plus every admitted member built from the pool:
+    the catalog groups whose Sylow p-subgroup has S's order (unless
+    ``include_catalog`` is false), then the extra groups.  A group of order
+    |S| is left out, because the inner system stands for it, and so is a
+    group whose table an earlier one has.  Built once per (S's table, p,
+    the pool's tables)."""
     from .catalog import EXPECTED_ORDERS, catalog_group
 
+    n = S_sub.order
+    if n > 1 and p_part(n, p) != n:
+        raise NotAPGroup(f"S has order {n}, which is not a power of {p}")
+    pool = []
+    if include_catalog:
+        pool.extend(catalog_group(name)
+                    for name, m in EXPECTED_ORDERS.items()
+                    if m != n and p_part(m, p) == n)
+    pool.extend(extras)
+    kept = {}
+    for G in pool:
+        if G.order != n and G.order % n == 0:
+            kept.setdefault(G.table_hash(), G)
     model, embed = S_sub.as_group()
+    key = (model.table_hash(), p, tuple(kept))
+    family = _family_cache.get(key)
+    if family is None:
+        family = _family_cache[key] = _build_family(
+            S_sub, model, embed, p, kept.values())
+    return family
+
+
+def _build_family(S_sub, model, embed, p, pool):
     inner = FusionSystem.inner(S_sub, p)
     J = thompson_data(S_sub).J
     jn, _ = is_normal_in_F(inner, J)
     # every model of an inner system is a p-group, and Qd(p) is not
-    inner_member = FamilyMember(system=inner, identification=embed,
-                                j_normal=jn, qd_free=True)
-    members = [inner_member]
-    pool = []
-    if include_catalog:
-        # only groups whose Sylow p-subgroup has S's order are built
-        pool.extend(catalog_group(name)
-                    for name, n in EXPECTED_ORDERS.items()
-                    if n != model.order and p_part(n, p) == model.order)
-    pool.extend(extras)
+    members = [FamilyMember(system=inner, identification=embed,
+                            j_normal=jn, qd_free=True)]
     for G in pool:
-        if G.order == model.order or G.order % model.order != 0:
-            continue
-        P = sylow(G, p)
-        if P.order != model.order:
+        if sylow(G, p).order != model.order:
             continue
         try:
             members.append(admit_member(model, G, p))
@@ -153,15 +168,8 @@ def canonical_family(S_sub: Subgroup, p: int, extras=(),
     return CandidateFamily(S=model, p=p, members=tuple(members))
 
 
-_family_cache = {}
+_family_cache = {}   # (S's table, p, the pool's tables) -> CandidateFamily
 _w_cache = {}   # CandidateFamily -> its WComputation
-
-
-def cached_canonical_family(S_sub, p):
-    key = (S_sub.as_group()[0].table_hash(), p)
-    if key not in _family_cache:
-        _family_cache[key] = canonical_family(S_sub, p)
-    return _family_cache[key]
 
 
 class WComputation(namedtuple(

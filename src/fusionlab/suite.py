@@ -26,7 +26,7 @@ from .hfree import (
     remark67_check,
     sigma3_involvement_check,
 )
-from .stellmacher import cached_canonical_family, functor_checks
+from .stellmacher import canonical_family, functor_checks
 from .subsystems import (
     centralizer_like_system,
     generated_system,
@@ -253,14 +253,12 @@ class SuiteRunner:
         seen = set()
         for G, p in instances:
             S = sylow(G, p)
-            local, _ = S.as_group()
-            key = (local.table_hash(), p)
-            if key in seen:
-                continue
-            seen.add(key)
             label = f"Syl_{p}({G.name})|{S.order}"
             try:
-                fam = cached_canonical_family(S, p)
+                fam = canonical_family(S, p, extras=(G,))
+                if fam in seen:
+                    continue
+                seen.add(fam)
                 rep = functor_checks(fam.S, fam)
                 ok = rep.all_hold()
                 res.add("wcompute", label, "functor-properties",

@@ -22,12 +22,7 @@ from .groups import (
     sylow,
 )
 from .hfree import is_fusion_H_free, qd_group
-from .stellmacher import (
-    CandidateFamily,
-    admit_member,
-    cached_canonical_family,
-    compute_W_iterative,
-)
+from .stellmacher import canonical_family, compute_W_iterative
 from .subsystems import is_normal_in_F, model_group, normalizer_system, o_p_of_F
 
 
@@ -47,23 +42,10 @@ class TheoremReport(DetailRecord, namedtuple(
 
 
 def _family_for(F, family):
-    """The canonical family for F's carrier, with F's own group attempted
-    as an extra member when it is not already represented."""
-    if family is not None:
-        return family
-    fam = cached_canonical_family(F.carrier, F.p)
-    member_hashes = {m.system.host.table_hash() for m in fam.members}
-    if F.host.table_hash() not in member_hashes:
-        from .errors import SylowMismatch
-
-        try:
-            extra = admit_member(fam.S, F.host, F.p)
-        except SylowMismatch:
-            extra = None
-        if extra is not None:
-            fam = CandidateFamily(S=fam.S, p=fam.p,
-                                  members=fam.members + (extra,))
-    return fam
+    """The given family, or the canonical family on F's carrier with F's
+    host group in its pool, so that the system the host realizes is one of
+    the candidates."""
+    return family or canonical_family(F.carrier, F.p, extras=(F.host,))
 
 
 def _w_in(S, fam):
@@ -228,9 +210,7 @@ def thompson_group_check(G, p, family=None) -> TheoremReport:
     if p % 2 == 0:
         raise HypothesisViolated("this statement requires an odd prime")
     S = sylow(G, p)
-    if family is None:
-        family = cached_canonical_family(S, p)
-    W, _ = _w_in(S, family)
+    W, _ = _w_in(S, family or canonical_family(S, p, extras=(G,)))
     NW = W.normalizer_in(G.full_subgroup)
     lhs = has_normal_p_complement(G, p)
     rhs = has_normal_p_complement(NW, p)

@@ -2,6 +2,7 @@ import pytest
 
 from fusionlab.catalog import CATALOG_NAMES, catalog_group
 from fusionlab.fusion import realize_fusion
+from fusionlab.groupfile import perm_to_cycles
 from fusionlab.groups import build_group, sylow
 
 
@@ -32,6 +33,51 @@ def wreath648():
     s = tuple(idx[(v[2], v[0], v[1])] for v in vecs)
     d = tuple(idx[((-v[0]) % 3, v[1], v[2])] for v in vecs)
     return build_group([t, s, d], name="W648", kind="perms")
+
+
+def _gf16_mul(a, b):
+    """The product in GF(16) = F2[x]/(x^4 + x + 1), elements as 4-bit ints."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a & 16:
+            a ^= 0b10011
+    return out
+
+
+@pytest.fixture(scope="session")
+def f16c5c4():
+    """F16 : (C5 : C4), the subgroup of AGammaL(1,16) of order 320 on the 16
+    field elements: the four translations, multiplication by x^3 (order 5)
+    and the Frobenius map v -> v^2.  Sylow-2 is C2 wr C4, where A(S) < B(S)
+    so the W-growth loop takes a genuine step at p = 2."""
+    gens = [tuple(v ^ 1 << i for v in range(16)) for i in range(4)]
+    gens.append(tuple(_gf16_mul(v, 8) for v in range(16)))
+    gens.append(tuple(_gf16_mul(v, v) for v in range(16)))
+    return build_group(gens, name="F16:(C5:C4)", kind="perms")
+
+
+@pytest.fixture()
+def group_file(tmp_path):
+    """write(G) -> the path of a group file in tmp_path with G's
+    permutation generators."""
+    def write(G):
+        path = tmp_path / f"{len(list(tmp_path.glob('*.grp')))}.grp"
+        lines = [f"group {G.name}", f"perm {len(G.perm_rep[0])}"]
+        lines += [perm_to_cycles(g) for g in G.perm_rep]
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+    return write
+
+
+@pytest.fixture()
+def growth_files(group_file, wreath648, f16c5c4):
+    """The two growth instances as group files: W648 (p = 3) and
+    F16:(C5:C4) (p = 2)."""
+    return {"W648": group_file(wreath648), "F16": group_file(f16c5c4)}
 
 
 @pytest.fixture(scope="session")

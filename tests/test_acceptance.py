@@ -32,7 +32,7 @@ from fusionlab.stellmacher import (
     CandidateFamily,
     FamilyMember,
     admit_member,
-    cached_canonical_family,
+    canonical_family,
     compute_W_iterative,
     functor_checks,
 )
@@ -184,7 +184,7 @@ def test_criterion_07_w_properties(cat, systems, wreath648):
         if key in seen:
             continue
         seen.add(key)
-        fam = cached_canonical_family(S, p)
+        fam = canonical_family(S, p)
         wc = compute_W_iterative(fam)
         td = thompson_data(fam.S.full_subgroup)
         assert td.A <= wc.W_iter and wc.W_iter <= td.B      # sandwich

@@ -216,6 +216,12 @@ def test_cli_group_file_above_cap_exits_3(tmp_path, text, cap, reason):
     ["--aut-cap", "64", "catalog"],
     ["--order-cap", "0", "suite"],
     ["--order-cap", "-2", "analyze", "S4"],
+    ["jthompson", "S4", "4"],
+    ["fusion", "S4", "4"],
+    ["subsystem", "S4", "1", "--kind", "normalizer", "--q", "a"],
+    ["hfree", "S4", "6", "--h", "sigma4"],
+    ["wcompute", "Q8", "4"],
+    ["verify", "--theorem", "2", "--group", "S4", "--p", "9"],
 ])
 def test_cli_usage_error_exits_1_not_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -393,3 +399,79 @@ def test_cli_bad_family_file_is_a_parse_error(capsys, tmp_path, text, reason,
     err = capsys.readouterr().err
     assert err.startswith(f"parse error: {reason}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fusion", "S4", "4"],
+    ["wcompute", "Q8", "4"],
+    ["verify", "--theorem", "1", "--group", "S4", "--p", "4"],
+], ids=["fusion", "wcompute", "verify"])
+def test_cli_p_that_is_not_a_prime_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: fusionlab ")
+    assert err.endswith("must be a prime, not 4\n")
+
+
+def test_cli_wcompute_on_s_that_is_not_a_p_group_exits_1(capsys, tmp_path):
+    q8 = tmp_path / "q8.grp"
+    q8.write_text(Q8_FILE)
+    assert main(["wcompute", str(q8), "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: S has order 8, which is not a power of 3\n"
+
+
+@pytest.mark.parametrize("label,theorem,p,w_order", [
+    ("W648", "2", "3", 27), ("F16", "1", "2", 16)])
+def test_cli_verify_on_growth_instance_files(capsys, monkeypatch, tmp_path,
+                                             growth_files, label, theorem, p,
+                                             w_order):
+    """A group outside the catalog is a member of its own family, so W
+    grows past A(S) without --family and the conclusion holds."""
+    monkeypatch.chdir(tmp_path)
+    rc = main(["verify", "--theorem", theorem, "--group", growth_files[label],
+               "--p", p])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "conclusion=True" in out and f"  W_order: {w_order}\n" in out
+    assert "  chain_length: 1\n" in out
+
+
+def test_cli_verify_with_an_unrelated_family_file(capsys, monkeypatch,
+                                                  tmp_path, growth_files):
+    monkeypatch.chdir(tmp_path)
+    q8 = tmp_path / "q8.grp"
+    q8.write_text(Q8_FILE)
+    rc = main(["verify", "--theorem", "2", "--group", growth_files["W648"],
+               "--p", "3", "--family", str(q8)])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "conclusion=True" in out and "  W_order: 27\n" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["wcompute", "{q8}", "2", "--family", "{sl}"],
+    ["verify", "--theorem", "2", "--group", "{sl}", "--p", "2", "--family",
+     "{sl}"],
+], ids=["wcompute", "verify"])
+def test_cli_family_file_with_another_sylow_changes_nothing(capsys, tmp_path,
+                                                           group_file, cat,
+                                                           argv):
+    """S4's Sylow 2-subgroup is D8, not Q8: as a --family file it is left
+    out, and the output is the output without it."""
+    paths = {"q8": tmp_path / "q8.grp", "sl": tmp_path / "sl23.grp"}
+    paths["q8"].write_text(Q8_FILE)
+    paths["sl"].write_text(SL23_FILE)
+    s4 = group_file(cat["S4"])
+    argv = [a.format(**paths) for a in argv]
+    assert main(argv) == 0
+    without = capsys.readouterr().out
+    assert main(argv + [s4]) == 0
+    assert capsys.readouterr().out == without
+    if argv[0] == "wcompute":
+        assert "2 members, 2 admitted" in without
+        assert "W(S): order 2" in without

@@ -53,6 +53,20 @@ def test_no_aut_enumeration_in_package():
     assert found == []
 
 
+def test_families_are_built_only_in_stellmacher():
+    """``stellmacher.canonical_family`` is the one family builder, so every
+    caller gets the same family for the same S, p and pool: no other module
+    admits a member or assembles a family itself."""
+    banned = {"admit_member", "CandidateFamily"}
+    found = []
+    for name, node in _nodes(ast.Call):
+        func = node.func
+        called = getattr(func, "id", None) or getattr(func, "attr", None)
+        if called in banned and name != "stellmacher.py":
+            found.append(f"{name}:{node.lineno}:{called}")
+    assert found == []
+
+
 def test_cli_run_loads_no_dataclasses_inspect_or_hashlib():
     """A CLI call is one process, so what the package imports is paid on
     every call: records are namedtuples and the table key is packed with

@@ -119,6 +119,48 @@ def test_w_oneshot_inner_only_is_w0(cat):
         assert compute_W_oneshot(fam).mask == td.A.mask
 
 
+def test_canonical_family_is_built_once_per_table_and_pool(cat):
+    """One family per (S's table, p, the pool's tables): a second call, an
+    extra that repeats a catalog table and an extra of order |S| (which the
+    inner system stands for) all return the family already built, while a
+    new table in the pool builds a new one."""
+    S4, GL23 = cat["S4"], cat["GL(2,3)"]
+    S = sylow(S4, 2)
+    fam = canonical_family(S, 2)
+    assert canonical_family(S, 2) is fam
+    assert canonical_family(S, 2, extras=(S4, cat["D8"])) is fam
+    alone = canonical_family(S, 2, extras=(S4,), include_catalog=False)
+    assert alone is not fam and len(alone.members) == 2
+    assert canonical_family(sylow(GL23, 2), 2) is not fam
+
+
+def test_canonical_family_rejects_s_that_is_not_a_p_group(cat):
+    with pytest.raises(NotAPGroup):
+        canonical_family(cat["Q8"].full_subgroup, 3)
+    with pytest.raises(NotAPGroup):
+        canonical_family(cat["S3"].full_subgroup, 2)
+
+
+@pytest.mark.parametrize("fixture,p,order", [("wreath648", 3, 27),
+                                             ("f16c5c4", 2, 16)])
+def test_growth_instances_hold_with_their_own_system_in_the_family(
+        request, fixture, p, order):
+    """A(S) < B(S) on both growth instances: with the group's own system in
+    the family, W grows one step to ``order``, both constructions agree,
+    and the functor properties hold.  The family is kept per table, so
+    its member may be realized on another group with G's table."""
+    G = request.getfixturevalue(fixture)
+    fam = canonical_family(sylow(G, p), p, extras=(G,))
+    assert any(m.admitted and m.system.host.table_hash() == G.table_hash()
+               and m.system.ambient is m.system.host.full_subgroup
+               for m in fam.members)
+    wc = compute_W_iterative(fam)
+    assert len(wc.chain) == 2 and wc.A.order < wc.W_iter.order == order
+    rep = functor_checks(fam.S, fam)
+    assert rep.all_hold() and rep.equal
+    assert rep.W_oneshot.mask == rep.W_iter.mask
+
+
 def test_w_rejects_trivial_s(cat):
     triv = cat["C2"].trivial_subgroup
     from fusionlab.groups import build_group

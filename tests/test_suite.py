@@ -57,6 +57,22 @@ def test_cli_suite_files_scope(tmp_path, capsys):
     assert "D8file@p=2" in out
 
 
+def test_cli_suite_on_growth_instance_files(capsys, monkeypatch, tmp_path,
+                                            growth_files):
+    """The files scope puts each group in its own family: no contradiction,
+    and W grows past A(S) on both growth instances."""
+    monkeypatch.chdir(tmp_path)
+    rc = main(["suite", "--scope", "files", "--format", "tsv",
+               growth_files["W648"], growth_files["F16"]])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert not [r for r in rows if r[3] == "contradiction"]
+    w_rows = {r[1]: r[4] for r in rows if r[0] == "wcompute"}
+    assert w_rows["Syl_3(W648)|81"] == "W=27 members=2"
+    assert w_rows["Syl_2(F16:(C5:C4))|64"] == "W=16 members=2"
+
+
 def test_cli_suite_empty_files_scope_exits_zero(capsys):
     rc = main(["suite", "--scope", "files"])
     assert rc == 0

@@ -3,12 +3,7 @@ import pytest
 
 from fusionlab.fusion import realize_fusion
 from fusionlab.groups import aut_generators, build_group, group_from_function
-from fusionlab.stellmacher import (
-    CandidateFamily,
-    admit_member,
-    canonical_family,
-    functor_checks,
-)
+from fusionlab.stellmacher import canonical_family, functor_checks
 from fusionlab.theorems import (
     frobenius_check,
     has_normal_p_complement,
@@ -183,6 +178,29 @@ def test_verdicts_do_not_depend_on_the_sylow_subgroup(cat, monkeypatch,
     assert len(set(verdicts)) == 1
 
 
+def test_t1_2_on_w648_grows_w_with_the_default_family(wreath648):
+    """W648 is outside the catalog; the default family must still hold its
+    own system, or W stays at A(S) of order 3, which is not normal in F."""
+    rep = verify_theorem_2(realize_fusion(wreath648, 3))
+    assert rep.hypotheses_hold and rep.conclusion_holds
+    assert rep.detail["W_order"] == 27 and rep.detail["chain_length"] == 1
+
+
+def test_t1_1_on_f16c5c4_grows_w_with_the_default_family(f16c5c4):
+    """The p = 2 growth instance: A(S) = C2 grows to W = C2^4, which the
+    constrained model's system normalizes too."""
+    rep = verify_theorem_1(realize_fusion(f16c5c4, 2))
+    assert rep.hypotheses_hold and rep.conclusion_holds
+    assert rep.detail["W_order"] == 16 and rep.detail["chain_length"] == 1
+    assert rep.detail["proof_route"] == "model-checked"
+
+
+def test_thompson_and_t1_3_on_w648_use_the_grown_w(wreath648):
+    assert thompson_group_check(wreath648, 3).detail["W_order"] == 27
+    rep = verify_theorem_3(realize_fusion(wreath648, 3))
+    assert rep.conclusion_holds and rep.detail["W_order"] == 27
+
+
 def test_theorem_1_and_functor_checks_on_a4_x_a4_x_c2():
     """The Sylow 2-subgroup of A4 x A4 x C2 is C2^5, whose automorphism
     group GL(5, 2) has 9,999,360 elements: Theorem 1 and the functor checks
@@ -200,10 +218,8 @@ def test_theorem_1_and_functor_checks_on_a4_x_a4_x_c2():
     rep = verify_theorem_1(F)
     assert rep.hypotheses_hold and rep.conclusion_holds
     assert rep.detail["W_order"] == 32      # W = Omega(Z(S)) = S
-    fam = canonical_family(F.carrier, 2)
+    fam = canonical_family(F.carrier, 2, extras=(G,))
     assert aut_generators(fam.S)[1] == 9999360
-    fam = CandidateFamily(S=fam.S, p=2,
-                          members=fam.members + (admit_member(fam.S, G, 2),))
     assert len(fam.admitted_members()) == 2
     report = functor_checks(fam.S, fam)
     assert report.all_hold() and report.W_iter.order == 32
