@@ -12,6 +12,7 @@ from .groups import (
     FiniteGroup,
     build_group,
     group_from_function,
+    is_isomorphic,
     regular_generators,
 )
 
@@ -163,8 +164,6 @@ def catalog() -> dict[str, FiniteGroup]:
 def validate_catalog():
     """Every entry at its expected order (checked as it is built) plus the
     Qd(2) ~ S4 isomorphism sanity check."""
-    from .groups import is_isomorphic
-
     report = {name: (g.order, EXPECTED_ORDERS[name])
               for name, g in catalog().items()}
     if not is_isomorphic(qd2_group(), catalog_group("S4"))[0]:

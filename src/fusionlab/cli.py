@@ -31,7 +31,7 @@ from .fusion import (
     verify_axioms,
 )
 from .groupfile import eval_subgroup_spec, parse_group_file, perm_to_cycles
-from .groups import _smallest_prime_factor, standard_subgroup, sylow
+from .groups import is_prime, standard_subgroup, sylow
 from .hfree import is_fusion_H_free, is_group_H_free, qd_group
 from .pgroups import thompson_data
 from .stellmacher import (
@@ -299,7 +299,7 @@ def _positive_int(text):
 def _prime(text):
     """An argparse type: a prime."""
     value = _positive_int(text)
-    if value == 1 or _smallest_prime_factor(value) != value:
+    if not is_prime(value):
         raise argparse.ArgumentTypeError(f"must be a prime, not {value}")
     return value
 

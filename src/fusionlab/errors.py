@@ -87,7 +87,8 @@ class SandwichViolated(FusionlabError):
 
 
 class UnsupportedPrime(FusionlabError):
-    """Construction is only available for the desk-scale primes."""
+    """p is not a prime, or a construction is asked for beyond the
+    desk-scale primes."""
 
 
 # --- theorem harnesses ---

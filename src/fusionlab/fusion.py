@@ -1,10 +1,11 @@
 """Fusion systems on a finite p-group and their subgroup classification.
 
-A system is carried by a subgroup S of a host group.  Realized systems
-compute hom-sets lazily from a conjugation source (the ambient subgroup);
-explicit systems store every hom-set.  Morphisms are held extensionally as
-image tuples aligned with the sorted domain elements, so realized and
-explicit systems share one code path everywhere downstream.
+A system is carried by a subgroup S of a host group and is one of two
+kinds: realized systems compute hom-sets lazily from a conjugation source
+(the ambient subgroup), explicit systems store every hom-set and have no
+ambient.  Morphisms are held extensionally as image tuples aligned with
+the sorted domain elements, so both kinds share one code path everywhere
+downstream; the F-class of an object is read off its own hom-set.
 """
 
 from collections import namedtuple
@@ -28,6 +29,7 @@ from .groups import (
     mask_of,
     o_p,
     p_part,
+    quotient_group,
     sylow,
 )
 
@@ -114,17 +116,16 @@ class FusionSystem:
 
     def __init__(self, host, p, carrier, ambient=None, explicit=None,
                  name=None):
-        if ambient is None and explicit is None:
+        if (ambient is None) == (explicit is None):
             raise ValueError("a system needs an ambient subgroup or "
-                             "explicit hom-sets")
+                             "explicit hom-sets, not both")
         self.host = host
         self.p = p
         self.carrier = carrier
         self.ambient = ambient
-        self._explicit = explicit
         # F_S(G) for a Sylow p-subgroup S of G is saturated
         self.saturation_status = (
-            VERIFIED if explicit is None
+            VERIFIED if ambient is not None
             and carrier.order == p_part(ambient.order, p) else UNCHECKED)
         self.name = name or f"F_{carrier.order}({host.name})"
         if ambient is not None and not carrier <= ambient:
@@ -133,7 +134,8 @@ class FusionSystem:
             check_hom_tuples(host, carrier, explicit)
         self._maps_cache = {} if explicit is None else dict(explicit)
         self._objects = None
-        self._classes = None
+        self._essentials = None
+        self._classes = {}
         self._profiles = {}
         self._floors = {}
         self._normalizers = {}
@@ -169,12 +171,11 @@ class FusionSystem:
                                name=name or f"F_S(S)|{S.parent.name}")
 
     @classmethod
-    def explicit_system(cls, host, p, carrier, maps_by_domain, ambient=None,
-                        name=None):
+    def explicit_system(cls, host, p, carrier, maps_by_domain, name=None):
         full = dict(maps_by_domain)
         for P in carrier.subgroups_within():
             full.setdefault(P.mask, (identity_tuple(P),))
-        return cls(host, p, carrier, ambient=ambient, explicit=full, name=name)
+        return cls(host, p, carrier, explicit=full, name=name)
 
     def is_realized(self):
         return self.ambient is not None
@@ -200,7 +201,7 @@ class FusionSystem:
         got = self._maps_cache.get(P.mask)
         if got is not None:
             return got
-        if self._explicit is not None:
+        if self.ambient is None:
             raise ObjectOutsideS("explicit system lacks hom-sets for this "
                                  "domain; carrier mismatch?")
         result = conj_maps(self.host, P, self.ambient.elems,
@@ -226,43 +227,17 @@ class FusionSystem:
     def c_in_carrier(self, Q):
         return Q.centralizer_in(self.carrier)
 
-    def conjugacy_classes(self):
-        """Union-find over (domain, image) pairs of every stored morphism."""
-        if self._classes is None:
-            parent = {}
-
-            def find(m):
-                while parent[m] != m:
-                    parent[m] = parent[parent[m]]
-                    m = parent[m]
-                return m
-
-            def union(a, b):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-
-            for P in self.objects():
-                parent.setdefault(P.mask, P.mask)
-                for t in self.maps(P):
-                    m = mask_of(t)
-                    parent.setdefault(m, m)
-                    union(P.mask, m)
-            classes = {}
-            for m in parent:
-                classes.setdefault(find(m), []).append(m)
-            self._classes = {
-                root: tuple(sorted(members, key=lambda m: (m.bit_count(), m)))
-                for root, members in classes.items()}
-            self._class_of = {m: root for root, members in
-                              self._classes.items() for m in members}
-        return self._classes
-
     def conjugacy_class_of(self, Q):
+        """The images of Hom_F(Q, S), by mask, kept per object.  On a
+        category they are Q's class under F-isomorphism: inverses make the
+        relation symmetric and composition makes it transitive."""
         self.require_object(Q)
-        self.conjugacy_classes()
-        root = self._class_of[Q.mask]
-        return tuple(self.host.subgroup(m) for m in self._classes[root])
+        got = self._classes.get(Q.mask)
+        if got is None:
+            sub = self.host.subgroup
+            got = self._classes[Q.mask] = tuple(
+                sub(m) for m in sorted({mask_of(t) for t in self.maps(Q)}))
+        return got
 
     def is_fully_normalized(self, Q):
         nq = self.n_in_carrier(Q).order
@@ -309,8 +284,6 @@ class FusionSystem:
             inn_mask = mask_of(index[t] for t in inn)
         except KeyError:
             raise MorphismNotInF("inner automorphisms missing from Aut_F(Q)")
-        from .groups import quotient_group
-
         out, proj = quotient_group(autg, autg.subgroup(inn_mask),
                                    name=f"OutF({Q.order})")
         return out, proj, (autg, elems, index)
@@ -532,9 +505,16 @@ def _strongly_p_embedded(out, p):
 
 
 def essential_subgroups(F):
-    """(all essential subgroups, the fully normalized ones), canonical order.
-    Every essential subgroup is centric, so an object without a profile yet
-    is classified only when it is centric."""
+    """(all essential subgroups, the fully normalized ones), canonical order,
+    found once per system and kept on F."""
+    if F._essentials is None:
+        F._essentials = _essential_subgroups(F)
+    return F._essentials
+
+
+def _essential_subgroups(F):
+    """Every essential subgroup is centric, so an object without a profile
+    yet is classified only when it is centric."""
     ess = []
     ess_fn = []
     for Q in F.objects():

@@ -18,6 +18,7 @@ from .errors import (
     NotASubgroup,
     NotNormal,
     OrderCapExceeded,
+    UnsupportedPrime,
 )
 
 DEFAULT_ORDER_CAP = 1000
@@ -35,7 +36,9 @@ def bits(mask):
 
 
 def p_part(n, p):
-    """The largest power of p dividing n (n >= 1)."""
+    """The largest power of p dividing n (n >= 1, p >= 2)."""
+    if p < 2:
+        raise UnsupportedPrime(f"{p} is not a prime")
     out = 1
     while n % p == 0:
         out *= p
@@ -726,6 +729,10 @@ def _smallest_prime_factor(n):
     return n
 
 
+def is_prime(n):
+    return n >= 2 and _smallest_prime_factor(n) == n
+
+
 def _subgroup_lattice_masks(G, seeds=None, within=None):
     """{mask: generators} of every subgroup of W = ``within`` (a Subgroup;
     default G) that contains one of ``seeds`` (Subgroups of W; by default
@@ -813,6 +820,8 @@ def sylow(G, p, cap=DEFAULT_ORDER_CAP):
         raise OrderCapExceeded(f"order {G.order} exceeds cap {cap}")
     got = G._sylow.get(p)
     if got is None:
+        if not is_prime(p):
+            raise UnsupportedPrime(f"{p} is not a prime")
         got = G._sylow[p] = _canonical_sylow(G, p)
     return got
 
@@ -1240,7 +1249,7 @@ def is_involved(H, G, cap=DEFAULT_ORDER_CAP):
         seeds = [G.trivial_subgroup]
     else:
         r = max((p for p in range(2, h + 1)
-                 if h % p == 0 and _smallest_prime_factor(p) == p),
+                 if h % p == 0 and is_prime(p)),
                 key=lambda p: p_part(h, p))
         q = p_part(h, r)
         P = sylow(G, r, cap=cap)

@@ -17,6 +17,7 @@ reported.
 
 from collections import namedtuple
 
+from .catalog import EXPECTED_ORDERS, catalog_group
 from .errors import (
     InternalInconsistency,
     NotAPGroup,
@@ -32,6 +33,7 @@ from .groups import (
     bits,
     is_isomorphic,
     mask_orbit,
+    o_p,
     p_part,
     sylow,
 )
@@ -105,9 +107,7 @@ def _check_constrained(F):
     model = model_group(F, Q)
     L = model.L
     QL = model.proj.push_subgroup(Q)
-    from .groups import o_p as _o_p
-
-    opl = _o_p(L, F.p)
+    opl = o_p(L, F.p)
     if not QL <= opl:
         raise InternalInconsistency(
             f"the image {QL.mask:x} of O_p({F.name}) in its model is not "
@@ -127,8 +127,6 @@ def canonical_family(S_sub: Subgroup, p: int, extras=(),
     |S| is left out, because the inner system stands for it, and so is a
     group whose table an earlier one has.  Built once per (S's table, p,
     the pool's tables)."""
-    from .catalog import EXPECTED_ORDERS, catalog_group
-
     n = S_sub.order
     if n > 1 and p_part(n, p) != n:
         raise NotAPGroup(f"S has order {n}, which is not a power of {p}")

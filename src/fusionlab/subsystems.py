@@ -1,9 +1,11 @@
 """Subsystems and quotients of a fusion system.
 
-Normalizer / centralizer / mixed / product subsystems are computed from the
-defining extension rules over materialized hom-sets; when the parent system
-has a conjugation source the equivalent realized shortcut is computed too
-and the two routes are required to agree.
+Normalizer / centralizer / mixed / product subsystems and quotients are
+computed from their defining rules over the parent's hom-sets.  A subsystem
+of an explicit system is explicit.  A subsystem of a realized system is the
+interned system of conjugation by its own conjugation source (N_A(Q),
+C_A(Q)N_S(Q), ..., N_A(Q)/Q for a quotient), after the hom-sets of the
+defining rule are checked against it, so it shares that system's memos.
 """
 
 from collections import namedtuple
@@ -22,6 +24,7 @@ from .fusion import (
     UNCHECKED,
     VERIFIED,
     FusionSystem,
+    _n_phi_tuple,
     check_hom_tuples,
     classify_subgroup,
     compose_tuples,
@@ -37,6 +40,7 @@ from .fusion import (
 )
 from .groups import (
     bits,
+    is_isomorphic,
     o_p_prime,
     p_part,
     quotient_group,
@@ -133,17 +137,7 @@ def o_p_of_F(F):
 def normalizer_system(F, Q):
     """N_F(Q) on N_S(Q): morphisms that extend to QR -> QT acting on Q as an
     F-automorphism.  Axiom-verified when Q is fully normalized."""
-    F.require_object(Q)
-    carrier = F.n_in_carrier(Q)
-    sysname = f"N_{F.name}(|Q|={Q.order})"
-    sub = _extension_subsystem(F, Q, carrier, rule="normalizer", name=sysname)
-    if F.is_fully_normalized(Q):
-        report = verify_axioms(sub)
-        if not report:
-            raise InternalInconsistency(
-                f"normalizer system of fully normalized Q failed axioms: "
-                f"{report.witness}")
-    return sub
+    return _subsystem(F, Q, "normalizer")
 
 
 def centralizer_like_system(F, Q, kind):
@@ -151,41 +145,42 @@ def centralizer_like_system(F, Q, kind):
 
     The extension rule fixes how the extended morphism may act on Q:
     identically (centralizer), as conjugation by N_S(Q) (mixed), or as
-    conjugation by S (product; requires Q normal in F).
+    conjugation by S (product; requires Q normal in F).  The first two are
+    axiom-verified when Q is fully centralized.
     """
-    F.require_object(Q)
-    if kind == "centralizer":
-        carrier = F.c_in_carrier(Q)
-    elif kind == "mixed":
+    return _subsystem(F, Q, kind)
+
+
+def _subsystem_kind(F, Q, kind):
+    """(carrier, allowed, source) of a subsystem kind at Q: the extended
+    morphisms may act on Q as a member of ``allowed`` (None: any
+    F-automorphism), and when F is realized by A the subsystem is realized
+    by ``source``: N_A(Q), or C_A(Q) joined with the subgroup (1, N_S(Q)
+    or S) whose conjugations make up ``allowed``.  ``source`` is None for
+    an explicit F."""
+    A = F.ambient
+    if kind == "normalizer":
         carrier = F.n_in_carrier(Q)
+        return carrier, None, None if A is None else Q.normalizer_in(A)
+    if kind == "centralizer":
+        carrier, by = F.c_in_carrier(Q), F.host.trivial_subgroup
+    elif kind == "mixed":
+        carrier = by = F.n_in_carrier(Q)
     elif kind == "product":
         ok, _ = is_normal_in_F(F, Q)
         if not ok:
             raise NotNormalInF("product system requires Q normal in F")
-        carrier = F.carrier
+        carrier = by = F.carrier
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    sysname = f"{kind}_{F.name}(|Q|={Q.order})"
-    sub = _extension_subsystem(F, Q, carrier, rule=kind, name=sysname)
-    if kind in ("centralizer", "mixed") and F.is_fully_centralized(Q):
-        report = verify_axioms(sub)
-        if not report:
-            raise InternalInconsistency(
-                f"{kind} system of fully centralized Q failed axioms: "
-                f"{report.witness}")
-    return sub
+    allowed = set(conj_maps(F.host, Q, by.elems, Q.mask))
+    return carrier, allowed, (None if A is None
+                              else Q.centralizer_in(A).join(by))
 
 
-def _extension_subsystem(F, Q, carrier, rule, name):
-    host = F.host
-    if rule == "normalizer":
-        allowed = None  # any F-automorphism of Q
-    elif rule == "centralizer":
-        allowed = {identity_tuple(Q)}
-    elif rule == "mixed":
-        allowed = set(F.aut_s_tuples(Q))
-    elif rule == "product":
-        allowed = set(conj_maps(host, Q, F.carrier.elems, Q.mask))
+def _subsystem(F, Q, kind):
+    F.require_object(Q)
+    carrier, allowed, source = _subsystem_kind(F, Q, kind)
     qmask = Q.mask
     maps_by_domain = {}
     for R in carrier.subgroups_within():
@@ -203,40 +198,31 @@ def _extension_subsystem(F, Q, carrier, rule, name):
                     "restriction escaped the subsystem carrier")
             res.add(r)
         maps_by_domain[R.mask] = tuple(sorted(res))
-    ambient = _subsystem_ambient(F, Q, rule)
-    sub = FusionSystem.explicit_system(host, F.p, carrier, maps_by_domain,
-                                       ambient=ambient, name=name)
-    if ambient is not None:
-        _check_against_realized(sub, ambient)
+    sub = _from_rule(F.host, F.p, carrier, maps_by_domain, source,
+                     f"{kind}_{F.name}(|Q|={Q.order})")
+    if (F.is_fully_normalized(Q) if kind == "normalizer"
+            else kind != "product" and F.is_fully_centralized(Q)):
+        report = verify_axioms(sub)
+        if not report:
+            raise InternalInconsistency(
+                f"the {kind} system at Q = {Q.mask:x} failed the axioms: "
+                f"{report.witness}")
     return sub
 
 
-def _subsystem_ambient(F, Q, rule):
-    """The conjugation source realizing the subsystem, when F has one."""
-    if F.ambient is None or F._explicit is not None:
-        return None
-    A = F.ambient
-    G = F.host
-    if rule == "normalizer":
-        return Q.normalizer_in(A)
-    if rule == "centralizer":
-        return Q.centralizer_in(A)
-    if rule == "mixed":
-        base = Q.centralizer_in(A)
-        return base.join(F.n_in_carrier(Q))
-    if rule == "product":
-        base = Q.centralizer_in(A)
-        return base.join(F.carrier)
-    raise ValueError(rule)
-
-
-def _check_against_realized(sub, ambient):
-    """The extension rule and the conjugation shortcut must agree."""
-    realized = FusionSystem.conjugation(sub.host, sub.p, sub.carrier, ambient)
-    for P in sub.objects():
-        if sub.maps(P) != realized.maps(P):
+def _from_rule(host, p, carrier, maps_by_domain, source, name):
+    """The system with the hom-sets a defining rule built: explicit when
+    ``source`` is None, else the interned system of conjugation by
+    ``source``, which must agree with them on every object."""
+    if source is None:
+        return FusionSystem.explicit_system(host, p, carrier, maps_by_domain,
+                                            name=name)
+    realized = FusionSystem.conjugation(host, p, carrier, source)
+    for P in realized.objects():
+        if maps_by_domain.get(P.mask) != realized.maps(P):
             raise InternalInconsistency(
                 f"subsystem routes disagree on domain of order {P.order}")
+    return realized
 
 
 # -- quotient systems ---------------------------------------------------------
@@ -244,15 +230,16 @@ def _check_against_realized(sub, ambient):
 
 def quotient_system(F, Q):
     """(F/Q on S/Q, the projection of the host onto the quotient's host);
-    requires Q normal in F."""
+    requires Q normal in F.  A realized F = F_S(A) is F_S(N_A(Q)): each
+    morphism extends to a conjugation mapping Q onto Q.  So F/Q is realized
+    by N_A(Q)/Q."""
     ok, counter = is_normal_in_F(F, Q)
     if not ok:
         raise NotNormalInF(f"Q is not normal in F (counterexample {counter!r})")
-    use_ambient = (F.ambient is not None and F._explicit is None
-                   and Q.is_normal_in(F.ambient))
-    base_sub = F.ambient if use_ambient else F.carrier
-    lquot, proj = quotient_group(F.host, Q, name=f"{F.name}/Q",
-                                 within=base_sub)
+    A = F.ambient
+    lquot, proj = quotient_group(
+        F.host, Q, name=f"{F.name}/Q",
+        within=F.carrier if A is None else Q.normalizer_in(A))
     carrier_bar = proj.push_subgroup(F.carrier)
     maps_by_domain = {}
     for P in F.objects():
@@ -276,19 +263,15 @@ def quotient_system(F, Q):
                         "projected morphism is not well defined")
             res.add(tuple(images))
         maps_by_domain[Pbar.mask] = tuple(sorted(res))
-    ambient_bar = lquot.full_subgroup if use_ambient else None
-    qsys = FusionSystem.explicit_system(lquot, F.p, carrier_bar,
-                                        maps_by_domain, ambient=ambient_bar,
-                                        name=f"{F.name}/Q{Q.order}")
-    if ambient_bar is not None:
-        _check_against_realized(qsys, ambient_bar)
-    return qsys, proj
+    return _from_rule(lquot, F.p, carrier_bar, maps_by_domain,
+                      None if A is None else lquot.full_subgroup,
+                      f"{F.name}/Q{Q.order}"), proj
 
 
 # -- generated systems --------------------------------------------------------
 
 
-def category_closure(host, p, carrier, seed_maps, ambient=None, name=None):
+def category_closure(host, p, carrier, seed_maps, name=None):
     """Smallest category on the carrier containing the seed morphisms and
     closed under composition, restriction, inversion of isomorphisms and
     inclusions (fixed-point iteration; finiteness bounds termination)."""
@@ -322,7 +305,6 @@ def category_closure(host, p, carrier, seed_maps, ambient=None, name=None):
                     changed = True
     final = {m: tuple(sorted(ts)) for m, ts in maps.items()}
     return FusionSystem.explicit_system(host, p, carrier, final,
-                                        ambient=ambient,
                                         name=name or "generated")
 
 
@@ -417,8 +399,6 @@ def _validate_model(model, p):
     ZL = model.proj.push_subgroup(Q.center())
     Lbar, _ = quotient_group(L, ZL, name="L/Z(Q)")
     autg, _, _ = F.aut_group(Q)
-    from .groups import is_isomorphic
-
     ok, _ = is_isomorphic(Lbar, autg)
     if not ok:
         raise ModelValidationFailed("L/Z(Q) is not isomorphic to Aut_F(Q)")
@@ -507,8 +487,6 @@ def _well_placing_morphism(F, Q):
             f"no member of Aut_F({img.mask:x}) conjugates the image of "
             f"Aut_S(Q) into Aut_S({img.mask:x}), Q = {Q.mask:x}")
     alpha = compose_tuples(psi, img, tau)
-    from .fusion import _n_phi_tuple
-
     nphi = _n_phi_tuple(F, Q, alpha)
     dom = F.n_in_carrier(Q)
     if nphi.mask != dom.mask:

@@ -14,10 +14,13 @@ from .errors import (
     InternalInconsistency,
 )
 from .fusion import (
+    alperin_decompose,
     classify_subgroup,
     essential_subgroups,
+    fusion_equal,
     realize_fusion,
     verify_axioms,
+    wrap_tuple,
 )
 from .groups import DEFAULT_ORDER_CAP, standard_subgroup, sylow
 from .hfree import (
@@ -301,8 +304,6 @@ class SuiteRunner:
             self.result.add("alperin", name, "roundtrip", "skip",
                             "carrier above the roundtrip bound")
             return
-        from .fusion import alperin_decompose, wrap_tuple
-
         count = 0
         try:
             for P in F.objects():
@@ -336,8 +337,6 @@ class SuiteRunner:
                         "N_S(R) != S")
                 return
             gen = generated_system([f1, f2])
-            from .fusion import fusion_equal
-
             ok = fusion_equal(gen, F)
             res.add("generation", name, "product+normalizer",
                     "pass" if ok else "fail")

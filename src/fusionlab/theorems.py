@@ -10,7 +10,7 @@ from collections import namedtuple
 
 from .catalog import catalog_group
 from .errors import HypothesisViolated, InternalInconsistency
-from .fusion import FusionSystem, mask_of
+from .fusion import FusionSystem, classify_subgroup, mask_of
 from .groups import (
     DetailRecord,
     Subgroup,
@@ -97,8 +97,6 @@ def _constrained_route(F, W):
     Q = o_p_of_F(F)
     if Q.order == 1:
         return "not-constrained"
-    from .fusion import classify_subgroup
-
     if not classify_subgroup(F, Q).centric:
         return "not-constrained"
     model = model_group(F, Q)

@@ -459,6 +459,34 @@ def o_p_brute(F):
     return join
 
 
+def conjugacy_classes_brute(F):
+    """{object mask: the masks of its F-class, sorted}, from a union-find
+    over the (domain, image) pairs of every morphism of every hom-set."""
+    from fusionlab.fusion import mask_of
+
+    parent = {}
+
+    def find(m):
+        while parent[m] != m:
+            parent[m] = parent[parent[m]]
+            m = parent[m]
+        return m
+
+    for P in F.objects():
+        parent.setdefault(P.mask, P.mask)
+        for t in F.maps(P):
+            m = mask_of(t)
+            parent.setdefault(m, m)
+            ra, rb = find(P.mask), find(m)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    classes = {}
+    for m in parent:
+        classes.setdefault(find(m), []).append(m)
+    return {m: tuple(sorted(members)) for members in classes.values()
+            for m in members}
+
+
 # -- fusion-system axioms, element by element ------------------------------
 
 

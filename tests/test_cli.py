@@ -122,6 +122,16 @@ def test_cli_subsystem(capsys):
     assert "carrier order 8" in out
 
 
+@pytest.mark.parametrize("kind,order", [("product", 8), ("quotient", 2)])
+def test_cli_subsystem_product_and_quotient_are_verified(capsys, kind, order):
+    """S C_F(Q) and F/Q of a realized system are realized on a Sylow
+    subgroup of their own ambient, so they are saturated as built."""
+    assert main(["subsystem", "S4", "2", "--kind", kind, "--q", "5,23"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == (f"{kind} subsystem at Q of order 4: carrier order "
+                      f"{order}, status verified")
+
+
 def test_cli_hfree(capsys):
     assert main(["hfree", "SL(2,3)", "2", "--h", "sigma4"]) == 0
     out = capsys.readouterr().out

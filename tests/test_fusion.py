@@ -2,7 +2,12 @@ from itertools import permutations
 
 import pytest
 
-from fusionlab.errors import MorphismNotInF, NotSylow, ObjectOutsideS
+from fusionlab.errors import (
+    MorphismNotInF,
+    NotSylow,
+    ObjectOutsideS,
+    UnsupportedPrime,
+)
 from fusionlab.fusion import (
     FusionSystem,
     _group_from_maps,
@@ -31,6 +36,7 @@ from oracles import (
     brute_centric,
     brute_out_group,
     brute_strongly_p_embedded,
+    conjugacy_classes_brute,
     group_from_maps_brute,
     is_hom_brute,
     n_phi_brute,
@@ -73,6 +79,12 @@ def test_realize_rejects_non_sylow(cat):
     v4 = v4n_of(cat)
     with pytest.raises(NotSylow):
         realize_fusion(s4, 2, v4)
+
+
+@pytest.mark.parametrize("p", [1, 4])
+def test_realize_refuses_a_p_that_is_not_a_prime(cat, p):
+    with pytest.raises(UnsupportedPrime):
+        realize_fusion(cat["S4"], p)
 
 
 def test_hom_set_center_to_v4n_has_three_maps(cat, systems):
@@ -218,9 +230,32 @@ def test_inner_systems_have_no_essentials(cat):
 
 def test_every_class_has_fully_normalized_member(systems):
     for F in systems.values():
-        for masks in F.conjugacy_classes().values():
-            assert any(F.is_fully_normalized(F.host.subgroup(m))
-                       for m in masks)
+        for Q in F.objects():
+            assert any(F.is_fully_normalized(R)
+                       for R in F.conjugacy_class_of(Q))
+
+
+def _classes_match_oracle(F):
+    want = conjugacy_classes_brute(F)
+    for Q in F.objects():
+        assert tuple(R.mask for R in F.conjugacy_class_of(Q)) == want[Q.mask]
+
+
+def test_classes_match_the_union_find_oracle(cat, systems):
+    """The class read off one hom-set is the class a union-find over every
+    hom-set finds: on every catalog system, on an explicit copy of each,
+    and on a category that is not saturated."""
+    for F in systems.values():
+        _classes_match_oracle(F)
+        _classes_match_oracle(FusionSystem.explicit_system(
+            F.host, F.p, F.carrier, F.materialize(), name="copy"))
+    _classes_match_oracle(spliced_d8(cat)[0])
+
+
+def test_classes_match_the_union_find_oracle_on_growth_instances(
+        wreath648, f16c5c4):
+    for G, p in ((wreath648, 3), (f16c5c4, 2)):
+        _classes_match_oracle(realize_fusion(G, p))
 
 
 # -- N_phi ---------------------------------------------------------------------

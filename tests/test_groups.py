@@ -10,6 +10,7 @@ from fusionlab.errors import (
     NotAPGroup,
     NotNormal,
     OrderCapExceeded,
+    UnsupportedPrime,
 )
 from fusionlab.groups import (
     FiniteGroup,
@@ -22,10 +23,12 @@ from fusionlab.groups import (
     is_hom_tuple,
     is_involved,
     is_isomorphic,
+    is_prime,
     mask_of,
     mask_orbit,
     o_p,
     o_p_prime,
+    p_part,
     quotient_group,
     regular_generators,
     standard_subgroup,
@@ -536,6 +539,26 @@ def test_sylow_of_sl23_is_quaternion(cat):
 
 def test_sylow_returns_trivial_when_p_does_not_divide(cat):
     assert sylow(cat["S4"], 5).order == 1
+
+
+def test_is_prime():
+    assert [n for n in range(-3, 30) if is_prime(n)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+@pytest.mark.parametrize("p", [-1, 0, 1])
+def test_p_part_refuses_p_below_2(p):
+    """n % 1 == 0 for every n, so p = 1 would never leave the loop."""
+    with pytest.raises(UnsupportedPrime):
+        p_part(8, p)
+
+
+@pytest.mark.parametrize("p", [-2, 0, 1, 4, 6, 9])
+def test_sylow_refuses_a_p_that_is_not_a_prime(cat, p):
+    """p = 1 would loop for ever, and p = 4 would give a subgroup of order
+    4 that is not a Sylow subgroup of anything."""
+    with pytest.raises(UnsupportedPrime):
+        sylow(cat["S4"], p)
 
 
 def test_sylow_is_canonical_minimum(cat):

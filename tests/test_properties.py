@@ -33,6 +33,7 @@ from oracles import (
     assert_section_matches_copy,
     brute_force_subgroups,
     closure_set,
+    conjugacy_classes_brute,
     has_normal_p_complement_brute,
     involved_brute,
     is_hom_brute,
@@ -288,6 +289,23 @@ def test_hom_test_on_generators_matches_all_pairs(gens, data):
     assert is_hom_tuple(g, P, conj)
     for t in (tuple(swapped), shuffled):
         assert is_hom_tuple(g, P, t) == is_hom_brute(g, P, t)
+
+
+@settings(**COMMON)
+@given(group_specs, st.sampled_from([2, 3]))
+def test_classes_match_the_union_find_oracle(gens, p):
+    """Each F-class, read off one hom-set, against the union-find over
+    every hom-set: on F_S(G), and on conjugation by G on every subgroup of
+    S as the carrier."""
+    g = build_group([list(q) for q in gens], kind="perms", cap=200)
+    F = realize_fusion(g, p)
+    for Q in F.objects():
+        E = FusionSystem(g, p, Q, ambient=g.full_subgroup)
+        for X in (F, E):
+            want = conjugacy_classes_brute(X)
+            for R in X.objects():
+                assert tuple(T.mask for T in X.conjugacy_class_of(R)) == \
+                    want[R.mask]
 
 
 @settings(**COMMON)

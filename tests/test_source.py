@@ -53,6 +53,25 @@ def test_no_aut_enumeration_in_package():
     assert found == []
 
 
+def test_a_system_is_realized_or_explicit_in_package():
+    """A system has an ambient (realized) or stored hom-sets (explicit),
+    never both, and an F-class is read off one hom-set.  The flag of a
+    third kind, the ambient an explicit system could carry, and the
+    union-find over every hom-set (kept as the oracle
+    ``conjugacy_classes_brute`` in tests/oracles.py) do not come back."""
+    banned = {"_explicit", "conjugacy_classes", "_subsystem_ambient"}
+    found = []
+    for name, node in _nodes(ast.AST):
+        for field in ("id", "attr", "name"):
+            if getattr(node, field, None) in banned:
+                found.append(f"{name}:{node.lineno}:{getattr(node, field)}")
+    for name, node in _nodes(ast.FunctionDef):
+        if node.name in ("explicit_system", "category_closure"):
+            if "ambient" in [a.arg for a in node.args.args]:
+                found.append(f"{name}:{node.lineno}:{node.name}(ambient)")
+    assert found == []
+
+
 def test_families_are_built_only_in_stellmacher():
     """``stellmacher.canonical_family`` is the one family builder, so every
     caller gets the same family for the same S, p and pool: no other module

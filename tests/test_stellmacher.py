@@ -1,6 +1,11 @@
 import pytest
 
-from fusionlab.errors import NotAPGroup, SandwichViolated, SylowMismatch
+from fusionlab.errors import (
+    NotAPGroup,
+    SandwichViolated,
+    SylowMismatch,
+    UnsupportedPrime,
+)
 from fusionlab.fusion import FusionSystem
 from fusionlab.groups import sylow
 from fusionlab.pgroups import is_characteristic, thompson_data
@@ -139,6 +144,12 @@ def test_canonical_family_rejects_s_that_is_not_a_p_group(cat):
         canonical_family(cat["Q8"].full_subgroup, 3)
     with pytest.raises(NotAPGroup):
         canonical_family(cat["S3"].full_subgroup, 2)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_canonical_family_refuses_p_below_2(cat, p):
+    with pytest.raises(UnsupportedPrime):
+        canonical_family(cat["D8"].full_subgroup, p)
 
 
 @pytest.mark.parametrize("fixture,p,order", [("wreath648", 3, 27),

@@ -257,6 +257,96 @@ def test_prop_2_3_instances(systems):
                     assert sub.saturation_status == "verified"
 
 
+# -- realized or explicit, never both ------------------------------------------------
+
+KIND_KEYS = (("S4", 2), ("SL(2,3)", 2), ("GL(2,3)", 2), ("A4", 2), ("S3", 3),
+             ("Qd(3)", 3), ("3^(1+2)+", 3))
+
+
+def test_a_system_is_realized_or_explicit_never_both(cat):
+    v4 = cat["V4"]
+    S = v4.full_subgroup
+    maps = {P.mask: (P.elems,) for P in S.subgroups_within()}
+    with pytest.raises(ValueError):
+        FusionSystem(v4, 2, S, ambient=S, explicit=maps)
+    with pytest.raises(ValueError):
+        FusionSystem(v4, 2, S)
+
+
+def _kinds(F, Q):
+    """kind -> the subsystem of that kind at Q; product and quotient only
+    when Q is normal in F."""
+    out = {"normalizer": normalizer_system(F, Q)}
+    for kind in ("centralizer", "mixed"):
+        out[kind] = centralizer_like_system(F, Q, kind)
+    if is_normal_in_F(F, Q)[0]:
+        out["product"] = centralizer_like_system(F, Q, "product")
+        out["quotient"] = quotient_system(F, Q)
+    return out
+
+
+def test_subsystems_of_a_realized_system_are_its_conjugation_systems(
+        systems):
+    """Each subsystem and quotient of F_S(A) is the interned system of
+    conjugation by its own source on its own carrier."""
+    for key in KIND_KEYS:
+        F = systems[key]
+        G, A, S = F.host, F.ambient, F.carrier
+        for Q in F.objects():
+            C, NS = Q.centralizer_in(A), F.n_in_carrier(Q)
+            want = {"normalizer": (NS, Q.normalizer_in(A)),
+                    "centralizer": (F.c_in_carrier(Q), C),
+                    "mixed": (NS, C.join(NS)),
+                    "product": (S, C.join(S))}
+            for kind, sub in _kinds(F, Q).items():
+                if kind == "quotient":
+                    qsys, proj = sub
+                    L = qsys.host
+                    assert qsys.carrier == proj.push_subgroup(S)
+                    assert qsys is FusionSystem.conjugation(
+                        L, F.p, qsys.carrier, L.full_subgroup)
+                    continue
+                carrier, source = want[kind]
+                assert sub.carrier == carrier
+                assert sub is FusionSystem.conjugation(G, F.p, carrier,
+                                                       source)
+
+
+def _labelled_maps(qsys, proj, F, Q):
+    """{P mask: the hom-set of P/Q in qsys}, each map a set of pairs of
+    quotient elements labelled by their least preimage in S."""
+    label = {}
+    for x in F.carrier.elems:
+        label.setdefault(proj(x), x)
+    out = {}
+    for P in F.objects():
+        if Q <= P:
+            Pbar = proj.push_subgroup(P)
+            out[P.mask] = {frozenset((label[a], label[b])
+                                     for a, b in zip(Pbar.elems, t))
+                           for t in qsys.maps(Pbar)}
+    return out
+
+
+def test_subsystems_of_an_explicit_copy_are_explicit_and_equal(systems):
+    for key in KIND_KEYS:
+        F = systems[key]
+        E = FusionSystem.explicit_system(F.host, F.p, F.carrier,
+                                         F.materialize(), name="copy")
+        for Q in F.objects():
+            realized, explicit = _kinds(F, Q), _kinds(E, Q)
+            assert realized.keys() == explicit.keys()
+            for kind, sub in explicit.items():
+                if kind == "quotient":
+                    (qe, pe), (qf, pf) = sub, realized[kind]
+                    assert not qe.is_realized()
+                    assert _labelled_maps(qe, pe, E, Q) == \
+                        _labelled_maps(qf, pf, F, Q)
+                    continue
+                assert not sub.is_realized()
+                assert fusion_equal(sub, realized[kind])
+
+
 # -- quotient systems ---------------------------------------------------------------
 
 

@@ -115,6 +115,31 @@ def test_cold_suite_builds_each_system_and_thompson_datum_once(monkeypatch):
     assert bodies and len(bodies) == len(set(bodies))
 
 
+def test_cold_suite_finds_essentials_once_per_system(monkeypatch):
+    """Counts, not timings: on freshly built catalog groups, one suite run
+    finds the essential subgroups of each system once, however many
+    morphisms the Alperin roundtrip decomposes and however many sections
+    ask for O_p(F)."""
+    import importlib
+
+    from fusionlab import fusion, stellmacher
+
+    catalog = importlib.import_module("fusionlab.catalog")
+    monkeypatch.setattr(catalog, "_cache", {})
+    monkeypatch.setattr(stellmacher, "_family_cache", {})
+    bodies = []
+    real = fusion._essential_subgroups
+
+    def counting(F):
+        bodies.append(F)
+        return real(F)
+
+    monkeypatch.setattr(fusion, "_essential_subgroups", counting)
+    result = run_suite(RunConfig())
+    assert result.failures == 0
+    assert bodies and len(bodies) == len({id(F) for F in bodies})
+
+
 def test_cold_suite_computes_w_and_aut_once_per_family(monkeypatch):
     """Counts, not timings: on freshly built catalog groups, one suite run
     computes W(S) once per distinct family, however many theorem
