@@ -134,14 +134,16 @@ class FusionSystem:
             check_hom_tuples(host, carrier, explicit)
         self._maps_cache = {} if explicit is None else dict(explicit)
         self._objects = None
+        self._axioms = None   # verify_axioms
         self._essentials = None
         self._classes = {}
         self._profiles = {}
-        self._floors = {}
         self._normalizers = {}
+        self._centralizers = {}
         self._autgroup_cache = {}
         self._models = {}   # subsystems.model_group, by Q.mask
         self._normal = {}   # subsystems.is_normal_in_F, by W.mask
+        self._subsystems = {}   # subsystems._kept_subsystem, by (Q.mask, kind)
 
     # -- constructors ---------------------------------------------------
 
@@ -225,7 +227,11 @@ class FusionSystem:
         return got
 
     def c_in_carrier(self, Q):
-        return Q.centralizer_in(self.carrier)
+        """C_S(Q), computed once per object."""
+        got = self._centralizers.get(Q.mask)
+        if got is None:
+            got = self._centralizers[Q.mask] = Q.centralizer_in(self.carrier)
+        return got
 
     def conjugacy_class_of(self, Q):
         """The images of Hom_F(Q, S), by mask, kept per object.  On a
@@ -409,9 +415,7 @@ def _n_phi_tuple(F, P, t):
         if tuple(t[pos[conj(x, g)]] for g in gens) in keys:
             m |= 1 << x
     sub = G.subgroup(m)  # validates subgroup-ness
-    floor = F._floors.get(P.mask)
-    if floor is None:
-        floor = F._floors[P.mask] = P.join(F.c_in_carrier(P))
+    floor = P.join(F.c_in_carrier(P))   # both kept: on F and on the host
     if not (floor <= sub and sub <= nq):
         raise InternalInconsistency("Q C_S(Q) <= N_phi <= N_S(Q) violated")
     return sub
@@ -547,12 +551,13 @@ def verify_axioms(F) -> AxiomReport:
     axioms; records the first failure as a witness.  That every morphism
     is an injective homomorphism into the carrier holds on construction:
     realized hom-sets are conjugation maps, and explicit ones are checked
-    by ``check_hom_tuples``."""
-    host = F.host
-    carrier = F.carrier
-    report = _verify(F, host, carrier)
-    F.saturation_status = report.status if report else ("failed", report.witness)
-    return report
+    by ``check_hom_tuples``.  The report is computed once per system and
+    kept on F, and ``saturation_status`` is set when it is computed."""
+    if F._axioms is None:
+        report = F._axioms = _verify(F, F.host, F.carrier)
+        F.saturation_status = (report.status if report
+                               else ("failed", report.witness))
+    return F._axioms
 
 
 def _verify(F, host, carrier):

@@ -137,7 +137,7 @@ def o_p_of_F(F):
 def normalizer_system(F, Q):
     """N_F(Q) on N_S(Q): morphisms that extend to QR -> QT acting on Q as an
     F-automorphism.  Axiom-verified when Q is fully normalized."""
-    return _subsystem(F, Q, "normalizer")
+    return _kept_subsystem(F, Q, "normalizer")
 
 
 def centralizer_like_system(F, Q, kind):
@@ -148,7 +148,18 @@ def centralizer_like_system(F, Q, kind):
     conjugation by S (product; requires Q normal in F).  The first two are
     axiom-verified when Q is fully centralized.
     """
-    return _subsystem(F, Q, kind)
+    return _kept_subsystem(F, Q, kind)
+
+
+def _kept_subsystem(F, Q, kind):
+    """The subsystem of a kind at Q, built once per (F, Q, kind) and kept
+    on F."""
+    F.require_object(Q)
+    key = (Q.mask, kind)
+    got = F._subsystems.get(key)
+    if got is None:
+        got = F._subsystems[key] = _subsystem(F, Q, kind)
+    return got
 
 
 def _subsystem_kind(F, Q, kind):
@@ -179,7 +190,6 @@ def _subsystem_kind(F, Q, kind):
 
 
 def _subsystem(F, Q, kind):
-    F.require_object(Q)
     carrier, allowed, source = _subsystem_kind(F, Q, kind)
     qmask = Q.mask
     maps_by_domain = {}
@@ -274,35 +284,54 @@ def quotient_system(F, Q):
 def category_closure(host, p, carrier, seed_maps, name=None):
     """Smallest category on the carrier containing the seed morphisms and
     closed under composition, restriction, inversion of isomorphisms and
-    inclusions (fixed-point iteration; finiteness bounds termination)."""
+    inclusions (fixed-point iteration; finiteness bounds termination).
+
+    The seeds are checked to be injective homomorphisms into the carrier,
+    so every inverse, composite and restriction of them is one too, and
+    such a map is fixed by the images of its domain's generators.  Each
+    candidate is therefore looked up by that key of generator images, and
+    its full image tuple is built only when the map is missing."""
     objs = carrier.subgroups_within()
-    maps = {P.mask: {identity_tuple(P)} for P in objs}
     check_hom_tuples(host, carrier, seed_maps)
-    for pmask, tuples in seed_maps.items():
-        maps[pmask].update(tuples)
+    gens_of = {P.mask: P.generators() for P in objs}
+    maps, keys = {}, {}
+    for P in objs:
+        pos = P.pos_map()
+        at = [pos[g] for g in gens_of[P.mask]]
+        maps[P.mask] = {identity_tuple(P), *seed_maps.get(P.mask, ())}
+        keys[P.mask] = {tuple([t[i] for i in at]) for t in maps[P.mask]}
     changed = True
     while changed:
         changed = False
         for P in objs:
-            current = maps[P.mask]
-            pending = {}
-            for t in list(current):
-                img, tinv = invert_tuple(host, P, t)
-                if tinv not in maps[img.mask]:
-                    pending.setdefault(img.mask, set()).add(tinv)
-                for u in list(maps[img.mask]):
-                    c = compose_tuples(t, img, u)
-                    if c not in current:
-                        pending.setdefault(P.mask, set()).add(c)
-                for Qs in objs:
-                    if Qs.mask != P.mask and Qs < P:
-                        r = restrict_tuple(P, t, Qs)
-                        if r not in maps[Qs.mask]:
-                            pending.setdefault(Qs.mask, set()).add(r)
-            for m, ts in pending.items():
-                if ts - maps[m]:
-                    maps[m] |= ts
+            pos = P.pos_map()
+            at = [pos[g] for g in gens_of[P.mask]]
+            below = [(Q, [pos[g] for g in gens_of[Q.mask]])
+                     for Q in objs if Q < P]
+            pkeys = keys[P.mask]
+            for t in list(maps[P.mask]):
+                img = host.subgroup(mask_of(t))
+                ikeys = keys[img.mask]
+                inv_key = tuple([P.elems[t.index(h)]
+                                 for h in gens_of[img.mask]])
+                if inv_key not in ikeys:
+                    ikeys.add(inv_key)
+                    maps[img.mask].add(invert_tuple(host, P, t)[1])
                     changed = True
+                ipos = img.pos_map()
+                on_img = [ipos[t[i]] for i in at]
+                for u in list(maps[img.mask]):
+                    key = tuple([u[i] for i in on_img])
+                    if key not in pkeys:
+                        pkeys.add(key)
+                        maps[P.mask].add(compose_tuples(t, img, u))
+                        changed = True
+                for Q, on_q in below:
+                    key = tuple([t[i] for i in on_q])
+                    if key not in keys[Q.mask]:
+                        keys[Q.mask].add(key)
+                        maps[Q.mask].add(restrict_tuple(P, t, Q))
+                        changed = True
     final = {m: tuple(sorted(ts)) for m, ts in maps.items()}
     return FusionSystem.explicit_system(host, p, carrier, final,
                                         name=name or "generated")

@@ -487,6 +487,79 @@ def conjugacy_classes_brute(F):
             for m in members}
 
 
+def category_closure_brute(host, carrier, seed_maps):
+    """{object mask: sorted image tuples} of the smallest category on the
+    carrier holding the seeds: a fixed-point iteration that builds every
+    inverse, composite and restriction as a whole tuple and tests it as
+    one."""
+    from fusionlab.fusion import (
+        compose_tuples,
+        identity_tuple,
+        invert_tuple,
+        restrict_tuple,
+    )
+
+    objs = carrier.subgroups_within()
+    maps = {P.mask: {identity_tuple(P)} for P in objs}
+    for pmask, tuples in seed_maps.items():
+        maps[pmask].update(tuples)
+    changed = True
+    while changed:
+        changed = False
+        for P in objs:
+            current = maps[P.mask]
+            pending = {}
+            for t in list(current):
+                img, tinv = invert_tuple(host, P, t)
+                if tinv not in maps[img.mask]:
+                    pending.setdefault(img.mask, set()).add(tinv)
+                for u in list(maps[img.mask]):
+                    c = compose_tuples(t, img, u)
+                    if c not in current:
+                        pending.setdefault(P.mask, set()).add(c)
+                for Q in objs:
+                    if Q.mask != P.mask and Q < P:
+                        r = restrict_tuple(P, t, Q)
+                        if r not in maps[Q.mask]:
+                            pending.setdefault(Q.mask, set()).add(r)
+            for m, ts in pending.items():
+                if ts - maps[m]:
+                    maps[m] |= ts
+                    changed = True
+    return {m: tuple(sorted(ts)) for m, ts in maps.items()}
+
+
+def closure_seeds(F, rng):
+    """Seeds that are not closed, drawn from F: the S-conjugations on S
+    alone, the generators of Aut_F(S) alone, and a random third of each
+    hom-set."""
+    from fusionlab.fusion import conj_maps
+
+    S = F.carrier
+    autg, elems, _ = F.aut_group(S)
+    third = {}
+    for P in F.objects():
+        maps = F.maps(P)
+        third[P.mask] = tuple(sorted(rng.sample(maps, -(-len(maps) // 3))))
+    return {
+        "inner-on-S": {S.mask: conj_maps(F.host, S, S.elems, S.mask)},
+        "aut-generators": {S.mask: tuple(
+            elems[i] for i in autg.full_subgroup.generators())},
+        "random-third": third,
+    }
+
+
+def assert_closure_matches_oracle(F, seed, label):
+    """The kernel's hom-sets equal the whole-tuple fixed point's.  Returns
+    whether the closure added maps to the seed."""
+    from fusionlab.subsystems import category_closure
+
+    got = category_closure(F.host, F.p, F.carrier, seed)
+    want = category_closure_brute(F.host, F.carrier, seed)
+    assert {P.mask: got.maps(P) for P in got.objects()} == want, label
+    return sum(map(len, want.values())) > sum(map(len, seed.values()))
+
+
 # -- fusion-system axioms, element by element ------------------------------
 
 

@@ -380,6 +380,25 @@ def test_axiom_reports_match_the_oracle(cat, systems):
     assert not any(verify_axioms(F) for F in failing)
 
 
+def test_a_second_check_returns_the_kept_report(cat, systems):
+    """The report is computed once per system and kept on it: a second
+    call returns the same report and leaves ``saturation_status`` as the
+    first call set it.  On systems built from scratch (not the interned
+    ones) and on two failing ones, each report is the oracle's."""
+    fresh = [FusionSystem(F.host, F.p, F.carrier, ambient=F.ambient)
+             for F in systems.values()]
+    failing = [spliced_d8(cat)[0], non_sylow_s4(cat)]
+    for F in [*fresh, *failing]:
+        report = verify_axioms(F)
+        status = F.saturation_status
+        assert status == (report.status if report
+                          else ("failed", report.witness))
+        assert verify_axioms(F) is report
+        assert F.saturation_status == status
+        assert report == verify_axioms_brute(F), F.name
+    assert not any(verify_axioms(F) for F in failing)
+
+
 def test_verify_decides_full_normality_once_per_image(cat, monkeypatch):
     """Counts, not timings: FS3 asks whether an image is fully normalized
     once per image, not once per morphism."""
@@ -392,11 +411,12 @@ def test_verify_decides_full_normality_once_per_image(cat, monkeypatch):
 
     monkeypatch.setattr(FusionSystem, "is_fully_normalized", counting)
     for name in ("S4", "GL(2,3)"):
-        F = realize_fusion(cat[name], 2)
+        G = cat[name]   # a system of its own: the report is kept on F
+        F = FusionSystem(G, 2, sylow(G, 2), ambient=G.full_subgroup)
         images = {mask_of(t) for P in F.objects() for t in F.maps(P)}
         calls.clear()
         assert verify_axioms(F)
-        assert len(calls) == len(set(calls))
+        assert calls and len(calls) == len(set(calls))
         assert set(calls) <= images
         assert len(images) < sum(len(F.maps(P)) for P in F.objects())
 
@@ -415,12 +435,13 @@ def test_normalizer_in_carrier_is_computed_once_per_object(cat, monkeypatch):
 
     monkeypatch.setattr(Subgroup, "normalizer_in", counting)
     for name in ("S4", "GL(2,3)"):
-        F = realize_fusion(cat[name], 2)
+        G = cat[name]   # a system of its own: its memos start empty
+        F = FusionSystem(G, 2, sylow(G, 2), ambient=G.full_subgroup)
         calls.clear()
         assert verify_axioms(F)
         essential_subgroups(F)
         asked = [q for q, s in calls if s == F.carrier.mask]
-        assert len(asked) == len(set(asked))
+        assert asked and len(asked) == len(set(asked))
         assert all(F.n_in_carrier(Q).mask == real(Q, F.carrier).mask
                    for Q in F.objects())
 

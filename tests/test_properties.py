@@ -1,5 +1,7 @@
 """Randomized invariants over small permutation groups."""
 
+import random
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fusionlab.catalog import catalog_group
@@ -27,11 +29,13 @@ from fusionlab.subsystems import is_normal_in_F, o_p_of_F
 from fusionlab.theorems import has_normal_p_complement
 
 from oracles import (
+    assert_closure_matches_oracle,
     assert_kernels_match_oracles,
     automorphisms_raw,
     closure_of_maps,
     assert_section_matches_copy,
     brute_force_subgroups,
+    closure_seeds,
     closure_set,
     conjugacy_classes_brute,
     has_normal_p_complement_brute,
@@ -319,3 +323,18 @@ def test_axiom_reports_match_the_oracle(gens, p):
     for Q in F.objects():
         E = FusionSystem(g, p, Q, ambient=g.full_subgroup)
         assert verify_axioms(E) == verify_axioms_brute(E)
+
+
+@settings(**COMMON)
+@given(group_specs, st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_closure_matches_the_fixed_point_oracle(gens, p, seed):
+    """The closure tested on generator keys against the whole-tuple fixed
+    point, on seeds drawn from F_S(G) that are not closed: the
+    S-conjugations on S, the generators of Aut_F(S), a random third of
+    each hom-set."""
+    g = build_group([list(q) for q in gens], kind="perms", cap=200)
+    if g.order % p:
+        return
+    F = realize_fusion(g, p)
+    for kind, maps in closure_seeds(F, random.Random(seed)).items():
+        assert_closure_matches_oracle(F, maps, kind)

@@ -86,6 +86,37 @@ def test_families_are_built_only_in_stellmacher():
     assert found == []
 
 
+def _uses(node, names, func=None):
+    """(name, innermost enclosing function or None, line) for each name in
+    ``names`` that the tree under ``node`` reads, calls or imports."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _uses(child, names, child.name)
+            continue
+        if isinstance(child, ast.alias):
+            used = child.name
+        else:
+            used = getattr(child, "id", None) or getattr(child, "attr", None)
+        if used in names:
+            yield used, func, getattr(child, "lineno", None)
+        yield from _uses(child, names, func)
+
+
+def test_axioms_and_subsystems_are_computed_only_through_their_memos():
+    """``verify_axioms`` keeps the axiom report on F and
+    ``_kept_subsystem`` keeps each subsystem on F, so that each is computed
+    once per system: ``_verify`` is reached only from the one and
+    ``_subsystem`` only from the other."""
+    memo_of = {"_verify": "verify_axioms", "_subsystem": "_kept_subsystem"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for used, func, line in _uses(tree, memo_of):
+            if func != memo_of[used]:
+                found.append(f"{path.name}:{line}:{used} in {func}")
+    assert found == []
+
+
 def test_cli_run_loads_no_dataclasses_inspect_or_hashlib():
     """A CLI call is one process, so what the package imports is paid on
     every call: records are namedtuples and the table key is packed with

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fusionlab.errors import (
@@ -32,6 +34,8 @@ from fusionlab.subsystems import (
 )
 
 from oracles import (
+    assert_closure_matches_oracle,
+    closure_seeds,
     looks_like_a4,
     looks_like_s3,
     normal_in_F_brute,
@@ -402,6 +406,23 @@ def test_generated_rejects_carrier_mismatch(cat, systems):
 def test_generated_inner_twice(cat):
     inner = FusionSystem.inner(cat["Q8"].full_subgroup, 2)
     assert fusion_equal(generated_system([inner, inner]), inner)
+
+
+def test_closure_matches_the_fixed_point_oracle(systems):
+    """On every catalog system with |S| <= 32, each kind of seed closes to
+    the category the whole-tuple fixed point finds.  Every kind of seed
+    is one that the closure grows on some system, and the S-conjugations
+    on S alone grow on every system."""
+    rng = random.Random(20)
+    grew = {}
+    for key, F in sorted(systems.items()):
+        if F.carrier.order > 32:
+            continue
+        for kind, seed in closure_seeds(F, rng).items():
+            grew.setdefault(kind, []).append(
+                assert_closure_matches_oracle(F, seed, (key, kind)))
+    assert all(grew["inner-on-S"])
+    assert len(grew) == 3 and all(map(any, grew.values()))
 
 
 def test_lemma_3_7_on_catalog(cat, systems):

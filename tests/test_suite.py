@@ -1,5 +1,9 @@
+import hashlib
 import os
+import subprocess
+import sys
 
+import fusionlab
 from fusionlab.catalog import catalog_group
 from fusionlab.cli import main
 from fusionlab.groups import build_group
@@ -11,6 +15,24 @@ perm 4
 (1 2)
 (1 3 2 4)
 """
+
+
+# sha256 of the stdout of `fusionlab suite --format tsv` over the catalog
+SUITE_TSV_SHA256 = (
+    "f05c5e04f2e4720a8e6adf2e41d8b9ea8574d674979237bcbba119898442e780")
+
+
+def test_catalog_suite_tsv_is_pinned():
+    """A fresh process prints the catalog suite TSV with the pinned digest,
+    so a change in any verdict or detail of the sweep fails here, not only
+    in the benchmark's reference check."""
+    src = os.path.dirname(os.path.dirname(fusionlab.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "fusionlab.cli", "suite", "--format", "tsv"],
+        capture_output=True, timeout=600,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr.decode()
+    assert hashlib.sha256(run.stdout).hexdigest() == SUITE_TSV_SHA256
 
 
 def test_empty_files_scope_gives_empty_summary():
@@ -138,6 +160,70 @@ def test_cold_suite_finds_essentials_once_per_system(monkeypatch):
     result = run_suite(RunConfig())
     assert result.failures == 0
     assert bodies and len(bodies) == len({id(F) for F in bodies})
+
+
+def test_cold_suite_checks_axioms_once_per_system(monkeypatch):
+    """Counts, not timings: on freshly built catalog groups, one suite run
+    checks the axioms of each system once, however many sections ask for
+    its report and however often it comes back as a subsystem of
+    another."""
+    import importlib
+
+    from fusionlab import fusion, stellmacher
+
+    catalog = importlib.import_module("fusionlab.catalog")
+    monkeypatch.setattr(catalog, "_cache", {})
+    monkeypatch.setattr(stellmacher, "_family_cache", {})
+    bodies, calls = [], []
+    real_verify, real_axioms = fusion._verify, fusion.verify_axioms
+
+    def counting_verify(F, host, carrier):
+        bodies.append(F)
+        return real_verify(F, host, carrier)
+
+    def counting_axioms(F):
+        calls.append(F)
+        return real_axioms(F)
+
+    monkeypatch.setattr(fusion, "_verify", counting_verify)
+    for module in ("fusion", "subsystems", "suite"):
+        monkeypatch.setattr(f"fusionlab.{module}.verify_axioms",
+                            counting_axioms)
+    result = run_suite(RunConfig())
+    assert result.failures == 0
+    assert bodies and len(bodies) == len({id(F) for F in bodies})
+    assert {id(F) for F in calls} == {id(F) for F in bodies}
+    assert len(calls) > len(bodies)
+
+
+def test_cold_suite_builds_each_subsystem_once(monkeypatch):
+    """Counts, not timings: on freshly built catalog groups, one suite run
+    walks the extension rule of each subsystem (F, Q, kind) once, however
+    many harnesses ask for it."""
+    import importlib
+
+    from fusionlab import stellmacher, subsystems
+
+    catalog = importlib.import_module("fusionlab.catalog")
+    monkeypatch.setattr(catalog, "_cache", {})
+    monkeypatch.setattr(stellmacher, "_family_cache", {})
+    bodies, calls = [], []
+    real_body, real_kept = subsystems._subsystem, subsystems._kept_subsystem
+
+    def counting_body(F, Q, kind):
+        bodies.append((F, Q.mask, kind))
+        return real_body(F, Q, kind)
+
+    def counting_kept(F, Q, kind):
+        calls.append((F, Q.mask, kind))
+        return real_kept(F, Q, kind)
+
+    monkeypatch.setattr(subsystems, "_subsystem", counting_body)
+    monkeypatch.setattr(subsystems, "_kept_subsystem", counting_kept)
+    result = run_suite(RunConfig())
+    assert result.failures == 0
+    assert bodies and len(bodies) == len(set(bodies))
+    assert set(calls) == set(bodies) and len(calls) > len(bodies)
 
 
 def test_cold_suite_computes_w_and_aut_once_per_family(monkeypatch):
