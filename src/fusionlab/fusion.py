@@ -24,6 +24,7 @@ from .groups import (
     GroupMorphism,
     Subgroup,
     bits,
+    derived_group,
     identity_first,
     is_hom_tuple,
     mask_of,
@@ -111,8 +112,31 @@ def check_hom_tuples(host, carrier, maps_by_domain):
 # -- the fusion system -------------------------------------------------------
 
 
+class _Memos:
+    """Every fact kept on a fusion system, shared by all its names."""
+
+    def __init__(self, status, maps):
+        self.status = status   # FusionSystem.saturation_status
+        self.maps = maps   # hom-sets, by domain mask
+        self.objects = None
+        self.axioms = None   # verify_axioms
+        self.essentials = None
+        self.classes = {}
+        self.profiles = {}
+        self.normalizers = {}
+        self.centralizers = {}
+        self.autgroups = {}
+        self.models = {}   # subsystems.model_group, by Q.mask
+        self.normal = {}   # subsystems.is_normal_in_F, by W.mask
+        self.subsystems = {}   # subsystems._kept_subsystem, by (Q.mask, kind)
+
+
 class FusionSystem:
-    """A category on the subgroups of a carrier S inside a host group."""
+    """A category on the subgroups of a carrier S inside a host group.
+
+    What is computed on it is kept in ``_memo``.  The name is a label
+    that chooses no fact: the names of one conjugation system share one
+    memo (see ``conjugation``)."""
 
     def __init__(self, host, p, carrier, ambient=None, explicit=None,
                  name=None):
@@ -123,44 +147,54 @@ class FusionSystem:
         self.p = p
         self.carrier = carrier
         self.ambient = ambient
-        # F_S(G) for a Sylow p-subgroup S of G is saturated
-        self.saturation_status = (
-            VERIFIED if ambient is not None
-            and carrier.order == p_part(ambient.order, p) else UNCHECKED)
         self.name = name or f"F_{carrier.order}({host.name})"
         if ambient is not None and not carrier <= ambient:
             raise ObjectOutsideS("carrier must sit inside the ambient subgroup")
         if explicit is not None:
             check_hom_tuples(host, carrier, explicit)
-        self._maps_cache = {} if explicit is None else dict(explicit)
-        self._objects = None
-        self._axioms = None   # verify_axioms
-        self._essentials = None
-        self._classes = {}
-        self._profiles = {}
-        self._normalizers = {}
-        self._centralizers = {}
-        self._autgroup_cache = {}
-        self._models = {}   # subsystems.model_group, by Q.mask
-        self._normal = {}   # subsystems.is_normal_in_F, by W.mask
-        self._subsystems = {}   # subsystems._kept_subsystem, by (Q.mask, kind)
+        # F_S(G) for a Sylow p-subgroup S of G is saturated
+        self._memo = _Memos(
+            VERIFIED if ambient is not None
+            and carrier.order == p_part(ambient.order, p) else UNCHECKED,
+            {} if explicit is None else dict(explicit))
+
+    @property
+    def saturation_status(self):
+        return self._memo.status
+
+    @property
+    def _maps_cache(self):
+        """The hom-sets computed so far, by domain mask (the benchmark's
+        layer counters read them)."""
+        return self._memo.maps
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def conjugation(cls, host, p, carrier, ambient, name=None):
         """The system on ``carrier`` whose morphisms are conjugations by
-        ``ambient``, built once per host and (p, carrier, ambient, name):
-        every fact computed on it (hom-sets, profiles, normalizers, models,
-        normality verdicts) is a function of that key, so each is computed
-        once however many callers ask."""
+        ``ambient``.  Every fact computed on it (hom-sets, profiles,
+        normalizers, models, normality verdicts) is a function of (host, p,
+        carrier, ambient), so one system is built per such key and kept on
+        the host, and each fact is computed once however many callers ask.
+        A call under another name gets a view of that system: F_S(S)|D8
+        and F_8(D8) share every memo, and each prints its own name."""
+        key = (p, carrier.mask, ambient.mask)
+        names = host._systems.get(key)
+        if names is None:
+            F = cls(host, p, carrier, ambient=ambient)
+            names = host._systems[key] = {F.name: F}
         name = name or f"F_{carrier.order}({host.name})"
-        key = (p, carrier.mask, ambient.mask, name)
-        F = host._systems.get(key)
+        F = names.get(name)
         if F is None:
-            F = host._systems[key] = cls(host, p, carrier, ambient=ambient,
-                                         name=name)
+            F = names[name] = next(iter(names.values()))._named(name)
         return F
+
+    def _named(self, name):
+        """This system under another name, sharing every memo."""
+        view = object.__new__(type(self))
+        view.__dict__.update(self.__dict__, name=name)
+        return view
 
     @classmethod
     def realized(cls, G, p, S, name=None):
@@ -179,6 +213,15 @@ class FusionSystem:
             full.setdefault(P.mask, (identity_tuple(P),))
         return cls(host, p, carrier, explicit=full, name=name)
 
+    @classmethod
+    def _from_checked_maps(cls, host, p, carrier, maps_by_domain, name):
+        """The explicit system on hom-sets, one per object, whose maps are
+        already known to be injective homomorphisms into the carrier, so
+        they are not checked again."""
+        F = cls(host, p, carrier, explicit={}, name=name)
+        F._memo.maps.update(maps_by_domain)
+        return F
+
     def is_realized(self):
         return self.ambient is not None
 
@@ -189,9 +232,10 @@ class FusionSystem:
     # -- objects and hom-sets --------------------------------------------
 
     def objects(self):
-        if self._objects is None:
-            self._objects = tuple(self.carrier.subgroups_within())
-        return self._objects
+        memo = self._memo
+        if memo.objects is None:
+            memo.objects = tuple(self.carrier.subgroups_within())
+        return memo.objects
 
     def require_object(self, P):
         if P.parent is not self.host or not P <= self.carrier:
@@ -200,7 +244,7 @@ class FusionSystem:
     def maps(self, P):
         """All morphisms from P into the carrier, as sorted image tuples."""
         self.require_object(P)
-        got = self._maps_cache.get(P.mask)
+        got = self._memo.maps.get(P.mask)
         if got is not None:
             return got
         if self.ambient is None:
@@ -208,29 +252,25 @@ class FusionSystem:
                                  "domain; carrier mismatch?")
         result = conj_maps(self.host, P, self.ambient.elems,
                            self.carrier.mask)
-        self._maps_cache[P.mask] = result
+        self._memo.maps[P.mask] = result
         return result
-
-    def materialize(self):
-        """Force every hom-set; returns {domain mask: tuple of image tuples}."""
-        for P in self.objects():
-            self.maps(P)
-        return {P.mask: self._maps_cache[P.mask] for P in self.objects()}
 
     # -- conjugacy, normalizers ------------------------------------------
 
     def n_in_carrier(self, Q):
         """N_S(Q), computed once per object."""
-        got = self._normalizers.get(Q.mask)
+        got = self._memo.normalizers.get(Q.mask)
         if got is None:
-            got = self._normalizers[Q.mask] = Q.normalizer_in(self.carrier)
+            got = self._memo.normalizers[Q.mask] = Q.normalizer_in(
+                self.carrier)
         return got
 
     def c_in_carrier(self, Q):
         """C_S(Q), computed once per object."""
-        got = self._centralizers.get(Q.mask)
+        got = self._memo.centralizers.get(Q.mask)
         if got is None:
-            got = self._centralizers[Q.mask] = Q.centralizer_in(self.carrier)
+            got = self._memo.centralizers[Q.mask] = Q.centralizer_in(
+                self.carrier)
         return got
 
     def conjugacy_class_of(self, Q):
@@ -238,10 +278,10 @@ class FusionSystem:
         category they are Q's class under F-isomorphism: inverses make the
         relation symmetric and composition makes it transitive."""
         self.require_object(Q)
-        got = self._classes.get(Q.mask)
+        got = self._memo.classes.get(Q.mask)
         if got is None:
             sub = self.host.subgroup
-            got = self._classes[Q.mask] = tuple(
+            got = self._memo.classes[Q.mask] = tuple(
                 sub(m) for m in sorted({mask_of(t) for t in self.maps(Q)}))
         return got
 
@@ -275,11 +315,11 @@ class FusionSystem:
 
     def aut_group(self, Q):
         """(FiniteGroup of Aut_F(Q), elements as image tuples, index map)."""
-        got = self._autgroup_cache.get(Q.mask)
+        got = self._memo.autgroups.get(Q.mask)
         if got is None:
             auts = self.aut_tuples(Q)
             got = _group_from_maps(Q, auts, name=f"AutF({Q.order})")
-            self._autgroup_cache[Q.mask] = got
+            self._memo.autgroups[Q.mask] = got
         return got
 
     def out_group(self, Q):
@@ -344,8 +384,7 @@ def _group_from_maps(Q, tuples, name):
         table, order_map = identity_first(table, ident)
         tuples = tuple(tuples[k] for k in order_map)
         index = {t: i for i, t in enumerate(tuples)}
-    g = FiniteGroup(table, name=name, validate=False)
-    return g, tuples, index
+    return derived_group(table, name), tuples, index
 
 
 # -- public operations -------------------------------------------------------
@@ -434,7 +473,7 @@ def classify_subgroup(F, Q) -> SubgroupProfile:
     """Full profile; cross-checks the Sylow characterization of fully
     normalized subgroups and the essential => centric & radical implications."""
     F.require_object(Q)
-    cached = F._profiles.get(Q.mask)
+    cached = F._memo.profiles.get(Q.mask)
     if cached is not None:
         return cached
     witness = {}
@@ -473,7 +512,7 @@ def classify_subgroup(F, Q) -> SubgroupProfile:
     profile = SubgroupProfile(Q=Q, fully_normalized=fn, fully_centralized=fc,
                               centric=centric, radical=radical,
                               essential=essential, witness=witness)
-    F._profiles[Q.mask] = profile
+    F._memo.profiles[Q.mask] = profile
     return profile
 
 
@@ -511,9 +550,9 @@ def _strongly_p_embedded(out, p):
 def essential_subgroups(F):
     """(all essential subgroups, the fully normalized ones), canonical order,
     found once per system and kept on F."""
-    if F._essentials is None:
-        F._essentials = _essential_subgroups(F)
-    return F._essentials
+    if F._memo.essentials is None:
+        F._memo.essentials = _essential_subgroups(F)
+    return F._memo.essentials
 
 
 def _essential_subgroups(F):
@@ -522,7 +561,7 @@ def _essential_subgroups(F):
     ess = []
     ess_fn = []
     for Q in F.objects():
-        if Q.mask not in F._profiles and not F.is_centric(Q):
+        if Q.mask not in F._memo.profiles and not F.is_centric(Q):
             continue
         prof = classify_subgroup(F, Q)
         if prof.essential:
@@ -553,11 +592,12 @@ def verify_axioms(F) -> AxiomReport:
     realized hom-sets are conjugation maps, and explicit ones are checked
     by ``check_hom_tuples``.  The report is computed once per system and
     kept on F, and ``saturation_status`` is set when it is computed."""
-    if F._axioms is None:
-        report = F._axioms = _verify(F, F.host, F.carrier)
-        F.saturation_status = (report.status if report
-                               else ("failed", report.witness))
-    return F._axioms
+    memo = F._memo
+    if memo.axioms is None:
+        report = memo.axioms = _verify(F, F.host, F.carrier)
+        memo.status = (report.status if report
+                       else ("failed", report.witness))
+    return memo.axioms
 
 
 def _verify(F, host, carrier):
@@ -705,10 +745,6 @@ class AlperinDecomposition(namedtuple(
     """
 
     __slots__ = ()
-
-    @property
-    def n_steps(self):
-        return len(self.essentials)
 
     def recompose(self):
         """Apply the chain to every domain element; must reproduce source."""

@@ -26,6 +26,10 @@ MAX_PERM_POINTS = 64
 
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
+# the first group built with each Cayley table, by table_hash(): the one
+# derived_group gives for that table
+_by_table = {}
+
 
 def bits(mask):
     """Yield the set bit positions of mask in increasing order."""
@@ -51,6 +55,18 @@ def mask_of(indices):
     for i in indices:
         m |= 1 << i
     return m
+
+
+def _packed(rows):
+    """The entries of a Cayley table as unsigned 16-bit words, row by
+    row: ``FiniteGroup.table_hash``."""
+    # imported here, so that importing the package does not load it
+    from array import array
+
+    packed = array("H")
+    for row in rows:
+        packed.fromlist(row)
+    return packed.tobytes()
 
 
 class FiniteGroup:
@@ -80,12 +96,17 @@ class FiniteGroup:
         self.elem_orders = self._compute_orders()
         self._subgroup_cache = {}
         self._aut_gens = None   # aut_generators, once found
-        # conjugation fusion systems on this group, interned by
-        # fusion.FusionSystem.conjugation
+        # conjugation fusion systems on this group, by (p, carrier mask,
+        # ambient mask) and then by name: fusion.FusionSystem.conjugation
         self._systems = {}
         self._joins = {}    # Subgroup.join, by (smaller mask, larger mask)
         self._sylow = {}
+        # o_p and o_p_prime, by (p, within mask, whether prime to p)
+        self._o_pi_subgroups = {}
+        self._involved = {}   # is_involved(H, self), by H
+        self._isomorphic = {}   # is_isomorphic(self, H), by H
         self._hash = None
+        _by_table.setdefault(self.table_hash(), self)
 
     # -- construction-time checks -------------------------------------
 
@@ -201,13 +222,7 @@ class FiniteGroup:
         entries as unsigned 16-bit words, row by row.  Every entry is below
         the order, and no table of order above 65,536 fits in memory."""
         if self._hash is None:
-            # imported here, so that importing the package does not load it
-            from array import array
-
-            packed = array("H")
-            for row in self._mul:
-                packed.fromlist(row)
-            self._hash = packed.tobytes()
+            self._hash = _packed(self._mul)
         return self._hash
 
     def __repr__(self):
@@ -221,9 +236,6 @@ class FiniteGroup:
             sub = Subgroup(self, mask)
             self._subgroup_cache[mask] = sub
         return sub
-
-    def subgroup_of(self, elements):
-        return self.subgroup(mask_of(elements))
 
     @property
     def trivial_subgroup(self):
@@ -304,7 +316,7 @@ class Subgroup:
     """
 
     __slots__ = ("parent", "mask", "_elems", "_pos", "_gens", "_lattice",
-                 "_as_group", "_thompson")
+                 "_as_group", "_thompson", "_center")
 
     def __init__(self, parent, mask):
         self.parent = parent
@@ -315,6 +327,7 @@ class Subgroup:
         self._lattice = None
         self._as_group = None
         self._thompson = None   # pgroups.thompson_data, once computed
+        self._center = None
         if not mask & 1:
             raise NotASubgroup("subgroup must contain the identity")
         mul = parent._mul
@@ -451,7 +464,10 @@ class Subgroup:
         return G.subgroup(m)
 
     def center(self):
-        return self.centralizer_in(self)
+        """Z(self), computed once and kept on self."""
+        if self._center is None:
+            self._center = self.centralizer_in(self)
+        return self._center
 
     def join(self, other):
         """Subgroup generated by self and other: the larger one when one
@@ -470,9 +486,6 @@ class Subgroup:
                 G.closure_mask(other.generators(), a))
         return got
 
-    def meet(self, other):
-        return self.parent.subgroup(self.mask & other.mask)
-
     def subgroups_within(self):
         """All subgroups contained in self, canonically ordered (size, then
         bit-vector).  One lattice walk on the parent's own table, limited
@@ -483,14 +496,14 @@ class Subgroup:
         return [self.parent.subgroup(m) for m in self._lattice]
 
     def as_group(self):
-        """(standalone FiniteGroup, embed) with embed[i] the parent index."""
+        """(standalone FiniteGroup, embed) with embed[i] the parent index;
+        the group is the ``derived_group`` of its table."""
         if self._as_group is None:
             G = self.parent
             es = self._elems
             pos = self.pos_map()
             table = [[pos[G._mul[a][b]] for b in es] for a in es]
-            sub = FiniteGroup(table, name=f"{G.name}|sub{self.order}",
-                              validate=False)
+            sub = derived_group(table, f"{G.name}|sub{self.order}")
             self._as_group = (sub, es)
         return self._as_group
 
@@ -573,9 +586,6 @@ class GroupMorphism(namedtuple("GroupMorphism", "domain codomain images")):
 
     def image(self):
         return self.codomain.parent.subgroup(self.image_mask())
-
-    def is_bijective(self):
-        return self.domain.order == self.codomain.order == len(self.images)
 
     def as_tuple(self):
         """Images aligned with the sorted domain elements."""
@@ -688,6 +698,25 @@ def _group_from_table(table, name, cap):
     if ident != 0:
         rows, _ = identity_first(rows, ident)
     return FiniteGroup(rows, name=name)
+
+
+def derived_group(table, name):
+    """The group with the Cayley table ``table``: the first group built
+    with that table, or a new one named ``name``.
+
+    For the groups the package derives from others: quotients, standalone
+    copies of subgroups and F-automorphism groups.  Their tables are groups
+    by construction, and the callers check the maps they build on them.  A
+    table met before, derived or built from outside input, gives back the
+    group built then, with every fact kept on it (its lattice, Sylow and
+    O_p subgroups, Aut generators, isomorphism and involvement verdicts,
+    fusion systems), so each is computed once per table.  The name is a
+    label, of the first group built with the table: no fact depends on
+    it."""
+    G = _by_table.get(_packed(table))
+    if G is None:
+        G = FiniteGroup(table, name=name, validate=False)
+    return G
 
 
 def identity_first(table, ident):
@@ -904,15 +933,20 @@ def _grow_normal(G, wgens, gens, mask, todo, keep=lambda n: True):
     return mask
 
 
-def _o_pi(G, within, in_pi):
-    """O_pi(W), the largest normal pi-subgroup of W = ``within`` (default
-    G); ``in_pi(n)`` says whether the order n is a pi-number.
+def _o_pi(G, W, p, prime_to_p):
+    """O_pi(W), the largest normal pi-subgroup of the subgroup W of G, for
+    pi = {p}, or the primes other than p if ``prime_to_p``.
 
     An element x lies in O_pi(W) exactly when its normal closure in W is a
     pi-group, so one pass over W joins those closures into N.  The closure
     of N and x grows one W-conjugate at a time and is dropped as soon as
     its order leaves pi (every overgroup's order is a multiple)."""
-    W = within if within is not None else G.full_subgroup
+    if prime_to_p:
+        def in_pi(n):
+            return n % p != 0
+    else:
+        def in_pi(n):
+            return p_part(n, p) == n
     orders = G.elem_orders
     wgens = W.generators()
     join, join_gens = 1, []
@@ -969,14 +1003,24 @@ def _normal_subgroups_of_order(G, B, k):
 
 
 def o_p(G, p, within=None):
-    """Largest normal p-subgroup of ``within`` (default G)."""
-    return _o_pi(G, within, lambda n: p_part(n, p) == n)
+    """Largest normal p-subgroup of ``within`` (default G), computed once
+    per (p, within) and kept on G."""
+    return _kept_o_pi(G, p, within, False)
 
 
 def o_p_prime(G, p, within=None):
     """Largest normal subgroup of ``within`` (default G) of order prime
-    to p."""
-    return _o_pi(G, within, lambda n: n % p != 0)
+    to p, computed once per (p, within) and kept on G."""
+    return _kept_o_pi(G, p, within, True)
+
+
+def _kept_o_pi(G, p, within, prime_to_p):
+    W = within if within is not None else G.full_subgroup
+    key = (p, W.mask, prime_to_p)
+    got = G._o_pi_subgroups.get(key)
+    if got is None:
+        got = G._o_pi_subgroups[key] = _o_pi(G, W, p, prime_to_p)
+    return got
 
 
 # -- quotients ---------------------------------------------------------------
@@ -1009,7 +1053,8 @@ def quotient_group(G, N, name=None, within=None):
     """(B/N, projection) for N normal in B = ``within`` (default G), built
     on G's own table.  B's elements are walked in increasing order and each
     coset is labelled by its least member, identity first, so B/N has the
-    table a standalone copy of B would give."""
+    table a standalone copy of B would give; B/N is the ``derived_group``
+    of that table."""
     B = within if within is not None else G.full_subgroup
     if not (N <= B and N.is_normal_in(B)):
         raise NotNormal("quotient by a subgroup that is not normal in B")
@@ -1029,7 +1074,7 @@ def quotient_group(G, N, name=None, within=None):
     if name is None:
         base = G.name if B.order == G.order else f"{G.name}|sub{B.order}"
         name = f"{base}/{N.order}"
-    Q = FiniteGroup(table, name=name, validate=False)
+    Q = derived_group(table, name)
     proj = QuotientMap(G, Q, tuple(coset_of), tuple(reps))
     _check_projection(B, N, proj)
     return Q, proj
@@ -1139,9 +1184,17 @@ def is_isomorphic(G, H, cap=DEFAULT_ORDER_CAP):
     """(bool, witness GroupMorphism or None).  Groups that differ in
     order, element-order counts, centre or derived subgroup are told apart
     at once; otherwise the witness is the first map ``_iso_search`` finds,
-    the least tuple of generator images that extends to an isomorphism."""
+    the least tuple of generator images that extends to an isomorphism.
+    The answer is computed once per (G, H) and kept on G."""
     if G.order > cap or H.order > cap:
         raise OrderCapExceeded("isomorphism test beyond order cap")
+    got = G._isomorphic.get(H)
+    if got is None:
+        got = G._isomorphic[H] = _find_isomorphism(G, H)
+    return got
+
+
+def _find_isomorphism(G, H):
     if _iso_invariants(G) != _iso_invariants(H):
         return False, None
     images = _iso_search(G, H)
@@ -1228,10 +1281,19 @@ def mask_orbit(gens, mask, n):
 def is_involved(H, G, cap=DEFAULT_ORDER_CAP):
     """Is H isomorphic to a section B/A of G?  Returns (bool, witness).
 
-    The witness is a (B, A) Subgroup pair with B/A isomorphic to H.
+    The witness is a (B, A) Subgroup pair with B/A isomorphic to H.  The
+    answer is computed once per (H, G) and kept on G.
     """
     if G.order > cap or H.order > cap:
         raise OrderCapExceeded("involvement test beyond order cap")
+    got = G._involved.get(H)
+    if got is None:
+        # the cap is checked above, so it cannot change the answer
+        got = G._involved[H] = _find_section(H, G, cap)
+    return got
+
+
+def _find_section(H, G, cap):
     h = H.order
     if G.order % h != 0:
         return False, None

@@ -61,9 +61,9 @@ def is_normal_in_F(F, W):
     that has one.  The verdict is computed once per (F, W) and kept on F.
     """
     F.require_object(W)
-    got = F._normal.get(W.mask)
+    got = F._memo.normal.get(W.mask)
     if got is None:
-        got = F._normal[W.mask] = _normal_in_F(F, W)
+        got = F._memo.normal[W.mask] = _normal_in_F(F, W)
     return got
 
 
@@ -156,9 +156,9 @@ def _kept_subsystem(F, Q, kind):
     on F."""
     F.require_object(Q)
     key = (Q.mask, kind)
-    got = F._subsystems.get(key)
+    got = F._memo.subsystems.get(key)
     if got is None:
-        got = F._subsystems[key] = _subsystem(F, Q, kind)
+        got = F._memo.subsystems[key] = _subsystem(F, Q, kind)
     return got
 
 
@@ -287,8 +287,9 @@ def category_closure(host, p, carrier, seed_maps, name=None):
     inclusions (fixed-point iteration; finiteness bounds termination).
 
     The seeds are checked to be injective homomorphisms into the carrier,
-    so every inverse, composite and restriction of them is one too, and
-    such a map is fixed by the images of its domain's generators.  Each
+    so every inverse, composite and restriction of them is one too (and is
+    not checked again), and such a map is fixed by the images of its
+    domain's generators.  Each
     candidate is therefore looked up by that key of generator images, and
     its full image tuple is built only when the map is missing."""
     objs = carrier.subgroups_within()
@@ -333,8 +334,8 @@ def category_closure(host, p, carrier, seed_maps, name=None):
                         maps[Q.mask].add(restrict_tuple(P, t, Q))
                         changed = True
     final = {m: tuple(sorted(ts)) for m, ts in maps.items()}
-    return FusionSystem.explicit_system(host, p, carrier, final,
-                                        name=name or "generated")
+    return FusionSystem._from_checked_maps(host, p, carrier, final,
+                                           name or "generated")
 
 
 def generated_system(parts):
@@ -375,9 +376,9 @@ def model_group(F, Q) -> Model:
     L / Z(Q)-image isomorphic to Aut_F(Q).  Built once per (F, Q) and kept
     on F."""
     F.require_object(Q)
-    got = F._models.get(Q.mask)
+    got = F._memo.models.get(Q.mask)
     if got is None:
-        got = F._models[Q.mask] = _model_group(F, Q)
+        got = F._memo.models[Q.mask] = _model_group(F, Q)
     return got
 
 

@@ -51,10 +51,11 @@ def _family_for(F, family):
 def _w_in(S, fam):
     """(W(S | fam) as a subgroup of S's parent, the W computation).
 
-    The family's model is S's own standalone copy only when the family was
-    built on S itself; a cached family may have been built on another
-    subgroup with the same table, so otherwise the model is identified
-    with S afresh.  W is characteristic, so any isomorphism will do."""
+    The family's model is S's standalone copy when the family was built
+    on a subgroup with S's table, since such copies are one derived group
+    per table; a family given by the caller may have another model, which
+    is then identified with S afresh.  W is characteristic, so any
+    isomorphism will do."""
     wc = compute_W_iterative(fam)
     local, embed = S.as_group()
     if fam.S is local:

@@ -1,9 +1,28 @@
+import importlib
+
 import pytest
 
+from fusionlab import groups, stellmacher
 from fusionlab.catalog import CATALOG_NAMES, catalog_group
 from fusionlab.fusion import realize_fusion
 from fusionlab.groupfile import perm_to_cycles
 from fusionlab.groups import build_group, sylow
+
+
+@pytest.fixture()
+def cold_start(monkeypatch):
+    """A call that empties the registries outliving a call (the catalog's
+    groups, the families and the groups by table), so that what runs next
+    builds every group, system and memo afresh; the test's end restores
+    them."""
+    catalog = importlib.import_module("fusionlab.catalog")
+
+    def empty():
+        monkeypatch.setattr(catalog, "_cache", {})
+        monkeypatch.setattr(stellmacher, "_family_cache", {})
+        monkeypatch.setattr(groups, "_by_table", {})
+
+    return empty
 
 
 @pytest.fixture(scope="session")

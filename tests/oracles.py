@@ -780,3 +780,61 @@ def mask_orbits_brute(auts, masks):
             orbit = frozenset(mask_orbit_brute(auts, m))
             orbits.update(dict.fromkeys(orbit, orbit))
     return orbits
+
+
+# -- test-only views of the package's objects -------------------------------
+
+
+def materialize(F):
+    """Every hom-set of F: {domain mask: tuple of image tuples}."""
+    return {P.mask: F.maps(P) for P in F.objects()}
+
+
+def subgroup_of(G, elements):
+    """The subgroup of G with the given members."""
+    return G.subgroup(sum(1 << x for x in set(elements)))
+
+
+def is_bijective(phi):
+    """Is the GroupMorphism phi onto its codomain?"""
+    return phi.domain.order == phi.codomain.order == len(phi.images)
+
+
+def assert_kept_verdicts_exact(G, hs):
+    """The O_p and O_p' subgroups and the centres that G and its subgroups
+    keep equal a fresh computation and the element-wise oracles, on every
+    subgroup W of G and every prime of |G|; and for each H in ``hs`` the
+    kept involvement verdict is the lattice oracle's, with a witness (B, A)
+    that is a section of this same G with B/A isomorphic to H."""
+    from fusionlab.groups import (
+        _o_pi,
+        is_involved,
+        o_p,
+        o_p_prime,
+        quotient_group,
+    )
+
+    primes = [p for p in (2, 3, 5, 7, 13) if G.order % p == 0]
+    for W in G.subgroups():
+        for p in primes:
+            for prime_to_p, kept, in_pi in (
+                    (False, o_p, lambda n: is_power_of(n, p)),
+                    (True, o_p_prime, lambda n: n % p != 0)):
+                got = kept(G, p, within=W)
+                assert kept(G, p, within=W) is got
+                assert got.mask == _o_pi(G, W, p, prime_to_p).mask
+                assert set(got.elems) == o_pi_brute(G, W.elems, in_pi)
+        Z = W.center()
+        assert W.center() is Z
+        assert Z.mask == W.centralizer_in(W).mask
+        assert set(Z.elems) == centralizer_brute(W, W)
+    for H in hs:
+        ok, witness = is_involved(H, G)
+        assert is_involved(H, G)[1] is witness
+        assert ok == involved_brute(H, G)[0], (H.name, G.name)
+        if ok:
+            B, A = witness
+            assert B.parent is G and A.parent is G and A <= B
+            assert is_normal_brute(A, B)
+            Q, _ = quotient_group(G, A, within=B)
+            assert iso_search_brute(Q, H) is not None

@@ -10,6 +10,7 @@ from fusionlab.cli import main
 from fusionlab.errors import InternalInconsistency, ParseError
 from fusionlab.groupfile import (
     eval_subgroup_spec,
+    parse_group_file,
     parse_group_text,
     perm_to_cycles,
 )
@@ -338,12 +339,12 @@ def test_cli_catalog(capsys):
 
 
 def test_cli_catalog_order_mismatch_exits_2_with_dump(monkeypatch, tmp_path,
-                                                      capsys):
+                                                      capsys, cold_start):
     import importlib
 
     catalog = importlib.import_module("fusionlab.catalog")
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(catalog, "_cache", {})
+    cold_start()
     monkeypatch.setitem(catalog.EXPECTED_ORDERS, "D8", 16)
     assert main(["catalog"]) == 2
     dump = tmp_path / "contradiction-witness.txt"
@@ -485,3 +486,41 @@ def test_cli_family_file_with_another_sylow_changes_nothing(capsys, tmp_path,
     if argv[0] == "wcompute":
         assert "2 members, 2 admitted" in without
         assert "W(S): order 2" in without
+
+
+def test_printed_names_do_not_depend_on_the_first_caller(
+        capsys, monkeypatch, tmp_path, cold_start):
+    """A system's name is a label that chooses none of its memos: the
+    systems of one (host, p, carrier, ambient) share every memo, and each
+    prints the name its caller asked for, whichever caller built the
+    system first.  Both orders run in one process, each from cold."""
+    from fusionlab.catalog import catalog_group
+    from fusionlab.fusion import realize_fusion
+    from fusionlab.groups import sylow
+    from fusionlab.stellmacher import canonical_family
+
+    verify_3 = ["verify", "--theorem", "3", "--group", "3^(1+2)+", "--p", "3"]
+    for family_first in (True, False):
+        cold_start()
+        S = sylow(catalog_group("3^(1+2)+"), 3)
+        if family_first:
+            fam = canonical_family(S, 3)
+        assert main(verify_3) == 0
+        assert "T1.3 on F_27(3^(1+2)+): " in capsys.readouterr().out
+        fam = canonical_family(S, 3)
+        assert fam.members[0].system.name == "F_S(S)|3^(1+2)+"
+        F = realize_fusion(S.parent, 3)
+        assert F.name == "F_27(3^(1+2)+)" and F is not fam.members[0].system
+        assert F._memo is fam.members[0].system._memo
+
+    path = tmp_path / "d8.grp"
+    path.write_text(D8_FILE)
+    for realize_first in (True, False):
+        cold_start()
+        G = parse_group_file(str(path))
+        monkeypatch.setattr(cli, "_load_group", lambda spec, cap: G)
+        if realize_first:
+            realize_fusion(G, 2)
+        assert main(["wcompute", str(path), "2", "--catalog"]) == 0
+        assert "  F_S(S)|D8file: " in capsys.readouterr().out
+        assert realize_fusion(G, 2).name == "F_8(D8file)"

@@ -21,13 +21,19 @@ from fusionlab.subsystems import (
     o_p_of_F,
 )
 
-from oracles import automorphisms_raw, normal_in_F_brute, verify_axioms_brute
+from oracles import (
+    automorphisms_raw,
+    materialize,
+    normal_in_F_brute,
+    subgroup_of,
+    verify_axioms_brute,
+)
 
 
 @pytest.fixture()
 def explicit_copy(systems):
     F = systems[("S4", 2)]
-    E = FusionSystem.explicit_system(F.host, 2, F.carrier, F.materialize(),
+    E = FusionSystem.explicit_system(F.host, 2, F.carrier, materialize(F),
                                      name="explicit-copy")
     return F, E
 
@@ -68,15 +74,16 @@ def test_essentials_filtered_by_centric_match_the_unfiltered_loop(systems):
     """essential_subgroups classifies only centric objects; on every
     catalog system and on its explicit copy the two lists and their order
     are those of the loop that classifies every object.  Each list is
-    taken on a fresh system (realized systems are interned by name), so
-    neither run reads the other's profiles."""
+    taken on a fresh system, built by the constructor rather than interned
+    on the host, so neither run reads the other's profiles."""
     seen = 0
     for (name, p), F in systems.items():
         def fresh(explicit, tag):
             if explicit:
                 return FusionSystem.explicit_system(
-                    F.host, p, F.carrier, F.materialize(), name=tag)
-            return realize_fusion(F.host, p, name=tag)
+                    F.host, p, F.carrier, materialize(F), name=tag)
+            return FusionSystem(F.host, p, F.carrier, ambient=F.ambient,
+                                name=tag)
 
         for explicit in (False, True):
             ess, ess_fn = essential_subgroups(fresh(explicit, "filtered"))
@@ -136,7 +143,7 @@ def test_fs3_failure_on_a_two_generator_domain():
     g = build_group([[1, 2, 3, 0, 4, 5], [0, 3, 2, 1, 4, 5],
                      [0, 1, 2, 3, 5, 4]], kind="perms", name="D8xC2")
     S = g.full_subgroup
-    inner = FusionSystem.inner(S, 2).materialize()
+    inner = materialize(FusionSystem.inner(S, 2))
     E = next(Q for Q in S.subgroups_within()
              if Q.order == 8 and all(g.elem_orders[x] <= 2 for x in Q.elems))
     sub, embed = E.as_group()
@@ -165,7 +172,7 @@ def _spliced(g, E, images):
     """Inner fusion of g plus the automorphism ``images`` (a dict) of E,
     closed into a category."""
     S = g.full_subgroup
-    seed = dict(FusionSystem.inner(S, 2).materialize())
+    seed = dict(materialize(FusionSystem.inner(S, 2)))
     seed[E.mask] += (tuple(images[x] for x in E.elems),)
     return category_closure(g, 2, S, seed, name=f"{g.name}-spliced")
 
@@ -215,8 +222,8 @@ def test_fs3_failure_behind_an_earlier_f_conjugate():
                     g.mul(g.power(w, a), g.power(z, b)), g.power(s, d))
     F = _spliced(g, E, swap)
     P = _fs3_witness_matches_oracle(F)
-    earlier = g.subgroup_of((0, s))
-    assert P.mask == g.subgroup_of((0, w)).mask
+    earlier = subgroup_of(g, (0, s))
+    assert P.mask == subgroup_of(g, (0, w)).mask
     assert earlier.mask < P.mask
     assert earlier in F.conjugacy_class_of(P)
 
@@ -338,7 +345,7 @@ def test_normality_compares_maps_on_every_generator(cat):
         assert ok == want
         assert (counter and counter.as_tuple()) == \
             (want_counter and want_counter.as_tuple())
-    assert not is_normal_in_F(tamper, v4.subgroup_of((0, b)))[0]
+    assert not is_normal_in_F(tamper, subgroup_of(v4, (0, b)))[0]
 
 
 def test_fs1_failure_detected(cat):
@@ -377,8 +384,31 @@ def test_explicit_map_that_is_not_a_homomorphism_is_rejected(cat):
     with pytest.raises(CarrierMismatch):   # image outside the carrier
         FusionSystem(d8, 2, c4, explicit={z.mask: ((0, outside),)})
     with pytest.raises(CarrierMismatch):   # domain outside the carrier
-        category_closure(d8, 2, c4, {d8.subgroup_of((0, outside)).mask:
+        category_closure(d8, 2, c4, {subgroup_of(d8, (0, outside)).mask:
                                      ((0, z.elems[1]),)})
+
+
+def test_closure_checks_each_seed_map_once(cat, monkeypatch):
+    """Counts, not timings: category_closure checks each seed map once,
+    on entry, and not the maps it derives from the seeds: an inverse,
+    composite or restriction of injective homomorphisms is one."""
+    from fusionlab import fusion
+
+    checked = []
+    real = fusion.is_hom_tuple
+
+    def counting(H, P, t):
+        checked.append((P.mask, t))
+        return real(H, P, t)
+
+    monkeypatch.setattr(fusion, "is_hom_tuple", counting)
+    g = cat["S4"]
+    F = realize_fusion(g, 2)
+    seed = {F.carrier.mask: F.aut_tuples(F.carrier)}
+    closed = category_closure(g, 2, F.carrier, seed, name="closed")
+    assert sorted(checked) == sorted((m, t) for m, ts in seed.items()
+                                     for t in ts)
+    assert sum(len(closed.maps(P)) for P in closed.objects()) > len(checked)
 
 
 def test_straighten_two_step_chain(systems):

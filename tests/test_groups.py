@@ -39,6 +39,7 @@ from fusionlab.hfree import sigma3_involvement_check
 
 from oracles import (
     assert_kernels_match_oracles,
+    assert_kept_verdicts_exact,
     assert_section_matches_copy,
     automorphisms,
     automorphisms_raw,
@@ -47,6 +48,7 @@ from oracles import (
     closure_of_maps,
     closure_set,
     involved_brute,
+    is_bijective,
     is_normal_brute,
     iso_search_brute,
     is_power_of,
@@ -685,7 +687,7 @@ def test_d8_not_isomorphic_to_q8(cat):
 def test_isomorphic_to_self_with_witness(cat):
     for name in ("S3", "Q8", "A4"):
         ok, w = is_isomorphic(cat[name], cat[name])
-        assert ok and w.is_bijective()
+        assert ok and is_bijective(w)
 
 
 def test_sylow_s4_isomorphic_to_abstract_d8(cat):
@@ -701,7 +703,7 @@ def test_sylow_s4_isomorphic_to_abstract_d8(cat):
     syl = sylow(cat["S4"], 2)
     local, _ = syl.as_group()
     ok, w = is_isomorphic(local, d8)
-    assert ok and w.is_bijective()
+    assert ok and is_bijective(w)
 
 
 def test_is_isomorphic_equivalence_on_catalog(cat):
@@ -820,6 +822,17 @@ def _relabelled(G, seed):
     return build_group(table, name=f"{G.name}'", kind="table")
 
 
+@pytest.mark.parametrize("name", ["A4", "D8", "S4", "SL(2,3)", "GL(2,3)",
+                                  "3^(1+2)-", "C13:C3"])
+def test_kept_verdicts_on_relabelled_copies_are_exact(cat, name):
+    """O_p, O_p', centres and involvement are kept on the group once
+    computed; on a relabelled copy, a group whose memos start empty, each
+    kept answer equals a fresh computation and the oracles."""
+    G = _relabelled(cat[name], 17)
+    assert_kept_verdicts_exact(G, [cat[h] for h in ("C3", "V4", "S3", "A4",
+                                                    "S4", "Q8")])
+
+
 @pytest.mark.parametrize("h_name,g_name,expected", [
     ("S4", "S4", True),
     ("Qd(3)", "Qd(3)", True),
@@ -916,7 +929,7 @@ def test_automorphism_counts(cat):
 
 def test_automorphisms_are_valid_morphisms(cat):
     for m in automorphisms(cat["Q8"]):
-        assert m.is_bijective()
+        assert is_bijective(m)
 
 
 def test_automorphism_cap():
@@ -1020,14 +1033,17 @@ def test_group_morphism_validation(cat):
 
 def test_table_key_is_exact(cat):
     """Two tables get the same key exactly when they are equal: over every
-    catalog group and the standalone copy of each of its Sylow subgroups,
-    many of which share a table.  A relabelled copy gets another key."""
+    catalog group, the standalone copy of each of its Sylow subgroups, many
+    of which share a table, and a group built afresh from each copy's
+    table, a new object with an equal table.  A relabelled copy gets
+    another key."""
     groups = []
     for G in cat.values():
         groups.append(G)
         for p in (2, 3, 13):    # every prime dividing a catalog order
             if G.order % p == 0:
-                groups.append(sylow(G, p).as_group()[0])
+                copy = sylow(G, p).as_group()[0]
+                groups += [copy, FiniteGroup(copy._mul, name=copy.name)]
     keys = [G.table_hash() for G in groups]
     assert any(A is not B and A._mul == B._mul
                for A in groups for B in groups)

@@ -30,6 +30,7 @@ from fusionlab.theorems import has_normal_p_complement
 
 from oracles import (
     assert_closure_matches_oracle,
+    assert_kept_verdicts_exact,
     assert_kernels_match_oracles,
     automorphisms_raw,
     closure_of_maps,
@@ -40,6 +41,7 @@ from oracles import (
     conjugacy_classes_brute,
     has_normal_p_complement_brute,
     involved_brute,
+    is_bijective,
     is_hom_brute,
     iso_search_brute,
     is_power_of,
@@ -183,7 +185,7 @@ def test_section_quotients_match_standalone_copies(gens):
 def test_isomorphism_is_reflexive_and_detects_relabeling(gens):
     g = build_group([list(p) for p in gens], kind="perms", cap=200)
     ok, w = is_isomorphic(g, g)
-    assert ok and w.is_bijective()
+    assert ok and is_bijective(w)
     # reversing the generator order relabels the BFS indexing
     relabeled = build_group([list(p) for p in reversed(gens)], kind="perms",
                             cap=200)
@@ -249,6 +251,14 @@ def test_normal_pi_subgroups_match_oracles(gens, p):
             g, W.elems, lambda n: n % p != 0)
         assert has_normal_p_complement(W, p) == \
             has_normal_p_complement_brute(g, W.elems, p)
+
+
+@settings(**COMMON)
+@given(group_specs)
+def test_kept_verdicts_match_oracles(gens):
+    g = build_group([list(q) for q in gens], kind="perms", cap=200)
+    assert_kept_verdicts_exact(g, [catalog_group(h) for h in ("C2", "V4",
+                                                              "S3", "A4")])
 
 
 @settings(**COMMON)

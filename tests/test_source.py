@@ -117,6 +117,22 @@ def test_axioms_and_subsystems_are_computed_only_through_their_memos():
     assert found == []
 
 
+def test_derived_groups_come_from_derived_group():
+    """A group the package derives (a quotient, a subgroup's standalone
+    copy, Aut_F(Q)) comes from ``groups.derived_group``, one object per
+    Cayley table with one set of memos: ``FiniteGroup`` is called only
+    there and in the builders of groups from outside input."""
+    allowed = {"derived_group", "_group_from_perms", "_group_from_table"}
+    found = []
+    for name, func in _nodes(ast.FunctionDef):
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "FiniteGroup"
+                    and func.name not in allowed):
+                found.append(f"{name}:{node.lineno}:{func.name}")
+    assert found == []
+
+
 def test_cli_run_loads_no_dataclasses_inspect_or_hashlib():
     """A CLI call is one process, so what the package imports is paid on
     every call: records are namedtuples and the table key is packed with

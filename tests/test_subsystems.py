@@ -38,6 +38,7 @@ from oracles import (
     closure_seeds,
     looks_like_a4,
     looks_like_s3,
+    materialize,
     normal_in_F_brute,
     o_p_brute,
 )
@@ -136,7 +137,7 @@ def test_realized_and_explicit_copy_give_the_same_counterexample(systems):
     for key in (("A4", 2), ("Qd(3)", 2), ("Qd(3)", 3)):
         F = systems[key]
         E = FusionSystem.explicit_system(F.host, F.p, F.carrier,
-                                         F.materialize(), name="copy")
+                                         materialize(F), name="copy")
         for W in F.objects():
             assert verdict(is_normal_in_F(F, W)) == \
                 verdict(is_normal_in_F(E, W))
@@ -180,7 +181,7 @@ def test_o_p_of_F_verifies_an_explicit_copy_first(systems):
     for key in (("S4", 2), ("A4", 2), ("Qd(3)", 3)):
         F = systems[key]
         E = FusionSystem.explicit_system(F.host, F.p, F.carrier,
-                                         F.materialize(), name="copy")
+                                         materialize(F), name="copy")
         assert F.saturation_status == "verified"
         assert E.saturation_status == "unchecked"
         assert o_p_of_F(E).mask == o_p_brute(E).mask == o_p_of_F(F).mask
@@ -336,7 +337,7 @@ def test_subsystems_of_an_explicit_copy_are_explicit_and_equal(systems):
     for key in KIND_KEYS:
         F = systems[key]
         E = FusionSystem.explicit_system(F.host, F.p, F.carrier,
-                                         F.materialize(), name="copy")
+                                         materialize(F), name="copy")
         for Q in F.objects():
             realized, explicit = _kinds(F, Q), _kinds(E, Q)
             assert realized.keys() == explicit.keys()

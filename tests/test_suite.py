@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import fusionlab
+from fusionlab import groups
 from fusionlab.catalog import catalog_group
 from fusionlab.cli import main
 from fusionlab.groups import build_group
@@ -102,53 +103,99 @@ def test_cli_suite_empty_files_scope_exits_zero(capsys):
     assert "0 failed" in out
 
 
-def test_cold_suite_builds_each_system_and_thompson_datum_once(monkeypatch):
+def test_cold_suite_builds_each_system_and_thompson_datum_once(
+        monkeypatch, cold_start):
     """Counts, not timings: on freshly built catalog groups, one suite run
-    constructs each conjugation system (host, p, carrier, ambient, name)
-    once, and computes J(S), A(S) and B(S) once per subgroup, however many
-    sections, families and theorem harnesses ask for them."""
-    import importlib
-
-    from fusionlab import pgroups, stellmacher
+    constructs one conjugation system per (host table, p, carrier,
+    ambient), whatever names its callers give it, and computes J(S), A(S)
+    and B(S) once per subgroup, however many sections, families and
+    theorem harnesses ask for them."""
+    from fusionlab import pgroups
     from fusionlab.fusion import FusionSystem
 
-    catalog = importlib.import_module("fusionlab.catalog")
-    monkeypatch.setattr(catalog, "_cache", {})
-    monkeypatch.setattr(stellmacher, "_family_cache", {})
-    systems, bodies = [], []
+    cold_start()
+    systems, bodies, names = [], [], set()
     real_init, real_p_of = FusionSystem.__init__, pgroups.p_of
+    real_conjugation = FusionSystem.conjugation.__func__
 
     def counting_init(self, host, p, carrier, ambient=None, explicit=None,
                       name=None):
         real_init(self, host, p, carrier, ambient=ambient, explicit=explicit,
                   name=name)
         if explicit is None:
-            systems.append((host, p, carrier.mask, ambient.mask, self.name))
+            systems.append((host.table_hash(), p, carrier.mask,
+                            ambient.mask))
+
+    def counting_conjugation(cls, host, p, carrier, ambient, name=None):
+        F = real_conjugation(cls, host, p, carrier, ambient, name=name)
+        names.add((host.table_hash(), p, carrier.mask, ambient.mask, F.name))
+        return F
 
     def counting_p_of(S):   # the first step of thompson_data's body
         bodies.append(S)
         return real_p_of(S)
 
     monkeypatch.setattr(FusionSystem, "__init__", counting_init)
+    monkeypatch.setattr(FusionSystem, "conjugation",
+                        classmethod(counting_conjugation))
     monkeypatch.setattr(pgroups, "p_of", counting_p_of)
     result = run_suite(RunConfig())
     assert result.failures == 0
     assert systems and len(systems) == len(set(systems))
+    # some system is asked for under two names, and is built once
+    assert len({key[:4] for key in names}) < len(names)
+    assert set(systems) == {key[:4] for key in names}
     assert bodies and len(bodies) == len(set(bodies))
 
 
-def test_cold_suite_finds_essentials_once_per_system(monkeypatch):
+def test_cold_suite_decides_each_group_verdict_once(monkeypatch, cold_start):
+    """Counts, not timings: on freshly built catalog groups, one suite run
+    computes O_p and O_p' once per (group, p, subgroup), and decides
+    involvement and isomorphism once per pair of groups, however many
+    quotients, models and harnesses ask.  Derived groups with one table
+    are one group, so a repeated table repeats no work."""
+    cold_start()
+    calls = {"o_pi": [], "involved": [], "isomorphic": []}
+    real = {"o_pi": groups._o_pi, "involved": groups._find_section,
+            "isomorphic": groups._find_isomorphism}
+
+    def counting_o_pi(G, W, p, prime_to_p):
+        calls["o_pi"].append((G, W.mask, p, prime_to_p))
+        return real["o_pi"](G, W, p, prime_to_p)
+
+    def counting_involved(H, G, cap):
+        calls["involved"].append((H, G))
+        return real["involved"](H, G, cap)
+
+    def counting_isomorphic(G, H):
+        calls["isomorphic"].append((G, H))
+        return real["isomorphic"](G, H)
+
+    tables, real_group = [], groups.FiniteGroup.__init__
+
+    def counting_group(self, *args, **kwargs):
+        real_group(self, *args, **kwargs)
+        tables.append(self.table_hash())
+
+    monkeypatch.setattr(groups, "_o_pi", counting_o_pi)
+    monkeypatch.setattr(groups, "_find_section", counting_involved)
+    monkeypatch.setattr(groups, "_find_isomorphism", counting_isomorphic)
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", counting_group)
+    result = run_suite(RunConfig())
+    assert result.failures == 0
+    for kind, made in calls.items():
+        assert made and len(made) == len(set(made)), kind
+    assert tables and len(tables) == len(set(tables))
+
+
+def test_cold_suite_finds_essentials_once_per_system(monkeypatch, cold_start):
     """Counts, not timings: on freshly built catalog groups, one suite run
     finds the essential subgroups of each system once, however many
     morphisms the Alperin roundtrip decomposes and however many sections
     ask for O_p(F)."""
-    import importlib
+    from fusionlab import fusion
 
-    from fusionlab import fusion, stellmacher
-
-    catalog = importlib.import_module("fusionlab.catalog")
-    monkeypatch.setattr(catalog, "_cache", {})
-    monkeypatch.setattr(stellmacher, "_family_cache", {})
+    cold_start()
     bodies = []
     real = fusion._essential_subgroups
 
@@ -162,18 +209,14 @@ def test_cold_suite_finds_essentials_once_per_system(monkeypatch):
     assert bodies and len(bodies) == len({id(F) for F in bodies})
 
 
-def test_cold_suite_checks_axioms_once_per_system(monkeypatch):
+def test_cold_suite_checks_axioms_once_per_system(monkeypatch, cold_start):
     """Counts, not timings: on freshly built catalog groups, one suite run
     checks the axioms of each system once, however many sections ask for
     its report and however often it comes back as a subsystem of
     another."""
-    import importlib
+    from fusionlab import fusion
 
-    from fusionlab import fusion, stellmacher
-
-    catalog = importlib.import_module("fusionlab.catalog")
-    monkeypatch.setattr(catalog, "_cache", {})
-    monkeypatch.setattr(stellmacher, "_family_cache", {})
+    cold_start()
     bodies, calls = [], []
     real_verify, real_axioms = fusion._verify, fusion.verify_axioms
 
@@ -196,17 +239,13 @@ def test_cold_suite_checks_axioms_once_per_system(monkeypatch):
     assert len(calls) > len(bodies)
 
 
-def test_cold_suite_builds_each_subsystem_once(monkeypatch):
+def test_cold_suite_builds_each_subsystem_once(monkeypatch, cold_start):
     """Counts, not timings: on freshly built catalog groups, one suite run
     walks the extension rule of each subsystem (F, Q, kind) once, however
     many harnesses ask for it."""
-    import importlib
+    from fusionlab import subsystems
 
-    from fusionlab import stellmacher, subsystems
-
-    catalog = importlib.import_module("fusionlab.catalog")
-    monkeypatch.setattr(catalog, "_cache", {})
-    monkeypatch.setattr(stellmacher, "_family_cache", {})
+    cold_start()
     bodies, calls = [], []
     real_body, real_kept = subsystems._subsystem, subsystems._kept_subsystem
 
@@ -226,18 +265,15 @@ def test_cold_suite_builds_each_subsystem_once(monkeypatch):
     assert set(calls) == set(bodies) and len(calls) > len(bodies)
 
 
-def test_cold_suite_computes_w_and_aut_once_per_family(monkeypatch):
+def test_cold_suite_computes_w_and_aut_once_per_family(
+        monkeypatch, cold_start):
     """Counts, not timings: on freshly built catalog groups, one suite run
     computes W(S) once per distinct family, however many theorem
     harnesses ask for it, and finds the generators of Aut(S) once per
     family model, not once more on a standalone copy of it."""
-    import importlib
+    from fusionlab import pgroups, stellmacher
 
-    from fusionlab import groups, pgroups, stellmacher
-
-    catalog = importlib.import_module("fusionlab.catalog")
-    monkeypatch.setattr(catalog, "_cache", {})
-    monkeypatch.setattr(stellmacher, "_family_cache", {})
+    cold_start()
     monkeypatch.setattr(stellmacher, "_w_cache", {})
     families, aut_groups = [], []
     real_w = stellmacher._compute_W_iterative
@@ -273,20 +309,16 @@ def _left_s_orbit(F, t):
 
 
 def test_cold_suite_checks_fs3_per_orbit_and_closes_each_join_once(
-        monkeypatch):
+        monkeypatch, cold_start):
     """Counts, not timings: on freshly built catalog groups, one suite run
     computes N_phi in each axiom check on one object of each S-class, and
     at most once per left S-orbit {c_y o t : y in S} of its hom-set; and it
     closes a join once per pair of masks where neither contains the other,
     never where one does."""
-    import importlib
-
-    from fusionlab import fusion, stellmacher
+    from fusionlab import fusion
     from fusionlab.groups import FiniteGroup, Subgroup
 
-    catalog = importlib.import_module("fusionlab.catalog")
-    monkeypatch.setattr(catalog, "_cache", {})
-    monkeypatch.setattr(stellmacher, "_family_cache", {})
+    cold_start()
     checks = []   # one (F, [(P, t) with N_phi computed]) per axiom check
     closures = {}   # (parent, smaller mask, larger mask) -> closures
     in_join = []

@@ -160,10 +160,11 @@ def test_verdicts_do_not_depend_on_the_sylow_subgroup(cat, monkeypatch,
     """W is found inside whichever Sylow subgroup carries F, even when the
     cached family was built on another Sylow subgroup with the same table;
     the non-canonical ones go first, into an empty family cache."""
-    from fusionlab import stellmacher
+    from fusionlab import groups, stellmacher
     from fusionlab.groups import sylow
 
     monkeypatch.setattr(stellmacher, "_family_cache", {})
+    monkeypatch.setattr(groups, "_by_table", {})
     G = cat[name]
     canonical = sylow(G, p)
     others = [P for P in G.subgroups()
