@@ -125,7 +125,9 @@ class _Memos:
         self.profiles = {}
         self.normalizers = {}
         self.centralizers = {}
+        self.auts = {}   # aut_tuples, by Q.mask
         self.autgroups = {}
+        self.alperin = {}   # alperin_decompose's search, by P.mask
         self.models = {}   # subsystems.model_group, by Q.mask
         self.normal = {}   # subsystems.is_normal_in_F, by W.mask
         self.subsystems = {}   # subsystems._kept_subsystem, by (Q.mask, kind)
@@ -303,8 +305,13 @@ class FusionSystem:
     # -- automorphism groups ----------------------------------------------
 
     def aut_tuples(self, Q):
-        qmask = Q.mask
-        return tuple(t for t in self.maps(Q) if mask_of(t) == qmask)
+        """Aut_F(Q) as sorted image tuples, filtered from Hom_F(Q, S) once
+        per object."""
+        self.require_object(Q)
+        got = self._memo.auts.get(Q.mask)
+        if got is None:
+            got = self._memo.auts[Q.mask] = _aut_tuples(self, Q)
+        return got
 
     def aut_s_tuples(self, Q):
         """Aut_S(Q): conjugation maps by carrier elements normalizing Q."""
@@ -333,6 +340,15 @@ class FusionSystem:
         out, proj = quotient_group(autg, autg.subgroup(inn_mask),
                                    name=f"OutF({Q.order})")
         return out, proj, (autg, elems, index)
+
+
+def _aut_tuples(F, Q):
+    """The maps of Hom_F(Q, S) onto Q: a morphism is injective, so it maps
+    Q onto Q as soon as it maps Q's generators into Q."""
+    pos = Q.pos_map()
+    at = [pos[g] for g in Q.generators()]
+    qmask = Q.mask
+    return tuple(t for t in F.maps(Q) if all(qmask >> t[i] & 1 for i in at))
 
 
 def _group_from_maps(Q, tuples, name):
@@ -763,63 +779,81 @@ class AlperinDecomposition(namedtuple(
 
 def alperin_decompose(F, phi) -> AlperinDecomposition:
     """BFS over restrictions of fully normalized essential automorphisms;
-    the reported step count is the minimum the search found."""
+    the reported step count is the minimum the search found.  The search
+    does not depend on phi, so it runs once per domain and is kept on F."""
     P = phi.domain
     t_goal = morphism_tuple(F, phi)
-    host = F.host
+    search = F._memo.alperin.get(P.mask)
+    if search is None:
+        search = F._memo.alperin[P.mask] = _alperin_search(F, P)
+    seen, finishes = search
+    pos = P.pos_map()
+    got = finishes.get(tuple([t_goal[pos[g]] for g in P.generators()]))
+    if got is None:
+        raise NotGenerated("morphism is not generated by essential and "
+                           "maximal automorphisms; the input category is "
+                           "not a fusion system")
+    cur, final = got
+    return _build_decomposition(F, phi, P, t_goal, cur, seen, final)
+
+
+def _alperin_search(F, P):
+    """(seen, finishes): the breadth-first search from id_P over the
+    restrictions of fully normalized essential automorphisms, walked once
+    for every goal on P.
+
+    A state is a morphism on P, held by its key of images of P's
+    generators (it is an injective homomorphism, so the key fixes it), and
+    ``seen`` maps it to (previous state, E, automorphism of E), or to None
+    for id_P.  ``finishes`` maps the key of each map of Hom_F(P, S) that
+    some state followed by some a in Aut_F(S) gives to the first such
+    (state, a), in BFS order and then in Aut_F(S) order: where a search
+    for that map alone stops.  The walk stops once every map has one."""
     _, ess_fn = essential_subgroups(F)
-    ess_auts = [(E, F.aut_tuples(E)) for E in ess_fn]
-    s_auts = F.aut_tuples(F.carrier)
-    carrier = F.carrier
-
-    start = identity_tuple(P)
-    seen = {start: None}  # tuple -> (prev tuple, E, aut tuple) or None
+    ess_auts = [(E.mask, E, E.pos_map(), F.aut_tuples(E)) for E in ess_fn]
+    S = F.carrier
+    spos = S.pos_map()
+    s_auts = F.aut_tuples(S)
+    pos = P.pos_map()
+    at = [pos[g] for g in P.generators()]
+    todo = {tuple([t[i] for i in at]) for t in F.maps(P)}
+    start = P.generators()
+    seen = {start: None}
+    finishes = {}
     queue = [start]
-    while queue:
-        nxt = []
-        for cur in queue:
-            final = _maximal_finish(host, carrier, P, cur, t_goal, s_auts)
-            if final is not None:
-                return _build_decomposition(F, phi, P, cur, seen, final)
-            cur_mask = mask_of(cur)
-            for E, auts in ess_auts:
-                if cur_mask & ~E.mask:
-                    continue
-                pos = E.pos_map()
-                for a in auts:
-                    new = tuple(a[pos[v]] for v in cur)
-                    if new not in seen:
-                        seen[new] = (cur, E, a)
-                        nxt.append(new)
-        queue = nxt
-    raise NotGenerated("morphism is not generated by essential and maximal "
-                       "automorphisms; the input category is not a fusion "
-                       "system")
+    for cur in queue:   # grows while it is walked
+        for a in s_auts:
+            finish = tuple([a[spos[v]] for v in cur])
+            if finish in todo:
+                todo.remove(finish)
+                finishes[finish] = (cur, a)
+        if not todo:
+            break
+        for emask, E, epos, auts in ess_auts:
+            if not all(emask >> v & 1 for v in cur):
+                continue
+            for a in auts:
+                new = tuple([a[epos[v]] for v in cur])
+                if new not in seen:
+                    seen[new] = (cur, E, a)
+                    queue.append(new)
+    return seen, finishes
 
 
-def _maximal_finish(host, carrier, P, cur, t_goal, s_auts):
-    """An Aut_F(S) element finishing cur into t_goal, if one exists."""
-    pos = carrier.pos_map()
-    for a in s_auts:
-        if all(a[pos[v]] == w for v, w in zip(cur, t_goal)):
-            return a
-    return None
-
-
-def _build_decomposition(F, phi, P, cur, seen, final):
+def _build_decomposition(F, phi, P, t_goal, cur, seen, final):
     host = F.host
     steps = []
     state = cur
     while seen[state] is not None:
         prev, E, a = seen[state]
-        steps.append((prev, E, a))
+        steps.append((E, a))
         state = prev
     steps.reverse()
     chain = [P]
     essentials = []
     autos = []
     running = identity_tuple(P)
-    for prev, E, a in steps:
+    for E, a in steps:
         pos = E.pos_map()
         running = tuple(a[pos[v]] for v in running)
         chain.append(host.subgroup(mask_of(running)))
@@ -834,7 +868,7 @@ def _build_decomposition(F, phi, P, cur, seen, final):
                                 essentials=tuple(essentials),
                                 automorphisms=tuple(autos))
     got = deco.recompose()
-    want = dict(zip(P.elems, morphism_tuple(F, phi)))
+    want = dict(zip(P.elems, t_goal))
     if got != want:
         x = next(x for x in P.elems if got[x] != want[x])
         raise InternalInconsistency(

@@ -105,6 +105,7 @@ class FiniteGroup:
         self._o_pi_subgroups = {}
         self._involved = {}   # is_involved(H, self), by H
         self._isomorphic = {}   # is_isomorphic(self, H), by H
+        self._quotients = {}   # quotient_group, by (N mask, B mask)
         self._hash = None
         _by_table.setdefault(self.table_hash(), self)
 
@@ -1054,8 +1055,16 @@ def quotient_group(G, N, name=None, within=None):
     on G's own table.  B's elements are walked in increasing order and each
     coset is labelled by its least member, identity first, so B/N has the
     table a standalone copy of B would give; B/N is the ``derived_group``
-    of that table."""
+    of that table.  The pair is built once per (N, B) and kept on G."""
     B = within if within is not None else G.full_subgroup
+    key = (N.mask, B.mask)
+    got = G._quotients.get(key)
+    if got is None:
+        got = G._quotients[key] = _quotient(G, N, B, name)
+    return got
+
+
+def _quotient(G, N, B, name):
     if not (N <= B and N.is_normal_in(B)):
         raise NotNormal("quotient by a subgroup that is not normal in B")
     mul = G._mul

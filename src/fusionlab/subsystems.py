@@ -28,7 +28,6 @@ from .fusion import (
     check_hom_tuples,
     classify_subgroup,
     compose_tuples,
-    conj_maps,
     conj_tuple,
     essential_subgroups,
     identity_tuple,
@@ -74,31 +73,40 @@ def _normal_in_F(F, W):
         return False, wrap_tuple(F, W, S, conj_tuple(F.host, u, W))
     if W.order == 1:
         return True, None
+    stable_on = {}   # the maps on WP mapping W onto W, by WP.mask
     for P in F.objects():
-        t = _first_unextended(F, W, P)
+        t = _first_unextended(F, W, P, stable_on)
         if t is not None:
             return False, wrap_tuple(F, P, S, t)
     return True, None
 
 
-def _first_unextended(F, W, P):
+def _first_unextended(F, W, P, stable_on):
     """The least morphism on P that no morphism on WP mapping W onto W
     restricts to, or None.  A morphism is an injective homomorphism, so
     it maps W onto W as soon as it maps W's generators into W, and it
     restricts to a morphism t on P as soon as it agrees with t on P's
-    generators."""
+    generators.  When W <= P, WP = P and t extends only to itself."""
+    wmask = W.mask
+    ppos = P.pos_map()
+    if W <= P:
+        on_w = [ppos[g] for g in W.generators()]
+        return next((t for t in F.maps(P)
+                     if not all(wmask >> t[i] & 1 for i in on_w)), None)
     WP = W.join(P)
     pos = WP.pos_map()
-    on_w = [pos[g] for g in W.generators()]
+    stable = stable_on.get(WP.mask)
+    if stable is None:
+        on_w = [pos[g] for g in W.generators()]
+        stable = stable_on[WP.mask] = [
+            ext for ext in F.maps(WP)
+            if all(wmask >> ext[i] & 1 for i in on_w)]
     pgens = P.generators()
     on_p = [pos[g] for g in pgens]
-    wmask = W.mask
-    stable = {tuple([ext[i] for i in on_p]) for ext in F.maps(WP)
-              if all(wmask >> ext[i] & 1 for i in on_w)}
-    ppos = P.pos_map()
+    keys = {tuple([ext[i] for i in on_p]) for ext in stable}
     at = [ppos[g] for g in pgens]
     return next((t for t in F.maps(P)
-                 if tuple([t[i] for i in at]) not in stable), None)
+                 if tuple([t[i] for i in at]) not in keys), None)
 
 
 def o_p_of_F(F):
@@ -164,11 +172,11 @@ def _kept_subsystem(F, Q, kind):
 
 def _subsystem_kind(F, Q, kind):
     """(carrier, allowed, source) of a subsystem kind at Q: the extended
-    morphisms may act on Q as a member of ``allowed`` (None: any
-    F-automorphism), and when F is realized by A the subsystem is realized
-    by ``source``: N_A(Q), or C_A(Q) joined with the subgroup (1, N_S(Q)
-    or S) whose conjugations make up ``allowed``.  ``source`` is None for
-    an explicit F."""
+    morphisms may act on Q as a member of ``allowed``, held by its images
+    of Q's generators (None: any F-automorphism), and when F is realized
+    by A the subsystem is realized by ``source``: N_A(Q), or C_A(Q) joined
+    with the subgroup (1, N_S(Q) or S) whose conjugations make up
+    ``allowed``.  ``source`` is None for an explicit F."""
     A = F.ambient
     if kind == "normalizer":
         carrier = F.n_in_carrier(Q)
@@ -184,30 +192,16 @@ def _subsystem_kind(F, Q, kind):
         carrier = by = F.carrier
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    allowed = set(conj_maps(F.host, Q, by.elems, Q.mask))
+    conj = F.host.conj
+    qgens = Q.generators()
+    allowed = {tuple([conj(g, x) for x in qgens]) for g in by.elems}
     return carrier, allowed, (None if A is None
                               else Q.centralizer_in(A).join(by))
 
 
 def _subsystem(F, Q, kind):
     carrier, allowed, source = _subsystem_kind(F, Q, kind)
-    qmask = Q.mask
-    maps_by_domain = {}
-    for R in carrier.subgroups_within():
-        QR = Q.join(R)
-        res = set()
-        for ext in F.maps(QR):
-            on_q = restrict_tuple(QR, ext, Q)
-            if mask_of(on_q) != qmask:
-                continue
-            if allowed is not None and on_q not in allowed:
-                continue
-            r = restrict_tuple(QR, ext, R)
-            if mask_of(r) & ~carrier.mask:
-                raise InternalInconsistency(
-                    "restriction escaped the subsystem carrier")
-            res.add(r)
-        maps_by_domain[R.mask] = tuple(sorted(res))
+    maps_by_domain = _rule_hom_sets(F, Q, carrier, allowed)
     sub = _from_rule(F.host, F.p, carrier, maps_by_domain, source,
                      f"{kind}_{F.name}(|Q|={Q.order})")
     if (F.is_fully_normalized(Q) if kind == "normalizer"
@@ -218,6 +212,41 @@ def _subsystem(F, Q, kind):
                 f"the {kind} system at Q = {Q.mask:x} failed the axioms: "
                 f"{report.witness}")
     return sub
+
+
+def _rule_hom_sets(F, Q, carrier, allowed):
+    """The hom-sets of an extension rule, by domain mask: for each R in
+    the carrier, the restrictions to R of the maps on QR that act on Q as
+    ``allowed`` permits.  The rule runs on generator keys: the maps on QR
+    are filtered once per QR, and each distinct restriction to R is built
+    once."""
+    qmask, cmask = Q.mask, carrier.mask
+    qgens = Q.generators()
+    stable_on = {}   # the maps on QR acting on Q as allowed, by QR.mask
+    maps_by_domain = {}
+    for R in carrier.subgroups_within():
+        QR = Q.join(R)
+        pos = QR.pos_map()
+        stable = stable_on.get(QR.mask)
+        if stable is None:
+            on_q = [pos[g] for g in qgens]
+            stable = stable_on[QR.mask] = [
+                ext for ext in F.maps(QR)
+                if (all(qmask >> ext[i] & 1 for i in on_q) if allowed is None
+                    else tuple([ext[i] for i in on_q]) in allowed)]
+        on_r = [pos[g] for g in R.generators()]
+        first = {}   # one map on QR per restriction to R, by its key
+        for ext in stable:
+            first.setdefault(tuple([ext[i] for i in on_r]), ext)
+        res = []
+        for ext in first.values():
+            r = restrict_tuple(QR, ext, R)
+            if mask_of(r) & ~cmask:
+                raise InternalInconsistency(
+                    "restriction escaped the subsystem carrier")
+            res.append(r)
+        maps_by_domain[R.mask] = tuple(sorted(res))
+    return maps_by_domain
 
 
 def _from_rule(host, p, carrier, maps_by_domain, source, name):

@@ -782,6 +782,148 @@ def mask_orbits_brute(auts, masks):
     return orbits
 
 
+# -- the rules of N_F(Q), C_F(Q), N_S(Q)C_F(Q) and S C_F(Q) --------------
+
+
+def subsystem_rule_brute(F, Q, kind):
+    """{domain mask: sorted hom-set} of a subsystem rule at Q, on whole
+    image tuples: for each R in the subsystem's carrier, the restrictions
+    to R of the maps on QR that map Q onto Q, acting on Q as conjugation
+    by 1 (centralizer), by N_S(Q) (mixed) or by S (product), or as any
+    F-automorphism (normalizer).  The carrier is N_S(Q), C_S(Q), N_S(Q) or
+    S, found element by element."""
+    from fusionlab.fusion import mask_of, restrict_tuple
+
+    G, S = F.host, F.carrier
+    n = G.subgroup(mask_of(normalizer_brute(Q, S)))
+    carrier, by = {
+        "normalizer": (n, None),
+        "centralizer": (G.subgroup(mask_of(centralizer_brute(Q, S))), (0,)),
+        "mixed": (n, n.elems),
+        "product": (S, S.elems),
+    }[kind]
+    allowed = None if by is None else {
+        tuple(G.conj(g, x) for x in Q.elems) for g in by}
+    out = {}
+    for R in carrier.subgroups_within():
+        QR = Q.join(R)
+        res = set()
+        for ext in F.maps(QR):
+            on_q = restrict_tuple(QR, ext, Q)
+            if mask_of(on_q) != Q.mask:
+                continue
+            if allowed is not None and on_q not in allowed:
+                continue
+            res.add(restrict_tuple(QR, ext, R))
+        out[R.mask] = tuple(sorted(res))
+    return out
+
+
+def assert_subsystem_rules_match_brute(F):
+    """At every object Q of F, the normalizer, centralizer and mixed rules,
+    and the product rule where Q is normal in F, give the hom-sets of
+    ``subsystem_rule_brute``; returns the number of (Q, kind) checked."""
+    from fusionlab.subsystems import _rule_hom_sets, _subsystem_kind
+
+    checked = 0
+    for Q in F.objects():
+        kinds = ["normalizer", "centralizer", "mixed"]
+        if is_normal_brute(Q, F.carrier) and normal_in_F_brute(F, Q)[0]:
+            kinds.append("product")
+        for kind in kinds:
+            carrier, allowed, _ = _subsystem_kind(F, Q, kind)
+            assert _rule_hom_sets(F, Q, carrier, allowed) == \
+                subsystem_rule_brute(F, Q, kind), (F.name, Q.mask, kind)
+            checked += 1
+    return checked
+
+
+# -- Alperin decomposition, one search per morphism ------------------------
+
+
+def alperin_decompose_brute(F, phi):
+    """The decomposition of phi: P -> S by a breadth-first search of its
+    own from id_P, on whole image tuples, over the restrictions of the
+    automorphisms of the fully normalized essential subgroups.  The first
+    state, in BFS order, that some a in Aut_F(S) finishes into phi ends it,
+    with the first such a.  Raises NotGenerated when the states run out."""
+    from fusionlab.errors import NotGenerated
+    from fusionlab.fusion import (
+        AlperinDecomposition,
+        essential_subgroups,
+        mask_of,
+        morphism_tuple,
+        wrap_tuple,
+    )
+
+    def auts(E):
+        return [t for t in F.maps(E) if mask_of(t) == E.mask]
+
+    G, S, P = F.host, F.carrier, phi.domain
+    goal = morphism_tuple(F, phi)
+    spos = S.pos_map()
+    s_auts = auts(S)
+    ess_auts = [(E, auts(E)) for E in essential_subgroups(F)[1]]
+    start = P.elems
+    seen = {start: None}   # state -> (previous state, E, aut of E) or None
+    queue = [start]
+    for cur in queue:   # grows while it is walked
+        final = next((a for a in s_auts
+                      if tuple(a[spos[v]] for v in cur) == goal), None)
+        if final is not None:
+            break
+        for E, e_auts in ess_auts:
+            if not set(cur) <= set(E.elems):
+                continue
+            pos = E.pos_map()
+            for a in e_auts:
+                new = tuple(a[pos[v]] for v in cur)
+                if new not in seen:
+                    seen[new] = (cur, E, a)
+                    queue.append(new)
+    else:
+        raise NotGenerated("no state finishes into the morphism")
+    steps = []
+    state = cur
+    while seen[state] is not None:
+        prev, E, a = seen[state]
+        steps.append((state, E, a))
+        state = prev
+    steps.reverse()
+    return AlperinDecomposition(
+        source=phi,
+        subgroup_chain=(P, *(G.subgroup(mask_of(st)) for st, _, _ in steps),
+                        G.subgroup(mask_of(goal))),
+        essentials=tuple(E for _, E, _ in steps),
+        automorphisms=(*(wrap_tuple(F, E, E, a) for _, E, a in steps),
+                       wrap_tuple(F, S, S, final)))
+
+
+def assert_alperin_matches_brute(F):
+    """Every map of F gets the decomposition of
+    ``alperin_decompose_brute``, field by field, or both raise the same
+    error; returns the number of maps decomposed."""
+    from fusionlab.errors import FusionlabError
+    from fusionlab.fusion import alperin_decompose, wrap_tuple
+
+    def outcome(decompose, phi):
+        try:
+            deco = decompose(F, phi)
+        except FusionlabError as exc:
+            return type(exc)
+        return deco.subgroup_chain, deco.essentials, deco.automorphisms
+
+    done = 0
+    for P in F.objects():
+        for t in F.maps(P):
+            phi = wrap_tuple(F, P, F.carrier, t)
+            got = outcome(alperin_decompose, phi)
+            assert got == outcome(alperin_decompose_brute, phi), \
+                (F.name, P.mask, t)
+            done += isinstance(got, tuple)
+    return done
+
+
 # -- test-only views of the package's objects -------------------------------
 
 

@@ -22,6 +22,8 @@ from fusionlab.subsystems import (
 )
 
 from oracles import (
+    assert_alperin_matches_brute,
+    assert_subsystem_rules_match_brute,
     automorphisms_raw,
     materialize,
     normal_in_F_brute,
@@ -119,25 +121,28 @@ def test_explicit_copy_subsystems(explicit_copy):
         assert fusion_equal(nf, ne)
 
 
-def test_fs2_failure_detected(cat):
-    """C4 with its inversion spliced into Aut(S) fails exactly FS2 (the
-    inner automorphisms are no longer a Sylow 2-subgroup of Aut_F(S))."""
+def _c4_with_inversion(cat):
     c4 = cat["C4"]
     S = c4.full_subgroup
     inv_tuple = tuple(c4.inv[x] for x in S.elems)
-    spliced = category_closure(c4, 2, S, {S.mask: (inv_tuple,)},
-                               name="c4-with-inversion")
+    return category_closure(c4, 2, S, {S.mask: (inv_tuple,)},
+                            name="c4-with-inversion")
+
+
+def test_fs2_failure_detected(cat):
+    """C4 with its inversion spliced into Aut(S) fails exactly FS2 (the
+    inner automorphisms are no longer a Sylow 2-subgroup of Aut_F(S))."""
+    spliced = _c4_with_inversion(cat)
     report = verify_axioms(spliced)
     assert report.status == "failed"
     assert report.witness[0] == "FS2"
     assert report == verify_axioms_brute(spliced)
 
 
-def test_fs3_failure_on_a_two_generator_domain():
-    """Inner fusion of D8 x C2 with one more automorphism of its first
-    elementary abelian subgroup E of order 8 fails FS3 on a subgroup of
-    order 4: the failing map must be compared with the extensions on both
-    generators of its domain, not on one."""
+def _d8xc2_with_outer_automorphisms():
+    """Inner fusion of D8 x C2 closed up with one more automorphism of its
+    first elementary abelian subgroup of order 8, for the first two such
+    automorphisms."""
     from fusionlab.groups import build_group
 
     g = build_group([[1, 2, 3, 0, 4, 5], [0, 3, 2, 1, 4, 5],
@@ -150,10 +155,17 @@ def test_fs3_failure_on_a_two_generator_domain():
     outer = [t for t in (tuple(embed[im[k]] for k in range(E.order))
                          for im in automorphisms_raw(sub))
              if t not in inner[E.mask]]
-    for t in outer[:2]:
-        seed = dict(inner)
-        seed[E.mask] = inner[E.mask] + (t,)
-        spliced = category_closure(g, 2, S, seed, name="d8xc2-spliced")
+    return [category_closure(g, 2, S, {**inner, E.mask: inner[E.mask] + (t,)},
+                             name="d8xc2-spliced")
+            for t in outer[:2]]
+
+
+def test_fs3_failure_on_a_two_generator_domain():
+    """Inner fusion of D8 x C2 with one more automorphism of its first
+    elementary abelian subgroup E of order 8 fails FS3 on a subgroup of
+    order 4: the failing map must be compared with the extensions on both
+    generators of its domain, not on one."""
+    for spliced in _d8xc2_with_outer_automorphisms():
         report = verify_axioms(spliced)
         assert report == verify_axioms_brute(spliced)
         assert report.witness[0] == "FS3"
@@ -186,26 +198,31 @@ def _fs3_witness_matches_oracle(F):
     return P
 
 
-def test_fs3_failure_behind_its_aut_f_orbit():
-    """D8 x C4 = <r, s> x <c> with the inversion of E = <sc>, which is not
-    normal: the first failing map sits on the first object of E's S-class
-    of two, behind maps that pass and that it is an Aut_F-image of."""
+def _d8xc4_with_an_inversion():
+    """(D8 x C4 = <r, s> x <c> with the inversion of E = <sc>, E)."""
     from fusionlab.groups import build_group
 
     g = build_group([(1, 2, 3, 0, 4, 5, 6, 7), (0, 3, 2, 1, 4, 5, 6, 7),
                      (0, 1, 2, 3, 5, 6, 7, 4)], kind="perms", name="D8xC4")
     r, s, c = g.gen_indices
     E = g.subgroup(g.cyclic_mask(g.mul(s, c)))
-    F = _spliced(g, E, {x: g.inv[x] for x in E.elems})
+    return _spliced(g, E, {x: g.inv[x] for x in E.elems}), E
+
+
+def test_fs3_failure_behind_its_aut_f_orbit():
+    """D8 x C4 = <r, s> x <c> with the inversion of E = <sc>, which is not
+    normal: the first failing map sits on the first object of E's S-class
+    of two, behind maps that pass and that it is an Aut_F-image of."""
+    F, E = _d8xc4_with_an_inversion()
+    g = F.host
     P = _fs3_witness_matches_oracle(F)
     s_class = {E.conjugate_mask(x) for x in g.full_subgroup.elems}
     assert len(s_class) == 2 and P.mask == min(s_class)
 
 
-def test_fs3_failure_behind_an_earlier_f_conjugate():
+def _d8xc2_with_a_swap():
     """D8 x C2 = <r, s> x <w> with the automorphism of E = <s, r^2, w>
-    that swaps s and w: the first failing map is on <w>, behind maps that
-    pass, and <s> is F-conjugate to <w>, earlier, and passes FS3."""
+    that swaps s and w."""
     from fusionlab.groups import build_group
 
     g = build_group([(1, 2, 3, 0, 4, 5), (0, 3, 2, 1, 4, 5),
@@ -220,7 +237,16 @@ def test_fs3_failure_behind_an_earlier_f_conjugate():
                 swap[g.mul(g.mul(g.power(s, a), g.power(z, b)),
                            g.power(w, d))] = g.mul(
                     g.mul(g.power(w, a), g.power(z, b)), g.power(s, d))
-    F = _spliced(g, E, swap)
+    return _spliced(g, E, swap)
+
+
+def test_fs3_failure_behind_an_earlier_f_conjugate():
+    """D8 x C2 = <r, s> x <w> with the automorphism of E = <s, r^2, w>
+    that swaps s and w: the first failing map is on <w>, behind maps that
+    pass, and <s> is F-conjugate to <w>, earlier, and passes FS3."""
+    F = _d8xc2_with_a_swap()
+    g = F.host
+    r, s, w = g.gen_indices
     P = _fs3_witness_matches_oracle(F)
     earlier = subgroup_of(g, (0, s))
     assert P.mask == subgroup_of(g, (0, w)).mask
@@ -424,3 +450,30 @@ def test_straighten_two_step_chain(systems):
     phi, images = straighten_chain(F, [z, j])
     assert all(F.is_fully_normalized(img) for img in images)
     assert phi.domain.mask == F.n_in_carrier(j).mask
+
+
+def _categories(cat, systems):
+    """The explicit systems of this file that are categories: the copy of
+    F_S(S4), and the closures that fail FS2 or FS3."""
+    F = systems[("S4", 2)]
+    return [FusionSystem.explicit_system(F.host, 2, F.carrier,
+                                         materialize(F), name="explicit-copy"),
+            _c4_with_inversion(cat), *_d8xc2_with_outer_automorphisms(),
+            _d8xc4_with_an_inversion()[0], _d8xc2_with_a_swap()]
+
+
+def test_alperin_search_matches_brute_on_explicit_systems(cat, systems):
+    """On saturated and unsaturated explicit systems alike, each map gets
+    the decomposition, or the error, of a search for that map alone."""
+    done = [assert_alperin_matches_brute(F) for F in _categories(cat, systems)]
+    assert done[0] == sum(len(ts) for ts in materialize(systems[("S4", 2)])
+                          .values())
+
+
+def test_subsystem_rules_match_brute_on_explicit_systems(cat, systems):
+    """An explicit system's subsystems are built from the rule alone, with
+    no realized system to check them against: at every object, each rule
+    gives the hom-sets of the whole-tuple oracle."""
+    checked = sum(assert_subsystem_rules_match_brute(F)
+                  for F in _categories(cat, systems))
+    assert checked > 0

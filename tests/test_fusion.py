@@ -32,6 +32,8 @@ from fusionlab.groups import (
 from fusionlab.subsystems import category_closure
 
 from oracles import (
+    alperin_decompose_brute,
+    assert_alperin_matches_brute,
     automorphisms_raw,
     brute_centric,
     brute_out_group,
@@ -534,3 +536,35 @@ def test_alperin_raises_not_generated_on_bad_category(cat):
     phi = wrap_tuple(spliced, transp, spliced.carrier, splice)
     with pytest.raises(NotGenerated):
         alperin_decompose(spliced, phi)
+
+
+def test_alperin_search_matches_one_search_per_morphism(systems):
+    """The search kept per domain gives every map of every catalog system
+    with a carrier of order at most 16 the decomposition that a search for
+    that map alone finds: the same chain, essentials and automorphisms."""
+    done = 0
+    for F in systems.values():
+        if F.carrier.order <= 16:
+            done += assert_alperin_matches_brute(F)
+    assert done > 0
+
+
+def test_alperin_not_generated_after_other_maps_on_its_domain(cat):
+    """The spliced map still raises NotGenerated when the other maps on its
+    domain have been decomposed first, so that the kept search of the
+    domain, not a search for it alone, answers it."""
+    from fusionlab.errors import NotGenerated
+
+    spliced, transp, splice = spliced_d8(cat)
+    others = [t for t in spliced.maps(transp) if t != splice]
+    assert others
+    for t in others:
+        deco = alperin_decompose(
+            spliced, wrap_tuple(spliced, transp, spliced.carrier, t))
+        assert deco.recompose() == dict(zip(transp.elems, t))
+    assert transp.mask in spliced._memo.alperin
+    phi = wrap_tuple(spliced, transp, spliced.carrier, splice)
+    with pytest.raises(NotGenerated):
+        alperin_decompose(spliced, phi)
+    with pytest.raises(NotGenerated):
+        alperin_decompose_brute(spliced, phi)

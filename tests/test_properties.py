@@ -29,6 +29,7 @@ from fusionlab.subsystems import is_normal_in_F, o_p_of_F
 from fusionlab.theorems import has_normal_p_complement
 
 from oracles import (
+    assert_alperin_matches_brute,
     assert_closure_matches_oracle,
     assert_kept_verdicts_exact,
     assert_kernels_match_oracles,
@@ -348,3 +349,17 @@ def test_closure_matches_the_fixed_point_oracle(gens, p, seed):
     F = realize_fusion(g, p)
     for kind, maps in closure_seeds(F, random.Random(seed)).items():
         assert_closure_matches_oracle(F, maps, kind)
+
+
+@settings(**COMMON)
+@given(group_specs, st.sampled_from([2, 3]))
+def test_alperin_search_matches_brute_on_random_groups(gens, p):
+    """On the realized system of a random permutation group, every map
+    decomposes as a search for that map alone decomposes it."""
+    g = build_group([list(p_) for p_ in gens], kind="perms", cap=200)
+    if g.order % p:
+        return
+    F = realize_fusion(g, p)
+    if F.carrier.order <= 16:
+        assert assert_alperin_matches_brute(F) == sum(
+            len(F.maps(P)) for P in F.objects())

@@ -117,6 +117,23 @@ def test_axioms_and_subsystems_are_computed_only_through_their_memos():
     assert found == []
 
 
+def test_searches_filters_and_quotients_are_computed_only_through_their_memos():
+    """The Alperin search of a domain and the Aut_F(Q) filter are kept on
+    F, and B/N on G, so that each is computed once: ``_alperin_search`` is
+    reached only from ``alperin_decompose``, ``_aut_tuples`` only from
+    ``FusionSystem.aut_tuples`` and ``_quotient`` only from
+    ``quotient_group``."""
+    memo_of = {"_alperin_search": "alperin_decompose",
+               "_aut_tuples": "aut_tuples", "_quotient": "quotient_group"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for used, func, line in _uses(tree, memo_of):
+            if func != memo_of[used]:
+                found.append(f"{path.name}:{line}:{used} in {func}")
+    assert found == []
+
+
 def test_derived_groups_come_from_derived_group():
     """A group the package derives (a quotient, a subgroup's standalone
     copy, Aut_F(Q)) comes from ``groups.derived_group``, one object per

@@ -35,12 +35,14 @@ from fusionlab.subsystems import (
 
 from oracles import (
     assert_closure_matches_oracle,
+    assert_subsystem_rules_match_brute,
     closure_seeds,
     looks_like_a4,
     looks_like_s3,
     materialize,
     normal_in_F_brute,
     o_p_brute,
+    subsystem_rule_brute,
 )
 
 
@@ -85,8 +87,12 @@ def test_characteristic_subgroups_normal_in_inner(cat):
 
 def test_normality_in_F_matches_the_definition(cat, systems):
     """is_normal_in_F gives the verdict and the counterexample of the
-    separately written definition in the oracles."""
+    separately written definition in the oracles.  When W <= P the walk
+    reads t's images of W's generators alone, and otherwise the W-stable
+    maps on WP: some counterexample lies on an object containing W, and
+    some on one that does not."""
     counterexamples = 0
+    contains_w = set()
     for key in (("S4", 2), ("SL(2,3)", 2), ("A4", 2), ("GL(2,3)", 2),
                 ("S3", 3), ("Qd(3)", 3)):
         F = systems[key]
@@ -108,7 +114,9 @@ def test_normality_in_F_matches_the_definition(cat, systems):
                        or restrict_tuple(WP, ext, P) != t
                        for ext in F.maps(WP))
             counterexamples += 1
+            contains_w.add(W <= P)
     assert counterexamples > 0
+    assert contains_w == {True, False}
 
 
 @pytest.mark.parametrize("name", ["SL(2,3)", "Qd(3)"])
@@ -350,6 +358,20 @@ def test_subsystems_of_an_explicit_copy_are_explicit_and_equal(systems):
                     continue
                 assert not sub.is_realized()
                 assert fusion_equal(sub, realized[kind])
+
+
+def test_subsystem_rules_match_brute_on_catalog_systems(systems):
+    """At every object of every catalog system, each subsystem rule gives
+    the hom-sets of the whole-tuple oracle, and so does the system that
+    the rule's subsystem is."""
+    checked = 0
+    for F in systems.values():
+        checked += assert_subsystem_rules_match_brute(F)
+        for Q in F.objects():
+            sub = normalizer_system(F, Q)
+            assert {R.mask: sub.maps(R) for R in sub.objects()} == \
+                subsystem_rule_brute(F, Q, "normalizer")
+    assert checked > 0
 
 
 # -- quotient systems ---------------------------------------------------------------

@@ -265,6 +265,39 @@ def test_cold_suite_builds_each_subsystem_once(monkeypatch, cold_start):
     assert set(calls) == set(bodies) and len(calls) > len(bodies)
 
 
+def test_cold_suite_runs_each_search_filter_and_quotient_once(
+        monkeypatch, cold_start):
+    """Counts, not timings: on freshly built catalog groups, one suite run
+    walks the Alperin search once per (system, domain) however many maps
+    it decomposes, filters Aut_F(Q) out of Hom_F(Q, S) once per (system,
+    object), and builds B/N once per (group, N, B) however many systems,
+    models and sections ask.  The names of one system share its memo, so
+    the memo stands for the system."""
+    from fusionlab import fusion
+
+    cold_start()
+    calls = {"alperin": [], "auts": [], "quotient": []}
+    real = {"alperin": fusion._alperin_search, "auts": fusion._aut_tuples,
+            "quotient": groups._quotient}
+
+    def counting(kind, key):
+        def body(*args):
+            calls[kind].append(key(*args))
+            return real[kind](*args)
+        return body
+
+    monkeypatch.setattr(fusion, "_alperin_search", counting(
+        "alperin", lambda F, P: (F._memo, P.mask)))
+    monkeypatch.setattr(fusion, "_aut_tuples", counting(
+        "auts", lambda F, Q: (F._memo, Q.mask)))
+    monkeypatch.setattr(groups, "_quotient", counting(
+        "quotient", lambda G, N, B, name: (G, N.mask, B.mask)))
+    result = run_suite(RunConfig())
+    assert result.failures == 0
+    for kind, made in calls.items():
+        assert made and len(made) == len(set(made)), kind
+
+
 def test_cold_suite_computes_w_and_aut_once_per_family(
         monkeypatch, cold_start):
     """Counts, not timings: on freshly built catalog groups, one suite run
