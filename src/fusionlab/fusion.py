@@ -780,7 +780,10 @@ class AlperinDecomposition(namedtuple(
 def alperin_decompose(F, phi) -> AlperinDecomposition:
     """BFS over restrictions of fully normalized essential automorphisms;
     the reported step count is the minimum the search found.  The search
-    does not depend on phi, so it runs once per domain and is kept on F."""
+    does not depend on phi, so it runs once per domain and is kept on F:
+    the first call on a domain walks until every map on it has a finish,
+    even for id_P, and F keeps every state reached (one generator key
+    each) beside the finishes."""
     P = phi.domain
     t_goal = morphism_tuple(F, phi)
     search = F._memo.alperin.get(P.mask)

@@ -86,13 +86,8 @@ def _first_unextended(F, W, P, stable_on):
     restricts to, or None.  A morphism is an injective homomorphism, so
     it maps W onto W as soon as it maps W's generators into W, and it
     restricts to a morphism t on P as soon as it agrees with t on P's
-    generators.  When W <= P, WP = P and t extends only to itself."""
+    generators."""
     wmask = W.mask
-    ppos = P.pos_map()
-    if W <= P:
-        on_w = [ppos[g] for g in W.generators()]
-        return next((t for t in F.maps(P)
-                     if not all(wmask >> t[i] & 1 for i in on_w)), None)
     WP = W.join(P)
     pos = WP.pos_map()
     stable = stable_on.get(WP.mask)
@@ -104,6 +99,7 @@ def _first_unextended(F, W, P, stable_on):
     pgens = P.generators()
     on_p = [pos[g] for g in pgens]
     keys = {tuple([ext[i] for i in on_p]) for ext in stable}
+    ppos = P.pos_map()
     at = [ppos[g] for g in pgens]
     return next((t for t in F.maps(P)
                  if tuple([t[i] for i in at]) not in keys), None)

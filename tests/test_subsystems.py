@@ -87,10 +87,9 @@ def test_characteristic_subgroups_normal_in_inner(cat):
 
 def test_normality_in_F_matches_the_definition(cat, systems):
     """is_normal_in_F gives the verdict and the counterexample of the
-    separately written definition in the oracles.  When W <= P the walk
-    reads t's images of W's generators alone, and otherwise the W-stable
-    maps on WP: some counterexample lies on an object containing W, and
-    some on one that does not."""
+    separately written definition in the oracles.  Some counterexample
+    lies on an object containing W (where WP = P), and some on one that
+    does not."""
     counterexamples = 0
     contains_w = set()
     for key in (("S4", 2), ("SL(2,3)", 2), ("A4", 2), ("GL(2,3)", 2),
