@@ -9,6 +9,7 @@ downstream; the F-class of an object is read off its own hom-set.
 """
 
 from collections import namedtuple
+from functools import partial
 
 from .errors import (
     CarrierMismatch,
@@ -23,15 +24,17 @@ from .groups import (
     FiniteGroup,
     GroupMorphism,
     Subgroup,
-    bits,
+    compose_perms,
     derived_group,
-    identity_first,
     is_hom_tuple,
     mask_of,
+    move_mask,
     o_p,
+    orbit,
     p_part,
     quotient_group,
     sylow,
+    table_along_tree,
 )
 
 UNCHECKED = "unchecked"
@@ -352,54 +355,46 @@ def _aut_tuples(F, Q):
 
 
 def _group_from_maps(Q, tuples, name):
-    """Finite group from automorphism tuples under composition.
+    """Finite group from automorphism tuples under composition, with the
+    identity first and the other tuples in their given order.
 
     The tuples are closed from the identity by right composition with
     generators, each tuple not yet reached becoming the next generator,
     so every tuple is reached and a product that leaves the set is met;
-    row a of the table then follows by lookups, a o y = (a o x) o g for
-    each tuple y = x o g met first that way."""
+    ``table_along_tree`` then fills the table along the closure's tree."""
     pos = Q.pos_map()
-    index = {t: i for i, t in enumerate(tuples)}
-    n = len(tuples)
     not_closed = MorphismNotInF(
         "automorphism set is not composition-closed; the input "
         "category violates the axioms")
-    ident = index.get(identity_tuple(Q))
-    if ident is None:
+    ident = identity_tuple(Q)
+    if ident not in tuples:
         raise not_closed
-    reached = [ident]
-    seen = {ident}
-    gens, times, steps = [], [], []
-    for cand in range(n):
+    tuples = (ident, *(t for t in tuples if t != ident))
+    index = {t: i for i, t in enumerate(tuples)}
+    n = len(tuples)
+    reached, seen = [0], {0}
+    gen_indices, times, steps = [], [], []
+    for cand in range(1, n):
         if cand in seen:
             continue
-        gens.append(tuples[cand])
+        gen_indices.append(cand)
         times.append([None] * n)
         for x in reached:   # grows while it is walked
             a = tuples[x]
-            for g, col in zip(gens, times):
+            for k, col in enumerate(times):
                 if col[x] is not None:
                     continue
                 # (a o g)(v) = a[g(v)]
-                y = index.get(tuple(a[pos[v]] for v in g))
+                y = index.get(tuple([a[pos[v]]
+                                     for v in tuples[gen_indices[k]]]))
                 if y is None:
                     raise not_closed
                 col[x] = y
                 if y not in seen:
                     seen.add(y)
                     reached.append(y)
-                    steps.append((y, x, col))
-    table = []
-    for a in range(n):
-        row = [a] * n
-        for y, x, col in steps:
-            row[y] = col[row[x]]
-        table.append(row)
-    if ident != 0:
-        table, order_map = identity_first(table, ident)
-        tuples = tuple(tuples[k] for k in order_map)
-        index = {t: i for i, t in enumerate(tuples)}
+                    steps.append((y, x, k))
+    table = table_along_tree(gen_indices, times, steps)
     return derived_group(table, name), tuples, index
 
 
@@ -430,7 +425,10 @@ def hom_set(F, P, R):
 
 
 def wrap_tuple(F, P, R, t):
-    return GroupMorphism(P, R, dict(zip(P.elems, t)))
+    """The map t of F on P as a GroupMorphism P -> R, built with ``_make``
+    without a homomorphism check: F's maps were checked when F got them
+    (conjugation maps are homomorphisms; ``check_hom_tuples``)."""
+    return GroupMorphism._make((P, R, dict(zip(P.elems, t))))
 
 
 def morphism_tuple(F, phi: GroupMorphism):
@@ -619,42 +617,9 @@ def verify_axioms(F) -> AxiomReport:
 def _verify(F, host, carrier):
     objs = F.objects()
     maps_of = {P.mask: F.maps(P) for P in objs}
-    # every stored map is an injective homomorphism, and so is every
-    # inverse, composite, restriction and conjugation map tested below;
-    # such a map is fixed by the images of its domain's generators, so a
-    # map lies in a hom-set exactly when its key of those images does
-    gens_of = {P.mask: P.generators() for P in objs}
-    keys_of = {}
-    for P in objs:
-        pos = P.pos_map()
-        at = [pos[g] for g in gens_of[P.mask]]
-        keys_of[P.mask] = {tuple([t[i] for i in at]) for t in maps_of[P.mask]}
-
-    # category axioms: inclusions, inverses of induced isos, composition
-    for P in objs:
-        keys = keys_of[P.mask]
-        if gens_of[P.mask] not in keys:   # the inclusion's key
-            return AxiomReport("failed", ("missing-inclusion", P))
-        pos = P.pos_map()
-        at = [pos[g] for g in gens_of[P.mask]]
-        below = [(Q, [pos[g] for g in gens_of[Q.mask]], keys_of[Q.mask])
-                 for Q in objs if Q < P]
-        # walked as a set, the order the element-wise definition walks in
-        for t in set(maps_of[P.mask]):
-            img = host.subgroup(mask_of(t))
-            inv_key = tuple(P.elems[t.index(h)] for h in gens_of[img.mask])
-            if inv_key not in keys_of[img.mask]:
-                return AxiomReport("failed", ("missing-inverse", P, t))
-            ipos = img.pos_map()
-            on_img = [ipos[t[i]] for i in at]
-            for u in maps_of[img.mask]:
-                if tuple([u[i] for i in on_img]) not in keys:
-                    return AxiomReport("failed", ("not-composition-closed",
-                                                  P, t, u))
-            for Q, on_q, qkeys in below:
-                if tuple([t[i] for i in on_q]) not in qkeys:
-                    return AxiomReport("failed", ("not-restriction-closed",
-                                                  P, t, Q))
+    gens_of, keys_of = _generator_keys(objs, maps_of)
+    for witness, *_ in _category_gaps(host, objs, maps_of, gens_of, keys_of):
+        return AxiomReport("failed", witness)
 
     # FS1: all S-conjugation maps present
     conj = host.conj
@@ -692,7 +657,7 @@ def _verify(F, host, carrier):
     for P in objs:
         if P.mask in walked:
             continue
-        walked |= _orbit(P.mask, on_s, _move_mask)
+        walked.update(orbit(P.mask, on_s, move_mask))
         pos = P.pos_map()
         gens = P.generators()
         at = [pos[g] for g in gens]
@@ -708,7 +673,7 @@ def _verify(F, host, carrier):
             key = tuple([t[i] for i in at])
             if key in checked:
                 continue
-            checked |= _orbit(key, on_s, _move_key)
+            checked.update(orbit(key, on_s, compose_perms))
             try:
                 nphi = _n_phi_tuple(F, P, t)
             except InternalInconsistency:
@@ -724,26 +689,62 @@ def _verify(F, host, carrier):
     return AxiomReport(VERIFIED)
 
 
-def _orbit(item, perms, move):
-    """The orbit of ``item`` under the group the permutations ``perms``
-    generate, walked breadth-first; ``move(a, item)`` applies one."""
-    orbit = {item}
-    todo = [item]
-    for x in todo:   # grows while it is walked
-        for a in perms:
-            y = move(a, x)
-            if y not in orbit:
-                orbit.add(y)
-                todo.append(y)
-    return orbit
+def _generator_keys(objs, maps_of):
+    """(generators of each object, the set of keys of its maps), by mask.
+    A key is the images of the domain's generators.  Every map that the
+    axioms test or ``category_closure`` adds is an injective homomorphism
+    (a stored map, or an inverse, composite, restriction or conjugation
+    map of such), so its key fixes it: a map lies in a hom-set exactly
+    when its key does."""
+    gens_of = {P.mask: P.generators() for P in objs}
+    keys_of = {}
+    for P in objs:
+        pos = P.pos_map()
+        at = [pos[g] for g in gens_of[P.mask]]
+        keys_of[P.mask] = {tuple([t[i] for i in at]) for t in maps_of[P.mask]}
+    return gens_of, keys_of
 
 
-def _move_mask(a, m):
-    return mask_of(a[x] for x in bits(m))
+def _category_gaps(host, objs, maps_of, gens_of, keys_of):
+    """Yield (witness, target mask, key, build) for each map that the
+    category axioms ask for and the hom-sets ``maps_of`` lack: per object
+    P its inclusion, then per map t on P the inverse of t, each composite
+    u o t and each restriction of t below P.  ``witness`` is the failure
+    ``verify_axioms`` reports and ``build()`` the missing map.  Maps and
+    keys are read as the walk reaches them, so a caller that adds a gap
+    before the walk resumes is not told of it again."""
+    for P in objs:
+        keys = keys_of[P.mask]
+        if gens_of[P.mask] not in keys:   # the inclusion's key
+            yield (("missing-inclusion", P), P.mask, gens_of[P.mask],
+                   partial(identity_tuple, P))
+        pos = P.pos_map()
+        at = [pos[g] for g in gens_of[P.mask]]
+        below = [(Q, [pos[g] for g in gens_of[Q.mask]], keys_of[Q.mask])
+                 for Q in objs if Q < P]
+        # walked as a set, the order the element-wise definition walks in
+        for t in set(maps_of[P.mask]):
+            img = host.subgroup(mask_of(t))
+            inv_key = tuple([P.elems[t.index(h)] for h in gens_of[img.mask]])
+            if inv_key not in keys_of[img.mask]:
+                yield (("missing-inverse", P, t), img.mask, inv_key,
+                       partial(_inverse_tuple, host, P, t))
+            ipos = img.pos_map()
+            on_img = [ipos[t[i]] for i in at]
+            for u in tuple(maps_of[img.mask]):   # a closure may add to it
+                key = tuple([u[i] for i in on_img])
+                if key not in keys:
+                    yield (("not-composition-closed", P, t, u), P.mask, key,
+                           partial(compose_tuples, t, img, u))
+            for Q, on_q, qkeys in below:
+                key = tuple([t[i] for i in on_q])
+                if key not in qkeys:
+                    yield (("not-restriction-closed", P, t, Q), Q.mask, key,
+                           partial(restrict_tuple, P, t, Q))
 
 
-def _move_key(a, key):
-    return tuple([a[v] for v in key])
+def _inverse_tuple(host, P, t):
+    return invert_tuple(host, P, t)[1]
 
 
 # -- Alperin decomposition ----------------------------------------------------

@@ -7,7 +7,7 @@ so subset tests, intersections and deduplication stay cheap at desk scale
 """
 
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 
 from .errors import (
@@ -560,8 +560,9 @@ class GroupMorphism(namedtuple("GroupMorphism", "domain codomain images")):
     """An injective homomorphism between subgroups, as an image table.
 
     ``images`` maps each domain member (parent index of the domain's group)
-    to a codomain member (parent index of the codomain's group).  The maps
-    are validated as injective homomorphisms on construction.
+    to a codomain member (parent index of the codomain's group).
+    ``GroupMorphism(...)`` validates the map as an injective homomorphism;
+    ``_make`` skips that, for maps known to be ones (``fusion.wrap_tuple``).
     """
 
     __slots__ = ()
@@ -605,8 +606,9 @@ def identity_perm(n):
 
 
 def compose_perms(a, b):
-    """(a*b)(x) = a(b(x)); the product convention for permutation groups."""
-    return tuple(a[b[i]] for i in range(len(a)))
+    """(a*b)(x) = a(b(x)); the product convention for permutation groups.
+    b may be any tuple of points: the result lists their images under a."""
+    return tuple([a[x] for x in b])
 
 
 def build_group(spec, name="G", cap=DEFAULT_ORDER_CAP, kind="auto"):
@@ -665,20 +667,29 @@ def _group_from_perms(perms, name, cap):
                 steps.append((j, i, k))
             col.append(j)
     gen_indices = tuple(index[g] for g in gens)
-    # the row of each generator a: a*y = (a*x)*g is a lookup in times
+    return FiniteGroup(table_along_tree(gen_indices, times, steps),
+                       name=name, perm_rep=gens,
+                       gen_indices=gen_indices, perm_elements=elements)
+
+
+def table_along_tree(gen_indices, times, steps):
+    """The Cayley table of a group closed from its identity 0 by right
+    multiplication with the generators at ``gen_indices``: ``times[k][x]``
+    is the index of x*g_k, and ``steps`` has a (y, x, k) for each y but 0,
+    met first as y = x*g_k, each after the step that met its x.  The
+    row of each generator a follows that tree by lookups in ``times``,
+    a*y = (a*x)*g_k; so does every other row, as (x*g)*z = x*(g*z): the
+    row of x*g is the row of x read at the entries of the row of g."""
     gen_rows = []
     for a in gen_indices:
-        row = [a] * len(elements)
+        row = [a] * (len(steps) + 1)
         for y, x, k in steps:
             row[y] = times[k][row[x]]
         gen_rows.append(row)
-    # every other row along the same tree: (x*g)*z = x*(g*z), so the row
-    # of x*g is the row of x read at the entries of the row of g
-    table = [list(range(len(elements)))] + [None] * len(steps)
+    table = [list(range(len(steps) + 1))] + [None] * len(steps)
     for y, x, k in steps:
         table[y] = list(map(table[x].__getitem__, gen_rows[k]))
-    return FiniteGroup(table, name=name, perm_rep=gens,
-                       gen_indices=gen_indices, perm_elements=elements)
+    return table
 
 
 def _group_from_table(table, name, cap):
@@ -697,7 +708,7 @@ def _group_from_table(table, name, cap):
     if ident is None:
         raise NonAssociative("table has no two-sided identity")
     if ident != 0:
-        rows, _ = identity_first(rows, ident)
+        rows = identity_first(rows, ident)
     return FiniteGroup(rows, name=name)
 
 
@@ -721,14 +732,13 @@ def derived_group(table, name):
 
 
 def identity_first(table, ident):
-    """(table relabelled so that ``ident`` becomes 0, the old index of each
-    new one); every other index keeps its relative order."""
+    """The table relabelled so that ``ident`` becomes 0; every other index
+    keeps its relative order."""
     old_of_new = [ident] + [x for x in range(len(table)) if x != ident]
     new_of_old = [0] * len(table)
     for new, old in enumerate(old_of_new):
         new_of_old[old] = new
-    return ([[new_of_old[table[a][b]] for b in old_of_new]
-             for a in old_of_new], old_of_new)
+    return [[new_of_old[table[a][b]] for b in old_of_new] for a in old_of_new]
 
 
 def group_from_function(elements, op, name="G"):
@@ -812,20 +822,12 @@ def _subgroup_lattice_masks(G, seeds=None, within=None):
 
 
 def _conjugates(G, mask):
-    """The set of G-conjugates of the subgroup ``mask``, reached by
-    conjugating masks with G's generators."""
+    """The G-conjugates of the subgroup ``mask`` (a view of a dict's
+    keys): its orbit under conjugation by G's generators."""
     mul, inv = G._mul, G.inv
-    gens = [(mul[g], inv[g]) for g in G.full_subgroup.generators()]
-    orbit = {mask}
-    frontier = [mask]
-    while frontier:
-        elems = tuple(bits(frontier.pop()))
-        for row, gi in gens:
-            c = mask_of(mul[row[x]][gi] for x in elems)
-            if c not in orbit:
-                orbit.add(c)
-                frontier.append(c)
-    return orbit
+    return orbit(mask, G.full_subgroup.generators(),   # m -> g m g^-1
+                 lambda g, m: mask_of(mul[mul[g][x]][inv[g]]
+                                      for x in bits(m))).keys()
 
 
 def subgroup_class_reps(G, subgroups):
@@ -836,7 +838,7 @@ def subgroup_class_reps(G, subgroups):
     for H in subgroups:
         if H.mask not in seen:
             reps.append(H)
-            seen |= _conjugates(G, H.mask)
+            seen.update(_conjugates(G, H.mask))
     return reps
 
 
@@ -1240,51 +1242,55 @@ def aut_generators(S):
         size = 1
         for i in range(len(base) - 1, -1, -1):
             g = base[i]
-            orbit = 1 << g   # the generators so far fix g
+            reached = 1 << g   # the generators so far fix g
             dead = 0
             for c in range(S.order):
-                if orders[c] != orders[g] or (orbit | dead) >> c & 1:
+                if orders[c] != orders[g] or (reached | dead) >> c & 1:
                     continue
                 images = _iso_search(S, S, prefix=base[:i] + (c,))
                 if images is None:
-                    dead |= _point_orbit(gens, c)
+                    dead |= mask_of(orbit(c, gens, tuple.__getitem__))
                 else:
                     gens.append(tuple(images))
-                    orbit = _point_orbit(gens, g)
-            size *= orbit.bit_count()
+                    reached = mask_of(orbit(g, gens, tuple.__getitem__))
+            size *= reached.bit_count()
         S._aut_gens = (tuple(gens), size)
     return S._aut_gens
 
 
-def _point_orbit(gens, x):
-    """Mask of the orbit of the element x under the group generated by
-    the image tuples ``gens``."""
-    orbit, todo = 1 << x, [x]
-    while todo:
-        y = todo.pop()
-        for a in gens:
-            z = a[y]
-            if not orbit >> z & 1:
-                orbit |= 1 << z
-                todo.append(z)
-    return orbit
+def orbit(item, perms, move):
+    """The orbit of ``item`` under the group the permutations ``perms``
+    generate, as its breadth-first Schreier tree (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, ch. 4): a dict, in the order
+    the walk meets them, from each member to (the member it was first
+    reached from, the permutation that moved it there), and to None for
+    ``item`` itself.  ``move(a, x)`` is the image of x under a."""
+    tree = {item: None}
+    todo = [item]
+    for x in todo:   # grows while it is walked
+        for a in perms:
+            y = move(a, x)
+            if y not in tree:
+                tree[y] = (x, a)
+                todo.append(y)
+    return tree
+
+
+def move_mask(a, m):
+    """The image of the subset ``m`` under the permutation tuple a."""
+    return mask_of(a[x] for x in bits(m))
 
 
 def mask_orbit(gens, mask, n):
     """The orbit of a subset ``mask`` of 0..n-1 under the group generated
     by the image tuples ``gens``, breadth-first from ``mask``: a list of
     (member, image tuple of an automorphism that maps ``mask`` onto it),
-    the first entry (mask, identity)."""
-    orbit = [(mask, tuple(range(n)))]
-    seen = {mask}
-    for m, alpha in orbit:   # grows while it is walked
-        elems = tuple(bits(m))
-        for a in gens:
-            c = mask_of(a[x] for x in elems)
-            if c not in seen:
-                seen.add(c)
-                orbit.append((c, tuple(a[y] for y in alpha)))
-    return orbit
+    the first entry (mask, identity).  Each automorphism is read off the
+    orbit's Schreier tree, a o (that of the member it was reached from)."""
+    alpha = {mask: tuple(range(n))}
+    for m, (prev, a) in islice(orbit(mask, gens, move_mask).items(), 1, None):
+        alpha[m] = compose_perms(a, alpha[prev])
+    return list(alpha.items())
 
 
 def is_involved(H, G, cap=DEFAULT_ORDER_CAP):
@@ -1332,9 +1338,9 @@ def _find_section(H, G, cap):
     firsts = []
     for m in _subgroup_lattice_masks(G, seeds):
         if m.bit_count() % h == 0 and m not in seen:
-            orbit = _conjugates(G, m)
-            seen |= orbit
-            firsts.append(min(orbit))
+            conjugates = _conjugates(G, m)
+            seen.update(conjugates)
+            firsts.append(min(conjugates))
     for bmask in sorted(firsts, key=lambda m: (m.bit_count(), m)):
         B = G.subgroup(bmask)
         for amask in _normal_subgroups_of_order(G, B, B.order // h):

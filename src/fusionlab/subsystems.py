@@ -24,6 +24,8 @@ from .fusion import (
     UNCHECKED,
     VERIFIED,
     FusionSystem,
+    _category_gaps,
+    _generator_keys,
     _n_phi_tuple,
     check_hom_tuples,
     classify_subgroup,
@@ -313,51 +315,23 @@ def category_closure(host, p, carrier, seed_maps, name=None):
 
     The seeds are checked to be injective homomorphisms into the carrier,
     so every inverse, composite and restriction of them is one too (and is
-    not checked again), and such a map is fixed by the images of its
-    domain's generators.  Each
-    candidate is therefore looked up by that key of generator images, and
-    its full image tuple is built only when the map is missing."""
+    not checked again).  The walk is the one ``verify_axioms`` makes,
+    ``fusion._category_gaps`` on generator keys: each gap it meets is added
+    at once, and a whole map is built only for a gap, until a walk adds
+    nothing."""
     objs = carrier.subgroups_within()
     check_hom_tuples(host, carrier, seed_maps)
-    gens_of = {P.mask: P.generators() for P in objs}
-    maps, keys = {}, {}
-    for P in objs:
-        pos = P.pos_map()
-        at = [pos[g] for g in gens_of[P.mask]]
-        maps[P.mask] = {identity_tuple(P), *seed_maps.get(P.mask, ())}
-        keys[P.mask] = {tuple([t[i] for i in at]) for t in maps[P.mask]}
+    maps = {P.mask: {identity_tuple(P), *seed_maps.get(P.mask, ())}
+            for P in objs}
+    gens_of, keys = _generator_keys(objs, maps)
     changed = True
     while changed:
         changed = False
-        for P in objs:
-            pos = P.pos_map()
-            at = [pos[g] for g in gens_of[P.mask]]
-            below = [(Q, [pos[g] for g in gens_of[Q.mask]])
-                     for Q in objs if Q < P]
-            pkeys = keys[P.mask]
-            for t in list(maps[P.mask]):
-                img = host.subgroup(mask_of(t))
-                ikeys = keys[img.mask]
-                inv_key = tuple([P.elems[t.index(h)]
-                                 for h in gens_of[img.mask]])
-                if inv_key not in ikeys:
-                    ikeys.add(inv_key)
-                    maps[img.mask].add(invert_tuple(host, P, t)[1])
-                    changed = True
-                ipos = img.pos_map()
-                on_img = [ipos[t[i]] for i in at]
-                for u in list(maps[img.mask]):
-                    key = tuple([u[i] for i in on_img])
-                    if key not in pkeys:
-                        pkeys.add(key)
-                        maps[P.mask].add(compose_tuples(t, img, u))
-                        changed = True
-                for Q, on_q in below:
-                    key = tuple([t[i] for i in on_q])
-                    if key not in keys[Q.mask]:
-                        keys[Q.mask].add(key)
-                        maps[Q.mask].add(restrict_tuple(P, t, Q))
-                        changed = True
+        for _, target, key, build in _category_gaps(host, objs, maps,
+                                                    gens_of, keys):
+            keys[target].add(key)
+            maps[target].add(build())
+            changed = True
     final = {m: tuple(sorted(ts)) for m, ts in maps.items()}
     return FusionSystem._from_checked_maps(host, p, carrier, final,
                                            name or "generated")

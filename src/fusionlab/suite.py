@@ -308,11 +308,9 @@ class SuiteRunner:
         try:
             for P in F.objects():
                 for t in F.maps(P):
-                    deco = alperin_decompose(F, wrap_tuple(F, P, F.carrier, t))
-                    if deco.recompose() != dict(zip(P.elems, t)):
-                        self.result.add("alperin", name, "roundtrip", "fail",
-                                        f"domain order {P.order}")
-                        return
+                    # the decomposition recomposes to t or raises
+                    # InternalInconsistency, reported as a fail below
+                    alperin_decompose(F, wrap_tuple(F, P, F.carrier, t))
                     count += 1
             self.result.add("alperin", name, "roundtrip", "pass",
                             f"{count} morphisms")

@@ -10,7 +10,7 @@ from collections import namedtuple
 
 from .catalog import catalog_group
 from .errors import HypothesisViolated, InternalInconsistency
-from .fusion import FusionSystem, classify_subgroup, mask_of
+from .fusion import FusionSystem, classify_subgroup, fusion_equal, mask_of
 from .groups import (
     DetailRecord,
     Subgroup,
@@ -71,8 +71,7 @@ def _w_in(S, fam):
 
 def is_trivial_fusion(F):
     """F = F_S(S): every hom-set reduces to carrier-conjugation maps."""
-    inner = FusionSystem.inner(F.carrier, F.p)
-    return all(set(F.maps(P)) == set(inner.maps(P)) for P in F.objects())
+    return fusion_equal(F, FusionSystem.inner(F.carrier, F.p))
 
 
 def verify_theorem_1(F, family=None) -> TheoremReport:

@@ -4,6 +4,7 @@ import pytest
 
 from fusionlab.errors import (
     MorphismNotInF,
+    NotASubgroup,
     NotSylow,
     ObjectOutsideS,
     UnsupportedPrime,
@@ -150,13 +151,56 @@ def test_classify_nonnormal_klein_four_not_essential(cat, systems):
 
 def test_aut_group_table_matches_all_pairs_composition(systems):
     """Aut_F(Q), filled by lookups from a generating subset, against
-    composing every pair of automorphism tuples."""
+    composing every pair of automorphism tuples.  Handed the tuples with
+    the identity last, ``_group_from_maps`` moves it first and keeps the
+    others in the order given."""
     for F in systems.values():
         for Q in F.objects():
             autg, tuples, index = F.aut_group(Q)
             assert tuples[0] == Q.elems and len(index) == autg.order
             assert [autg.mul_row(a) for a in range(autg.order)] == \
                 group_from_maps_brute(Q, tuples)
+            given = tuples[::-1]
+            autg, tuples, index = _group_from_maps(Q, given,
+                                                   name=f"AutF({Q.order})")
+            assert tuples == (Q.elems, *given[:-1]), (F.name, Q.mask)
+            assert index == {t: i for i, t in enumerate(tuples)}
+            assert [autg.mul_row(a) for a in range(autg.order)] == \
+                group_from_maps_brute(Q, tuples), (F.name, Q.mask)
+
+
+def test_maps_of_F_are_wrapped_without_a_homomorphism_check(
+        systems, monkeypatch):
+    """F's maps were checked when F got them: decomposing every map of S4
+    at p = 2, which wraps each map and each automorphism of its
+    decomposition, runs no ``is_hom_tuple``.  A GroupMorphism built from
+    outside is still checked, and a bad one is refused."""
+    from fusionlab import groups
+
+    calls = []
+    real = groups.is_hom_tuple
+
+    def counting(H, P, t):
+        calls.append((P.mask, t))
+        return real(H, P, t)
+
+    monkeypatch.setattr(groups, "is_hom_tuple", counting)
+    F = systems[("S4", 2)]
+    for P in F.objects():
+        for t in F.maps(P):
+            deco = alperin_decompose(F, wrap_tuple(F, P, F.carrier, t))
+            assert deco.recompose() == dict(zip(P.elems, t))
+    assert calls == []
+    S = F.carrier
+    orders = S.parent.elem_orders
+    x = next(x for x in S.elems if orders[x] == 2)
+    y = next(y for y in S.elems if orders[y] == 4)
+    images = dict(zip(S.elems, S.elems))
+    images[x], images[y] = y, x
+    GroupMorphism(S, S, dict(zip(S.elems, S.elems)))
+    with pytest.raises(NotASubgroup):
+        GroupMorphism(S, S, images)
+    assert len(calls) == 2
 
 
 def test_group_from_maps_rejects_a_set_not_closed(cat, systems):

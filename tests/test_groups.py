@@ -14,6 +14,7 @@ from fusionlab.errors import (
 )
 from fusionlab.groups import (
     FiniteGroup,
+    _conjugates,
     _iso_search,
     _normal_subgroups_of_order,
     aut_generators,
@@ -26,8 +27,10 @@ from fusionlab.groups import (
     is_prime,
     mask_of,
     mask_orbit,
+    move_mask,
     o_p,
     o_p_prime,
+    orbit,
     p_part,
     quotient_group,
     regular_generators,
@@ -971,6 +974,31 @@ def test_aut_generators_match_the_listed_oracle(aut_cases):
             for m, alpha in walked:
                 assert alpha in listed, (label, H.mask, m)
                 assert mask_of(alpha[x] for x in H.elems) == m
+
+
+def test_conjugates_are_the_elementwise_conjugates(cat):
+    """``_conjugates`` walks the orbit of a subgroup under conjugation by
+    G's generators.  On one subgroup per class of every catalog group of
+    order <= 48 it equals {gHg^-1 : g in G}, formed element by element;
+    the walk's Schreier tree is breadth-first, and each member is the one
+    it was reached from moved by the permutation stored with it."""
+    for name, G in cat.items():
+        if G.order > 48:
+            continue
+        on_g = [tuple(G.conj(g, x) for x in range(G.order))
+                for g in G.full_subgroup.generators()]
+        for H in subgroup_class_reps(G, G.subgroups()):
+            want = {mask_of(G.conj(g, x) for x in H.elems)
+                    for g in range(G.order)}
+            assert _conjugates(G, H.mask) == want, (name, H.mask)
+            tree = orbit(H.mask, on_g, move_mask)
+            assert set(tree) == want and tree[H.mask] is None
+            depth = {H.mask: 0}
+            for m, step in list(tree.items())[1:]:
+                prev, a = step
+                assert move_mask(a, prev) == m, (name, H.mask, m)
+                depth[m] = depth[prev] + 1
+            assert list(depth.values()) == sorted(depth.values())
 
 
 @pytest.mark.parametrize("n", range(1, 7))

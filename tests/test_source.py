@@ -53,6 +53,29 @@ def test_no_aut_enumeration_in_package():
     assert found == []
 
 
+def test_each_walk_has_one_kernel_in_package():
+    """Orbits are walked by ``groups.orbit`` alone, so the point-orbit,
+    system-orbit and mask-move copies do not come back.  The category
+    axioms and ``category_closure`` share ``fusion._category_gaps``, and
+    both group builders fill their tables with ``table_along_tree``."""
+    banned = {"_point_orbit", "_orbit", "_move_mask"}
+    found = []
+    for name, node in _nodes(ast.AST):
+        for field in ("id", "attr", "name"):
+            if getattr(node, field, None) in banned:
+                found.append(f"{name}:{node.lineno}:{getattr(node, field)}")
+    assert found == []
+    callers = {"_category_gaps": {"_verify", "category_closure"},
+               "table_along_tree": {"_group_from_perms", "_group_from_maps"}}
+    calls = {used: set() for used in callers}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for used, func, _ in _uses(tree, callers):
+            if func is not None:
+                calls[used].add(func)
+    assert calls == callers
+
+
 def test_a_system_is_realized_or_explicit_in_package():
     """A system has an ambient (realized) or stored hom-sets (explicit),
     never both, and an F-class is read off one hom-set.  The flag of a
