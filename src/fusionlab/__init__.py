@@ -26,8 +26,9 @@ from .groups import (
     build_group,
     is_involved,
     is_isomorphic,
+    o_p,
+    o_p_prime,
     quotient_group,
-    standard_subgroup,
     sylow,
 )
 from .pgroups import ThompsonData, is_characteristic, thompson_data

@@ -31,8 +31,8 @@ from .fusion import (
     verify_axioms,
 )
 from .groupfile import eval_subgroup_spec, parse_group_file, perm_to_cycles
-from .groups import is_prime, standard_subgroup, sylow
-from .hfree import is_fusion_H_free, is_group_H_free, qd_group
+from .groups import is_prime, o_p, sylow
+from .hfree import is_fusion_H_free, is_group_H_free
 from .pgroups import thompson_data
 from .stellmacher import (
     canonical_family,
@@ -62,12 +62,17 @@ def _load_group(spec, cap):
     refused above the order cap before anything is printed."""
     if os.path.exists(spec):
         return parse_group_file(spec, cap=cap)
-    if spec in CATALOG_NAMES:
-        if EXPECTED_ORDERS[spec] > cap:
-            raise OrderCapExceeded(f"catalog group {spec} has order "
-                                   f"{EXPECTED_ORDERS[spec]} above cap {cap}")
-        return catalog_group(spec)
-    raise ParseError(f"no such file or catalog group: {spec}")
+    return _catalog_group(spec, cap)
+
+
+def _catalog_group(name, cap):
+    """A catalog group, refused above the order cap."""
+    if name not in CATALOG_NAMES:
+        raise ParseError(f"no such file or catalog group: {name}")
+    if EXPECTED_ORDERS[name] > cap:
+        raise OrderCapExceeded(f"catalog group {name} has order "
+                               f"{EXPECTED_ORDERS[name]} above cap {cap}")
+    return catalog_group(name)
 
 
 def _subgroup_desc(sub):
@@ -80,13 +85,13 @@ def cmd_analyze(args):
     print(f"group {G.name}: order {G.order}, "
           f"{'abelian' if G.is_abelian() else 'nonabelian'}")
     print(f"  center: order {G.full_subgroup.center().order}")
-    print(f"  derived: order {standard_subgroup(G, 'derived').order}")
+    print(f"  derived: order {G.full_subgroup.derived().order}")
     for p in (2, 3, 5, 7, 11, 13):
         if G.order % p == 0:
             S = sylow(G, p)
-            op = standard_subgroup(G, "O_p", p=p)
+            op = o_p(G, p)
             print(f"  p={p}: Sylow order {S.order}, O_p order {op.order}")
-    print(f"  subgroups: {len(G.subgroups(cap=args.order_cap))}")
+    print(f"  subgroups: {len(G.subgroups())}")
     return EXIT_OK
 
 
@@ -159,23 +164,22 @@ def cmd_subsystem(args):
 
 
 def _resolve_h(spec, cap):
-    if spec == "sigma4":
-        return catalog_group("S4")
-    if spec == "qd3":
-        return qd_group(3)
-    return _load_group(spec, cap)
+    """sigma4 or qd3 (the catalog's S4 and Qd(3)), or what ``_load_group``
+    reads; each is refused above the order cap."""
+    name = {"sigma4": "S4", "qd3": "Qd(3)"}.get(spec)
+    return _load_group(spec, cap) if name is None else _catalog_group(name, cap)
 
 
 def cmd_hfree(args):
     G = _load_group(args.group, args.order_cap)
     H = _resolve_h(args.h, args.order_cap)
-    group_rep = is_group_H_free(G, H, cap=args.order_cap)
+    group_rep = is_group_H_free(G, H)
     print(f"group {G.name} is {H.name}-free: {group_rep.free}")
     if not group_rep.free:
         B, A = group_rep.witness
         print(f"  witness section: |B|={B.order}, |A|={A.order}")
     F = realize_fusion(G, args.p)
-    rep = is_fusion_H_free(F, H, cap=args.order_cap)
+    rep = is_fusion_H_free(F, H)
     print(f"fusion system at p={args.p} is {H.name}-free: {rep.free}")
     if not rep.free:
         Q, L, (B, A) = rep.witness

@@ -12,7 +12,7 @@ class NonAssociative(FusionlabError):
 
 
 class OrderCapExceeded(FusionlabError):
-    """A group or search exceeded the configured order cap."""
+    """A group exceeded the configured order cap where it entered."""
 
 
 class InvalidPermutation(FusionlabError):

@@ -202,14 +202,14 @@ class FusionSystem:
         return view
 
     @classmethod
-    def realized(cls, G, p, S, name=None):
-        return cls.conjugation(G, p, S, G.full_subgroup, name=name)
+    def realized(cls, G, p, S):
+        return cls.conjugation(G, p, S, G.full_subgroup)
 
     @classmethod
-    def inner(cls, S, p, name=None):
+    def inner(cls, S, p):
         """F_S(S): conjugation by S only."""
         return cls.conjugation(S.parent, p, S, S,
-                               name=name or f"F_S(S)|{S.parent.name}")
+                               name=f"F_S(S)|{S.parent.name}")
 
     @classmethod
     def explicit_system(cls, host, p, carrier, maps_by_domain, name=None):
@@ -401,7 +401,7 @@ def _group_from_maps(Q, tuples, name):
 # -- public operations -------------------------------------------------------
 
 
-def realize_fusion(G, p, S=None, name=None):
+def realize_fusion(G, p, S=None):
     """F_S(G) for S a Sylow p-subgroup of G (found canonically if omitted)."""
     canonical = sylow(G, p)
     if S is None:
@@ -409,7 +409,7 @@ def realize_fusion(G, p, S=None, name=None):
     elif S.order != canonical.order:
         raise NotSylow(f"designated subgroup of order {S.order} does not "
                        f"have the full {p}-part {canonical.order}")
-    return FusionSystem.realized(G, p, S, name=name)
+    return FusionSystem.realized(G, p, S)
 
 
 def hom_set(F, P, R):
@@ -441,11 +441,9 @@ def morphism_tuple(F, phi: GroupMorphism):
     return t
 
 
-def n_phi(F, phi):
+def n_phi(F, phi: GroupMorphism):
     """The extension-control subgroup N_phi for a morphism phi: Q -> S."""
-    P = phi.domain if isinstance(phi, GroupMorphism) else phi[0]
-    t = morphism_tuple(F, phi) if isinstance(phi, GroupMorphism) else phi[1]
-    return _n_phi_tuple(F, P, t)
+    return _n_phi_tuple(F, phi.domain, morphism_tuple(F, phi))
 
 
 def _n_phi_tuple(F, P, t):
@@ -569,14 +567,18 @@ def essential_subgroups(F):
     return F._memo.essentials
 
 
+def centric_objects(F):
+    """F's centric objects, in canonical order: the essential subgroups
+    and the model range lie among them."""
+    return [Q for Q in F.objects() if F.is_centric(Q)]
+
+
 def _essential_subgroups(F):
-    """Every essential subgroup is centric, so an object without a profile
-    yet is classified only when it is centric."""
+    """Every essential subgroup is centric, so only the centric objects
+    are classified."""
     ess = []
     ess_fn = []
-    for Q in F.objects():
-        if Q.mask not in F._memo.profiles and not F.is_centric(Q):
-            continue
+    for Q in centric_objects(F):
         prof = classify_subgroup(F, Q)
         if prof.essential:
             ess.append(Q)

@@ -4,6 +4,12 @@ Groups are immutable objects indexed 0..order-1 with element 0 the identity.
 Subgroups are bit-vectors (Python ints) over the parent's element indices,
 so subset tests, intersections and deduplication stay cheap at desk scale
 (orders up to the configured cap, default 1000).
+
+The order cap is checked only where a group enters: ``build_group`` (so
+the group-file parser), the CLI's loaders and ``suite.RunConfig``.  A
+subgroup's copy or a quotient is no larger than its parent, and Aut_F(Q)
+has one element per map F holds, so no search checks it again.  A
+``FiniteGroup(...)`` built directly is the caller's to size.
 """
 
 from collections import namedtuple
@@ -14,7 +20,6 @@ from .errors import (
     InternalInconsistency,
     InvalidPermutation,
     NonAssociative,
-    NotAPGroup,
     NotASubgroup,
     NotNormal,
     OrderCapExceeded,
@@ -78,16 +83,13 @@ class FiniteGroup:
     """
 
     def __init__(self, mul_row, name="G", perm_rep=None, gen_indices=None,
-                 perm_elements=None, validate=True):
+                 validate=True):
         self._mul = [list(row) for row in mul_row]
         self.order = len(self._mul)
         self.name = name
-        # perm_rep: the generator permutations; perm_elements: every element
-        # as a permutation, aligned with the group indexing (when known)
+        # perm_rep: the generator permutations, at gen_indices (when known)
         self.perm_rep = None if perm_rep is None else [tuple(p) for p in perm_rep]
         self.gen_indices = None if gen_indices is None else tuple(gen_indices)
-        self.perm_elements = (None if perm_elements is None
-                              else [tuple(p) for p in perm_elements])
         if validate:
             self._validate_table()
         # a row without the identity (unvalidated) gets 0, and the order
@@ -301,11 +303,8 @@ class FiniteGroup:
         # the flags, read as a binary numeral with element 0 last
         return int(member.translate(_BINARY_DIGITS)[::-1], 2)
 
-    def subgroups(self, cap=DEFAULT_ORDER_CAP):
+    def subgroups(self):
         """All subgroups, canonically ordered (size, then bit-vector)."""
-        if self.order > cap:
-            raise OrderCapExceeded(
-                f"group order {self.order} exceeds lattice cap {cap}")
         return self.full_subgroup.subgroups_within()
 
 
@@ -384,10 +383,6 @@ class Subgroup:
     def __repr__(self):
         return f"Subgroup(order={self.order}, of={self.parent.name})"
 
-    def key(self):
-        """Canonical sort key: size, then bit-vector."""
-        return (self.order, self.mask)
-
     def generators(self):
         """A small generating sequence, a function of the mask alone: walk
         the sorted elements and keep each one outside the subgroup the
@@ -416,9 +411,6 @@ class Subgroup:
         gi = G.inv[g]
         row = mul[g]
         return mask_of(mul[row[x]][gi] for x in self._elems)
-
-    def conjugate(self, g):
-        return self.parent.subgroup(self.conjugate_mask(g))
 
     def _normalizing_mask(self, xs):
         """Mask of the x in xs with x self x^-1 = self.  Testing the
@@ -469,6 +461,16 @@ class Subgroup:
         if self._center is None:
             self._center = self.centralizer_in(self)
         return self._center
+
+    def derived(self):
+        """[self, self]: the normal closure in self of the commutators of
+        self's generators, since modulo that closure the generators
+        commute."""
+        G = self.parent
+        gens = self.generators()
+        comms = sorted({G.commutator(a, b) for a in gens for b in gens})
+        mask = G.closure_mask(comms, 1)
+        return G.subgroup(_grow_normal(G, gens, comms, mask, list(comms)))
 
     def join(self, other):
         """Subgroup generated by self and other: the larger one when one
@@ -562,7 +564,8 @@ class GroupMorphism(namedtuple("GroupMorphism", "domain codomain images")):
     ``images`` maps each domain member (parent index of the domain's group)
     to a codomain member (parent index of the codomain's group).
     ``GroupMorphism(...)`` validates the map as an injective homomorphism;
-    ``_make`` skips that, for maps known to be ones (``fusion.wrap_tuple``).
+    ``_make`` skips that, for maps known to be ones: ``fusion.wrap_tuple``
+    (F's own maps) and ``_find_isomorphism`` (the backtrack's map).
     """
 
     __slots__ = ()
@@ -585,9 +588,6 @@ class GroupMorphism(namedtuple("GroupMorphism", "domain codomain images")):
 
     def image_mask(self):
         return mask_of(self.images.values())
-
-    def image(self):
-        return self.codomain.parent.subgroup(self.image_mask())
 
     def as_tuple(self):
         """Images aligned with the sorted domain elements."""
@@ -612,7 +612,8 @@ def compose_perms(a, b):
 
 
 def build_group(spec, name="G", cap=DEFAULT_ORDER_CAP, kind="auto"):
-    """Build a validated FiniteGroup.
+    """Build a validated FiniteGroup, refused with OrderCapExceeded above
+    ``cap`` elements.
 
     ``spec`` is either a list of permutations (tuples of 0-based images, all
     on the same number of points <= 64) closed breadth-first in input order,
@@ -668,8 +669,7 @@ def _group_from_perms(perms, name, cap):
             col.append(j)
     gen_indices = tuple(index[g] for g in gens)
     return FiniteGroup(table_along_tree(gen_indices, times, steps),
-                       name=name, perm_rep=gens,
-                       gen_indices=gen_indices, perm_elements=elements)
+                       name=name, perm_rep=gens, gen_indices=gen_indices)
 
 
 def table_along_tree(gen_indices, times, steps):
@@ -845,11 +845,9 @@ def subgroup_class_reps(G, subgroups):
 # -- standard subgroups ----------------------------------------------------
 
 
-def sylow(G, p, cap=DEFAULT_ORDER_CAP):
+def sylow(G, p):
     """The canonical Sylow p-subgroup (least bit-vector among conjugates),
     computed once per group and prime."""
-    if G.order > cap:
-        raise OrderCapExceeded(f"order {G.order} exceeds cap {cap}")
     got = G._sylow.get(p)
     if got is None:
         if not is_prime(p):
@@ -882,38 +880,6 @@ def omega_mask(G, sub_mask, p):
     """<x : x^p = 1> inside the given subgroup mask."""
     gens = [x for x in bits(sub_mask) if G.elem_orders[x] == p]
     return G.closure_mask(gens, 1)
-
-
-def standard_subgroup(G, kind, q=None, within=None, p=None):
-    """Named subgroups: center, centralizer/normalizer of q, derived,
-    O_p, O_p', omega1 (all computed inside ``within``, default G)."""
-    W = within if within is not None else G.full_subgroup
-    if q is not None and not q <= W:
-        raise NotASubgroup("q is not contained in the ambient subgroup")
-    if kind == "center":
-        return W.center()
-    if kind == "centralizer":
-        return q.centralizer_in(W)
-    if kind == "normalizer":
-        return q.normalizer_in(W)
-    if kind == "derived":
-        # [W, W] is the normal closure in W of the commutators of W's
-        # generators: modulo that closure the generators commute
-        wgens = W.generators()
-        comms = sorted({G.commutator(a, b) for a in wgens for b in wgens})
-        mask = G.closure_mask(comms, 1)
-        return G.subgroup(_grow_normal(G, wgens, comms, mask, list(comms)))
-    if kind == "O_p":
-        return o_p(G, p, within=W)
-    if kind == "O_p'":
-        return o_p_prime(G, p, within=W)
-    if kind == "omega1":
-        target = W if q is None else q
-        if p_part(target.order, p) != target.order:
-            raise NotAPGroup(f"omega1 target of order {target.order} is "
-                             f"not a {p}-group")
-        return G.subgroup(omega_mask(G, target.mask, p))
-    raise ValueError(f"unknown standard subgroup kind {kind!r}")
 
 
 def _grow_normal(G, wgens, gens, mask, todo, keep=lambda n: True):
@@ -1116,7 +1082,7 @@ def _order_histogram(G):
 
 def _iso_invariants(G):
     center = G.full_subgroup.center().order
-    derived = standard_subgroup(G, "derived").order
+    derived = G.full_subgroup.derived().order
     return (G.order, tuple(sorted(_order_histogram(G).items())), center, derived)
 
 
@@ -1191,14 +1157,12 @@ def _iso_search(G, H, find_all=False, prefix=()):
     return results[0] if results else None
 
 
-def is_isomorphic(G, H, cap=DEFAULT_ORDER_CAP):
+def is_isomorphic(G, H):
     """(bool, witness GroupMorphism or None).  Groups that differ in
     order, element-order counts, centre or derived subgroup are told apart
     at once; otherwise the witness is the first map ``_iso_search`` finds,
     the least tuple of generator images that extends to an isomorphism.
     The answer is computed once per (G, H) and kept on G."""
-    if G.order > cap or H.order > cap:
-        raise OrderCapExceeded("isomorphism test beyond order cap")
     got = G._isomorphic.get(H)
     if got is None:
         got = G._isomorphic[H] = _find_isomorphism(G, H)
@@ -1211,8 +1175,9 @@ def _find_isomorphism(G, H):
     images = _iso_search(G, H)
     if images is None:
         return False, None
-    witness = GroupMorphism(G.full_subgroup, H.full_subgroup,
-                            dict(enumerate(images)))
+    # an injective homomorphism by construction (see _iso_search)
+    witness = GroupMorphism._make((G.full_subgroup, H.full_subgroup,
+                                   dict(enumerate(images))))
     return True, witness
 
 
@@ -1293,28 +1258,25 @@ def mask_orbit(gens, mask, n):
     return list(alpha.items())
 
 
-def is_involved(H, G, cap=DEFAULT_ORDER_CAP):
+def is_involved(H, G):
     """Is H isomorphic to a section B/A of G?  Returns (bool, witness).
 
     The witness is a (B, A) Subgroup pair with B/A isomorphic to H.  The
     answer is computed once per (H, G) and kept on G.
     """
-    if G.order > cap or H.order > cap:
-        raise OrderCapExceeded("involvement test beyond order cap")
     got = G._involved.get(H)
     if got is None:
-        # the cap is checked above, so it cannot change the answer
-        got = G._involved[H] = _find_section(H, G, cap)
+        got = G._involved[H] = _find_section(H, G)
     return got
 
 
-def _find_section(H, G, cap):
+def _find_section(H, G):
     h = H.order
     if G.order % h != 0:
         return False, None
     if h == G.order:
         # the only section of that order is G/1, the lattice loop's answer
-        if not is_isomorphic(G, H, cap=cap)[0]:
+        if not is_isomorphic(G, H)[0]:
             return False, None
         return True, (G.full_subgroup, G.trivial_subgroup)
     h_hist = tuple(sorted(_order_histogram(H).items()))
@@ -1329,7 +1291,7 @@ def _find_section(H, G, cap):
                  if h % p == 0 and is_prime(p)),
                 key=lambda p: p_part(h, p))
         q = p_part(h, r)
-        P = sylow(G, r, cap=cap)
+        P = sylow(G, r)
         seeds = [P] if q == P.order else subgroup_class_reps(
             G, [R for R in P.subgroups_within() if R.order == q])
     # conjugate sections have isomorphic quotients: try the least member of
@@ -1348,7 +1310,7 @@ def _find_section(H, G, cap):
             Q, _ = quotient_group(G, A, within=B)
             if tuple(sorted(_order_histogram(Q).items())) != h_hist:
                 continue
-            ok, _ = is_isomorphic(Q, H, cap=cap)
+            ok, _ = is_isomorphic(Q, H)
             if ok:
                 return True, (B, A)
     return False, None

@@ -8,15 +8,14 @@ conjunctive).  Witnesses are always materialized so failures are auditable.
 
 from collections import namedtuple
 
-from .catalog import catalog_group, qd2_group
+from .catalog import catalog_group
 from .errors import (
     HypothesisViolated,
     InternalInconsistency,
     UnsupportedPrime,
 )
-from .fusion import classify_subgroup
+from .fusion import centric_objects, classify_subgroup
 from .groups import (
-    DEFAULT_ORDER_CAP,
     FiniteGroup,
     is_involved,
     o_p,
@@ -28,12 +27,13 @@ from .subsystems import model_group
 
 
 def qd_group(p) -> FiniteGroup:
-    """Qd(p) = (Z_p x Z_p) : SL(2,p) as affine maps of the p^2 vectors: the
-    catalog's Qd(3), or Qd(2)."""
+    """Qd(p) = (Z_p x Z_p) : SL(2,p): the catalog's Qd(3), or its S4 for
+    Qd(2) (``catalog.validate_catalog`` checks that the affine Qd(2) is
+    isomorphic to it)."""
     if p == 3:
         return catalog_group("Qd(3)")
     if p == 2:
-        return qd2_group()
+        return catalog_group("S4")
     raise UnsupportedPrime(f"Qd({p}) is beyond desk scale")
 
 
@@ -48,30 +48,24 @@ class HFreeReport(namedtuple("HFreeReport", "target H free witness",
         return self.free
 
 
-def is_group_H_free(G, H, cap=DEFAULT_ORDER_CAP) -> HFreeReport:
-    involved, section = is_involved(H, G, cap=cap)
+def is_group_H_free(G, H) -> HFreeReport:
+    involved, section = is_involved(H, G)
     return HFreeReport(target=G.name, H=H, free=not involved, witness=section)
 
 
 def centric_radical_fn_subgroups(F):
-    """The model range: centric AND radical AND fully normalized.  Only
-    the objects that pass the two cheap tests are classified: building
+    """The model range: the centric objects that are fully normalized and
+    radical.  Only those that pass the cheap test are classified: building
     Out_F(Q) is needed for radicality alone."""
-    out = []
-    for Q in F.objects():
-        if not (F.is_fully_normalized(Q) and F.is_centric(Q)):
-            continue
-        prof = classify_subgroup(F, Q)
-        if prof.centric and prof.radical and prof.fully_normalized:
-            out.append(Q)
-    return out
+    return [Q for Q in centric_objects(F)
+            if F.is_fully_normalized(Q) and classify_subgroup(F, Q).radical]
 
 
-def is_fusion_H_free(F, H, cap=DEFAULT_ORDER_CAP) -> HFreeReport:
+def is_fusion_H_free(F, H) -> HFreeReport:
     """H-freeness through the models L_Q, never through the ambient group."""
     for Q in centric_radical_fn_subgroups(F):
         model = model_group(F, Q)
-        involved, section = is_involved(H, model.L, cap=cap)
+        involved, section = is_involved(H, model.L)
         if involved:
             return HFreeReport(target=F.name, H=H, free=False,
                                witness=(Q, model.L, section))
@@ -81,23 +75,23 @@ def is_fusion_H_free(F, H, cap=DEFAULT_ORDER_CAP) -> HFreeReport:
 # -- appendix cross-checks ----------------------------------------------------
 
 
-def sigma3_involvement_check(G, cap=DEFAULT_ORDER_CAP):
+def sigma3_involvement_check(G):
     """(S4 involved in G, exists 2-subgroup Q with S3 involved in N/C).
 
     The two answers must agree; disagreement raises InternalInconsistency.
     """
     s4 = catalog_group("S4")
     s3 = catalog_group("S3")
-    a, _ = is_involved(s4, G, cap=cap)
+    a, _ = is_involved(s4, G)
     b = False
     # every 2-subgroup is conjugate into the Sylow 2-subgroup
-    two_subgroups = [H for H in sylow(G, 2, cap=cap).subgroups_within()
+    two_subgroups = [H for H in sylow(G, 2).subgroups_within()
                      if H.order > 1]
     for Q in subgroup_class_reps(G, two_subgroups):
         N = Q.normalizer_in(G.full_subgroup)
         C = Q.centralizer_in(N)
         NC, _ = quotient_group(G, C, within=N)
-        involved, _ = is_involved(s3, NC, cap=cap)
+        involved, _ = is_involved(s3, NC)
         if involved:
             b = True
             break
@@ -108,7 +102,7 @@ def sigma3_involvement_check(G, cap=DEFAULT_ORDER_CAP):
     return a, b
 
 
-def remark67_check(G, cap=DEFAULT_ORDER_CAP):
+def remark67_check(G):
     """(G is S4-free, G/O_2(G) is S3-free); requires C_G(O_2(G)) <= O_2(G).
 
     The two answers must agree; disagreement raises InternalInconsistency.
@@ -120,9 +114,9 @@ def remark67_check(G, cap=DEFAULT_ORDER_CAP):
     if not C <= O2:
         raise HypothesisViolated(
             f"{G.name}: C_G(O_2(G)) is not contained in O_2(G)")
-    a = not is_involved(s4, G, cap=cap)[0]
+    a = not is_involved(s4, G)[0]
     Gbar, _ = quotient_group(G, O2, name=f"{G.name}/O2")
-    b = not is_involved(s3, Gbar, cap=cap)[0]
+    b = not is_involved(s3, Gbar)[0]
     if a != b:
         raise InternalInconsistency(
             f"S4-freeness of {G.name} ({a}) disagrees with S3-freeness of "

@@ -66,16 +66,14 @@ def _thompson_data(S):
 
 def is_characteristic(W: Subgroup, S: Subgroup) -> bool:
     """alpha(W) = W for every alpha in Aut(S): invariance under each
-    generator of ``aut_generators`` is enough.  S is read on its parent's
-    table when it is the whole parent, on its standalone copy otherwise."""
+    generator of ``aut_generators`` is enough.  S is read on its standalone
+    copy; for the whole parent, that is the one group with the parent's
+    Cayley table."""
     if not W <= S:
         raise NotAPGroup("W must be a subgroup of S")
-    if S.mask == S.parent.full_mask:
-        group, local = S.parent, W.mask
-    else:
-        group, _ = S.as_group()
-        pos = S.pos_map()
-        local = mask_of(pos[x] for x in W.elems)
+    group, _ = S.as_group()
+    pos = S.pos_map()
+    local = mask_of(pos[x] for x in W.elems)
     wbits = list(bits(local))
     gens, _ = aut_generators(group)
     return all(mask_of(a[b] for b in wbits) == local for a in gens)

@@ -22,7 +22,7 @@ from .fusion import (
     verify_axioms,
     wrap_tuple,
 )
-from .groups import DEFAULT_ORDER_CAP, standard_subgroup, sylow
+from .groups import DEFAULT_ORDER_CAP, o_p, sylow
 from .hfree import (
     centric_radical_fn_subgroups,
     is_fusion_H_free,
@@ -198,7 +198,7 @@ class SuiteRunner:
     def _run_goldens(self):
         res = self.result
         F = realize_fusion(catalog_group("S4"), 2)
-        v4n = standard_subgroup(catalog_group("S4"), "O_p", p=2)
+        v4n = o_p(catalog_group("S4"), 2)
         ess, _ = essential_subgroups(F)
         ok = len(ess) == 1 and ess[0].mask == v4n.mask
         res.add("essentials", "S4@p=2", "essentials=={V4n}",

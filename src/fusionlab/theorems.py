@@ -8,7 +8,6 @@ doubles as a regression oracle for every lower module.
 
 from collections import namedtuple
 
-from .catalog import catalog_group
 from .errors import HypothesisViolated, InternalInconsistency
 from .fusion import FusionSystem, classify_subgroup, fusion_equal, mask_of
 from .groups import (
@@ -78,15 +77,20 @@ def verify_theorem_1(F, family=None) -> TheoremReport:
     """S4-free systems at p = 2 normalize the characteristic subgroup W(S)."""
     if F.p != 2:
         raise HypothesisViolated("this statement is specific to p = 2")
-    s4 = catalog_group("S4")
-    hyp = is_fusion_H_free(F, s4).free
+    return _normality_report("T1.1", F, family)
+
+
+def _normality_report(theorem_id, F, family):
+    """Is F Qd(p)-free (S4-free at p = 2), and is W(S) normal in F?  At
+    p = 2, a free F also has its model route checked."""
+    hyp = is_fusion_H_free(F, qd_group(F.p)).free
     W, wc = _w_in(F.carrier, _family_for(F, family))
     conc, counter = is_normal_in_F(F, W)
     detail = {"W_order": W.order, "chain_length": len(wc.chain) - 1,
               "counterexample": counter}
-    if hyp:
+    if hyp and F.p == 2:
         detail["proof_route"] = _constrained_route(F, W)
-    return TheoremReport(theorem_id="T1.1", instance=F.name,
+    return TheoremReport(theorem_id=theorem_id, instance=F.name,
                          hypotheses_hold=hyp, conclusion_holds=conc,
                          detail=detail)
 
@@ -102,7 +106,7 @@ def _constrained_route(F, W):
     model = model_group(F, Q)
     SL = model.proj.push_subgroup(F.carrier)
     WL = model.proj.push_subgroup(W)
-    FL = FusionSystem.realized(model.L, F.p, SL, name=f"F({model.L.name})")
+    FL = FusionSystem.realized(model.L, F.p, SL)
     ok, _ = is_normal_in_F(FL, WL)
     if not ok:
         raise InternalInconsistency(
@@ -111,22 +115,12 @@ def _constrained_route(F, W):
 
 
 def verify_theorem_2(F, family=None) -> TheoremReport:
-    """Qd(p)-free systems normalize W(S); at p = 2 this delegates to the
-    S4 statement (Qd(2) is the symmetric group on 4 letters)."""
+    """Qd(p)-free systems normalize W(S); at p = 2 this is the S4
+    statement (Qd(2) is the symmetric group on 4 letters)."""
+    report = _normality_report("T1.2", F, family)
     if F.p == 2:
-        base = verify_theorem_1(F, family)
-        return TheoremReport(theorem_id="T1.2", instance=base.instance,
-                             hypotheses_hold=base.hypotheses_hold,
-                             conclusion_holds=base.conclusion_holds,
-                             detail=dict(base.detail, delegated="T1.1"))
-    hyp = is_fusion_H_free(F, qd_group(F.p)).free
-    W, wc = _w_in(F.carrier, _family_for(F, family))
-    conc, counter = is_normal_in_F(F, W)
-    return TheoremReport(theorem_id="T1.2", instance=F.name,
-                         hypotheses_hold=hyp, conclusion_holds=conc,
-                         detail={"W_order": W.order,
-                                 "chain_length": len(wc.chain) - 1,
-                                 "counterexample": counter})
+        report.detail["delegated"] = "T1.1"
+    return report
 
 
 def verify_theorem_3(F, family=None) -> TheoremReport:

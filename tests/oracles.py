@@ -292,13 +292,13 @@ def assert_kernels_match_oracles(G):
     on generators, against the element-wise references: on every pair of
     subgroups up to order 24, and on every pair of conjugacy-class
     representatives above."""
-    from fusionlab.groups import standard_subgroup, subgroup_class_reps
+    from fusionlab.groups import subgroup_class_reps
 
     subs = G.subgroups()
     if G.order > 24:
         subs = subgroup_class_reps(G, subs)
     for H in subs:
-        derived = standard_subgroup(G, "derived", within=H)
+        derived = H.derived()
         assert set(derived.elems) == derived_brute(G, H.elems)
         for K in subs:
             assert set(H.normalizer_in(K).elems) == normalizer_brute(H, K)

@@ -21,7 +21,7 @@ from fusionlab.fusion import (
     verify_axioms,
     wrap_tuple,
 )
-from fusionlab.groups import standard_subgroup, sylow
+from fusionlab.groups import o_p, sylow
 from fusionlab.hfree import (
     is_fusion_H_free,
     remark67_check,
@@ -116,7 +116,7 @@ def test_criterion_04_essential_golden_values(cat, systems):
     t0 = time.monotonic()
     s4 = cat["S4"]
     F = systems[("S4", 2)]
-    v4n = standard_subgroup(s4, "O_p", p=2)
+    v4n = o_p(s4, 2)
     ess, _ = essential_subgroups(F)
     assert [E.mask for E in ess] == [v4n.mask]
     ess2, _ = essential_subgroups(systems[("SL(2,3)", 2)])

@@ -185,11 +185,14 @@ def test_cli_analyze_rejects_a_table_that_is_not_associative(tmp_path,
 
 def test_cli_cap_exceeded_exit_code(capsys):
     """A catalog name above the cap is refused before any output, as a
-    group file above it is."""
-    assert main(["--order-cap", "10", "analyze", "S4"]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("cap exceeded:")
+    group file above it is; so is a built-in H of ``hfree``."""
+    for argv in (["--order-cap", "10", "analyze", "S4"],
+                 ["--order-cap", "100", "hfree", "S4", "2", "--h", "qd3"],
+                 ["--order-cap", "20", "hfree", "C4", "2", "--h", "sigma4"]):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cap exceeded:")
 
 
 C3_TABLE = """\

@@ -11,7 +11,7 @@ from fusionlab.fusion import realize_fusion, verify_axioms
 from fusionlab.groups import (
     build_group,
     group_from_function,
-    standard_subgroup,
+    o_p,
     sylow,
 )
 from fusionlab.suite import RunConfig, run_suite
@@ -163,7 +163,7 @@ def test_m16_fusion_is_trivial():
     g = m16()
     F = realize_fusion(g, 2)
     assert is_trivial_fusion(F)          # the Sylow subgroup is the group
-    assert standard_subgroup(g, "O_p", p=2).order == 16
+    assert o_p(g, 2).order == 16
 
 
 def test_central_product_pipeline():

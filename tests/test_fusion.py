@@ -27,7 +27,7 @@ from fusionlab.groups import (
     GroupMorphism,
     is_hom_tuple,
     mask_of,
-    standard_subgroup,
+    o_p,
     sylow,
 )
 from fusionlab.subsystems import category_closure
@@ -49,7 +49,7 @@ from oracles import (
 
 
 def v4n_of(cat):
-    return standard_subgroup(cat["S4"], "O_p", p=2)
+    return o_p(cat["S4"], 2)
 
 
 def center_of_d8(F):
@@ -388,7 +388,7 @@ def spliced_d8(cat):
 def non_sylow_s4(cat):
     """Conjugation by all of S4 on the carrier V4n, which is not Sylow."""
     s4 = cat["S4"]
-    v4n = standard_subgroup(s4, "O_p", p=2)
+    v4n = o_p(s4, 2)
     return FusionSystem(s4, 2, v4n, ambient=s4.full_subgroup,
                         name="non-sylow")
 

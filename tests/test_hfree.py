@@ -2,7 +2,8 @@ import pytest
 
 from fusionlab.errors import HypothesisViolated, UnsupportedPrime
 from fusionlab.fusion import FusionSystem
-from fusionlab.groups import is_isomorphic, standard_subgroup
+from fusionlab.catalog import qd2_group
+from fusionlab.groups import is_isomorphic, o_p
 from fusionlab.hfree import (
     centric_radical_fn_subgroups,
     is_fusion_H_free,
@@ -22,16 +23,17 @@ from oracles import subgroup_of
 
 
 def test_qd2_is_s4(cat):
-    qd2 = qd_group(2)
-    assert qd2.order == 24
-    ok, _ = is_isomorphic(qd2, cat["S4"])
+    assert qd_group(2) is cat["S4"]
+    affine = qd2_group()
+    assert affine.order == 24
+    ok, _ = is_isomorphic(affine, cat["S4"])
     assert ok
 
 
 def test_qd3_order_and_translation_core(cat):
     qd3 = qd_group(3)
     assert qd3.order == 216
-    assert standard_subgroup(qd3, "O_p", p=3).order == 9
+    assert o_p(qd3, 3).order == 9
 
 
 def test_qd_unsupported_prime():
@@ -148,7 +150,7 @@ def test_catalog_groups_are_solvable(cat):
             if current.order == 1:
                 break
             local, embed = current.as_group()
-            der = standard_subgroup(local, "derived")
+            der = local.full_subgroup.derived()
             if der.order == current.order:
                 pytest.fail(f"{name} has a perfect subgroup: not solvable")
             current = subgroup_of(g, (embed[e] for e in der.elems))

@@ -87,9 +87,8 @@ def test_built_groups_satisfy_axioms(gens):
 @given(group_specs)
 def test_perm_table_matches_all_pairs_composition(gens):
     g = build_group([list(p) for p in gens], kind="perms", cap=200)
-    table, elements, gen_indices = perm_table_brute(gens)
+    table, _, gen_indices = perm_table_brute(gens)
     assert [g.mul_row(a) for a in range(g.order)] == table
-    assert g.perm_elements == elements
     assert g.gen_indices == gen_indices
 
 

@@ -157,6 +157,48 @@ def test_searches_filters_and_quotients_are_computed_only_through_their_memos():
     assert found == []
 
 
+def _functions(node, prefix=""):
+    """(qualified name, node) of each function defined under ``node``,
+    a method qualified by its class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from _functions(child, f"{prefix}{child.name}.")
+
+
+def test_order_cap_is_checked_where_groups_enter():
+    """The order cap is checked where a group enters the package: the
+    group builders, the group-file parser, the CLI's loaders and
+    ``RunConfig``.  A group derived from those is no larger than its
+    parent, so no search takes a cap.  ``standard_subgroup`` (its callers
+    use the kernels) and ``perm_elements`` do not come back."""
+    entries = {
+        "groups.py:build_group", "groups.py:_group_from_perms",
+        "groups.py:_group_from_table", "groupfile.py:parse_group_text",
+        "groupfile.py:parse_group_file", "cli.py:_load_group",
+        "cli.py:_catalog_group", "cli.py:_resolve_h",
+        "suite.py:RunConfig.__init__"}
+    takes_cap = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for qual, func in _functions(tree):
+            args = func.args
+            params = {a.arg for a in
+                      args.posonlyargs + args.args + args.kwonlyargs}
+            if params & {"cap", "order_cap"}:
+                takes_cap.add(f"{path.name}:{qual}")
+    assert takes_cap == entries
+    banned = {"standard_subgroup", "perm_elements"}
+    found = []
+    for name, node in _nodes(ast.AST):
+        for field in ("id", "attr", "name", "arg"):
+            if getattr(node, field, None) in banned:
+                found.append(f"{name}:{node.lineno}:{getattr(node, field)}")
+    assert found == []
+
+
 def test_derived_groups_come_from_derived_group():
     """A group the package derives (a quotient, a subgroup's standalone
     copy, Aut_F(Q)) comes from ``groups.derived_group``, one object per

@@ -19,7 +19,7 @@ from fusionlab.groups import (
     build_group,
     is_isomorphic,
     mask_of,
-    standard_subgroup,
+    o_p,
 )
 from fusionlab.subsystems import (
     category_closure,
@@ -47,7 +47,7 @@ from oracles import (
 
 
 def v4n_of(cat):
-    return standard_subgroup(cat["S4"], "O_p", p=2)
+    return o_p(cat["S4"], 2)
 
 
 def verdict(result):

@@ -163,9 +163,9 @@ def test_cold_suite_decides_each_group_verdict_once(monkeypatch, cold_start):
         calls["o_pi"].append((G, W.mask, p, prime_to_p))
         return real["o_pi"](G, W, p, prime_to_p)
 
-    def counting_involved(H, G, cap):
+    def counting_involved(H, G):
         calls["involved"].append((H, G))
-        return real["involved"](H, G, cap)
+        return real["involved"](H, G)
 
     def counting_isomorphic(G, H):
         calls["isomorphic"].append((G, H))

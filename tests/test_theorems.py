@@ -62,12 +62,23 @@ def test_t2_s3_at_3(systems):
 
 
 def test_t2_delegates_to_t1_at_2(systems):
-    F = systems[("SL(2,3)", 2)]
-    r1 = verify_theorem_1(F)
-    r2 = verify_theorem_2(F)
-    assert r2.detail["delegated"] == "T1.1"
-    assert (r1.hypotheses_hold, r1.conclusion_holds) == \
-        (r2.hypotheses_hold, r2.conclusion_holds)
+    """At p = 2 the T1.2 report is T1.1's under its own id, with the
+    detail marked as delegated: on an S4-free system (with its model
+    route) and on one that is not S4-free.  At p = 3 it is neither."""
+    for key in (("SL(2,3)", 2), ("S4", 2)):
+        F = systems[key]
+        r1 = verify_theorem_1(F)
+        r2 = verify_theorem_2(F)
+        assert (r1.theorem_id, r2.theorem_id) == ("T1.1", "T1.2")
+        assert r2.detail["delegated"] == "T1.1"
+        assert r2.detail == dict(r1.detail, delegated="T1.1")
+        assert (r1.instance, r1.hypotheses_hold, r1.conclusion_holds) == \
+            (r2.instance, r2.hypotheses_hold, r2.conclusion_holds)
+        assert ("proof_route" in r1.detail) == r1.hypotheses_hold
+    # at odd p the shared body neither delegates nor runs the model route
+    r3 = verify_theorem_2(systems[("A4", 3)])
+    assert r3.hypotheses_hold
+    assert set(r3.detail) == {"W_order", "chain_length", "counterexample"}
 
 
 def test_t2_qd3_not_free(systems):
