@@ -529,34 +529,28 @@ def classify_subgroup(F, Q) -> SubgroupProfile:
 
 
 def _strongly_p_embedded(out, p):
-    """A proper subgroup M containing a Sylow p-subgroup P of ``out`` with
-    P != phi(P) and phi(P) & P = 1 for every phi outside M, or None.
+    """(M, P) for P = sylow(out, p) and M = <N(T) : 1 != T <= P> when M is
+    proper, or None.  M is then the least strongly p-embedded subgroup
+    containing P: P & P^g = 1 for every g outside M (P^g = gPg^-1).
 
-    A p'-group has a trivial Sylow (condition P != phi(P) fails) and a
-    p-group has a normal one, so neither admits such a subgroup.
+    Any strongly p-embedded H containing P contains M: g in N(T) gives
+    1 != T <= P & P^g, so g lies in H.  If M is proper, it is strongly
+    p-embedded.  Take g with A = P & P^(g^-1) != 1.  Alperin's fusion
+    theorem writes c_g on A as a product of conjugations by elements of
+    N(P) and of normalizers of nontrivial subgroups of P, all inside M.
+    So g is such a product times an element of C(gAg^-1) <= N(gAg^-1)
+    <= M, and g lies in M.
+
+    Both parts together give M = <g : P & P^g != 1>, which is built here
+    with one conjugation of P per element.  A p'-group has P = 1, and a
+    p-group has M = P = out, so neither has such a subgroup.
     """
-    pp = p_part(out.order, p)
-    if pp == 1:
+    P = sylow(out, p)
+    if P.order == 1:
         return None
-    subs = out.subgroups()
-    sylows = [H for H in subs if H.order == pp]
-    for M in subs:
-        if M.order == out.order or M.order % pp != 0:
-            continue
-        for P in sylows:
-            if not P <= M:
-                continue
-            good = True
-            for phi in range(out.order):
-                if phi in M:
-                    continue
-                cm = P.conjugate_mask(phi)
-                if cm == P.mask or cm & P.mask != 1:
-                    good = False
-                    break
-            if good:
-                return (M, P)
-    return None
+    meets = [g for g in range(out.order) if P.conjugate_mask(g) & P.mask != 1]
+    M = out.subgroup(out.closure_mask(meets))
+    return None if M.order == out.order else (M, P)
 
 
 def essential_subgroups(F):

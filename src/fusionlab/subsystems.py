@@ -26,14 +26,11 @@ from .fusion import (
     FusionSystem,
     _category_gaps,
     _generator_keys,
-    _n_phi_tuple,
     check_hom_tuples,
     classify_subgroup,
-    compose_tuples,
     conj_tuple,
     essential_subgroups,
     identity_tuple,
-    invert_tuple,
     mask_of,
     restrict_tuple,
     verify_axioms,
@@ -107,15 +104,19 @@ def _first_unextended(F, W, P, stable_on):
                  if tuple([t[i] for i in at]) not in keys), None)
 
 
-def o_p_of_F(F):
-    """The largest subgroup normal in a saturated F: the largest one inside
-    S and the fully normalized essentials that their F-automorphisms all map
-    onto itself, reached by intersecting with images until stable.  An F
-    whose saturation is unchecked has its axioms verified first."""
+def _require_saturated(F, what):
+    """Verify F's axioms if they are unchecked; refuse an F they fail."""
     if F.saturation_status == UNCHECKED:
         verify_axioms(F)
     if F.saturation_status != VERIFIED:
-        raise HypothesisViolated("O_p(F) needs a saturated fusion system")
+        raise HypothesisViolated(f"{what} needs a saturated fusion system")
+
+
+def o_p_of_F(F):
+    """The largest subgroup normal in a saturated F: the largest one inside
+    S and the fully normalized essentials that their F-automorphisms all map
+    onto itself, reached by intersecting with images until stable."""
+    _require_saturated(F, "O_p(F)")
     alperin = (*essential_subgroups(F)[1], F.carrier)
     m = F.carrier.mask
     for P in alperin:
@@ -440,8 +441,10 @@ def straighten_chain(F, chain):
     """A morphism on N_S(W_n) making every chain member fully normalized.
 
     The chain must satisfy: W_{i+1} characteristic in N_S(W_i) for i < n,
-    and W_i fully normalized for i < n.  Returns (phi, image chain).
+    and W_i fully normalized for i < n, in a saturated F (its axioms are
+    verified if unchecked).  Returns (phi, image chain).
     """
+    _require_saturated(F, "chain straightening")
     if not chain:
         raise ChainConditionViolated("empty chain")
     for W in chain:
@@ -479,50 +482,16 @@ def straighten_chain(F, chain):
 
 
 def _well_placing_morphism(F, Q):
-    """A morphism on N_S(Q) sending Q to a fully normalized conjugate:
-    pick such a conjugate, conjugate Aut_S(Q) into Aut_S of the image by
-    Sylow conjugation inside Aut_F, then extend along N_phi."""
-    host = F.host
-    psi = None
-    for t in F.maps(Q):
-        if F.is_fully_normalized(host.subgroup(mask_of(t))):
-            psi = t
-            break
-    if psi is None:
-        raise InternalInconsistency(
-            f"the F-class of Q = {Q.mask:x} has no fully normalized member")
-    img, psi_inv = invert_tuple(host, Q, psi)
-    qpos = Q.pos_map()
-    conj_auts = set()
-    for x in F.n_in_carrier(Q).elems:
-        conj_auts.add(tuple(psi[qpos[host.conj(x, u)]] for u in psi_inv))
-    aut_s_img = set(F.aut_s_tuples(img))
-    ipos = img.pos_map()
-    tau = None
-    for cand in F.aut_tuples(img):
-        _, cand_inv = invert_tuple(host, img, cand)
-        good = True
-        for a in conj_auts:
-            # cand o a o cand^{-1} on img
-            m = tuple(cand[ipos[a[ipos[v]]]] for v in cand_inv)
-            if m not in aut_s_img:
-                good = False
-                break
-        if good:
-            tau = cand
-            break
-    if tau is None:
-        raise InternalInconsistency(
-            f"no member of Aut_F({img.mask:x}) conjugates the image of "
-            f"Aut_S(Q) into Aut_S({img.mask:x}), Q = {Q.mask:x}")
-    alpha = compose_tuples(psi, img, tau)
-    nphi = _n_phi_tuple(F, Q, alpha)
+    """The least morphism on N_S(Q) sending Q to a fully normalized
+    subgroup.  In a saturated F one exists: that is the well-placing
+    lemma."""
     dom = F.n_in_carrier(Q)
-    if nphi.mask != dom.mask:
-        raise InternalInconsistency(
-            f"N_alpha = {nphi.mask:x} is not N_S(Q) = {dom.mask:x}, "
-            f"Q = {Q.mask:x}")
+    pos = dom.pos_map()
+    at = [pos[x] for x in Q.elems]
+    targets = {R.mask for R in F.conjugacy_class_of(Q)
+               if F.is_fully_normalized(R)}
     for ext in F.maps(dom):
-        if restrict_tuple(dom, ext, Q) == alpha:
+        if mask_of(ext[i] for i in at) in targets:
             return ext
-    raise InternalInconsistency("extension axiom failed on a verified system")
+    raise InternalInconsistency(
+        f"no morphism on N_S(Q) makes Q = {Q.mask:x} fully normalized")

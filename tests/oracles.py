@@ -227,6 +227,29 @@ def brute_strongly_p_embedded(table, p):
     return None
 
 
+def assert_strongly_p_embedded_matches_brute(G, p, table=None):
+    """``fusion._strongly_p_embedded`` on G finds a subgroup exactly when
+    the lattice search on ``table`` (G's Cayley table, or another table of
+    a group isomorphic to G) does, and its witness (M, P) meets the
+    definition: M is proper, P is a Sylow p-subgroup inside M, and
+    P & gPg^-1 = 1 for every g outside M."""
+    from fusionlab.fusion import _strongly_p_embedded
+
+    if table is None:
+        table = [[G.mul(a, b) for b in range(G.order)]
+                 for a in range(G.order)]
+    assert len(table) == G.order
+    spe = _strongly_p_embedded(G, p)
+    assert (spe is None) == (brute_strongly_p_embedded(table, p) is None)
+    if spe is not None:
+        M, P = spe
+        assert P <= M and M.order < G.order
+        assert is_power_of(P.order, p) and G.order % (P.order * p) != 0
+        assert all(P.conjugate_mask(g) & P.mask == 1
+                   for g in range(G.order) if g not in M)
+    return spe
+
+
 def assert_section_matches_copy(B, A):
     """quotient_group(G, A, within=B) on G's own table against the long way
     round: the quotient of a standalone copy of B by the copy of A, with its

@@ -3,7 +3,7 @@ and axiom verification must pinpoint each kind of defect."""
 
 import pytest
 
-from fusionlab.errors import CarrierMismatch
+from fusionlab.errors import CarrierMismatch, HypothesisViolated
 from fusionlab.fusion import (
     FusionSystem,
     alperin_decompose,
@@ -19,6 +19,7 @@ from fusionlab.subsystems import (
     is_normal_in_F,
     normalizer_system,
     o_p_of_F,
+    straighten_chain,
 )
 
 from oracles import (
@@ -440,7 +441,6 @@ def test_closure_checks_each_seed_map_once(cat, monkeypatch):
 def test_straighten_two_step_chain(systems):
     """Z(SD16) then its characteristic overgroup C8 = J(SD16)."""
     from fusionlab.pgroups import thompson_data
-    from fusionlab.subsystems import straighten_chain
 
     F = systems[("GL(2,3)", 2)]
     S = F.carrier
@@ -477,3 +477,17 @@ def test_subsystem_rules_match_brute_on_explicit_systems(cat, systems):
     checked = sum(assert_subsystem_rules_match_brute(F)
                   for F in _categories(cat, systems))
     assert checked > 0
+
+
+def test_unsaturated_systems_are_refused_on_every_object(cat, systems):
+    """The five closures that fail FS2 or FS3 have their axioms verified
+    on first use, and then chain straightening refuses every object, as
+    O_p(F) refuses the system: the hypothesis fails, nothing contradicts."""
+    for F in _categories(cat, systems)[1:]:
+        assert F.saturation_status == "unchecked"
+        for W in F.objects():
+            with pytest.raises(HypothesisViolated):
+                straighten_chain(F, [W])
+        assert verify_axioms(F).status == "failed"
+        with pytest.raises(HypothesisViolated):
+            o_p_of_F(F)

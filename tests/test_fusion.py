@@ -13,6 +13,7 @@ from fusionlab.fusion import (
     FusionSystem,
     _group_from_maps,
     alperin_decompose,
+    centric_objects,
     classify_subgroup,
     conj_tuple,
     essential_subgroups,
@@ -24,6 +25,7 @@ from fusionlab.fusion import (
     wrap_tuple,
 )
 from fusionlab.groups import (
+    build_group,
     GroupMorphism,
     is_hom_tuple,
     mask_of,
@@ -35,6 +37,7 @@ from fusionlab.subsystems import category_closure
 from oracles import (
     alperin_decompose_brute,
     assert_alperin_matches_brute,
+    assert_strongly_p_embedded_matches_brute,
     automorphisms_raw,
     brute_centric,
     brute_out_group,
@@ -234,6 +237,37 @@ def test_classification_matches_brute_force_oracle(cat, systems):
             table = brute_out_group(G, S, Q)
             spe = brute_strongly_p_embedded(table, 2)
             assert prof.essential == (spe is not None)
+
+
+def _s4_times_d8(cat):
+    """S4 x D8 on 8 points, from the catalog's permutations."""
+    gens = [tuple(g) + tuple(range(4, 8)) for g in cat["S4"].perm_rep]
+    gens += [tuple(range(4)) + tuple(4 + x for x in g)
+             for g in cat["D8"].perm_rep]
+    return build_group(gens, kind="perms", name="S4xD8")
+
+
+def test_strongly_p_embedded_matches_the_lattice_search(cat, systems):
+    """On Out_F(Q) of every centric Q of every catalog system at p = 2 and
+    3, and of S4 x D8 at p = 2, the kernel finds a strongly p-embedded
+    subgroup exactly when the lattice search on Out computed from the
+    ambient group does, and its witness meets the definition.  Three
+    Out_F(Q) of S4 x D8 have order 12 and N(P) < M = Out_F(Q): there a
+    kernel that stopped at M = N(P) would find a subgroup that is not
+    strongly p-embedded."""
+    s4d8 = realize_fusion(_s4_times_d8(cat), 2)
+    wide = 0
+    for F in [*systems.values(), s4d8]:
+        for Q in centric_objects(F):
+            out, _, _ = F.out_group(Q)
+            table = brute_out_group(F.host, F.carrier, Q)
+            spe = assert_strongly_p_embedded_matches_brute(out, F.p, table)
+            P = sylow(out, F.p)
+            if spe is None and P.normalizer_in(out.full_subgroup) < \
+                    out.full_subgroup:
+                wide += 1
+                assert F is s4d8 and out.order == 12
+    assert wide == 3
 
 
 def test_essential_subgroups_golden(cat, systems):

@@ -32,6 +32,7 @@ from oracles import (
     assert_alperin_matches_brute,
     assert_closure_matches_oracle,
     assert_kept_verdicts_exact,
+    assert_strongly_p_embedded_matches_brute,
     assert_kernels_match_oracles,
     automorphisms_raw,
     closure_of_maps,
@@ -130,6 +131,17 @@ def test_lattice_matches_brute_force(gens):
         # the only larger POOL group is S5 (order 120), with 156 subgroups;
         # three generators at a time is out of the oracle's reach there
         assert g.order == 120 and len(masks) == 156
+
+
+@settings(**COMMON)
+@given(group_specs, st.sampled_from([2, 3, 5]))
+def test_strongly_p_embedded_matches_the_lattice_search(gens, p):
+    """The Sylow-normalizer kernel decides as the lattice search on the
+    Cayley table, and its witness meets the definition (S5 is out of the
+    search's reach)."""
+    g = build_group([list(p_) for p_ in gens], kind="perms", cap=200)
+    if g.order <= 48:
+        assert_strongly_p_embedded_matches_brute(g, p)
 
 
 @settings(**COMMON)

@@ -199,6 +199,25 @@ def test_order_cap_is_checked_where_groups_enter():
     assert found == []
 
 
+def test_local_kernels_search_what_f_holds():
+    """``fusion._strongly_p_embedded`` works from one Sylow subgroup of
+    Out_F(Q) and builds no subgroup lattice, and the well-placing map is
+    found in a hom-set of F, so ``subsystems`` imports none of the tuple
+    tools that rebuilt it."""
+    tree = ast.parse((SRC / "fusion.py").read_text(encoding="utf-8"))
+    kernel = dict(_functions(tree))["_strongly_p_embedded"]
+    calls = [node.func.attr for node in ast.walk(kernel)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)]
+    assert calls and "subgroups" not in calls
+    tree = ast.parse((SRC / "subsystems.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "verify_axioms" in imported
+    assert imported.isdisjoint({"_n_phi_tuple", "invert_tuple",
+                                "compose_tuples"})
+
+
 def test_derived_groups_come_from_derived_group():
     """A group the package derives (a quotient, a subgroup's standalone
     copy, Aut_F(Q)) comes from ``groups.derived_group``, one object per

@@ -5,7 +5,7 @@ import sys
 
 import fusionlab
 from fusionlab import groups
-from fusionlab.catalog import catalog_group
+from fusionlab.catalog import CATALOG_NAMES, EXPECTED_ORDERS, catalog_group
 from fusionlab.cli import main
 from fusionlab.groups import build_group
 from fusionlab.suite import RunConfig, run_suite
@@ -60,6 +60,31 @@ def test_above_cap_group_skipped_with_note():
     skips = [r for r in result.rows if r[3] == "skip" and r[0] == "scope"]
     assert len(skips) == 1
     assert "exceeds cap" in skips[0][4]
+
+
+def test_order_cap_skips_catalog_groups_with_one_row_each(capsys):
+    """``--order-cap 100 suite`` prints the default sweep without its 22
+    Qd(3) rows, and one skip row for Qd(3) in their place.  Under cap 20
+    each catalog group above 20 gets its one skip row and no other row,
+    so the goldens and the S4-freeness checks (on groups of order 24) go
+    with them."""
+    default = run_suite(RunConfig()).to_tsv().splitlines()
+    assert main(["--order-cap", "100", "suite", "--format", "tsv"]) == 0
+    capped = capsys.readouterr().out.splitlines()
+    assert sum("Qd(3)" in row.split("\t")[1] for row in default[1:]) == 22
+    assert capped[:3] == default[:2] + [
+        "scope\tQd(3)\torder-cap\tskip\torder 216 exceeds cap"]
+    assert capped[3:] == [row for row in default[2:]
+                          if "Qd(3)" not in row.split("\t")[1]]
+    rows = run_suite(RunConfig(order_cap=20)).rows
+    above = [n for n in CATALOG_NAMES if EXPECTED_ORDERS[n] > 20]
+    assert [r for r in rows if r[0] == "scope"] == [
+        ("scope", n, "order-cap", "skip",
+         f"order {EXPECTED_ORDERS[n]} exceeds cap") for n in above]
+    assert not [r for r in rows if r[0] != "scope"
+                and any(n in r[1] for n in above)]
+    assert not [r for r in rows if r[0] == "essentials"
+                or r[2].startswith(("S4-free", "not-S4-free"))]
 
 
 def test_report_files_written_atomically(tmp_path):
