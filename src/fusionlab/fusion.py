@@ -49,24 +49,18 @@ def identity_tuple(P: Subgroup):
 
 
 def conj_tuple(G: FiniteGroup, g: int, P: Subgroup):
-    mul = G._mul
-    row = mul[g]
-    gi = G.inv[g]
-    return tuple(mul[row[x]][gi] for x in P.elems)
+    return G.conj_images(g, P.elems)
 
 
 def conj_maps(G: FiniteGroup, P: Subgroup, by, into):
     """The distinct maps x -> g x g^-1 on P, for g in ``by``, that send P
-    into the subgroup mask ``into``, sorted.  A conjugation map is fixed by
-    the images of P's generators, so one tuple is built per distinct
-    generator-image key, not one per element of ``by``."""
-    mul, inv = G._mul, G.inv
+    into the subgroup mask ``into``, sorted: one tuple per distinct key
+    (``Subgroup.key``), not one per element of ``by``."""
     gens = P.generators()
     seen = set()
     out = []
     for g in by:
-        row, gi = mul[g], inv[g]
-        key = tuple([mul[row[x]][gi] for x in gens])
+        key = G.conj_images(g, gens)
         if key in seen:
             continue
         seen.add(key)
@@ -76,22 +70,9 @@ def conj_maps(G: FiniteGroup, P: Subgroup, by, into):
     return tuple(out)
 
 
-def restrict_tuple(P: Subgroup, t: tuple, Q: Subgroup):
-    pos = P.pos_map()
-    return tuple(t[pos[x]] for x in Q.elems)
-
-
-def compose_tuples(t_inner: tuple, M: Subgroup, t_outer: tuple):
-    """t_outer o t_inner, where image(t_inner) <= M = domain of t_outer."""
-    pos = M.pos_map()
-    return tuple(t_outer[pos[v]] for v in t_inner)
-
-
-def invert_tuple(G: FiniteGroup, P: Subgroup, t: tuple):
-    """(image subgroup, inverse tuple over the image's sorted elements)."""
-    inv = {v: x for x, v in zip(P.elems, t)}
-    img = G.subgroup(mask_of(t))
-    return img, tuple(inv[v] for v in img.elems)
+def inverse_tuple(P: Subgroup, t: tuple):
+    """The inverse of the map t on P, over its image's sorted elements."""
+    return tuple([x for _, x in sorted(zip(t, P.elems))])
 
 
 def check_hom_tuples(host, carrier, maps_by_domain):
@@ -335,9 +316,8 @@ class FusionSystem:
     def out_group(self, Q):
         """(Out_F(Q) group, projection, Aut_F(Q) data) for Q <= S."""
         autg, elems, index = self.aut_group(Q)
-        inn = self.inn_tuples(Q)
         try:
-            inn_mask = mask_of(index[t] for t in inn)
+            inn_mask = mask_of(index[t] for t in self.inn_tuples(Q))
         except KeyError:
             raise MorphismNotInF("inner automorphisms missing from Aut_F(Q)")
         out, proj = quotient_group(autg, autg.subgroup(inn_mask),
@@ -348,10 +328,8 @@ class FusionSystem:
 def _aut_tuples(F, Q):
     """The maps of Hom_F(Q, S) onto Q: a morphism is injective, so it maps
     Q onto Q as soon as it maps Q's generators into Q."""
-    pos = Q.pos_map()
-    at = [pos[g] for g in Q.generators()]
-    qmask = Q.mask
-    return tuple(t for t in F.maps(Q) if all(qmask >> t[i] & 1 for i in at))
+    key, qmask = Q.key, Q.mask
+    return tuple(t for t in F.maps(Q) if all(qmask >> y & 1 for y in key(t)))
 
 
 def _group_from_maps(Q, tuples, name):
@@ -362,7 +340,6 @@ def _group_from_maps(Q, tuples, name):
     generators, each tuple not yet reached becoming the next generator,
     so every tuple is reached and a product that leaves the set is met;
     ``table_along_tree`` then fills the table along the closure's tree."""
-    pos = Q.pos_map()
     not_closed = MorphismNotInF(
         "automorphism set is not composition-closed; the input "
         "category violates the axioms")
@@ -373,20 +350,19 @@ def _group_from_maps(Q, tuples, name):
     index = {t: i for i, t in enumerate(tuples)}
     n = len(tuples)
     reached, seen = [0], {0}
-    gen_indices, times, steps = [], [], []
+    gen_indices, times, steps, after = [], [], [], []
     for cand in range(1, n):
         if cand in seen:
             continue
         gen_indices.append(cand)
         times.append([None] * n)
+        after.append(Q.reader(tuples[cand]))   # a -> a o g
         for x in reached:   # grows while it is walked
             a = tuples[x]
             for k, col in enumerate(times):
                 if col[x] is not None:
                     continue
-                # (a o g)(v) = a[g(v)]
-                y = index.get(tuple([a[pos[v]]
-                                     for v in tuples[gen_indices[k]]]))
+                y = index.get(after[k](a))
                 if y is None:
                     raise not_closed
                 col[x] = y
@@ -453,17 +429,14 @@ def _n_phi_tuple(F, P, t):
     lies in N_phi exactly when (phi(x g x^-1))_g, g over the generators of
     P, equals (y phi(g) y^-1)_g for some y in N_S(phi P)."""
     G = F.host
-    conj = G.conj
-    pos = P.pos_map()
     gens = P.generators()
-    tgens = [t[pos[g]] for g in gens]
+    tgens = P.key(t)
     img = G.subgroup(mask_of(t))
-    keys = {tuple(conj(y, v) for v in tgens)
-            for y in F.n_in_carrier(img).elems}
+    keys = {G.conj_images(y, tgens) for y in F.n_in_carrier(img).elems}
     nq = F.n_in_carrier(P)
     m = 0
     for x in nq.elems:
-        if tuple(t[pos[conj(x, g)]] for g in gens) in keys:
+        if P.reader(G.conj_images(x, gens))(t) in keys:
             m |= 1 << x
     sub = G.subgroup(m)  # validates subgroup-ness
     floor = P.join(F.c_in_carrier(P))   # both kept: on F and on the host
@@ -613,17 +586,16 @@ def verify_axioms(F) -> AxiomReport:
 def _verify(F, host, carrier):
     objs = F.objects()
     maps_of = {P.mask: F.maps(P) for P in objs}
-    gens_of, keys_of = _generator_keys(objs, maps_of)
-    for witness, *_ in _category_gaps(host, objs, maps_of, gens_of, keys_of):
+    keys_of = _generator_keys(objs, maps_of)
+    for witness, *_ in _category_gaps(host, objs, maps_of, keys_of):
         return AxiomReport("failed", witness)
 
     # FS1: all S-conjugation maps present
-    conj = host.conj
     for P in objs:
         keys = keys_of[P.mask]
-        gens = gens_of[P.mask]
+        gens = P.generators()
         for u in carrier.elems:
-            if tuple([conj(u, g) for g in gens]) not in keys:
+            if host.conj_images(u, gens) not in keys:
                 return AxiomReport("failed", ("FS1", P, u))
 
     # FS2: Aut_S(S) is a Sylow p-subgroup of Aut_F(S)
@@ -654,9 +626,6 @@ def _verify(F, host, carrier):
         if P.mask in walked:
             continue
         walked.update(orbit(P.mask, on_s, move_mask))
-        pos = P.pos_map()
-        gens = P.generators()
-        at = [pos[g] for g in gens]
         checked = set()   # the left S-orbits of the keys checked so far
         for t in maps_of[P.mask]:
             m = mask_of(t)
@@ -666,7 +635,7 @@ def _verify(F, host, carrier):
                     host.subgroup(m))
             if not fn:
                 continue
-            key = tuple([t[i] for i in at])
+            key = P.key(t)
             if key in checked:
                 continue
             checked.update(orbit(key, on_s, compose_perms))
@@ -676,32 +645,23 @@ def _verify(F, host, carrier):
                 return AxiomReport("failed", ("FS3-nphi", P, t))
             if nphi.mask == P.mask:
                 continue
-            npos = nphi.pos_map()
-            on_p = [npos[g] for g in gens]
-            if not any(tuple([ext[i] for i in on_p]) == key
-                       for ext in maps_of[nphi.mask]):
+            on_p = nphi.reader(P.generators())
+            if not any(on_p(ext) == key for ext in maps_of[nphi.mask]):
                 return AxiomReport("failed", ("FS3", P, t, nphi))
 
     return AxiomReport(VERIFIED)
 
 
 def _generator_keys(objs, maps_of):
-    """(generators of each object, the set of keys of its maps), by mask.
-    A key is the images of the domain's generators.  Every map that the
-    axioms test or ``category_closure`` adds is an injective homomorphism
-    (a stored map, or an inverse, composite, restriction or conjugation
-    map of such), so its key fixes it: a map lies in a hom-set exactly
-    when its key does."""
-    gens_of = {P.mask: P.generators() for P in objs}
-    keys_of = {}
-    for P in objs:
-        pos = P.pos_map()
-        at = [pos[g] for g in gens_of[P.mask]]
-        keys_of[P.mask] = {tuple([t[i] for i in at]) for t in maps_of[P.mask]}
-    return gens_of, keys_of
+    """The set of ``Subgroup.key`` values of each object's maps, by mask.
+    Every map that the axioms test or ``category_closure`` adds is an
+    injective homomorphism (a stored map, or an inverse, composite,
+    restriction or conjugation map of such), so a map lies in a hom-set
+    exactly when its key does."""
+    return {P.mask: set(map(P.key, maps_of[P.mask])) for P in objs}
 
 
-def _category_gaps(host, objs, maps_of, gens_of, keys_of):
+def _category_gaps(host, objs, maps_of, keys_of):
     """Yield (witness, target mask, key, build) for each map that the
     category axioms ask for and the hom-sets ``maps_of`` lack: per object
     P its inclusion, then per map t on P the inverse of t, each composite
@@ -711,36 +671,30 @@ def _category_gaps(host, objs, maps_of, gens_of, keys_of):
     before the walk resumes is not told of it again."""
     for P in objs:
         keys = keys_of[P.mask]
-        if gens_of[P.mask] not in keys:   # the inclusion's key
-            yield (("missing-inclusion", P), P.mask, gens_of[P.mask],
+        gens = P.generators()
+        if gens not in keys:   # the inclusion's key
+            yield (("missing-inclusion", P), P.mask, gens,
                    partial(identity_tuple, P))
-        pos = P.pos_map()
-        at = [pos[g] for g in gens_of[P.mask]]
-        below = [(Q, [pos[g] for g in gens_of[Q.mask]], keys_of[Q.mask])
+        below = [(Q, P.reader(Q.generators()), keys_of[Q.mask])
                  for Q in objs if Q < P]
         # walked as a set, the order the element-wise definition walks in
         for t in set(maps_of[P.mask]):
             img = host.subgroup(mask_of(t))
-            inv_key = tuple([P.elems[t.index(h)] for h in gens_of[img.mask]])
+            inv_key = tuple([P.elems[t.index(h)] for h in img.generators()])
             if inv_key not in keys_of[img.mask]:
                 yield (("missing-inverse", P, t), img.mask, inv_key,
-                       partial(_inverse_tuple, host, P, t))
-            ipos = img.pos_map()
-            on_img = [ipos[t[i]] for i in at]
+                       partial(inverse_tuple, P, t))
+            after_t = img.reader(P.key(t))   # u -> the key of u o t
             for u in tuple(maps_of[img.mask]):   # a closure may add to it
-                key = tuple([u[i] for i in on_img])
+                key = after_t(u)
                 if key not in keys:
                     yield (("not-composition-closed", P, t, u), P.mask, key,
-                           partial(compose_tuples, t, img, u))
+                           partial(img.reader(t), u))
             for Q, on_q, qkeys in below:
-                key = tuple([t[i] for i in on_q])
+                key = on_q(t)
                 if key not in qkeys:
                     yield (("not-restriction-closed", P, t, Q), Q.mask, key,
-                           partial(restrict_tuple, P, t, Q))
-
-
-def _inverse_tuple(host, P, t):
-    return invert_tuple(host, P, t)[1]
+                           partial(P.reader(Q.elems), t))
 
 
 # -- Alperin decomposition ----------------------------------------------------
@@ -787,8 +741,7 @@ def alperin_decompose(F, phi) -> AlperinDecomposition:
     if search is None:
         search = F._memo.alperin[P.mask] = _alperin_search(F, P)
     seen, finishes = search
-    pos = P.pos_map()
-    got = finishes.get(tuple([t_goal[pos[g]] for g in P.generators()]))
+    got = finishes.get(P.key(t_goal))
     if got is None:
         raise NotGenerated("morphism is not generated by essential and "
                            "maximal automorphisms; the input category is "
@@ -802,38 +755,36 @@ def _alperin_search(F, P):
     restrictions of fully normalized essential automorphisms, walked once
     for every goal on P.
 
-    A state is a morphism on P, held by its key of images of P's
-    generators (it is an injective homomorphism, so the key fixes it), and
+    A state is a morphism on P, held by its ``Subgroup.key``, and
     ``seen`` maps it to (previous state, E, automorphism of E), or to None
     for id_P.  ``finishes`` maps the key of each map of Hom_F(P, S) that
     some state followed by some a in Aut_F(S) gives to the first such
     (state, a), in BFS order and then in Aut_F(S) order: where a search
     for that map alone stops.  The walk stops once every map has one."""
     _, ess_fn = essential_subgroups(F)
-    ess_auts = [(E.mask, E, E.pos_map(), F.aut_tuples(E)) for E in ess_fn]
+    ess_auts = [(E.mask, E, F.aut_tuples(E)) for E in ess_fn]
     S = F.carrier
-    spos = S.pos_map()
     s_auts = F.aut_tuples(S)
-    pos = P.pos_map()
-    at = [pos[g] for g in P.generators()]
-    todo = {tuple([t[i] for i in at]) for t in F.maps(P)}
+    todo = set(map(P.key, F.maps(P)))
     start = P.generators()
     seen = {start: None}
     finishes = {}
     queue = [start]
     for cur in queue:   # grows while it is walked
+        after = S.reader(cur)   # a -> the key of a o cur
         for a in s_auts:
-            finish = tuple([a[spos[v]] for v in cur])
+            finish = after(a)
             if finish in todo:
                 todo.remove(finish)
                 finishes[finish] = (cur, a)
         if not todo:
             break
-        for emask, E, epos, auts in ess_auts:
+        for emask, E, auts in ess_auts:
             if not all(emask >> v & 1 for v in cur):
                 continue
+            after = E.reader(cur)
             for a in auts:
-                new = tuple([a[epos[v]] for v in cur])
+                new = after(a)
                 if new not in seen:
                     seen[new] = (cur, E, a)
                     queue.append(new)
@@ -854,14 +805,12 @@ def _build_decomposition(F, phi, P, t_goal, cur, seen, final):
     autos = []
     running = identity_tuple(P)
     for E, a in steps:
-        pos = E.pos_map()
-        running = tuple(a[pos[v]] for v in running)
+        running = E.reader(running)(a)
         chain.append(host.subgroup(mask_of(running)))
         essentials.append(E)
         autos.append(wrap_tuple(F, E, E, a))
     carrier = F.carrier
-    pos = carrier.pos_map()
-    running = tuple(final[pos[v]] for v in running)
+    running = carrier.reader(running)(final)
     chain.append(host.subgroup(mask_of(running)))
     autos.append(wrap_tuple(F, carrier, carrier, final))
     deco = AlperinDecomposition(source=phi, subgroup_chain=tuple(chain),

@@ -200,6 +200,12 @@ class FiniteGroup:
         """g x g^-1 (left conjugation)."""
         return self._mul[self._mul[g][x]][self.inv[g]]
 
+    def conj_images(self, g, xs):
+        """(g x g^-1 for x in xs), as a tuple."""
+        mul = self._mul
+        row, gi = mul[g], self.inv[g]
+        return tuple([mul[row[x]][gi] for x in xs])
+
     def power(self, x, k):
         k %= self.elem_orders[x]
         y = 0
@@ -315,8 +321,8 @@ class Subgroup:
     inverse plus Lagrange are checked on first construction.
     """
 
-    __slots__ = ("parent", "mask", "_elems", "_pos", "_gens", "_lattice",
-                 "_as_group", "_thompson", "_center")
+    __slots__ = ("parent", "mask", "_elems", "_pos", "_gens", "_key",
+                 "_lattice", "_as_group", "_thompson", "_center")
 
     def __init__(self, parent, mask):
         self.parent = parent
@@ -324,6 +330,7 @@ class Subgroup:
         self._elems = tuple(bits(mask))
         self._pos = None
         self._gens = None
+        self._key = None
         self._lattice = None
         self._as_group = None
         self._thompson = None   # pgroups.thompson_data, once computed
@@ -363,6 +370,30 @@ class Subgroup:
         if self._pos is None:
             self._pos = {e: i for i, e in enumerate(self._elems)}
         return self._pos
+
+    def reader(self, xs):
+        """The map t -> (t[pos(x)] for x in xs), for a tuple t aligned with
+        self's sorted elements: a map on self read at the elements xs of
+        self.  The restriction of t to Q <= self is ``self.reader(Q.elems)
+        (t)``, and the composite u o t, u a map on the image of t, is
+        ``image.reader(t)(u)``.  It is one ``operator.itemgetter``, and a
+        slice stands in for one element or none, so that the result is a
+        tuple for any number of elements."""
+        at = list(map(self.pos_map().__getitem__, xs))
+        if len(at) > 1:
+            return itemgetter(*at)
+        return itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
+
+    @property
+    def key(self):
+        """The reader at self's generators.  A map on self that the package
+        holds is an injective homomorphism, so its key, the images of the
+        generators, fixes it: two such maps are equal exactly when their
+        keys are, and a map lies in a set of them exactly when its key lies
+        in their keys."""
+        if self._key is None:
+            self._key = self.reader(self.generators())
+        return self._key
 
     def __contains__(self, x):
         return bool(self.mask >> x & 1)
@@ -406,11 +437,7 @@ class Subgroup:
         return all(m[a][b] == m[b][a] for i, a in enumerate(es) for b in es[i + 1:])
 
     def conjugate_mask(self, g):
-        G = self.parent
-        mul = G._mul
-        gi = G.inv[g]
-        row = mul[g]
-        return mask_of(mul[row[x]][gi] for x in self._elems)
+        return mask_of(self.parent.conj_images(g, self._elems))
 
     def _normalizing_mask(self, xs):
         """Mask of the x in xs with x self x^-1 = self.  Testing the
@@ -585,9 +612,6 @@ class GroupMorphism(namedtuple("GroupMorphism", "domain codomain images")):
 
     def __call__(self, x):
         return self.images[x]
-
-    def image_mask(self):
-        return mask_of(self.images.values())
 
     def as_tuple(self):
         """Images aligned with the sorted domain elements."""
@@ -824,10 +848,8 @@ def _subgroup_lattice_masks(G, seeds=None, within=None):
 def _conjugates(G, mask):
     """The G-conjugates of the subgroup ``mask`` (a view of a dict's
     keys): its orbit under conjugation by G's generators."""
-    mul, inv = G._mul, G.inv
     return orbit(mask, G.full_subgroup.generators(),   # m -> g m g^-1
-                 lambda g, m: mask_of(mul[mul[g][x]][inv[g]]
-                                      for x in bits(m))).keys()
+                 lambda g, m: mask_of(G.conj_images(g, bits(m)))).keys()
 
 
 def subgroup_class_reps(G, subgroups):

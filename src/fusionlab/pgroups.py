@@ -12,7 +12,6 @@ from .groups import (
     Subgroup,
     _smallest_prime_factor,
     aut_generators,
-    bits,
     mask_of,
     omega_mask,
     p_part,
@@ -72,8 +71,8 @@ def is_characteristic(W: Subgroup, S: Subgroup) -> bool:
     if not W <= S:
         raise NotAPGroup("W must be a subgroup of S")
     group, _ = S.as_group()
-    pos = S.pos_map()
-    local = mask_of(pos[x] for x in W.elems)
-    wbits = list(bits(local))
+    full = group.full_subgroup
+    local = S.reader(W.elems)(full.elems)   # W's elements on the copy
+    on_w, wmask = full.reader(local), mask_of(local)
     gens, _ = aut_generators(group)
-    return all(mask_of(a[b] for b in wbits) == local for a in gens)
+    return all(mask_of(on_w(a)) == wmask for a in gens)

@@ -278,10 +278,9 @@ def compute_W_oneshot(family: CandidateFamily) -> Subgroup:
         host = F.host
         J = thompson_data(F.carrier).J
         w0_host = host.subgroup(member.push_mask(w0))
-        jpos = J.pos_map()
+        on_w0 = J.reader(w0_host.elems)
         for t in F.maps(J):
-            img = [t[jpos[x]] for x in w0_host.elems]
-            gens.update(bits(member.pull_mask(mask_of(img))))
+            gens.update(bits(member.pull_mask(mask_of(on_w0(t)))))
     result = S.closure_mask(sorted(gens), 1)
     auts, _ = aut_generators(S)
     while True:   # close under the generators of Aut(S) until stable

@@ -32,7 +32,6 @@ from .fusion import (
     essential_subgroups,
     identity_tuple,
     mask_of,
-    restrict_tuple,
     verify_axioms,
     wrap_tuple,
 )
@@ -85,23 +84,17 @@ def _first_unextended(F, W, P, stable_on):
     restricts to, or None.  A morphism is an injective homomorphism, so
     it maps W onto W as soon as it maps W's generators into W, and it
     restricts to a morphism t on P as soon as it agrees with t on P's
-    generators."""
+    generators (``Subgroup.key``)."""
     wmask = W.mask
     WP = W.join(P)
-    pos = WP.pos_map()
     stable = stable_on.get(WP.mask)
     if stable is None:
-        on_w = [pos[g] for g in W.generators()]
+        on_w = WP.reader(W.generators())
         stable = stable_on[WP.mask] = [
             ext for ext in F.maps(WP)
-            if all(wmask >> ext[i] & 1 for i in on_w)]
-    pgens = P.generators()
-    on_p = [pos[g] for g in pgens]
-    keys = {tuple([ext[i] for i in on_p]) for ext in stable}
-    ppos = P.pos_map()
-    at = [ppos[g] for g in pgens]
-    return next((t for t in F.maps(P)
-                 if tuple([t[i] for i in at]) not in keys), None)
+            if all(wmask >> y & 1 for y in on_w(ext))]
+    keys = set(map(WP.reader(P.generators()), stable))
+    return next((t for t in F.maps(P) if P.key(t) not in keys), None)
 
 
 def _require_saturated(F, what):
@@ -125,9 +118,8 @@ def o_p_of_F(F):
     while changed:
         changed = False
         for P in alperin:
-            pos = P.pos_map()
             for a in F.aut_tuples(P):
-                image = mask_of(a[pos[x]] for x in bits(m))
+                image = mask_of(P.reader(bits(m))(a))
                 if image != m:
                     m &= image
                     changed = True
@@ -191,9 +183,8 @@ def _subsystem_kind(F, Q, kind):
         carrier = by = F.carrier
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    conj = F.host.conj
     qgens = Q.generators()
-    allowed = {tuple([conj(g, x) for x in qgens]) for g in by.elems}
+    allowed = {F.host.conj_images(g, qgens) for g in by.elems}
     return carrier, allowed, (None if A is None
                               else Q.centralizer_in(A).join(by))
 
@@ -220,26 +211,25 @@ def _rule_hom_sets(F, Q, carrier, allowed):
     are filtered once per QR, and each distinct restriction to R is built
     once."""
     qmask, cmask = Q.mask, carrier.mask
-    qgens = Q.generators()
     stable_on = {}   # the maps on QR acting on Q as allowed, by QR.mask
     maps_by_domain = {}
     for R in carrier.subgroups_within():
         QR = Q.join(R)
-        pos = QR.pos_map()
         stable = stable_on.get(QR.mask)
         if stable is None:
-            on_q = [pos[g] for g in qgens]
+            on_q = QR.reader(Q.generators())
             stable = stable_on[QR.mask] = [
                 ext for ext in F.maps(QR)
-                if (all(qmask >> ext[i] & 1 for i in on_q) if allowed is None
-                    else tuple([ext[i] for i in on_q]) in allowed)]
-        on_r = [pos[g] for g in R.generators()]
+                if (all(qmask >> y & 1 for y in on_q(ext)) if allowed is None
+                    else on_q(ext) in allowed)]
+        on_r = QR.reader(R.generators())
         first = {}   # one map on QR per restriction to R, by its key
         for ext in stable:
-            first.setdefault(tuple([ext[i] for i in on_r]), ext)
+            first.setdefault(on_r(ext), ext)
+        to_r = QR.reader(R.elems)
         res = []
         for ext in first.values():
-            r = restrict_tuple(QR, ext, R)
+            r = to_r(ext)
             if mask_of(r) & ~cmask:
                 raise InternalInconsistency(
                     "restriction escaped the subsystem carrier")
@@ -285,9 +275,10 @@ def quotient_system(F, Q):
             continue
         Pbar = proj.push_subgroup(P)
         ppos = Pbar.pos_map()
+        to_q = P.reader(Q.elems)
         res = set()
         for t in F.maps(P):
-            if mask_of(restrict_tuple(P, t, Q)) != Q.mask:
+            if mask_of(to_q(t)) != Q.mask:
                 raise InternalInconsistency(
                     "morphism does not stabilize the normal subgroup")
             images = [None] * Pbar.order
@@ -324,12 +315,11 @@ def category_closure(host, p, carrier, seed_maps, name=None):
     check_hom_tuples(host, carrier, seed_maps)
     maps = {P.mask: {identity_tuple(P), *seed_maps.get(P.mask, ())}
             for P in objs}
-    gens_of, keys = _generator_keys(objs, maps)
+    keys = _generator_keys(objs, maps)
     changed = True
     while changed:
         changed = False
-        for _, target, key, build in _category_gaps(host, objs, maps,
-                                                    gens_of, keys):
+        for _, target, key, build in _category_gaps(host, objs, maps, keys):
             keys[target].add(key)
             maps[target].add(build())
             changed = True
@@ -486,12 +476,11 @@ def _well_placing_morphism(F, Q):
     subgroup.  In a saturated F one exists: that is the well-placing
     lemma."""
     dom = F.n_in_carrier(Q)
-    pos = dom.pos_map()
-    at = [pos[x] for x in Q.elems]
+    on_q = dom.reader(Q.elems)
     targets = {R.mask for R in F.conjugacy_class_of(Q)
                if F.is_fully_normalized(R)}
     for ext in F.maps(dom):
-        if mask_of(ext[i] for i in at) in targets:
+        if mask_of(on_q(ext)) in targets:
             return ext
     raise InternalInconsistency(
         f"no morphism on N_S(Q) makes Q = {Q.mask:x} fully normalized")

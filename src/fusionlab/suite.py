@@ -7,7 +7,12 @@ runs and hash seeds, which is what the determinism contract requires.
 
 import os
 
-from .catalog import CATALOG_NAMES, catalog_group, validate_catalog
+from .catalog import (
+    CATALOG_NAMES,
+    EXPECTED_ORDERS,
+    catalog_group,
+    validate_catalog,
+)
 from .errors import (
     FusionlabError,
     HypothesisViolated,
@@ -128,21 +133,25 @@ class SuiteRunner:
 
     def run(self):
         res = self.result
+        cap = self.config.order_cap
         catalog_scope = self.scope == "catalog"
-        groups = self.extra_groups
+        # (name, order, group); a catalog group is built once it is known
+        # to be within the cap
+        sized = [(G.name, G.order, G) for G in self.extra_groups]
         if catalog_scope:
             try:
-                validate_catalog()
+                validate_catalog(cap)
                 res.add("catalog", "builtin", "orders+qd2", "pass")
             except InternalInconsistency as exc:
                 res.add("catalog", "builtin", "orders+qd2", "fail", exc)
-            groups = [catalog_group(n) for n in CATALOG_NAMES] + groups
+            sized[:0] = [(n, EXPECTED_ORDERS[n], None) for n in CATALOG_NAMES]
         instances = []
-        for G in groups:
-            if G.order > self.config.order_cap:
-                res.add("scope", G.name, "order-cap", "skip",
-                        f"order {G.order} exceeds cap")
+        for name, order, G in sized:
+            if order > cap:
+                res.add("scope", name, "order-cap", "skip",
+                        f"order {order} exceeds cap")
                 continue
+            G = G or catalog_group(name)
             for p in PRIMES:
                 if G.order % p == 0:
                     instances.append((G, p))
@@ -186,12 +195,17 @@ class SuiteRunner:
             self.result.add("classify", name, "profiles+fn-criterion",
                             "contradiction", exc)
 
+    def _within_cap(self, *names):
+        """Are the catalog entries ``names`` all within the order cap?  It
+        is asked before they are built."""
+        return all(EXPECTED_ORDERS[n] <= self.config.order_cap for n in names)
+
     def _run_goldens(self):
+        if not self._within_cap("S4", "SL(2,3)"):
+            return
         s4, sl23 = catalog_group("S4"), catalog_group("SL(2,3)")
         for G, check, want in ((s4, "essentials=={V4n}", [o_p(s4, 2).mask]),
                                (sl23, "essentials==empty", [])):
-            if G.order > self.config.order_cap:
-                continue
             ess, _ = essential_subgroups(realize_fusion(G, 2))
             ok = [E.mask for E in ess] == want
             self.result.add("essentials", _instance_name(G, 2), check,
@@ -212,11 +226,10 @@ class SuiteRunner:
 
     def _run_hfree_crosschecks(self):
         res = self.result
-        cap = self.config.order_cap
         for name in CATALOG_NAMES:
-            G = catalog_group(name)
-            if G.order > cap:
+            if not self._within_cap(name):
                 continue
+            G = catalog_group(name)
             try:
                 sigma3_involvement_check(G)
                 res.add("hfree", G.name, "sigma3-agreement", "pass")
@@ -232,9 +245,9 @@ class SuiteRunner:
             except InternalInconsistency as exc:
                 res.add("hfree", G.name, "O2-quotient-agreement",
                         "contradiction", exc)
-        s4, sl23 = catalog_group("S4"), catalog_group("SL(2,3)")
-        if max(s4.order, sl23.order) > cap:
+        if not self._within_cap("S4", "SL(2,3)"):
             return
+        s4, sl23 = catalog_group("S4"), catalog_group("SL(2,3)")
         rep = is_fusion_H_free(realize_fusion(sl23, 2), s4)
         res.add("hfree", "SL(2,3)@p=2", "S4-free",
                 "pass" if rep.free else "fail")

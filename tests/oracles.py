@@ -280,6 +280,61 @@ def assert_section_matches_copy(B, A):
             x for x, c in enumerate(coset_of) if c >= 0 and qmask >> c & 1)
 
 
+# -- maps as image tuples, element by element -----------------------------
+
+
+def restrict_brute(P, t, Q):
+    """The map t on P, restricted to Q <= P."""
+    phi = dict(zip(P.elems, t))
+    return tuple(phi[x] for x in Q.elems)
+
+
+def compose_brute(t, img, u):
+    """u o t, for t a map into ``img`` and u a map on ``img``."""
+    psi = dict(zip(img.elems, u))
+    return tuple(psi[v] for v in t)
+
+
+def invert_brute(host, P, t):
+    """(image of t, the inverse of t over the image's sorted elements)."""
+    back = dict(zip(t, P.elems))
+    img = host.subgroup(sum(1 << v for v in back))
+    return img, tuple(back[v] for v in img.elems)
+
+
+def conj_brute(G, u, P):
+    """x -> u x u^-1 on P, from the group's product and inverse."""
+    return tuple(G.mul(G.mul(u, x), G.inv[u]) for x in P.elems)
+
+
+def assert_reader_reads_at_positions(G):
+    """On every subgroup D of G, ``D.reader(xs)(t)`` is the tuple
+    (t[D.pos(x)] for x in xs), for xs empty, one element, D's generators
+    and the generators of a largest proper subgroup of D, and for t D's
+    elements and their conjugates by G's last element; ``D.key`` reads at
+    D's generators, so the trivial subgroup's key is ().  Also, for every
+    g in G, ``G.conj_images(g, D.elems)`` and ``D.conjugate_mask(g)`` are
+    x -> g x g^-1 on D.  Returns the number of subgroups checked."""
+    subs = G.subgroups()
+    g = G.order - 1
+    for D in subs:
+        for u in range(G.order):
+            conj = conj_brute(G, u, D)
+            assert G.conj_images(u, D.elems) == conj, (G.name, D.mask, u)
+            assert D.conjugate_mask(u) == sum(1 << v for v in conj)
+        below = max((E for E in subs if E < D), key=lambda E: E.order,
+                    default=D)
+        for t in (D.elems, conj_brute(G, g, D)):
+            for xs in ((), D.elems[-1:], D.generators(), below.generators()):
+                want = tuple(t[D.pos(x)] for x in xs)
+                assert D.reader(xs)(t) == want, (G.name, D.mask, xs)
+                assert D.reader(list(xs))(t) == want, (G.name, D.mask, xs)
+            assert D.key(t) == D.reader(D.generators())(t)
+        if D.order == 1:
+            assert D.key(D.elems) == ()
+    return len(subs)
+
+
 # -- element-wise references for the generator-based kernels -------------
 
 
@@ -458,14 +513,14 @@ def normal_in_F_brute(F, W):
     morphism on every object P extends to a morphism on WP that maps W onto
     W.  The counterexample is the least unextended morphism of the first
     object, in canonical order, that has one."""
-    from fusionlab.fusion import mask_of, restrict_tuple, wrap_tuple
+    from fusionlab.fusion import mask_of, wrap_tuple
 
     for P in F.objects():
         WP = W.join(P)
         stable = set()
         for ext in F.maps(WP):
-            if mask_of(restrict_tuple(WP, ext, W)) == W.mask:
-                stable.add(restrict_tuple(WP, ext, P))
+            if mask_of(restrict_brute(WP, ext, W)) == W.mask:
+                stable.add(restrict_brute(WP, ext, P))
         for t in F.maps(P):
             if t not in stable:
                 return False, wrap_tuple(F, P, F.carrier, t)
@@ -515,15 +570,8 @@ def category_closure_brute(host, carrier, seed_maps):
     carrier holding the seeds: a fixed-point iteration that builds every
     inverse, composite and restriction as a whole tuple and tests it as
     one."""
-    from fusionlab.fusion import (
-        compose_tuples,
-        identity_tuple,
-        invert_tuple,
-        restrict_tuple,
-    )
-
     objs = carrier.subgroups_within()
-    maps = {P.mask: {identity_tuple(P)} for P in objs}
+    maps = {P.mask: {P.elems} for P in objs}
     for pmask, tuples in seed_maps.items():
         maps[pmask].update(tuples)
     changed = True
@@ -533,16 +581,16 @@ def category_closure_brute(host, carrier, seed_maps):
             current = maps[P.mask]
             pending = {}
             for t in list(current):
-                img, tinv = invert_tuple(host, P, t)
+                img, tinv = invert_brute(host, P, t)
                 if tinv not in maps[img.mask]:
                     pending.setdefault(img.mask, set()).add(tinv)
                 for u in list(maps[img.mask]):
-                    c = compose_tuples(t, img, u)
+                    c = compose_brute(t, img, u)
                     if c not in current:
                         pending.setdefault(P.mask, set()).add(c)
                 for Q in objs:
                     if Q.mask != P.mask and Q < P:
-                        r = restrict_tuple(P, t, Q)
+                        r = restrict_brute(P, t, Q)
                         if r not in maps[Q.mask]:
                             pending.setdefault(Q.mask, set()).add(r)
             for m, ts in pending.items():
@@ -627,17 +675,7 @@ def verify_axioms_brute(F):
     used, and the checks in the same order, so the first failure and its
     witness are the same."""
     from fusionlab.errors import InternalInconsistency
-    from fusionlab.fusion import (
-        VERIFIED,
-        AxiomReport,
-        compose_tuples,
-        conj_tuple,
-        identity_tuple,
-        invert_tuple,
-        mask_of,
-        p_part,
-        restrict_tuple,
-    )
+    from fusionlab.fusion import VERIFIED, AxiomReport, mask_of, p_part
 
     host, carrier = F.host, F.carrier
     objs = F.objects()
@@ -652,30 +690,30 @@ def verify_axioms_brute(F):
 
     for P in objs:
         ms = set(maps_of[P.mask])
-        if identity_tuple(P) not in ms:
+        if P.elems not in ms:
             return AxiomReport("failed", ("missing-inclusion", P))
         for t in ms:
-            img, tinv = invert_tuple(host, P, t)
+            img, tinv = invert_brute(host, P, t)
             if tinv not in set(maps_of[img.mask]):
                 return AxiomReport("failed", ("missing-inverse", P, t))
             for u in maps_of[img.mask]:
-                if compose_tuples(t, img, u) not in ms:
+                if compose_brute(t, img, u) not in ms:
                     return AxiomReport("failed", ("not-composition-closed",
                                                   P, t, u))
             for Q in objs:
-                if Q < P and restrict_tuple(P, t, Q) not in set(maps_of[Q.mask]):
+                if Q < P and restrict_brute(P, t, Q) not in set(maps_of[Q.mask]):
                     return AxiomReport("failed", ("not-restriction-closed",
                                                   P, t, Q))
 
     for P in objs:
         ms = set(maps_of[P.mask])
         for u in carrier.elems:
-            cu = conj_tuple(host, u, P)
+            cu = conj_brute(host, u, P)
             if mask_of(cu) & ~carrier.mask == 0 and cu not in ms:
                 return AxiomReport("failed", ("FS1", P, u))
 
     aut_f_s = F.aut_tuples(carrier)
-    aut_s_s = {conj_tuple(host, u, carrier) for u in carrier.elems}
+    aut_s_s = {conj_brute(host, u, carrier) for u in carrier.elems}
     if not aut_s_s <= set(aut_f_s):
         return AxiomReport("failed", ("FS2", "Aut_S(S) not contained"))
     if p_part(len(aut_f_s), F.p) != len(aut_s_s):
@@ -692,7 +730,7 @@ def verify_axioms_brute(F):
                 return AxiomReport("failed", ("FS3-nphi", P, t))
             if nphi.mask == P.mask:
                 continue
-            if not any(restrict_tuple(nphi, ext, P) == t
+            if not any(restrict_brute(nphi, ext, P) == t
                        for ext in maps_of[nphi.mask]):
                 return AxiomReport("failed", ("FS3", P, t, nphi))
 
@@ -815,7 +853,7 @@ def subsystem_rule_brute(F, Q, kind):
     by 1 (centralizer), by N_S(Q) (mixed) or by S (product), or as any
     F-automorphism (normalizer).  The carrier is N_S(Q), C_S(Q), N_S(Q) or
     S, found element by element."""
-    from fusionlab.fusion import mask_of, restrict_tuple
+    from fusionlab.fusion import mask_of
 
     G, S = F.host, F.carrier
     n = G.subgroup(mask_of(normalizer_brute(Q, S)))
@@ -832,12 +870,12 @@ def subsystem_rule_brute(F, Q, kind):
         QR = Q.join(R)
         res = set()
         for ext in F.maps(QR):
-            on_q = restrict_tuple(QR, ext, Q)
+            on_q = restrict_brute(QR, ext, Q)
             if mask_of(on_q) != Q.mask:
                 continue
             if allowed is not None and on_q not in allowed:
                 continue
-            res.add(restrict_tuple(QR, ext, R))
+            res.add(restrict_brute(QR, ext, R))
         out[R.mask] = tuple(sorted(res))
     return out
 

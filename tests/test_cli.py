@@ -341,6 +341,22 @@ def test_cli_catalog(capsys):
     assert "Qd(3)" in out and "validated 16 entries" in out
 
 
+def test_cli_catalog_builds_no_entry_above_the_cap(capsys, cold_start):
+    import importlib
+
+    catalog = importlib.import_module("fusionlab.catalog")
+    cold_start()
+    assert main(["--order-cap", "100", "catalog"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "Qd(3)" not in catalog._cache
+    assert out[-2:] == ["Qd(3)      order  216  skipped: above the order cap",
+                        "validated 15 entries (incl. Qd(2) ~ S4)"]
+    cold_start()
+    assert main(["--order-cap", "20", "catalog"]) == 0
+    out = capsys.readouterr().out
+    assert "S4" not in catalog._cache and "validated 9 entries\n" in out
+
+
 def test_cli_catalog_order_mismatch_exits_2_with_dump(monkeypatch, tmp_path,
                                                       capsys, cold_start):
     import importlib

@@ -41,6 +41,7 @@ from fusionlab.hfree import sigma3_involvement_check
 
 from oracles import (
     assert_kernels_match_oracles,
+    assert_reader_reads_at_positions,
     assert_kept_verdicts_exact,
     assert_section_matches_copy,
     automorphisms,
@@ -363,6 +364,15 @@ def test_generators_and_lattices_do_not_depend_on_call_history(cat, name):
     after.subgroups()
     assert read(after) == first
     assert first[1] == [[k for k in masks if k & ~m == 0] for m in masks]
+
+
+def test_reader_and_conjugation_images_match_element_loops(cat):
+    """``Subgroup.reader`` and ``FiniteGroup.conj_images`` against their
+    element-wise definitions on every subgroup of each catalog group of
+    order at most 48 (the POOL groups are checked in test_properties)."""
+    checked = sum(assert_reader_reads_at_positions(G)
+                  for name, G in cat.items() if G.order <= 48)
+    assert checked == 195
 
 
 def test_subgroups_within_paths_agree(cat):

@@ -32,6 +32,7 @@ from oracles import (
     assert_alperin_matches_brute,
     assert_closure_matches_oracle,
     assert_kept_verdicts_exact,
+    assert_reader_reads_at_positions,
     assert_strongly_p_embedded_matches_brute,
     assert_kernels_match_oracles,
     automorphisms_raw,
@@ -104,6 +105,13 @@ def test_lattice_closed_under_meet_and_conjugation(gens):
             assert (H.mask & K.mask) in masks
         for x in range(g.order):
             assert H.conjugate_mask(x) in masks
+
+
+@settings(**COMMON)
+@given(group_specs)
+def test_reader_and_conjugation_images_match_element_loops(gens):
+    g = build_group([list(p) for p in gens], kind="perms", cap=200)
+    assert assert_reader_reads_at_positions(g) == len(g.subgroups())
 
 
 @settings(**COMMON)

@@ -76,6 +76,47 @@ def test_each_walk_has_one_kernel_in_package():
     assert calls == callers
 
 
+def _reads_by_position(comp):
+    """(kind, line) if the comprehension ``comp`` reads a map by hand:
+    a position map at its loop variable (``pos[g] for g in gens``), or a
+    tuple at a loop variable that runs over a list of positions held in a
+    name (``t[i] for i in at``)."""
+    elt = comp.key if isinstance(comp, ast.DictComp) else comp.elt
+    for gen in comp.generators:
+        var = gen.target
+        if not (isinstance(var, ast.Name) and isinstance(elt, ast.Subscript)
+                and isinstance(elt.value, ast.Name)
+                and isinstance(elt.slice, ast.Name)
+                and elt.slice.id == var.id):
+            continue
+        if elt.value.id.endswith("pos"):
+            return "position-map", comp.lineno
+        if isinstance(gen.iter, ast.Name):
+            return "positions-list", comp.lineno
+    return None
+
+
+def test_maps_are_read_through_the_subgroup_reader():
+    """A map held over D's sorted elements is read at given elements by
+    ``D.reader(xs)`` alone, and a map on D is keyed by ``D.key``: outside
+    groups.py no comprehension reads a position map at its loop variable
+    or a tuple at a list of positions, and the hand-built restriction and
+    composition helpers do not come back."""
+    found = []
+    for name, node in _nodes((ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                              ast.DictComp)):
+        got = _reads_by_position(node)
+        if got is not None and name != "groups.py":
+            found.append(f"{name}:{got[1]}:{got[0]}")
+    assert found == []
+    banned = {"restrict_tuple", "compose_tuples"}
+    for name, node in _nodes(ast.AST):
+        for field in ("id", "attr", "name"):
+            if getattr(node, field, None) in banned:
+                found.append(f"{name}:{node.lineno}:{getattr(node, field)}")
+    assert found == []
+
+
 def test_a_system_is_realized_or_explicit_in_package():
     """A system has an ambient (realized) or stored hom-sets (explicit),
     never both, and an F-class is read off one hom-set.  The flag of a
@@ -170,13 +211,14 @@ def _functions(node, prefix=""):
 
 def test_order_cap_is_checked_where_groups_enter():
     """The order cap is checked where a group enters the package: the
-    group builders, the group-file parser, the CLI's loaders and
-    ``RunConfig``.  A group derived from those is no larger than its
+    group builders, the group-file parser, the catalog check, the CLI's
+    loaders and ``RunConfig``.  A group derived from those is no larger than its
     parent, so no search takes a cap.  ``standard_subgroup`` (its callers
     use the kernels) and ``perm_elements`` do not come back."""
     entries = {
         "groups.py:build_group", "groups.py:_group_from_perms",
         "groups.py:_group_from_table", "groupfile.py:parse_group_text",
+        "catalog.py:validate_catalog",
         "groupfile.py:parse_group_file", "cli.py:_load_group",
         "cli.py:_catalog_group", "cli.py:_resolve_h",
         "suite.py:RunConfig.__init__"}

@@ -12,7 +12,6 @@ from fusionlab.fusion import (
     FusionSystem,
     fusion_equal,
     realize_fusion,
-    restrict_tuple,
     verify_axioms,
 )
 from fusionlab.groups import (
@@ -42,6 +41,7 @@ from oracles import (
     materialize,
     normal_in_F_brute,
     o_p_brute,
+    restrict_brute,
     subsystem_rule_brute,
 )
 
@@ -109,8 +109,8 @@ def test_normality_in_F_matches_the_definition(cat, systems):
             t = counter.as_tuple()
             assert t in F.maps(P)
             WP = W.join(P)
-            assert all(mask_of(restrict_tuple(WP, ext, W)) != W.mask
-                       or restrict_tuple(WP, ext, P) != t
+            assert all(mask_of(restrict_brute(WP, ext, W)) != W.mask
+                       or restrict_brute(WP, ext, P) != t
                        for ext in F.maps(WP))
             counterexamples += 1
             contains_w.add(W <= P)

@@ -1,10 +1,13 @@
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
 
+import pytest
+
 import fusionlab
-from fusionlab import groups
+from fusionlab import groups, suite
 from fusionlab.catalog import CATALOG_NAMES, EXPECTED_ORDERS, catalog_group
 from fusionlab.cli import main
 from fusionlab.groups import build_group
@@ -23,13 +26,16 @@ SUITE_TSV_SHA256 = (
     "f05c5e04f2e4720a8e6adf2e41d8b9ea8574d674979237bcbba119898442e780")
 
 
-def test_catalog_suite_tsv_is_pinned():
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+def test_catalog_suite_tsv_is_pinned(flags):
     """A fresh process prints the catalog suite TSV with the pinned digest,
     so a change in any verdict or detail of the sweep fails here, not only
-    in the benchmark's reference check."""
+    in the benchmark's reference check; under ``python -O`` too, since the
+    invariants must hold in every run mode."""
     src = os.path.dirname(os.path.dirname(fusionlab.__file__))
     run = subprocess.run(
-        [sys.executable, "-m", "fusionlab.cli", "suite", "--format", "tsv"],
+        [sys.executable, *flags, "-m", "fusionlab.cli", "suite", "--format",
+         "tsv"],
         capture_output=True, timeout=600,
         env=dict(os.environ, PYTHONPATH=src))
     assert run.returncode == 0, run.stderr.decode()
@@ -85,6 +91,33 @@ def test_order_cap_skips_catalog_groups_with_one_row_each(capsys):
                 and any(n in r[1] for n in above)]
     assert not [r for r in rows if r[0] == "essentials"
                 or r[2].startswith(("S4-free", "not-S4-free"))]
+
+
+def test_order_cap_keeps_the_sweep_from_building_groups_above_it(
+        monkeypatch, cold_start):
+    """Under cap 100, neither the catalog row (``validate_catalog``) nor
+    the sweep's own rows build Qd(3), of order 216: each entry is weighed
+    by its expected order before it is built.  (Qd(3) is still built as
+    the group H of the Qd(3)-freeness tests at p = 3 and as a member of
+    the families at p = 3: those are inputs of the verdicts on the groups
+    within the cap.)"""
+    catalog = importlib.import_module("fusionlab.catalog")
+    cold_start()
+    built = []
+
+    def recorded(name, build=catalog.catalog_group):
+        built.append(name)
+        return build(name)
+
+    assert catalog.validate_catalog(100) == {
+        n: (EXPECTED_ORDERS[n], EXPECTED_ORDERS[n]) for n in CATALOG_NAMES
+        if n != "Qd(3)"}
+    assert "Qd(3)" not in catalog._cache
+    monkeypatch.setattr(catalog, "catalog_group", recorded)
+    monkeypatch.setattr(suite, "catalog_group", recorded)
+    rows = run_suite(RunConfig(order_cap=100)).rows
+    assert ("catalog", "builtin", "orders+qd2", "pass", "") in rows
+    assert set(built) == set(CATALOG_NAMES) - {"Qd(3)"}
 
 
 def test_report_files_written_atomically(tmp_path):
