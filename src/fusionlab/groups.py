@@ -635,23 +635,21 @@ def compose_perms(a, b):
     return tuple([a[x] for x in b])
 
 
-def build_group(spec, name="G", cap=DEFAULT_ORDER_CAP, kind="auto"):
+def build_group(spec, name="G", cap=DEFAULT_ORDER_CAP, *, kind):
     """Build a validated FiniteGroup, refused with OrderCapExceeded above
     ``cap`` elements.
 
-    ``spec`` is either a list of permutations (tuples of 0-based images, all
-    on the same number of points <= 64) closed breadth-first in input order,
-    or a full square Cayley table.  A square list is read as a table unless
-    ``kind="perms"`` forces the permutation reading; element 0 is always the
-    identity (tables with the identity elsewhere are relabelled).
+    With ``kind="perms"``, ``spec`` is a list of permutations (tuples of
+    0-based images, all on the same number of points <= 64) closed
+    breadth-first in input order; with ``kind="table"``, a full square
+    Cayley table.  Element 0 is always the identity (tables with the
+    identity elsewhere are relabelled).
     """
     if kind == "table":
         return _group_from_table(spec, name, cap)
     if kind == "perms":
         return _group_from_perms(spec, name, cap)
-    if spec and isinstance(spec[0], (list, tuple)) and len(spec) == len(spec[0]):
-        return _group_from_table(spec, name, cap)
-    return _group_from_perms(spec, name, cap)
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def _group_from_perms(perms, name, cap):
@@ -800,7 +798,7 @@ def is_prime(n):
 def _subgroup_lattice_masks(G, seeds=None, within=None):
     """{mask: generators} of every subgroup of W = ``within`` (a Subgroup;
     default G) that contains one of ``seeds`` (Subgroups of W; by default
-    the trivial one and every cyclic subgroup of W, so W's whole lattice).
+    the trivial one, so W's whole lattice).
 
     The walk runs on G's own table: it adjoins prime-power-order elements
     of W to known subgroups, and is complete because every overgroup of a
@@ -813,14 +811,8 @@ def _subgroup_lattice_masks(G, seeds=None, within=None):
     pp_elems = [x for x in elems
                 if p_part(orders[x], _smallest_prime_factor(orders[x]))
                 == orders[x]]
-    if seeds is None:
-        found = {1: ()}
-        for x in elems:
-            m = G.cyclic_mask(x)
-            if m not in found:
-                found[m] = (x,)
-    else:
-        found = {S.mask: S.generators() for S in seeds}
+    found = ({1: ()} if seeds is None
+             else {S.mask: S.generators() for S in seeds})
     frontier = list(found)
     while frontier:
         fresh = []
@@ -951,8 +943,8 @@ def _o_pi(G, W, p, prime_to_p):
         if in_pi(mask.bit_count()):
             join, join_gens = mask, gens
         else:
-            # every generator past N's is a W-conjugate of x
-            rejected |= mask_of(gens[len(join_gens):])
+            # every W-conjugate of x has x's normal closure
+            rejected |= mask_of(orbit(x, wgens, G.conj))
     return G.subgroup(join)
 
 
@@ -1296,12 +1288,6 @@ def _find_section(H, G):
     h = H.order
     if G.order % h != 0:
         return False, None
-    if h == G.order:
-        # the only section of that order is G/1, the lattice loop's answer
-        if not is_isomorphic(G, H)[0]:
-            return False, None
-        return True, (G.full_subgroup, G.trivial_subgroup)
-    h_hist = tuple(sorted(_order_histogram(H).items()))
     # a B with h dividing |B| has a subgroup of order q, the largest
     # prime-power part r^a of h, and a G-conjugate of it lies in the
     # canonical Sylow r-subgroup P; so every G-class of such B meets the
@@ -1330,8 +1316,6 @@ def _find_section(H, G):
         for amask in _normal_subgroups_of_order(G, B, B.order // h):
             A = G.subgroup(amask)
             Q, _ = quotient_group(G, A, within=B)
-            if tuple(sorted(_order_histogram(Q).items())) != h_hist:
-                continue
             ok, _ = is_isomorphic(Q, H)
             if ok:
                 return True, (B, A)

@@ -62,8 +62,27 @@ def centric_radical_fn_subgroups(F):
 
 
 def is_fusion_H_free(F, H) -> HFreeReport:
-    """H-freeness through the models L_Q, never through the ambient group."""
+    """H-freeness through the models L_Q, never through the ambient group.
+
+    A model is built only for a Q whose Out_F(Q) involves H/O_p(H).  Let
+    B/A = H be a section of L_Q and O the image of Q, normal in L_Q.  Then
+    (O n B)A/A is a normal p-subgroup of B/A, so it lies in O_p(B/A), and
+    H/O_p(H) is a quotient of B/A(O n B) = BO/AO, a section of L_Q/O.  The
+    model's validation gives C_G(Q) = Z(Q) x O_p'(C_G(Q)), so L_Q/O =
+    N_G(Q)/Q C_G(Q) = Out_F(Q) (the model theorem of Broto, Castellana,
+    Grodal, Levi and Oliver, 2005).  So the screen keeps every Q whose
+    model involves H, and the first such Q and its witness (Q, L_Q, (B, A))
+    do not change.  At p = 2 with H = S4 the screen is exact, by
+    ``remark67_check`` on L = L_Q, where C_L(O_2(L)) <= O_2(L): no model
+    is built for an S4-free system.  Only a system realized on a Sylow
+    subgroup, where every Q of the range has a model, is screened; on any
+    other, ``model_group`` raises ModelValidationFailed at a Q without one."""
+    top, _ = quotient_group(H, o_p(H, F.p))
+    has_models = (F.is_realized()
+                  and F.ambient.order // F.carrier.order % F.p != 0)
     for Q in centric_radical_fn_subgroups(F):
+        if has_models and not is_involved(top, F.out_group(Q)[0])[0]:
+            continue
         model = model_group(F, Q)
         involved, section = is_involved(H, model.L)
         if involved:

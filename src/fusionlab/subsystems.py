@@ -387,14 +387,10 @@ def _model_group(F, Q):
     N = Q.normalizer_in(A)
     C = Q.centralizer_in(A)
     Z = Q.center()
-    # centric + fully normalized force C = Z(Q) x O_p'(C) (central Sylow)
-    kmask = mask_of(x for x in C.elems if G.elem_orders[x] % p != 0)
-    try:
-        K = G.subgroup(kmask)
-    except Exception as exc:
-        raise ModelValidationFailed(
-            f"p'-elements of C_G(Q) do not close: {exc}") from exc
-    if Z.mask & K.mask != 1 or Z.order * K.order != C.order:
+    # centric + fully normalized force C = Z(Q) x O_p'(C) (central Sylow);
+    # Z is central of order prime to |K|, so |Z||K| = |C| is that product
+    K = o_p_prime(G, p, within=C)
+    if Z.order * K.order != C.order:
         raise ModelValidationFailed("C_G(Q) != Z(Q) x O_p'(C_G(Q))")
     L, proj = quotient_group(G, K, name=f"L({F.name},|Q|={Q.order})",
                              within=N)

@@ -487,6 +487,47 @@ def involved_brute(H, G):
     return False, None
 
 
+def fusion_H_free_by_models(F, H):
+    """H-freeness of F through every model of its range, with no screen:
+    (free, witness), the witness (Q, L_Q, (B, A)) of the first Q whose
+    model involves H, or None."""
+    from fusionlab.groups import is_involved
+    from fusionlab.hfree import centric_radical_fn_subgroups
+    from fusionlab.subsystems import model_group
+
+    for Q in centric_radical_fn_subgroups(F):
+        L = model_group(F, Q).L
+        involved, section = is_involved(H, L)
+        if involved:
+            return False, (Q, L, section)
+    return True, None
+
+
+# the groups H the screened H-freeness route is compared with the models on
+SCREENED_H = ("S4", "A4", "S3", "SL(2,3)", "D8", "C3", "Qd(3)")
+
+
+def assert_H_free_matches_models(F, hs):
+    """``is_fusion_H_free`` gives the verdict of ``fusion_H_free_by_models``
+    for each H in ``hs``, and on a failure the same Q mask, order of L_Q
+    and masks of B and A.  Returns the number of H that F involves."""
+    from fusionlab.hfree import is_fusion_H_free
+
+    def shape(witness):
+        Q, L, (B, A) = witness
+        return Q.mask, L.order, B.mask, A.mask
+
+    involved = 0
+    for H in hs:
+        rep = is_fusion_H_free(F, H)
+        free, witness = fusion_H_free_by_models(F, H)
+        assert rep.free == free, (F.name, H.name)
+        if not free:
+            involved += 1
+            assert shape(rep.witness) == shape(witness), (F.name, H.name)
+    return involved
+
+
 def group_from_maps_brute(Q, tuples):
     """The Cayley table of a set of automorphism tuples of Q (images of
     Q's sorted elements), composing all n^2 pairs, (a o b)(x) = a[b(x)];

@@ -91,6 +91,24 @@ def test_build_group_rejects_non_group_table():
         build_group([[0, 1], [1, 1]], kind="table")
 
 
+def test_build_group_reads_n_permutations_on_n_points_as_permutations():
+    """A square list of permutations is no Cayley table: the three
+    transpositions of S3 and the three elements of C3 on three points."""
+    s3 = build_group([(1, 0, 2), (0, 2, 1), (2, 1, 0)], kind="perms")
+    assert s3.order == 6 and looks_like_s3(s3)
+    assert s3.perm_rep == [(1, 0, 2), (0, 2, 1), (2, 1, 0)]
+    c3 = build_group([(1, 2, 0), (2, 0, 1), (0, 1, 2)], kind="perms")
+    assert c3.order == 3 and c3.perm_rep is not None
+    assert len(c3.gen_indices) == 3
+
+
+def test_build_group_takes_no_guess_at_the_kind():
+    with pytest.raises(TypeError):
+        build_group([(1, 0, 2), (0, 2, 1), (2, 1, 0)])
+    with pytest.raises(ValueError, match="unknown kind"):
+        build_group([(1, 0, 2)], kind="auto")
+
+
 def _intercalate_swapped(n, op, r, c, d):
     """The table of op on range(n) with the intercalate on rows r, r*d and
     columns c, c*d swapped: a Latin square with the same identity and

@@ -29,8 +29,10 @@ from fusionlab.subsystems import is_normal_in_F, o_p_of_F
 from fusionlab.theorems import has_normal_p_complement
 
 from oracles import (
+    SCREENED_H,
     assert_alperin_matches_brute,
     assert_closure_matches_oracle,
+    assert_H_free_matches_models,
     assert_kept_verdicts_exact,
     assert_reader_reads_at_positions,
     assert_strongly_p_embedded_matches_brute,
@@ -112,6 +114,16 @@ def test_lattice_closed_under_meet_and_conjugation(gens):
 def test_reader_and_conjugation_images_match_element_loops(gens):
     g = build_group([list(p) for p in gens], kind="perms", cap=200)
     assert assert_reader_reads_at_positions(g) == len(g.subgroups())
+
+
+@settings(**COMMON)
+@given(group_specs)
+def test_screened_H_freeness_matches_the_models(gens):
+    g = build_group([list(p) for p in gens], kind="perms", cap=200)
+    hs = [catalog_group(h) for h in SCREENED_H]
+    for p in (2, 3, 5):
+        if g.order % p == 0:
+            assert_H_free_matches_models(realize_fusion(g, p), hs)
 
 
 @settings(**COMMON)

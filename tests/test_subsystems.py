@@ -35,6 +35,7 @@ from fusionlab.subsystems import (
 from oracles import (
     assert_closure_matches_oracle,
     assert_subsystem_rules_match_brute,
+    centralizer_brute,
     closure_seeds,
     looks_like_a4,
     looks_like_s3,
@@ -530,12 +531,20 @@ def test_model_rejects_non_centric(cat, systems):
 
 
 def test_model_validation_across_catalog(systems):
-    """Every admissible (F, Q) passes all four model post-conditions."""
+    """Every admissible (F, Q) passes all four model post-conditions, and
+    the model's kernel is the set of p'-elements of C_G(Q)."""
     from fusionlab.hfree import centric_radical_fn_subgroups
 
+    nontrivial = 0
     for F in systems.values():
+        orders = F.host.elem_orders
         for Q in centric_radical_fn_subgroups(F):
-            model_group(F, Q)  # raises on any validation failure
+            m = model_group(F, Q)  # raises on any validation failure
+            p_prime = {x for x in centralizer_brute(Q, F.ambient)
+                       if orders[x] % F.p}
+            assert set(m.kernel.elems) == p_prime
+            nontrivial += m.kernel.order > 1
+    assert nontrivial > 0
 
 
 # -- chain straightening ------------------------------------------------------------
