@@ -81,7 +81,7 @@ from .theorems import (
     verify_theorem_2,
     verify_theorem_3,
 )
-from .catalog import catalog, catalog_group, validate_catalog
+from .catalog import catalog_group, validate_catalog
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -157,11 +157,6 @@ def qd2_group() -> FiniteGroup:
     return _build("Qd(2)", affine_qd_perms(2), EXPECTED_ORDERS["S4"])
 
 
-def catalog() -> dict[str, FiniteGroup]:
-    """The full built-in catalog, in canonical order."""
-    return {name: catalog_group(name) for name in CATALOG_NAMES}
-
-
 def validate_catalog(cap=DEFAULT_ORDER_CAP):
     """{name: (order, expected order)} for every entry of order at most
     ``cap``, each checked at its expected order as it is built, plus the

@@ -207,7 +207,7 @@ def cmd_wcompute(args):
         print(f"  grew from {mask:x} at member {mi}, automorphism {oi}")
     print(f"W(S): {_subgroup_desc(wc.W_iter)}")
     print(f"one-shot W: order {wc.W_oneshot.order}, equal: {wc.equal}")
-    rep = functor_checks(fam.S, fam)
+    rep = functor_checks(fam)
     print(f"functor checks: characteristic={rep.characteristic_iter} "
           f"nontrivial={rep.nontrivial} "
           f"order-independent={rep.order_independent} "

@@ -58,11 +58,6 @@ class NotNormalInF(FusionlabError):
     """Operation requires a subgroup normal in the fusion system."""
 
 
-class JoinNotNormal(FusionlabError):
-    """The join of normal-in-F subgroups failed the normality re-check;
-    this indicates an implementation bug."""
-
-
 class NotCentric(FusionlabError):
     """Model construction requires a centric subgroup."""
 

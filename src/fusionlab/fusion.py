@@ -109,7 +109,7 @@ class _Memos:
         self.profiles = {}
         self.normalizers = {}
         self.centralizers = {}
-        self.auts = {}   # aut_tuples, by Q.mask
+        self.stabilizing = {}   # stabilizing, by (D.mask, Q.mask)
         self.autgroups = {}
         self.alperin = {}   # alperin_decompose's search, by P.mask
         self.models = {}   # subsystems.model_group, by Q.mask
@@ -288,21 +288,25 @@ class FusionSystem:
 
     # -- automorphism groups ----------------------------------------------
 
-    def aut_tuples(self, Q):
-        """Aut_F(Q) as sorted image tuples, filtered from Hom_F(Q, S) once
-        per object."""
-        self.require_object(Q)
-        got = self._memo.auts.get(Q.mask)
+    def stabilizing(self, D, Q):
+        """The maps of Hom_F(D, S) that map Q <= D onto Q, as sorted image
+        tuples, filtered once per (D, Q)."""
+        self.require_object(D)
+        if Q.parent is not self.host or not Q <= D:
+            raise ObjectOutsideS(f"{Q!r} is not a subgroup of the domain")
+        key = (D.mask, Q.mask)
+        got = self._memo.stabilizing.get(key)
         if got is None:
-            got = self._memo.auts[Q.mask] = _aut_tuples(self, Q)
+            got = self._memo.stabilizing[key] = _stabilizing(self, D, Q)
         return got
+
+    def aut_tuples(self, Q):
+        """Aut_F(Q) as sorted image tuples: the maps on Q onto Q."""
+        return self.stabilizing(Q, Q)
 
     def aut_s_tuples(self, Q):
         """Aut_S(Q): conjugation maps by carrier elements normalizing Q."""
         return conj_maps(self.host, Q, self.n_in_carrier(Q).elems, Q.mask)
-
-    def inn_tuples(self, Q):
-        return conj_maps(self.host, Q, Q.elems, Q.mask)
 
     def aut_group(self, Q):
         """(FiniteGroup of Aut_F(Q), elements as image tuples, index map)."""
@@ -314,22 +318,23 @@ class FusionSystem:
         return got
 
     def out_group(self, Q):
-        """(Out_F(Q) group, projection, Aut_F(Q) data) for Q <= S."""
+        """(Out_F(Q) group, projection, Aut_F(Q) data) for Q <= S.  Inn(Q)
+        is closed in Aut_F(Q) from the conjugations by Q's generators."""
         autg, elems, index = self.aut_group(Q)
         try:
-            inn_mask = mask_of(index[t] for t in self.inn_tuples(Q))
+            inn = [index[conj_tuple(self.host, g, Q)] for g in Q.generators()]
         except KeyError:
             raise MorphismNotInF("inner automorphisms missing from Aut_F(Q)")
-        out, proj = quotient_group(autg, autg.subgroup(inn_mask),
-                                   name=f"OutF({Q.order})")
+        inn_group = autg.subgroup(autg.closure_mask(inn))
+        out, proj = quotient_group(autg, inn_group, name=f"OutF({Q.order})")
         return out, proj, (autg, elems, index)
 
 
-def _aut_tuples(F, Q):
-    """The maps of Hom_F(Q, S) onto Q: a morphism is injective, so it maps
-    Q onto Q as soon as it maps Q's generators into Q."""
-    key, qmask = Q.key, Q.mask
-    return tuple(t for t in F.maps(Q) if all(qmask >> y & 1 for y in key(t)))
+def _stabilizing(F, D, Q):
+    """The maps of Hom_F(D, S) that map Q onto Q: a morphism is injective,
+    so it maps Q onto Q as soon as it maps Q's generators into Q."""
+    on_q, qmask = D.reader(Q.generators()), Q.mask
+    return tuple(t for t in F.maps(D) if all(qmask >> y & 1 for y in on_q(t)))
 
 
 def _group_from_maps(Q, tuples, name):

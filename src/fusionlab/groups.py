@@ -1094,12 +1094,6 @@ def _order_histogram(G):
     return hist
 
 
-def _iso_invariants(G):
-    center = G.full_subgroup.center().order
-    derived = G.full_subgroup.derived().order
-    return (G.order, tuple(sorted(_order_histogram(G).items())), center, derived)
-
-
 def _iso_search(G, H, find_all=False, prefix=()):
     """Image lists of the injective homomorphisms G -> H (H of G's order,
     so isomorphisms): all of them if ``find_all``, else the first or None.
@@ -1173,10 +1167,10 @@ def _iso_search(G, H, find_all=False, prefix=()):
 
 def is_isomorphic(G, H):
     """(bool, witness GroupMorphism or None).  Groups that differ in
-    order, element-order counts, centre or derived subgroup are told apart
-    at once; otherwise the witness is the first map ``_iso_search`` finds,
-    the least tuple of generator images that extends to an isomorphism.
-    The answer is computed once per (G, H) and kept on G."""
+    order or element-order counts are told apart at once; otherwise the
+    witness is the first map ``_iso_search`` finds, the least tuple of
+    generator images that extends to an isomorphism.  The answer is
+    computed once per (G, H) and kept on G."""
     got = G._isomorphic.get(H)
     if got is None:
         got = G._isomorphic[H] = _find_isomorphism(G, H)
@@ -1184,7 +1178,7 @@ def is_isomorphic(G, H):
 
 
 def _find_isomorphism(G, H):
-    if _iso_invariants(G) != _iso_invariants(H):
+    if G.order != H.order or _order_histogram(G) != _order_histogram(H):
         return False, None
     images = _iso_search(G, H)
     if images is None:

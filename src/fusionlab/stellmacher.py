@@ -313,9 +313,11 @@ class FunctorReport(DetailRecord, namedtuple(
                 and self.identification_independent and self.oneshot_contained)
 
 
-def functor_checks(S: FiniteGroup, family: CandidateFamily) -> FunctorReport:
-    """Characteristic/nontrivial checks plus independence of the result from
-    the member order and from the choice of identification isomorphisms."""
+def functor_checks(family: CandidateFamily) -> FunctorReport:
+    """Characteristic/nontrivial checks on the family's S, plus independence
+    of the result from the member order and from the choice of
+    identification isomorphisms."""
+    S = family.S
     wc = compute_W_iterative(family)
     full = S.full_subgroup
     char_iter = is_characteristic(wc.W_iter, full)

@@ -15,7 +15,6 @@ from .errors import (
     ChainConditionViolated,
     HypothesisViolated,
     InternalInconsistency,
-    JoinNotNormal,
     ModelValidationFailed,
     NotCentric,
     NotNormalInF,
@@ -49,11 +48,13 @@ from .pgroups import is_characteristic
 
 
 def is_normal_in_F(F, W):
-    """Does every morphism extend W-preservingly?  (bool, counterexample).
+    """Is N_F(W) = F?  (bool, counterexample).
 
-    W must be normal in the carrier; otherwise the answer is immediately
-    False (the normalizer system would live on a smaller carrier).  The
-    definition is tested on every object, for every kind of system, and the
+    W is normal in F exactly when every morphism of F on every object R
+    extends to a morphism on WR that maps W onto W, which is the rule of
+    N_F(W) (``_rule_extensions``) giving F's hom-sets.  W must be normal
+    in the carrier; otherwise the answer is immediately False (the
+    normalizer system would live on a smaller carrier).  The
     counterexample is the least unextended morphism on the first object
     that has one.  The verdict is computed once per (F, W) and kept on F.
     """
@@ -71,30 +72,12 @@ def _normal_in_F(F, W):
         return False, wrap_tuple(F, W, S, conj_tuple(F.host, u, W))
     if W.order == 1:
         return True, None
-    stable_on = {}   # the maps on WP mapping W onto W, by WP.mask
-    for P in F.objects():
-        t = _first_unextended(F, W, P, stable_on)
+    for R, extended in _rule_extensions(F, W, S, None):
+        key = R.key
+        t = next((t for t in F.maps(R) if key(t) not in extended), None)
         if t is not None:
-            return False, wrap_tuple(F, P, S, t)
+            return False, wrap_tuple(F, R, S, t)
     return True, None
-
-
-def _first_unextended(F, W, P, stable_on):
-    """The least morphism on P that no morphism on WP mapping W onto W
-    restricts to, or None.  A morphism is an injective homomorphism, so
-    it maps W onto W as soon as it maps W's generators into W, and it
-    restricts to a morphism t on P as soon as it agrees with t on P's
-    generators (``Subgroup.key``)."""
-    wmask = W.mask
-    WP = W.join(P)
-    stable = stable_on.get(WP.mask)
-    if stable is None:
-        on_w = WP.reader(W.generators())
-        stable = stable_on[WP.mask] = [
-            ext for ext in F.maps(WP)
-            if all(wmask >> y & 1 for y in on_w(ext))]
-    keys = set(map(WP.reader(P.generators()), stable))
-    return next((t for t in F.maps(P) if P.key(t) not in keys), None)
 
 
 def _require_saturated(F, what):
@@ -126,7 +109,8 @@ def o_p_of_F(F):
     core = F.host.subgroup(m)
     ok, _ = is_normal_in_F(F, core)
     if not ok:
-        raise JoinNotNormal("the fixpoint O_p(F) is not normal in F")
+        raise InternalInconsistency(
+            f"the fixpoint O_p(F) = {m:#x} is not normal in F")
     return core
 
 
@@ -204,31 +188,37 @@ def _subsystem(F, Q, kind):
     return sub
 
 
-def _rule_hom_sets(F, Q, carrier, allowed):
-    """The hom-sets of an extension rule, by domain mask: for each R in
-    the carrier, the restrictions to R of the maps on QR that act on Q as
-    ``allowed`` permits.  The rule runs on generator keys: the maps on QR
-    are filtered once per QR, and each distinct restriction to R is built
-    once."""
-    qmask, cmask = Q.mask, carrier.mask
-    stable_on = {}   # the maps on QR acting on Q as allowed, by QR.mask
-    maps_by_domain = {}
+def _rule_extensions(F, Q, carrier, allowed):
+    """The extension rule at Q: for each R of the carrier in canonical
+    order, (R, {generator key on R: a map on QR}) over the maps on QR
+    that map Q onto Q (``FusionSystem.stabilizing``) and, unless
+    ``allowed`` is None, act on Q as a member of ``allowed``.  Maps on QR
+    with one key on R have one restriction to R, so one of them stands
+    for it; the maps on QR are narrowed once per QR."""
+    qgens = Q.generators()
+    narrowed = {}   # the maps on QR the rule keeps, by QR.mask
     for R in carrier.subgroups_within():
         QR = Q.join(R)
-        stable = stable_on.get(QR.mask)
-        if stable is None:
-            on_q = QR.reader(Q.generators())
-            stable = stable_on[QR.mask] = [
-                ext for ext in F.maps(QR)
-                if (all(qmask >> y & 1 for y in on_q(ext)) if allowed is None
-                    else on_q(ext) in allowed)]
-        on_r = QR.reader(R.generators())
-        first = {}   # one map on QR per restriction to R, by its key
-        for ext in stable:
-            first.setdefault(on_r(ext), ext)
-        to_r = QR.reader(R.elems)
+        exts = narrowed.get(QR.mask)
+        if exts is None:
+            exts = F.stabilizing(QR, Q)
+            if allowed is not None:
+                on_q = QR.reader(qgens)
+                exts = [ext for ext in exts if on_q(ext) in allowed]
+            narrowed[QR.mask] = exts
+        yield R, dict(zip(map(QR.reader(R.generators()), exts), exts))
+
+
+def _rule_hom_sets(F, Q, carrier, allowed):
+    """The hom-sets of an extension rule, by domain mask: for each R in
+    the carrier, the restrictions to R of the maps that
+    ``_rule_extensions`` keeps, each built once."""
+    cmask = carrier.mask
+    maps_by_domain = {}
+    for R, extended in _rule_extensions(F, Q, carrier, allowed):
+        to_r = Q.join(R).reader(R.elems)
         res = []
-        for ext in first.values():
+        for ext in extended.values():
             r = to_r(ext)
             if mask_of(r) & ~cmask:
                 raise InternalInconsistency(
@@ -274,13 +264,12 @@ def quotient_system(F, Q):
         if not Q <= P:
             continue
         Pbar = proj.push_subgroup(P)
+        if len(F.stabilizing(P, Q)) != len(F.maps(P)):
+            raise InternalInconsistency(
+                "a morphism does not stabilize the normal subgroup")
         ppos = Pbar.pos_map()
-        to_q = P.reader(Q.elems)
         res = set()
         for t in F.maps(P):
-            if mask_of(to_q(t)) != Q.mask:
-                raise InternalInconsistency(
-                    "morphism does not stabilize the normal subgroup")
             images = [None] * Pbar.order
             for x, v in zip(P.elems, t):
                 i = ppos[proj(x)]

@@ -266,7 +266,7 @@ class SuiteRunner:
                 if fam in seen:
                     continue
                 seen.add(fam)
-                rep = functor_checks(fam.S, fam)
+                rep = functor_checks(fam)
                 ok = rep.all_hold()
                 res.add("wcompute", label, "functor-properties",
                         "pass" if ok else "fail",

@@ -195,7 +195,7 @@ def test_criterion_07_w_properties(cat, systems, wreath648):
         for m in fam.admitted_members():
             host_sub = m.system.host.subgroup(m.push_mask(wc.W_iter.mask))
             assert is_normal_in_F(m.system, host_sub)[0]
-        rep = functor_checks(fam.S, fam)
+        rep = functor_checks(fam)
         assert rep.order_independent and rep.identification_independent
 
     # growth loop: one genuine strictly-increasing step inside B(S)

@@ -284,8 +284,8 @@ def test_cli_wcompute_failed_functor_check_dumps_witness(monkeypatch,
     real = cli.functor_checks
     reports = []
 
-    def nontrivial_fails(S, fam):
-        reports.append(real(S, fam)._replace(nontrivial=False))
+    def nontrivial_fails(fam):
+        reports.append(real(fam)._replace(nontrivial=False))
         return reports[-1]
 
     monkeypatch.chdir(tmp_path)

@@ -182,13 +182,13 @@ def test_axioms_and_subsystems_are_computed_only_through_their_memos():
 
 
 def test_searches_filters_and_quotients_are_computed_only_through_their_memos():
-    """The Alperin search of a domain and the Aut_F(Q) filter are kept on
-    F, and B/N on G, so that each is computed once: ``_alperin_search`` is
-    reached only from ``alperin_decompose``, ``_aut_tuples`` only from
-    ``FusionSystem.aut_tuples`` and ``_quotient`` only from
-    ``quotient_group``."""
+    """The Alperin search of a domain and the filter of the maps on D that
+    map Q onto Q are kept on F, and B/N on G, so that each is computed
+    once: ``_alperin_search`` is reached only from ``alperin_decompose``,
+    ``_stabilizing`` only from ``FusionSystem.stabilizing`` and
+    ``_quotient`` only from ``quotient_group``."""
     memo_of = {"_alperin_search": "alperin_decompose",
-               "_aut_tuples": "aut_tuples", "_quotient": "quotient_group"}
+               "_stabilizing": "stabilizing", "_quotient": "quotient_group"}
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -196,6 +196,27 @@ def test_searches_filters_and_quotients_are_computed_only_through_their_memos():
             if func != memo_of[used]:
                 found.append(f"{path.name}:{line}:{used} in {func}")
     assert found == []
+
+
+def test_normality_reads_the_normalizer_rule():
+    """W is normal in F when the rule of N_F(W) gives F's hom-sets, so the
+    normality walk and the subsystem hom-sets share one rule kernel,
+    ``_rule_extensions``, over the one kept filter ``stabilizing``.  The
+    separate normality walk, the Aut_F(Q) filter, the Inn(Q) list and the
+    exception of the O_p(F) re-check do not come back."""
+    banned = {"_first_unextended", "_aut_tuples", "inn_tuples",
+              "JoinNotNormal"}
+    found = []
+    for name, node in _nodes(ast.AST):
+        for field in ("id", "attr", "name"):
+            if getattr(node, field, None) in banned:
+                found.append(f"{name}:{node.lineno}:{getattr(node, field)}")
+    assert found == []
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        callers |= {func for _, func, _ in _uses(tree, {"_rule_extensions"})}
+    assert callers == {"_normal_in_F", "_rule_hom_sets"}
 
 
 def _functions(node, prefix=""):

@@ -167,7 +167,7 @@ def test_growth_instances_hold_with_their_own_system_in_the_family(
                for m in fam.members)
     wc = compute_W_iterative(fam)
     assert len(wc.chain) == 2 and wc.A.order < wc.W_iter.order == order
-    rep = functor_checks(fam.S, fam)
+    rep = functor_checks(fam)
     assert rep.all_hold() and rep.equal
     assert rep.W_oneshot.mask == rep.W_iter.mask
 
@@ -187,7 +187,7 @@ def test_functor_checks_on_catalog_sylows(cat):
                     ("Qd(3)", 3), ("C13:C3", 3)):
         S = sylow(cat[name], p)
         fam = canonical_family(S, p)
-        rep = functor_checks(fam.S, fam)
+        rep = functor_checks(fam)
         assert rep.all_hold(), (name, p, rep)
         td = thompson_data(fam.S.full_subgroup)
         assert td.A <= rep.W_iter and rep.W_iter <= td.B

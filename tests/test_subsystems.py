@@ -5,6 +5,7 @@ import pytest
 from fusionlab.errors import (
     ChainConditionViolated,
     HypothesisViolated,
+    InternalInconsistency,
     NotCentric,
     NotNormalInF,
 )
@@ -194,6 +195,21 @@ def test_o_p_of_F_verifies_an_explicit_copy_first(systems):
         assert E.saturation_status == "unchecked"
         assert o_p_of_F(E).mask == o_p_brute(E).mask == o_p_of_F(F).mask
         assert E.saturation_status == "verified"
+
+
+def test_o_p_of_F_failed_recheck_is_an_internal_inconsistency(
+        monkeypatch, systems):
+    """The fixpoint is normal in a saturated F, so a failed re-check is a
+    bug: it raises InternalInconsistency, which the CLI reports with exit
+    code 2 and a witness dump, and names the fixpoint's mask."""
+    from fusionlab import subsystems
+
+    F = systems[("S4", 2)]
+    core = o_p_of_F(F)
+    monkeypatch.setattr(subsystems, "is_normal_in_F",
+                        lambda F, W: (False, None))
+    with pytest.raises(InternalInconsistency, match=f"{core.mask:#x}"):
+        o_p_of_F(F)
 
 
 # -- normalizer system -----------------------------------------------------------

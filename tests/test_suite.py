@@ -327,16 +327,17 @@ def test_cold_suite_runs_each_search_filter_and_quotient_once(
         monkeypatch, cold_start):
     """Counts, not timings: on freshly built catalog groups, one suite run
     walks the Alperin search once per (system, domain) however many maps
-    it decomposes, filters Aut_F(Q) out of Hom_F(Q, S) once per (system,
-    object), and builds B/N once per (group, N, B) however many systems,
-    models and sections ask.  The names of one system share its memo, so
-    the memo stands for the system."""
+    it decomposes, filters the maps mapping Q onto Q out of Hom_F(D, S)
+    once per (system, D, Q), whether Aut_F(Q), a subsystem rule or the
+    normality walk asks, and builds B/N once per (group, N, B) however many
+    systems, models and sections ask.  The names of one system share its
+    memo, so the memo stands for the system."""
     from fusionlab import fusion
 
     cold_start()
-    calls = {"alperin": [], "auts": [], "quotient": []}
-    real = {"alperin": fusion._alperin_search, "auts": fusion._aut_tuples,
-            "quotient": groups._quotient}
+    calls = {"alperin": [], "stabilizing": [], "quotient": []}
+    real = {"alperin": fusion._alperin_search,
+            "stabilizing": fusion._stabilizing, "quotient": groups._quotient}
 
     def counting(kind, key):
         def body(*args):
@@ -346,8 +347,8 @@ def test_cold_suite_runs_each_search_filter_and_quotient_once(
 
     monkeypatch.setattr(fusion, "_alperin_search", counting(
         "alperin", lambda F, P: (F._memo, P.mask)))
-    monkeypatch.setattr(fusion, "_aut_tuples", counting(
-        "auts", lambda F, Q: (F._memo, Q.mask)))
+    monkeypatch.setattr(fusion, "_stabilizing", counting(
+        "stabilizing", lambda F, D, Q: (F._memo, D.mask, Q.mask)))
     monkeypatch.setattr(groups, "_quotient", counting(
         "quotient", lambda G, N, B, name: (G, N.mask, B.mask)))
     result = run_suite(RunConfig())

@@ -233,5 +233,5 @@ def test_theorem_1_and_functor_checks_on_a4_x_a4_x_c2():
     fam = canonical_family(F.carrier, 2, extras=(G,))
     assert aut_generators(fam.S)[1] == 9999360
     assert len(fam.admitted_members()) == 2
-    report = functor_checks(fam.S, fam)
+    report = functor_checks(fam)
     assert report.all_hold() and report.W_iter.order == 32
