@@ -5,8 +5,6 @@ an expected order, checked when the entry is built.  The largest
 entry is Qd(3) of order 216.
 """
 
-import functools
-
 from .errors import InternalInconsistency
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -14,6 +12,7 @@ from .groups import (
     build_group,
     group_from_function,
     is_isomorphic,
+    kept,
     regular_generators,
 )
 
@@ -133,8 +132,9 @@ CATALOG_NAMES = list(EXPECTED_ORDERS)
 _cache: dict[str, FiniteGroup] = {}
 
 
-def _build(name, perms, expected):
-    g = build_group(perms, name=name, kind="perms")
+def _build(name, spec, expected):
+    """The group of the permutations ``spec()``, of the expected order."""
+    g = build_group(spec(), name=name, kind="perms")
     if g.order != expected:
         raise InternalInconsistency(
             f"catalog group {name} has order {g.order}, expected {expected}")
@@ -143,18 +143,17 @@ def _build(name, perms, expected):
 
 def catalog_group(name) -> FiniteGroup:
     """Build (and memoize) a catalog group by name."""
-    if name not in _cache:
-        if name not in _PERM_SPECS:
-            raise KeyError(f"unknown catalog group {name!r}")
-        _cache[name] = _build(name, _PERM_SPECS[name](),
-                              EXPECTED_ORDERS[name])
-    return _cache[name]
+    if name not in _PERM_SPECS:
+        raise KeyError(f"unknown catalog group {name!r}")
+    return kept(_cache, name, _build, name, _PERM_SPECS[name],
+                EXPECTED_ORDERS[name])
 
 
-@functools.cache
 def qd2_group() -> FiniteGroup:
-    """Qd(2) = (Z_2 x Z_2) : SL(2,2), built once; it is S4 in disguise."""
-    return _build("Qd(2)", affine_qd_perms(2), EXPECTED_ORDERS["S4"])
+    """Qd(2) = (Z_2 x Z_2) : SL(2,2), built once and kept beside the
+    catalog entries; it is S4 in disguise."""
+    return kept(_cache, "Qd(2)", _build, "Qd(2)",
+                lambda: affine_qd_perms(2), EXPECTED_ORDERS["S4"])
 
 
 def validate_catalog(cap=DEFAULT_ORDER_CAP):

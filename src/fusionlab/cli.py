@@ -31,7 +31,7 @@ from .fusion import (
     verify_axioms,
 )
 from .groupfile import eval_subgroup_spec, parse_group_file, perm_to_cycles
-from .groups import is_prime, o_p, sylow
+from .groups import is_prime, o_p, prime_divisors, sylow
 from .hfree import is_fusion_H_free, is_group_H_free
 from .pgroups import thompson_data
 from .stellmacher import (
@@ -86,11 +86,10 @@ def cmd_analyze(args):
           f"{'abelian' if G.is_abelian() else 'nonabelian'}")
     print(f"  center: order {G.full_subgroup.center().order}")
     print(f"  derived: order {G.full_subgroup.derived().order}")
-    for p in (2, 3, 5, 7, 11, 13):
-        if G.order % p == 0:
-            S = sylow(G, p)
-            op = o_p(G, p)
-            print(f"  p={p}: Sylow order {S.order}, O_p order {op.order}")
+    for p in prime_divisors(G.order):
+        S = sylow(G, p)
+        op = o_p(G, p)
+        print(f"  p={p}: Sylow order {S.order}, O_p order {op.order}")
     print(f"  subgroups: {len(G.subgroups())}")
     return EXIT_OK
 

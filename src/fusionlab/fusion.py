@@ -27,6 +27,7 @@ from .groups import (
     compose_perms,
     derived_group,
     is_hom_tuple,
+    kept,
     mask_of,
     move_mask,
     o_p,
@@ -111,6 +112,7 @@ class _Memos:
         self.centralizers = {}
         self.stabilizing = {}   # stabilizing, by (D.mask, Q.mask)
         self.autgroups = {}
+        self.outgroups = {}   # out_group, by Q.mask
         self.alperin = {}   # alperin_decompose's search, by P.mask
         self.models = {}   # subsystems.model_group, by Q.mask
         self.normal = {}   # subsystems.is_normal_in_F, by W.mask
@@ -165,6 +167,7 @@ class FusionSystem:
         the host, and each fact is computed once however many callers ask.
         A call under another name gets a view of that system: F_S(S)|D8
         and F_8(D8) share every memo, and each prints its own name."""
+        # keyed in two levels, the key and then the name, so not ``kept``
         key = (p, carrier.mask, ambient.mask)
         names = host._systems.get(key)
         if names is None:
@@ -230,46 +233,26 @@ class FusionSystem:
     def maps(self, P):
         """All morphisms from P into the carrier, as sorted image tuples."""
         self.require_object(P)
-        got = self._memo.maps.get(P.mask)
-        if got is not None:
-            return got
-        if self.ambient is None:
-            raise ObjectOutsideS("explicit system lacks hom-sets for this "
-                                 "domain; carrier mismatch?")
-        result = conj_maps(self.host, P, self.ambient.elems,
-                           self.carrier.mask)
-        self._memo.maps[P.mask] = result
-        return result
+        return kept(self._memo.maps, P.mask, _conjugation_maps, self, P)
 
     # -- conjugacy, normalizers ------------------------------------------
 
     def n_in_carrier(self, Q):
         """N_S(Q), computed once per object."""
-        got = self._memo.normalizers.get(Q.mask)
-        if got is None:
-            got = self._memo.normalizers[Q.mask] = Q.normalizer_in(
-                self.carrier)
-        return got
+        return kept(self._memo.normalizers, Q.mask, Q.normalizer_in,
+                    self.carrier)
 
     def c_in_carrier(self, Q):
         """C_S(Q), computed once per object."""
-        got = self._memo.centralizers.get(Q.mask)
-        if got is None:
-            got = self._memo.centralizers[Q.mask] = Q.centralizer_in(
-                self.carrier)
-        return got
+        return kept(self._memo.centralizers, Q.mask, Q.centralizer_in,
+                    self.carrier)
 
     def conjugacy_class_of(self, Q):
         """The images of Hom_F(Q, S), by mask, kept per object.  On a
         category they are Q's class under F-isomorphism: inverses make the
         relation symmetric and composition makes it transitive."""
         self.require_object(Q)
-        got = self._memo.classes.get(Q.mask)
-        if got is None:
-            sub = self.host.subgroup
-            got = self._memo.classes[Q.mask] = tuple(
-                sub(m) for m in sorted({mask_of(t) for t in self.maps(Q)}))
-        return got
+        return kept(self._memo.classes, Q.mask, _f_class, self, Q)
 
     def is_fully_normalized(self, Q):
         nq = self.n_in_carrier(Q).order
@@ -294,11 +277,8 @@ class FusionSystem:
         self.require_object(D)
         if Q.parent is not self.host or not Q <= D:
             raise ObjectOutsideS(f"{Q!r} is not a subgroup of the domain")
-        key = (D.mask, Q.mask)
-        got = self._memo.stabilizing.get(key)
-        if got is None:
-            got = self._memo.stabilizing[key] = _stabilizing(self, D, Q)
-        return got
+        return kept(self._memo.stabilizing, (D.mask, Q.mask), _stabilizing,
+                    self, D, Q)
 
     def aut_tuples(self, Q):
         """Aut_F(Q) as sorted image tuples: the maps on Q onto Q."""
@@ -310,24 +290,39 @@ class FusionSystem:
 
     def aut_group(self, Q):
         """(FiniteGroup of Aut_F(Q), elements as image tuples, index map)."""
-        got = self._memo.autgroups.get(Q.mask)
-        if got is None:
-            auts = self.aut_tuples(Q)
-            got = _group_from_maps(Q, auts, name=f"AutF({Q.order})")
-            self._memo.autgroups[Q.mask] = got
-        return got
+        return kept(self._memo.autgroups, Q.mask, _aut_group, self, Q)
 
     def out_group(self, Q):
-        """(Out_F(Q) group, projection, Aut_F(Q) data) for Q <= S.  Inn(Q)
-        is closed in Aut_F(Q) from the conjugations by Q's generators."""
-        autg, elems, index = self.aut_group(Q)
-        try:
-            inn = [index[conj_tuple(self.host, g, Q)] for g in Q.generators()]
-        except KeyError:
-            raise MorphismNotInF("inner automorphisms missing from Aut_F(Q)")
-        inn_group = autg.subgroup(autg.closure_mask(inn))
-        out, proj = quotient_group(autg, inn_group, name=f"OutF({Q.order})")
-        return out, proj, (autg, elems, index)
+        """(Out_F(Q) group, projection, Aut_F(Q) data) for Q <= S, built
+        once per object.  Inn(Q) is closed in Aut_F(Q) from the
+        conjugations by Q's generators."""
+        return kept(self._memo.outgroups, Q.mask, _out_group, self, Q)
+
+
+def _conjugation_maps(F, P):
+    if F.ambient is None:
+        raise ObjectOutsideS("explicit system lacks hom-sets for this "
+                             "domain; carrier mismatch?")
+    return conj_maps(F.host, P, F.ambient.elems, F.carrier.mask)
+
+
+def _f_class(F, Q):
+    return tuple(map(F.host.subgroup, sorted(set(map(mask_of, F.maps(Q))))))
+
+
+def _aut_group(F, Q):
+    return _group_from_maps(Q, F.aut_tuples(Q), name=f"AutF({Q.order})")
+
+
+def _out_group(F, Q):
+    autg, elems, index = F.aut_group(Q)
+    try:
+        inn = [index[conj_tuple(F.host, g, Q)] for g in Q.generators()]
+    except KeyError:
+        raise MorphismNotInF("inner automorphisms missing from Aut_F(Q)")
+    inn_group = autg.subgroup(autg.closure_mask(inn))
+    out, proj = quotient_group(autg, inn_group, name=f"OutF({Q.order})")
+    return out, proj, (autg, elems, index)
 
 
 def _stabilizing(F, D, Q):
@@ -463,9 +458,10 @@ def classify_subgroup(F, Q) -> SubgroupProfile:
     """Full profile; cross-checks the Sylow characterization of fully
     normalized subgroups and the essential => centric & radical implications."""
     F.require_object(Q)
-    cached = F._memo.profiles.get(Q.mask)
-    if cached is not None:
-        return cached
+    return kept(F._memo.profiles, Q.mask, _classify_subgroup, F, Q)
+
+
+def _classify_subgroup(F, Q):
     witness = {}
     fn = F.is_fully_normalized(Q)
     fc = F.is_fully_centralized(Q)
@@ -499,11 +495,9 @@ def classify_subgroup(F, Q) -> SubgroupProfile:
     if essential and not (centric and radical):
         raise InternalInconsistency("essential subgroup not centric+radical")
 
-    profile = SubgroupProfile(Q=Q, fully_normalized=fn, fully_centralized=fc,
-                              centric=centric, radical=radical,
-                              essential=essential, witness=witness)
-    F._memo.profiles[Q.mask] = profile
-    return profile
+    return SubgroupProfile(Q=Q, fully_normalized=fn, fully_centralized=fc,
+                           centric=centric, radical=radical,
+                           essential=essential, witness=witness)
 
 
 def _strongly_p_embedded(out, p):
@@ -634,11 +628,8 @@ def _verify(F, host, carrier):
         checked = set()   # the left S-orbits of the keys checked so far
         for t in maps_of[P.mask]:
             m = mask_of(t)
-            fn = fully_normalized.get(m)
-            if fn is None:
-                fn = fully_normalized[m] = F.is_fully_normalized(
-                    host.subgroup(m))
-            if not fn:
+            if not kept(fully_normalized, m, F.is_fully_normalized,
+                        host.subgroup(m)):
                 continue
             key = P.key(t)
             if key in checked:
@@ -742,10 +733,7 @@ def alperin_decompose(F, phi) -> AlperinDecomposition:
     each) beside the finishes."""
     P = phi.domain
     t_goal = morphism_tuple(F, phi)
-    search = F._memo.alperin.get(P.mask)
-    if search is None:
-        search = F._memo.alperin[P.mask] = _alperin_search(F, P)
-    seen, finishes = search
+    seen, finishes = kept(F._memo.alperin, P.mask, _alperin_search, F, P)
     got = finishes.get(P.key(t_goal))
     if got is None:
         raise NotGenerated("morphism is not generated by essential and "

@@ -12,7 +12,7 @@ has one element per map F holds, so no search checks it again.  A
 ``FiniteGroup(...)`` built directly is the caller's to size.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import chain, islice
 from operator import itemgetter
 
@@ -53,6 +53,17 @@ def p_part(n, p):
         out *= p
         n //= p
     return out
+
+
+def kept(store, key, compute, *args):
+    """``store[key]``, computed as ``compute(*args)`` on the first call and
+    kept in ``store``: the one memo kernel of the package for keyed facts
+    (a single fact of one object is kept by hand in an attribute of it).
+    No kept value is None."""
+    got = store.get(key)
+    if got is None:
+        got = store[key] = compute(*args)
+    return got
 
 
 def mask_of(indices):
@@ -108,6 +119,7 @@ class FiniteGroup:
         self._involved = {}   # is_involved(H, self), by H
         self._isomorphic = {}   # is_isomorphic(self, H), by H
         self._quotients = {}   # quotient_group, by (N mask, B mask)
+        self._classes = {}   # _conjugates, by subgroup mask
         self._hash = None
         _by_table.setdefault(self.table_hash(), self)
 
@@ -240,6 +252,7 @@ class FiniteGroup:
     # -- subgroups -------------------------------------------------------
 
     def subgroup(self, mask):
+        # the interning constructor stays inline: through kept it is slower
         sub = self._subgroup_cache.get(mask)
         if sub is None:
             sub = Subgroup(self, mask)
@@ -509,12 +522,7 @@ class Subgroup:
         if a & ~b == 0:
             return other
         G = self.parent
-        key = (a, b) if a < b else (b, a)
-        got = G._joins.get(key)
-        if got is None:
-            got = G._joins[key] = G.subgroup(
-                G.closure_mask(other.generators(), a))
-        return got
+        return kept(G._joins, (a, b) if a < b else (b, a), _join, G, a, other)
 
     def subgroups_within(self):
         """All subgroups contained in self, canonically ordered (size, then
@@ -536,6 +544,10 @@ class Subgroup:
             sub = derived_group(table, f"{G.name}|sub{self.order}")
             self._as_group = (sub, es)
         return self._as_group
+
+
+def _join(G, a, other):
+    return G.subgroup(G.closure_mask(other.generators(), a))
 
 
 def _closed(elems, inv, mul):
@@ -747,6 +759,7 @@ def derived_group(table, name):
     fusion systems), so each is computed once per table.  The name is a
     label, of the first group built with the table: no fact depends on
     it."""
+    # not through ``kept``: FiniteGroup.__init__ registers each table
     G = _by_table.get(_packed(table))
     if G is None:
         G = FiniteGroup(table, name=name, validate=False)
@@ -795,6 +808,15 @@ def is_prime(n):
     return n >= 2 and _smallest_prime_factor(n) == n
 
 
+def prime_divisors(n):
+    """The primes dividing n >= 1, in increasing order."""
+    primes = []
+    while n > 1:
+        primes.append(_smallest_prime_factor(n))
+        n //= p_part(n, primes[-1])
+    return primes
+
+
 def _subgroup_lattice_masks(G, seeds=None, within=None):
     """{mask: generators} of every subgroup of W = ``within`` (a Subgroup;
     default G) that contains one of ``seeds`` (Subgroups of W; by default
@@ -838,10 +860,15 @@ def _subgroup_lattice_masks(G, seeds=None, within=None):
 
 
 def _conjugates(G, mask):
-    """The G-conjugates of the subgroup ``mask`` (a view of a dict's
-    keys): its orbit under conjugation by G's generators."""
-    return orbit(mask, G.full_subgroup.generators(),   # m -> g m g^-1
-                 lambda g, m: mask_of(G.conj_images(g, bits(m)))).keys()
+    """The G-conjugates of the subgroup ``mask``, as a frozenset of masks:
+    its orbit under conjugation by G's generators, walked once per mask
+    and kept on G."""
+    return kept(G._classes, mask, _class_walk, G, mask)
+
+
+def _class_walk(G, mask):   # the orbit of mask under m -> g m g^-1
+    return frozenset(orbit(mask, G.full_subgroup.generators(),
+                           lambda g, m: mask_of(G.conj_images(g, bits(m)))))
 
 
 def subgroup_class_reps(G, subgroups):
@@ -862,12 +889,9 @@ def subgroup_class_reps(G, subgroups):
 def sylow(G, p):
     """The canonical Sylow p-subgroup (least bit-vector among conjugates),
     computed once per group and prime."""
-    got = G._sylow.get(p)
-    if got is None:
-        if not is_prime(p):
-            raise UnsupportedPrime(f"{p} is not a prime")
-        got = G._sylow[p] = _canonical_sylow(G, p)
-    return got
+    if not is_prime(p):
+        raise UnsupportedPrime(f"{p} is not a prime")
+    return kept(G._sylow, p, _canonical_sylow, G, p)
 
 
 def _canonical_sylow(G, p):
@@ -999,11 +1023,8 @@ def o_p_prime(G, p, within=None):
 
 def _kept_o_pi(G, p, within, prime_to_p):
     W = within if within is not None else G.full_subgroup
-    key = (p, W.mask, prime_to_p)
-    got = G._o_pi_subgroups.get(key)
-    if got is None:
-        got = G._o_pi_subgroups[key] = _o_pi(G, W, p, prime_to_p)
-    return got
+    return kept(G._o_pi_subgroups, (p, W.mask, prime_to_p), _o_pi,
+                G, W, p, prime_to_p)
 
 
 # -- quotients ---------------------------------------------------------------
@@ -1039,11 +1060,7 @@ def quotient_group(G, N, name=None, within=None):
     table a standalone copy of B would give; B/N is the ``derived_group``
     of that table.  The pair is built once per (N, B) and kept on G."""
     B = within if within is not None else G.full_subgroup
-    key = (N.mask, B.mask)
-    got = G._quotients.get(key)
-    if got is None:
-        got = G._quotients[key] = _quotient(G, N, B, name)
-    return got
+    return kept(G._quotients, (N.mask, B.mask), _quotient, G, N, B, name)
 
 
 def _quotient(G, N, B, name):
@@ -1085,13 +1102,6 @@ def _check_projection(B, N, proj):
 
 
 # -- isomorphism and involvement -------------------------------------------
-
-
-def _order_histogram(G):
-    hist = {}
-    for k in G.elem_orders:
-        hist[k] = hist.get(k, 0) + 1
-    return hist
 
 
 def _iso_search(G, H, find_all=False, prefix=()):
@@ -1171,14 +1181,12 @@ def is_isomorphic(G, H):
     witness is the first map ``_iso_search`` finds, the least tuple of
     generator images that extends to an isomorphism.  The answer is
     computed once per (G, H) and kept on G."""
-    got = G._isomorphic.get(H)
-    if got is None:
-        got = G._isomorphic[H] = _find_isomorphism(G, H)
-    return got
+    return kept(G._isomorphic, H, _find_isomorphism, G, H)
 
 
 def _find_isomorphism(G, H):
-    if G.order != H.order or _order_histogram(G) != _order_histogram(H):
+    if (G.order != H.order
+            or Counter(G.elem_orders) != Counter(H.elem_orders)):
         return False, None
     images = _iso_search(G, H)
     if images is None:
@@ -1272,10 +1280,7 @@ def is_involved(H, G):
     The witness is a (B, A) Subgroup pair with B/A isomorphic to H.  The
     answer is computed once per (H, G) and kept on G.
     """
-    got = G._involved.get(H)
-    if got is None:
-        got = G._involved[H] = _find_section(H, G)
-    return got
+    return kept(G._involved, H, _find_section, H, G)
 
 
 def _find_section(H, G):
@@ -1289,9 +1294,7 @@ def _find_section(H, G):
     if h == 1:
         seeds = [G.trivial_subgroup]
     else:
-        r = max((p for p in range(2, h + 1)
-                 if h % p == 0 and is_prime(p)),
-                key=lambda p: p_part(h, p))
+        r = max(prime_divisors(h), key=lambda p: p_part(h, p))
         q = p_part(h, r)
         P = sylow(G, r)
         seeds = [P] if q == P.order else subgroup_class_reps(

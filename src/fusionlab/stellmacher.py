@@ -32,7 +32,9 @@ from .groups import (
     aut_generators,
     bits,
     is_isomorphic,
+    kept,
     mask_orbit,
+    move_mask,
     o_p,
     p_part,
     sylow,
@@ -54,11 +56,11 @@ class FamilyMember(namedtuple(
         return self.j_normal and self.qd_free
 
     def push_mask(self, local_mask):
-        return mask_of(self.identification[i] for i in bits(local_mask))
+        return move_mask(self.identification, local_mask)
 
     def pull_mask(self, host_mask):
-        back = {h: i for i, h in enumerate(self.identification)}
-        return mask_of(back[x] for x in bits(host_mask))
+        return mask_of(i for i, h in enumerate(self.identification)
+                       if host_mask >> h & 1)
 
 
 class CandidateFamily(namedtuple("CandidateFamily", "S p members")):
@@ -136,17 +138,13 @@ def canonical_family(S_sub: Subgroup, p: int, extras=(),
                     for name, m in EXPECTED_ORDERS.items()
                     if m != n and p_part(m, p) == n)
     pool.extend(extras)
-    kept = {}
+    by_table = {}
     for G in pool:
         if G.order != n and G.order % n == 0:
-            kept.setdefault(G.table_hash(), G)
+            by_table.setdefault(G.table_hash(), G)
     model, embed = S_sub.as_group()
-    key = (model.table_hash(), p, tuple(kept))
-    family = _family_cache.get(key)
-    if family is None:
-        family = _family_cache[key] = _build_family(
-            S_sub, model, embed, p, kept.values())
-    return family
+    return kept(_family_cache, (model.table_hash(), p, tuple(by_table)),
+                _build_family, S_sub, model, embed, p, by_table.values())
 
 
 def _build_family(S_sub, model, embed, p, pool):
@@ -187,10 +185,7 @@ def compute_W_iterative(family: CandidateFamily) -> WComputation:
     the subgroup generated by the member-orbit of the failing image.
     Computed once per family: two families with the same model, prime and
     members, in the same order, are one."""
-    wc = _w_cache.get(family)
-    if wc is None:
-        wc = _w_cache[family] = _compute_W_iterative(family)
-    return wc
+    return kept(_w_cache, family, _compute_W_iterative, family)
 
 
 def _compute_W_iterative(family):

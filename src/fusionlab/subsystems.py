@@ -37,6 +37,7 @@ from .fusion import (
 from .groups import (
     bits,
     is_isomorphic,
+    kept,
     o_p_prime,
     p_part,
     quotient_group,
@@ -59,10 +60,7 @@ def is_normal_in_F(F, W):
     that has one.  The verdict is computed once per (F, W) and kept on F.
     """
     F.require_object(W)
-    got = F._memo.normal.get(W.mask)
-    if got is None:
-        got = F._memo.normal[W.mask] = _normal_in_F(F, W)
-    return got
+    return kept(F._memo.normal, W.mask, _normal_in_F, F, W)
 
 
 def _normal_in_F(F, W):
@@ -138,11 +136,7 @@ def _kept_subsystem(F, Q, kind):
     """The subsystem of a kind at Q, built once per (F, Q, kind) and kept
     on F."""
     F.require_object(Q)
-    key = (Q.mask, kind)
-    got = F._memo.subsystems.get(key)
-    if got is None:
-        got = F._memo.subsystems[key] = _subsystem(F, Q, kind)
-    return got
+    return kept(F._memo.subsystems, (Q.mask, kind), _subsystem, F, Q, kind)
 
 
 def _subsystem_kind(F, Q, kind):
@@ -355,10 +349,7 @@ def model_group(F, Q) -> Model:
     L / Z(Q)-image isomorphic to Aut_F(Q).  Built once per (F, Q) and kept
     on F."""
     F.require_object(Q)
-    got = F._memo.models.get(Q.mask)
-    if got is None:
-        got = F._memo.models[Q.mask] = _model_group(F, Q)
-    return got
+    return kept(F._memo.models, Q.mask, _model_group, F, Q)
 
 
 def _model_group(F, Q):

@@ -98,6 +98,33 @@ def test_cli_analyze(capsys, d8_path):
     assert "order 8" in out
 
 
+D34_FILE = """\
+group D34
+perm 17
+(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17)
+(2 17)(3 16)(4 15)(5 14)(6 13)(7 12)(8 11)(9 10)
+"""
+
+
+def test_cli_analyze_reports_every_prime_divisor(capsys, tmp_path):
+    """``analyze`` prints one line per prime dividing the order, 17 as well
+    as 2; the lines for S4 are those of the fixed list it once walked."""
+    path = tmp_path / "d34.grp"
+    path.write_text(D34_FILE)
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "  p=2: Sylow order 2, O_p order 1\n" in out
+    assert "  p=17: Sylow order 17, O_p order 17\n" in out
+    assert main(["analyze", "S4"]) == 0
+    assert capsys.readouterr().out == (
+        "group S4: order 24, nonabelian\n"
+        "  center: order 1\n"
+        "  derived: order 12\n"
+        "  p=2: Sylow order 8, O_p order 4\n"
+        "  p=3: Sylow order 3, O_p order 1\n"
+        "  subgroups: 30\n")
+
+
 def test_cli_jthompson(capsys, d8_path):
     assert main(["jthompson", d8_path, "2"]) == 0
     out = capsys.readouterr().out

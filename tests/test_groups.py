@@ -24,6 +24,7 @@ from fusionlab.groups import (
     is_involved,
     is_isomorphic,
     is_prime,
+    kept,
     mask_of,
     mask_orbit,
     move_mask,
@@ -32,6 +33,7 @@ from fusionlab.groups import (
     omega_mask,
     orbit,
     p_part,
+    prime_divisors,
     quotient_group,
     regular_generators,
     subgroup_class_reps,
@@ -988,6 +990,30 @@ def test_aut_generators_match_the_listed_oracle(aut_cases):
             for m, alpha in walked:
                 assert alpha in listed, (label, H.mask, m)
                 assert mask_of(alpha[x] for x in H.elems) == m
+
+
+def test_kept_computes_once_per_key():
+    """``kept`` returns store[key], computing it with the given arguments
+    on the first call for that key only; a falsy value is kept too."""
+    calls = []
+
+    def compute(*args):
+        calls.append(args)
+        return len(calls) - 1
+
+    store = {}
+    assert kept(store, "a", compute, 1, 2) == 0
+    assert kept(store, "a", compute, 3) == 0
+    assert kept(store, "b", compute, 3) == 1
+    assert kept(store, "b", compute) == 1
+    assert calls == [(1, 2), (3,)]
+    assert store == {"a": 0, "b": 1}
+
+
+def test_prime_divisors_are_the_primes_dividing_n():
+    for n in range(1, 1001):
+        want = [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
+        assert prime_divisors(n) == want, n
 
 
 def test_conjugates_are_the_elementwise_conjugates(cat):

@@ -396,3 +396,87 @@ def test_record_equality_hashing_and_repr():
         "TheoremReport(theorem_id='T1.2', instance='S4@p=2', "
         "hypotheses_hold=True, conclusion_holds=False, "
         "detail={'W_order': 2})")
+
+
+def _assigned_attributes(tree, cls, method="__init__"):
+    """The names of the attributes ``cls.method`` assigns on self."""
+    klass = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == cls)
+    init = next(node for node in klass.body
+                if isinstance(node, ast.FunctionDef) and node.name == method)
+    return {target.attr for node in ast.walk(init)
+            if isinstance(node, ast.Assign) for target in node.targets
+            if isinstance(target, ast.Attribute)}
+
+
+def _stored_subscripts(node):
+    """The subscripts that the assignment ``node`` stores into."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target])
+    todo = list(targets)
+    for target in todo:   # grows while it is walked
+        if isinstance(target, (ast.Tuple, ast.List)):
+            todo.extend(target.elts)
+        elif isinstance(target, ast.Subscript):
+            yield target
+
+
+def test_keyed_facts_are_stored_only_through_kept():
+    """``groups.kept`` is the one memo kernel: no other function stores
+    by subscript into a memo store, which are the dicts of
+    ``fusion._Memos`` and of ``FiniteGroup``, the family and W caches and
+    the catalog's groups.  Two sites stay inline: the interning
+    ``FiniteGroup.subgroup``, which measured slower through the kernel,
+    and ``FusionSystem.conjugation``, keyed in two levels.  Each body that
+    a memo computes is reached only from that memo, and no
+    ``functools`` cache keeps a fact beside them."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    attrs = (_assigned_attributes(trees["fusion.py"], "_Memos")
+             | _assigned_attributes(trees["groups.py"], "FiniteGroup"))
+    assert {"normal", "outgroups", "_classes", "_joins"} <= attrs
+    names = {"_family_cache", "_w_cache", "_cache"}
+    allowed = {"groups.py:FiniteGroup.subgroup",
+               "fusion.py:FusionSystem.conjugation"}
+    stores = set()
+    for name, tree in trees.items():
+        for qual, func in _functions(tree):
+            for node in ast.walk(func):
+                if not isinstance(node, (ast.Assign, ast.AugAssign,
+                                         ast.AnnAssign)):
+                    continue
+                for target in _stored_subscripts(node):
+                    store = target.value
+                    if (getattr(store, "attr", None) in attrs
+                            or getattr(store, "id", None) in names):
+                        stores.add(f"{name}:{qual}")
+    assert stores <= allowed
+    memo_of = {
+        "_join": {"join"}, "_class_walk": {"_conjugates"},
+        "_canonical_sylow": {"sylow"}, "_o_pi": {"_kept_o_pi"},
+        "_quotient": {"quotient_group"},
+        "_find_isomorphism": {"is_isomorphic"},
+        "_find_section": {"is_involved"}, "_conjugation_maps": {"maps"},
+        "_f_class": {"conjugacy_class_of"}, "_aut_group": {"aut_group"},
+        "_out_group": {"out_group"},
+        "_classify_subgroup": {"classify_subgroup"},
+        "_normal_in_F": {"is_normal_in_F"}, "_model_group": {"model_group"},
+        "_build_family": {"canonical_family"},
+        "_compute_W_iterative": {"compute_W_iterative"},
+        "_build": {"catalog_group", "qd2_group"}}
+    callers = {body: set() for body in memo_of}
+    for tree in trees.values():
+        for used, func, _ in _uses(tree, memo_of):
+            callers[used].add(func)
+    assert callers == memo_of
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{name}:{a.name}" for a in node.names
+                          if a.name in ("cache", "lru_cache")]
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("cache", "lru_cache")
+                    and getattr(node.value, "id", None) == "functools"):
+                found.append(f"{name}:{node.lineno}:functools.{node.attr}")
+    assert found == []

@@ -329,15 +329,19 @@ def test_cold_suite_runs_each_search_filter_and_quotient_once(
     walks the Alperin search once per (system, domain) however many maps
     it decomposes, filters the maps mapping Q onto Q out of Hom_F(D, S)
     once per (system, D, Q), whether Aut_F(Q), a subsystem rule or the
-    normality walk asks, and builds B/N once per (group, N, B) however many
-    systems, models and sections ask.  The names of one system share its
-    memo, so the memo stands for the system."""
+    normality walk asks, builds B/N once per (group, N, B) however many
+    systems, models and sections ask, builds Out_F(Q) once per (system, Q)
+    however often the classification and the H-freeness screen ask, and
+    walks each subgroup's G-class once per (group, mask).  The names of one
+    system share its memo, so the memo stands for the system."""
     from fusionlab import fusion
 
     cold_start()
-    calls = {"alperin": [], "stabilizing": [], "quotient": []}
+    calls = {"alperin": [], "stabilizing": [], "quotient": [],
+             "outgroup": [], "classes": []}
     real = {"alperin": fusion._alperin_search,
-            "stabilizing": fusion._stabilizing, "quotient": groups._quotient}
+            "stabilizing": fusion._stabilizing, "quotient": groups._quotient,
+            "outgroup": fusion._out_group, "classes": groups._class_walk}
 
     def counting(kind, key):
         def body(*args):
@@ -351,6 +355,10 @@ def test_cold_suite_runs_each_search_filter_and_quotient_once(
         "stabilizing", lambda F, D, Q: (F._memo, D.mask, Q.mask)))
     monkeypatch.setattr(groups, "_quotient", counting(
         "quotient", lambda G, N, B, name: (G, N.mask, B.mask)))
+    monkeypatch.setattr(fusion, "_out_group", counting(
+        "outgroup", lambda F, Q: (F._memo, Q.mask)))
+    monkeypatch.setattr(groups, "_class_walk", counting(
+        "classes", lambda G, mask: (G, mask)))
     result = run_suite(RunConfig())
     assert result.failures == 0
     for kind, made in calls.items():
