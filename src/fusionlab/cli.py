@@ -82,10 +82,11 @@ def _subgroup_desc(sub):
 
 def cmd_analyze(args):
     G = _load_group(args.group, args.order_cap)
+    whole = G.full_subgroup
     print(f"group {G.name}: order {G.order}, "
-          f"{'abelian' if G.is_abelian() else 'nonabelian'}")
-    print(f"  center: order {G.full_subgroup.center().order}")
-    print(f"  derived: order {G.full_subgroup.derived().order}")
+          f"{'abelian' if whole.is_abelian() else 'nonabelian'}")
+    print(f"  center: order {whole.center().order}")
+    print(f"  derived: order {whole.derived().order}")
     for p in prime_divisors(G.order):
         S = sylow(G, p)
         op = o_p(G, p)
@@ -261,13 +262,14 @@ def _dump_witness(text):
 
 def cmd_suite(args):
     config = RunConfig(order_cap=args.order_cap, report_dir=args.report_dir)
-    groups = []
+    groups, refused = [], []
     for path in args.files:
         try:
             groups.append(parse_group_file(path, cap=args.order_cap))
         except OrderCapExceeded as exc:
-            print(f"note: skipping {path}: {exc}", file=sys.stderr)
-    result = run_suite(config, groups=groups, scope=args.scope)
+            refused.append((path, str(exc)))
+    result = run_suite(config, groups=groups, scope=args.scope,
+                       refused=refused)
     out = result.to_tsv() if args.format == "tsv" else result.to_text()
     sys.stdout.write(out)
     if result.contradictions:

@@ -229,11 +229,6 @@ class FiniteGroup:
         m = self._mul
         return m[m[m[x][y]][self.inv[x]]][self.inv[y]]
 
-    def is_abelian(self):
-        m = self._mul
-        return all(m[a][b] == m[b][a]
-                   for a in range(self.order) for b in range(a + 1, self.order))
-
     @property
     def full_mask(self):
         return (1 << self.order) - 1

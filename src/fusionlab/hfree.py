@@ -131,8 +131,7 @@ def remark67_check(G):
     O2 = o_p(G, 2)
     C = O2.centralizer_in(G.full_subgroup)
     if not C <= O2:
-        raise HypothesisViolated(
-            f"{G.name}: C_G(O_2(G)) is not contained in O_2(G)")
+        raise HypothesisViolated("C_G(O_2) not in O_2")
     a = not is_involved(s4, G)[0]
     Gbar, _ = quotient_group(G, O2, name=f"{G.name}/O2")
     b = not is_involved(s3, Gbar)[0]

@@ -6,6 +6,7 @@ runs and hash seeds, which is what the determinism contract requires.
 """
 
 import os
+from functools import partial
 
 from .catalog import (
     CATALOG_NAMES,
@@ -27,7 +28,7 @@ from .fusion import (
     verify_axioms,
     wrap_tuple,
 )
-from .groups import DEFAULT_ORDER_CAP, o_p, sylow
+from .groups import DEFAULT_ORDER_CAP, o_p, p_part, sylow
 from .hfree import (
     centric_radical_fn_subgroups,
     is_fusion_H_free,
@@ -67,27 +68,22 @@ class RunConfig:
 
 class SuiteResult:
     """The suite's rows (section, instance, check, status, detail) and
-    the count of each non-pass status."""
+    the count of each status, read from the rows; a contradiction counts
+    as a failure too."""
 
     def __init__(self, rows=None):
         self.rows = [] if rows is None else rows
-        self.contradictions = 0
-        self.failures = 0
-        self.skipped = 0
 
     def add(self, section, instance, check, status, detail=""):
         self.rows.append((section, instance, check, status, str(detail)))
-        if status == "fail":
-            self.failures += 1
-        elif status == "contradiction":
-            self.contradictions += 1
-            self.failures += 1
-        elif status == "skip":
-            self.skipped += 1
 
-    @property
-    def passed(self):
-        return sum(1 for r in self.rows if r[3] == "pass")
+    def _count(self, *statuses):
+        return sum(1 for row in self.rows if row[3] in statuses)
+
+    passed = property(lambda self: self._count("pass"))
+    failures = property(lambda self: self._count("fail", "contradiction"))
+    contradictions = property(lambda self: self._count("contradiction"))
+    skipped = property(lambda self: self._count("skip"))
 
     def to_tsv(self):
         lines = ["section\tinstance\tcheck\tstatus\tdetail"]
@@ -109,91 +105,110 @@ class SuiteResult:
         return "\n".join(lines) + "\n"
 
 
-def _instance_name(G, p):
-    return f"{G.name}@p={p}"
+def _passes(ok, detail=""):
+    """The (status, detail) of a check that passes when ``ok`` holds."""
+    return ("pass" if ok else "fail"), detail
+
+
+def _completes(cross_check, *args):
+    """The (status, detail) of a cross-check that raises if it fails."""
+    cross_check(*args)
+    return "pass", ""
 
 
 class SuiteRunner:
-    """Runs the sweep.  Each section asks ``realize_fusion`` for its system;
+    """Runs the sweep.  Each check asks ``realize_fusion`` for its system;
     realized systems are interned on their host group, so every section,
-    family and theorem harness shares one system per (G, p).
+    family and theorem harness shares one system per (G, p).  A catalog
+    group is built inside the first check that asks for it.
 
     ``scope`` is "catalog" (built-ins plus any extra groups) or "files"
     (extra groups only; an empty list yields an empty summary).  A group
-    above the order cap, built-in or extra, gets one skip row and no check.
+    above the order cap, built-in or extra, gets one skip row and no check;
+    so does each (name, reason) of ``refused``, a file refused at the cap.
     """
 
-    def __init__(self, config: RunConfig, groups=None, scope="catalog"):
+    def __init__(self, config: RunConfig, groups=None, scope="catalog",
+                 refused=()):
         self.config = config
         self.result = SuiteResult()
         self.extra_groups = list(groups or [])
         self.scope = scope
+        self.refused = list(refused)
+
+    def _check(self, section, instance, check, run):
+        """Add the row of one check: ``run()`` returns its (status, detail),
+        or None for a repeat that adds no row.  The one place the sweep
+        handles errors: an InternalInconsistency raised by ``run()`` is a
+        contradiction, a HypothesisViolated a skip, any other
+        FusionlabError a fail, each with the error's text as detail."""
+        try:
+            row = run()
+        except InternalInconsistency as exc:
+            row = "contradiction", exc
+        except HypothesisViolated as exc:
+            row = "skip", exc
+        except FusionlabError as exc:
+            row = "fail", exc
+        if row is not None:
+            self.result.add(section, instance, check, *row)
 
     # -- sections -----------------------------------------------------
 
     def run(self):
-        res = self.result
         cap = self.config.order_cap
         catalog_scope = self.scope == "catalog"
-        # (name, order, group); a catalog group is built once it is known
-        # to be within the cap
-        sized = [(G.name, G.order, G) for G in self.extra_groups]
+        # (name, order, the group on demand); a catalog group is built by a
+        # check, so only once it is known to be within the cap
+        sized = [(G.name, G.order, lambda G=G: G) for G in self.extra_groups]
         if catalog_scope:
-            try:
-                validate_catalog(cap)
-                res.add("catalog", "builtin", "orders+qd2", "pass")
-            except InternalInconsistency as exc:
-                res.add("catalog", "builtin", "orders+qd2", "fail", exc)
-            sized[:0] = [(n, EXPECTED_ORDERS[n], None) for n in CATALOG_NAMES]
+            self._check("catalog", "builtin", "orders+qd2",
+                        lambda: _completes(validate_catalog, cap))
+            sized[:0] = [(n, EXPECTED_ORDERS[n], partial(catalog_group, n))
+                         for n in CATALOG_NAMES]
         instances = []
-        for name, order, G in sized:
+        for name, order, group in sized:
             if order > cap:
-                res.add("scope", name, "order-cap", "skip",
-                        f"order {order} exceeds cap")
+                self.result.add("scope", name, "order-cap", "skip",
+                                f"order {order} exceeds cap")
                 continue
-            G = G or catalog_group(name)
-            for p in PRIMES:
-                if G.order % p == 0:
-                    instances.append((G, p))
+            instances += [(name, order, p, group) for p in PRIMES
+                          if order % p == 0]
+        for name, reason in self.refused:
+            self.result.add("scope", name, "order-cap", "skip", reason)
 
-        for G, p in instances:
-            self._run_axioms(G, p)
-        for G, p in instances:
-            self._run_classification(G, p)
+        def each(section):
+            for name, _, p, group in instances:
+                section(f"{name}@p={p}", p, group)
+
+        each(self._run_axioms)
+        each(self._run_classification)
         if catalog_scope:
             self._run_goldens()
-        for G, p in instances:
-            self._run_models(G, p)
+        each(self._run_models)
         if catalog_scope:
             self._run_hfree_crosschecks()
         self._run_w_properties(instances)
-        for G, p in instances:
-            self._run_theorems(G, p)
-        for G, p in instances:
-            self._run_generation(G, p)
-        for G, p in instances:
-            self._run_alperin(G, p)
-        return res
+        each(self._run_theorems)
+        each(self._run_generation)
+        each(self._run_alperin)
+        return self.result
 
-    def _run_axioms(self, G, p):
-        name = _instance_name(G, p)
-        F = realize_fusion(G, p)
-        report = verify_axioms(F)
-        self.result.add("axioms", name, "FS1-FS3+category",
-                        "pass" if report else "fail",
-                        "" if report else report.witness[0])
+    def _run_axioms(self, instance, p, group):
+        def axioms():
+            report = verify_axioms(realize_fusion(group(), p))
+            return _passes(report, "" if report else report.witness[0])
 
-    def _run_classification(self, G, p):
-        name = _instance_name(G, p)
-        F = realize_fusion(G, p)
-        try:
+        self._check("axioms", instance, "FS1-FS3+category", axioms)
+
+    def _run_classification(self, instance, p, group):
+        def profiles():
+            F = realize_fusion(group(), p)
             count = sum(1 for Q in F.objects()
                         if classify_subgroup(F, Q) is not None)
-            self.result.add("classify", name, "profiles+fn-criterion",
-                            "pass", f"{count} subgroups")
-        except InternalInconsistency as exc:
-            self.result.add("classify", name, "profiles+fn-criterion",
-                            "contradiction", exc)
+            return "pass", f"{count} subgroups"
+
+        self._check("classify", instance, "profiles+fn-criterion", profiles)
 
     def _within_cap(self, *names):
         """Are the catalog entries ``names`` all within the order cap?  It
@@ -203,164 +218,145 @@ class SuiteRunner:
     def _run_goldens(self):
         if not self._within_cap("S4", "SL(2,3)"):
             return
-        s4, sl23 = catalog_group("S4"), catalog_group("SL(2,3)")
-        for G, check, want in ((s4, "essentials=={V4n}", [o_p(s4, 2).mask]),
-                               (sl23, "essentials==empty", [])):
-            ess, _ = essential_subgroups(realize_fusion(G, 2))
-            ok = [E.mask for E in ess] == want
-            self.result.add("essentials", _instance_name(G, 2), check,
-                            "pass" if ok else "fail", f"{len(ess)} found")
+        for name, check, want in (
+                ("S4", "essentials=={V4n}", lambda G: [o_p(G, 2).mask]),
+                ("SL(2,3)", "essentials==empty", lambda G: [])):
+            def essentials(name=name, want=want):
+                G = catalog_group(name)
+                ess, _ = essential_subgroups(realize_fusion(G, 2))
+                return _passes([E.mask for E in ess] == want(G),
+                               f"{len(ess)} found")
 
-    def _run_models(self, G, p):
-        name = _instance_name(G, p)
-        F = realize_fusion(G, p)
-        count = 0
-        try:
-            for Q in centric_radical_fn_subgroups(F):
-                model_group(F, Q)
-                count += 1
-            self.result.add("models", name, "Lq-postconditions", "pass",
-                            f"{count} models")
-        except FusionlabError as exc:
-            self.result.add("models", name, "Lq-postconditions", "fail", exc)
+            self._check("essentials", f"{name}@p=2", check, essentials)
+
+    def _run_models(self, instance, p, group):
+        def models():
+            F = realize_fusion(group(), p)
+            built = [model_group(F, Q)
+                     for Q in centric_radical_fn_subgroups(F)]
+            return "pass", f"{len(built)} models"
+
+        self._check("models", instance, "Lq-postconditions", models)
 
     def _run_hfree_crosschecks(self):
-        res = self.result
         for name in CATALOG_NAMES:
             if not self._within_cap(name):
                 continue
-            G = catalog_group(name)
-            try:
-                sigma3_involvement_check(G)
-                res.add("hfree", G.name, "sigma3-agreement", "pass")
-            except InternalInconsistency as exc:
-                res.add("hfree", G.name, "sigma3-agreement",
-                        "contradiction", exc)
-            try:
-                remark67_check(G)
-                res.add("hfree", G.name, "O2-quotient-agreement", "pass")
-            except HypothesisViolated:
-                res.add("hfree", G.name, "O2-quotient-agreement", "skip",
-                        "C_G(O_2) not in O_2")
-            except InternalInconsistency as exc:
-                res.add("hfree", G.name, "O2-quotient-agreement",
-                        "contradiction", exc)
+            for check, cross_check in (
+                    ("sigma3-agreement", sigma3_involvement_check),
+                    ("O2-quotient-agreement", remark67_check)):
+                self._check("hfree", name, check,
+                            lambda name=name, cross_check=cross_check:
+                            _completes(cross_check, catalog_group(name)))
         if not self._within_cap("S4", "SL(2,3)"):
             return
-        s4, sl23 = catalog_group("S4"), catalog_group("SL(2,3)")
-        rep = is_fusion_H_free(realize_fusion(sl23, 2), s4)
-        res.add("hfree", "SL(2,3)@p=2", "S4-free",
-                "pass" if rep.free else "fail")
-        rep = is_fusion_H_free(realize_fusion(s4, 2), s4)
-        res.add("hfree", "S4@p=2", "not-S4-free+witness",
-                "pass" if (not rep.free and rep.witness) else "fail")
+
+        def s4_free(name):
+            return is_fusion_H_free(realize_fusion(catalog_group(name), 2),
+                                    catalog_group("S4"))
+
+        def s4_witnessed():
+            rep = s4_free("S4")
+            return _passes(not rep.free and rep.witness)
+
+        self._check("hfree", "SL(2,3)@p=2", "S4-free",
+                    lambda: _passes(s4_free("SL(2,3)").free))
+        self._check("hfree", "S4@p=2", "not-S4-free+witness", s4_witnessed)
 
     def _run_w_properties(self, instances):
-        res = self.result
         seen = set()
-        for G, p in instances:
-            S = sylow(G, p)
-            label = f"Syl_{p}({G.name})|{S.order}"
-            try:
-                fam = canonical_family(S, p, extras=(G,))
+        for name, order, p, group in instances:
+            def functors(p=p, group=group):
+                G = group()
+                fam = canonical_family(sylow(G, p), p, extras=(G,))
                 if fam in seen:
-                    continue
+                    return None
                 seen.add(fam)
                 rep = functor_checks(fam)
-                ok = rep.all_hold()
-                res.add("wcompute", label, "functor-properties",
-                        "pass" if ok else "fail",
-                        f"W={rep.W_iter.order} members="
-                        f"{len(fam.admitted_members())}")
-            except FusionlabError as exc:
-                res.add("wcompute", label, "functor-properties", "fail", exc)
+                return _passes(rep.all_hold(),
+                               f"W={rep.W_iter.order} "
+                               f"members={len(fam.admitted_members())}")
 
-    def _run_theorems(self, G, p):
-        name = _instance_name(G, p)
-        F = realize_fusion(G, p)
-        res = self.result
+            self._check("wcompute", f"Syl_{p}({name})|{p_part(order, p)}",
+                        "functor-properties", functors)
 
-        def record(theorem, thunk):
-            try:
-                report = thunk()
-                if report.contradiction:
-                    res.add("theorems", name, theorem, "contradiction",
-                            report.detail)
-                else:
-                    res.add("theorems", name, theorem, "pass",
-                            f"hyp={report.hypotheses_hold} "
+    def _run_theorems(self, instance, p, group):
+        def verdict(harness):
+            G = group()
+            report = harness(G, realize_fusion(G, p))
+            if report.contradiction:
+                return "contradiction", report.detail
+            return "pass", (f"hyp={report.hypotheses_hold} "
                             f"conc={report.conclusion_holds}")
-            except InternalInconsistency as exc:
-                res.add("theorems", name, theorem, "contradiction", exc)
+
+        def check(theorem, harness):
+            self._check("theorems", instance, theorem,
+                        partial(verdict, harness))
 
         if p == 2:
-            record("T1.1", lambda: verify_theorem_1(F))
-        record("T1.2", lambda: verify_theorem_2(F))
+            check("T1.1", lambda G, F: verify_theorem_1(F))
+        check("T1.2", lambda G, F: verify_theorem_2(F))
         if p % 2 == 1:
-            record("T1.3", lambda: verify_theorem_3(F))
-            record("Thompson", lambda: thompson_group_check(G, p))
-        record("Frobenius", lambda: frobenius_check(G, p))
+            check("T1.3", lambda G, F: verify_theorem_3(F))
+            check("Thompson", lambda G, F: thompson_group_check(G, p))
+        check("Frobenius", lambda G, F: frobenius_check(G, p))
 
-    def _run_alperin(self, G, p):
-        name = _instance_name(G, p)
-        F = realize_fusion(G, p)
-        if F.carrier.order > 16:
-            self.result.add("alperin", name, "roundtrip", "skip",
-                            "carrier above the roundtrip bound")
-            return
-        count = 0
-        try:
-            for P in F.objects():
-                for t in F.maps(P):
-                    # the decomposition recomposes to t or raises
-                    # InternalInconsistency, reported as a fail below
-                    alperin_decompose(F, wrap_tuple(F, P, F.carrier, t))
-                    count += 1
-            self.result.add("alperin", name, "roundtrip", "pass",
-                            f"{count} morphisms")
-        except FusionlabError as exc:
-            self.result.add("alperin", name, "roundtrip", "fail", exc)
+    def _run_generation(self, instance, p, group):
+        systems = []   # F, its two parts and the system they generate
 
-    def _run_generation(self, G, p):
-        name = _instance_name(G, p)
-        F = realize_fusion(G, p)
-        res = self.result
-        Q = o_p_of_F(F)
-        if Q.order == 1:
-            res.add("generation", name, "product+normalizer", "skip",
-                    "O_p(F)=1")
-            return
-        R = Q.join(F.c_in_carrier(Q))
-        try:
+        def product():
+            F = realize_fusion(group(), p)
+            Q = o_p_of_F(F)
+            if Q.order == 1:
+                return "skip", "O_p(F)=1"
+            R = Q.join(F.c_in_carrier(Q))
             f1 = centralizer_like_system(F, Q, "product")
             f2 = normalizer_system(F, R)
             if f2.carrier.mask != F.carrier.mask:
-                res.add("generation", name, "product+normalizer", "fail",
-                        "N_S(R) != S")
-                return
+                return "fail", "N_S(R) != S"
             gen = generated_system([f1, f2])
-            ok = fusion_equal(gen, F)
-            res.add("generation", name, "product+normalizer",
-                    "pass" if ok else "fail")
+            systems.extend((F, f1, f2, gen))
+            return _passes(fusion_equal(gen, F))
+
+        def propagation():
             # normality propagates from the parts to the generated system
-            propagated = True
+            if not systems:
+                return "skip", "no generated system"
+            F, f1, f2, gen = systems
             for W in F.objects():
                 if W.order == 1 or not W.is_normal_in(F.carrier):
                     continue
                 in1, _ = is_normal_in_F(f1, W)
                 in2, _ = is_normal_in_F(f2, W)
                 if in1 and in2 and not is_normal_in_F(gen, W)[0]:
-                    propagated = False
-                    break
-            res.add("generation", name, "normality-propagation",
-                    "pass" if propagated else "fail")
-        except FusionlabError as exc:
-            res.add("generation", name, "product+normalizer", "fail", exc)
+                    return "fail", ""
+            return "pass", ""
+
+        self._check("generation", instance, "product+normalizer", product)
+        self._check("generation", instance, "normality-propagation",
+                    propagation)
+
+    def _run_alperin(self, instance, p, group):
+        def roundtrip():
+            F = realize_fusion(group(), p)
+            if F.carrier.order > 16:
+                return "skip", "carrier above the roundtrip bound"
+            # each decomposition recomposes to its morphism or raises
+            # InternalInconsistency, a contradiction
+            count = 0
+            for P in F.objects():
+                for t in F.maps(P):
+                    alperin_decompose(F, wrap_tuple(F, P, F.carrier, t))
+                    count += 1
+            return "pass", f"{count} morphisms"
+
+        self._check("alperin", instance, "roundtrip", roundtrip)
 
 
-def run_suite(config: RunConfig, groups=None, scope="catalog") -> SuiteResult:
+def run_suite(config: RunConfig, groups=None, scope="catalog",
+              refused=()) -> SuiteResult:
     """Execute the sweep; optionally mirror per-instance reports to disk."""
-    runner = SuiteRunner(config, groups=groups, scope=scope)
+    runner = SuiteRunner(config, groups=groups, scope=scope, refused=refused)
     result = runner.run()
     if config.report_dir:
         _write_reports(config, result)

@@ -88,7 +88,7 @@ def order_histogram(G):
 
 
 def looks_like_s3(G):
-    return G.order == 6 and not G.is_abelian()
+    return G.order == 6 and not G.full_subgroup.is_abelian()
 
 
 def looks_like_a4(G):
@@ -96,12 +96,12 @@ def looks_like_a4(G):
 
 
 def looks_like_q8(G):
-    return (G.order == 8 and not G.is_abelian()
+    return (G.order == 8 and not G.full_subgroup.is_abelian()
             and order_histogram(G).get(2, 0) == 1)
 
 
 def looks_like_d8(G):
-    return (G.order == 8 and not G.is_abelian()
+    return (G.order == 8 and not G.full_subgroup.is_abelian()
             and order_histogram(G).get(2, 0) == 5)
 
 

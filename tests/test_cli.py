@@ -323,7 +323,7 @@ def test_cli_wcompute_failed_functor_check_dumps_witness(monkeypatch,
 
 
 def test_cli_suite_contradiction_dumps_rows(monkeypatch, tmp_path, capsys):
-    def one_contradiction(config, groups=(), scope="catalog"):
+    def one_contradiction(config, groups=(), scope="catalog", refused=()):
         res = SuiteResult()
         res.add("axioms", "S3@p=2", "FS1-FS3+category", "pass")
         res.add("theorems", "S4@p=2", "T1.1", "contradiction", "W moved")

@@ -85,7 +85,7 @@ def c2_x_d8_central_c4():
         q, _ = quotient_group(d8xc4, d8xc4.subgroup(d8xc4.cyclic_mask(z)),
                               name="D8oC4")
         zq = q.full_subgroup.center()
-        if not q.is_abelian() and zq.order == 4 and \
+        if not q.full_subgroup.is_abelian() and zq.order == 4 and \
                 max(q.elem_orders[x] for x in zq.elems) == 4:
             return q
     raise AssertionError("central product not found")
@@ -132,7 +132,8 @@ def test_dicyclic_frobenius_quantifier_nuance():
     from fusionlab.groups import quotient_group
 
     q, _ = quotient_group(g, z)
-    assert q.order == 6 and not q.is_abelian()   # S3, not a 2-group
+    # S3, not a 2-group
+    assert q.order == 6 and not q.full_subgroup.is_abelian()
 
 
 def test_files_scope_suite_over_extras(extra_groups):

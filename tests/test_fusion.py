@@ -134,7 +134,7 @@ def test_classify_v4n_essential(cat, systems):
     prof = classify_subgroup(F, v4n_of(cat))
     assert prof.centric and prof.radical and prof.essential
     out, _, _ = F.out_group(v4n_of(cat))
-    assert out.order == 6 and not out.is_abelian()
+    assert out.order == 6 and not out.full_subgroup.is_abelian()
     M, P = prof.witness["strongly_p_embedded"]
     assert M.order == 2
 
@@ -287,7 +287,7 @@ def test_essentials_gl23_is_quaternion_with_sigma3_outer(cat, systems):
 
     assert is_isomorphic(local, cat["Q8"])[0]
     out, _, _ = F.out_group(ess[0])
-    assert out.order == 6 and not out.is_abelian()
+    assert out.order == 6 and not out.full_subgroup.is_abelian()
 
 
 def test_essentials_qd3_is_translation_subgroup(cat, systems):

@@ -480,3 +480,17 @@ def test_keyed_facts_are_stored_only_through_kept():
                     and getattr(node.value, "id", None) == "functools"):
                 found.append(f"{name}:{node.lineno}:functools.{node.attr}")
     assert found == []
+
+
+def test_suite_handles_errors_only_in_its_check_kernel():
+    """``SuiteRunner._check`` is the one place where the sweep turns an
+    error into a row's status; no other ``try`` in ``suite.py`` catches
+    one by a policy of its own."""
+    tree = ast.parse((SRC / "suite.py").read_text(encoding="utf-8"))
+    tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    kernel = dict(_functions(tree))["SuiteRunner._check"]
+    inside = {id(node) for node in ast.walk(kernel)
+              if isinstance(node, tries)}
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, tries) and id(node) not in inside]
+    assert inside and found == []

@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import importlib
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -10,8 +12,9 @@ import fusionlab
 from fusionlab import groups, suite
 from fusionlab.catalog import CATALOG_NAMES, EXPECTED_ORDERS, catalog_group
 from fusionlab.cli import main
+from fusionlab.errors import InternalInconsistency, MorphismNotInF
 from fusionlab.groups import build_group
-from fusionlab.suite import RunConfig, run_suite
+from fusionlab.suite import RunConfig, SuiteResult, SuiteRunner, run_suite
 
 D8_FILE = """\
 group D8file
@@ -159,6 +162,107 @@ def test_cli_suite_empty_files_scope_exits_zero(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "0 failed" in out
+
+
+S5_FILE = """\
+group S5file
+perm 5
+(1 2)
+(1 2 3 4 5)
+"""
+
+
+def test_cli_suite_gives_a_file_above_the_cap_one_skip_row(capsys,
+                                                           tmp_path):
+    """A group file that the parser refuses above the cap gets one
+    ``scope <path> order-cap skip`` row, with the refusal as its detail,
+    after the rows of the catalog entries above the cap; the exit code
+    stays 0."""
+    path = tmp_path / "s5.grp"
+    path.write_text(S5_FILE)
+    assert main(["--order-cap", "100", "suite", "--scope", "files",
+                 "--format", "tsv", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "section\tinstance\tcheck\tstatus\tdetail",
+        f"scope\t{path}\torder-cap\tskip\tclosure exceeded order cap 100"]
+    assert main(["--order-cap", "100", "suite", "--format", "tsv",
+                 str(path)]) == 0
+    scope = [r for r in capsys.readouterr().out.splitlines()
+             if r.startswith("scope\t")]
+    assert scope == [
+        "scope\tQd(3)\torder-cap\tskip\torder 216 exceeds cap",
+        f"scope\t{path}\torder-cap\tskip\tclosure exceeded order cap 100"]
+
+
+def test_suite_result_counts_are_read_from_its_rows():
+    """A result built from rows, as the witness dump builds one, counts
+    them as ``add`` does; a contradiction is a failure too."""
+    rows = [("theorems", "S4@p=2", "T1.1", "contradiction", "W moved"),
+            ("axioms", "S3@p=2", "FS1-FS3+category", "pass", ""),
+            ("alperin", "Qd(3)@p=3", "roundtrip", "skip", "bound"),
+            ("models", "S4@p=2", "Lq-postconditions", "fail", "no model")]
+    built = SuiteResult(rows=list(rows))
+    added = SuiteResult()
+    for row in rows:
+        added.add(*row)
+    for result in (built, added):
+        assert (result.passed, result.failures, result.contradictions,
+                result.skipped) == (1, 2, 1, 1)
+        assert result.to_text().splitlines()[-1] == (
+            "summary: 1 passed, 2 failed, 1 skipped, 1 contradictions")
+
+
+# the suite-module call each section makes, and the section it reports in
+INJECTED_CALLS = {
+    "validate_catalog": "catalog", "verify_axioms": "axioms",
+    "classify_subgroup": "classify", "essential_subgroups": "essentials",
+    "model_group": "models", "sigma3_involvement_check": "hfree",
+    "functor_checks": "wcompute", "verify_theorem_2": "theorems",
+    "generated_system": "generation", "alperin_decompose": "alperin"}
+
+
+@pytest.fixture(scope="module")
+def passing_sweep():
+    return run_suite(RunConfig()).to_tsv().splitlines()
+
+
+@pytest.mark.parametrize("call", sorted(INJECTED_CALLS))
+def test_an_error_in_any_section_becomes_its_rows_status(
+        call, passing_sweep, monkeypatch, tmp_path, capsys):
+    """An error raised by one section's call becomes the status of that
+    section's rows, and the sweep goes on: every (section, instance,
+    check) of the passing sweep is still printed, in its order, and every
+    other row is unchanged.  An InternalInconsistency is a contradiction,
+    with exit 2 and the rows in the witness dump; any other FusionlabError
+    is a fail, with exit 1.  A generation check that builds no system
+    leaves its normality-propagation row a skip."""
+    section = INJECTED_CALLS[call]
+    monkeypatch.chdir(tmp_path)
+    dump = tmp_path / "contradiction-witness.txt"
+    for error, status, code in ((InternalInconsistency, "contradiction", 2),
+                                (MorphismNotInF, "fail", 1)):
+        def fails(*args, **kwargs):
+            raise error(f"{call} injected")
+
+        monkeypatch.setattr(suite, call, fails)
+        assert main(["suite", "--format", "tsv"]) == code
+        rows = capsys.readouterr().out.splitlines()
+        assert ([r.split("\t")[:3] for r in rows]
+                == [r.split("\t")[:3] for r in passing_sweep])
+        changed = [r.split("\t") for r, before in zip(rows, passing_sweep)
+                   if r != before]
+        assert changed and {r[0] for r in changed} == {section}
+        hit = [r for r in changed if r[4] == f"{call} injected"]
+        assert hit and {r[3] for r in hit} == {status}
+        assert [r for r in changed if r not in hit] == (
+            [r for r in changed if r[2] == "normality-propagation"])
+        assert all(r[3:] == ["skip", "no generated system"]
+                   for r in changed if r not in hit)
+        if code == 2:
+            assert dump.read_text().splitlines() == [rows[0]] + [
+                "\t".join(r) for r in hit]
+            dump.unlink()
+        assert not dump.exists()
 
 
 def test_cold_suite_builds_each_system_and_thompson_datum_once(
@@ -466,3 +570,38 @@ def test_cold_suite_checks_fs3_per_orbit_and_closes_each_join_once(
     assert closures
     for (_, a, b), n in closures.items():
         assert n == (0 if a & ~b == 0 else 1), (a, b, n)
+
+
+def test_a_catalog_entry_that_fails_to_build_is_a_contradiction_per_row(
+        passing_sweep, monkeypatch, cold_start):
+    """A catalog entry is built inside the first check that asks for it,
+    so an entry that fails its order check makes each of its rows a
+    contradiction (its propagation row a skip), and the sweep still plans
+    and prints every row."""
+    catalog = importlib.import_module("fusionlab.catalog")
+    cold_start()
+    monkeypatch.setitem(catalog.EXPECTED_ORDERS, "D8", 16)
+    result = run_suite(RunConfig())
+    assert len(result.rows) == len(passing_sweep) - 1
+    d8 = [r for r in result.rows if "D8" in r[1]]
+    assert len(d8) == 12
+    assert [r[2:] for r in d8 if r[3] != "contradiction"] == [
+        ("normality-propagation", "skip", "no generated system")]
+    assert ("catalog", "builtin", "orders+qd2", "contradiction",
+            "catalog group D8 has order 8, expected 16") in result.rows
+
+
+def test_every_traced_suite_section_is_a_runner_method():
+    """``bench/spans.py`` wraps the ``SuiteRunner`` methods named in its
+    ``SUITE_SECTIONS`` for the per-section spans; each must exist.  The
+    file is read, not imported."""
+    spans = (pathlib.Path(__file__).resolve().parents[1] / "bench"
+             / "spans.py")
+    tree = ast.parse(spans.read_text(encoding="utf-8"))
+    sections = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets]
+                    == ["SUITE_SECTIONS"])
+    assert len(sections) == 9
+    assert [m for m in sections.values()
+            if not callable(getattr(SuiteRunner, m, None))] == []
