@@ -223,19 +223,13 @@ def cmd_verify(args):
     extras = [_load_group(path, args.order_cap) for path in args.family]
     if args.theorem == "frobenius":
         report = frobenius_check(G, args.p)
+    elif args.theorem == "thompson":
+        report = thompson_group_check(G, args.p, extras=extras)
     else:
-        # G's own system is always a candidate, beside the --family groups
-        fam = canonical_family(sylow(G, args.p), args.p, extras=[G, *extras])
-        if args.theorem == "thompson":
-            report = thompson_group_check(G, args.p, family=fam)
-        else:
-            F = realize_fusion(G, args.p)
-            if args.theorem == "1":
-                report = verify_theorem_1(F, family=fam)
-            elif args.theorem == "2":
-                report = verify_theorem_2(F, family=fam)
-            else:
-                report = verify_theorem_3(F, family=fam)
+        F = realize_fusion(G, args.p)
+        harness = {"1": verify_theorem_1, "2": verify_theorem_2,
+                   "3": verify_theorem_3}[args.theorem]
+        report = harness(F, extras=extras)
     print(f"{report.theorem_id} on {report.instance}: "
           f"hypotheses={report.hypotheses_hold} "
           f"conclusion={report.conclusion_holds}")

@@ -9,7 +9,8 @@
     ...
     table <n>             # alternative body: n rows of n 0-based indices
 
-Comments start with ``#`` and blank lines are ignored.
+Comments start with ``#`` and blank lines are ignored.  The name must
+be printable: no tab or other control character.
 """
 
 import re
@@ -66,6 +67,10 @@ def parse_group_text(text, cap=DEFAULT_ORDER_CAP) -> FiniteGroup:
             if parts[0] != "group" or len(parts) != 2:
                 raise ParseError("expected 'group <name>' header", line=idx)
             name = parts[1].strip()
+            if not name.isprintable():
+                # a tab or control character would split the suite's TSV
+                raise ParseError(f"group name {name!r} is not printable",
+                                 line=idx)
             continue
         if mode is None:
             parts = line.split()
@@ -109,8 +114,14 @@ def parse_group_text(text, cap=DEFAULT_ORDER_CAP) -> FiniteGroup:
 
 
 def parse_group_file(path, cap=DEFAULT_ORDER_CAP) -> FiniteGroup:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_group_text(fh.read(), cap=cap)
+    """The group in the file at ``path``; a file that cannot be read as
+    UTF-8 text is a ParseError, as a malformed one is."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    return parse_group_text(text, cap=cap)
 
 
 def eval_subgroup_spec(G, spec):

@@ -975,7 +975,6 @@ def _normal_subgroups_of_order(G, B, k):
     are the joins of one closure per class.  A closure or join whose order
     does not divide k lies in no normal subgroup of order k and is not
     grown further."""
-    mul, inv = G._mul, G.inv
     bgens = B.generators()
 
     def divides(n):
@@ -986,7 +985,7 @@ def _normal_subgroups_of_order(G, B, k):
     for x in B.elems:
         if classed >> x & 1 or not divides(G.elem_orders[x]):
             continue
-        classed |= mask_of(mul[mul[w][x]][inv[w]] for w in B.elems)
+        classed |= mask_of(orbit(x, bgens, G.conj))
         gens = [x]
         mask = _grow_normal(G, bgens, gens, G.cyclic_mask(x), [x], divides)
         if divides(mask.bit_count()):
@@ -1035,14 +1034,10 @@ class QuotientMap(namedtuple("QuotientMap", "source quotient coset_of reps")):
         return self.coset_of[x]
 
     def push_mask(self, mask):
-        return mask_of(self.coset_of[x] for x in bits(mask))
+        return move_mask(self.coset_of, mask)
 
     def push_subgroup(self, sub):
         return self.quotient.subgroup(self.push_mask(sub.mask))
-
-    def pull_mask(self, qmask):
-        return mask_of(x for x, c in enumerate(self.coset_of)
-                       if c >= 0 and qmask >> c & 1)
 
     def kernel_mask(self):
         return mask_of(x for x, c in enumerate(self.coset_of) if c == 0)

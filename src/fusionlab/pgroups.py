@@ -54,7 +54,7 @@ def _thompson_data(S):
     jgens = [g for H in witnesses for g in H.generators()]
     J = G.subgroup(G.closure_mask(jgens, 1))
     A = G.subgroup(omega_mask(G, S.center().mask, p))
-    B = G.subgroup(omega_mask(G, J.centralizer_in(J).mask, p))
+    B = G.subgroup(omega_mask(G, J.center().mask, p))
     if not A <= B:
         raise InternalInconsistency(
             f"A(S) = {A.mask:x} is not inside B(S) = {B.mask:x} for S = "

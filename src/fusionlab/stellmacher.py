@@ -31,6 +31,7 @@ from .groups import (
     Subgroup,
     aut_generators,
     bits,
+    compose_perms,
     is_isomorphic,
     kept,
     mask_orbit,
@@ -85,7 +86,7 @@ def admit_member(S: FiniteGroup, G: FiniteGroup, p: int) -> FamilyMember:
     if not ok:
         raise SylowMismatch(
             f"Sylow {p}-subgroup of {G.name} is not isomorphic to {S.name}")
-    identification = tuple(embed[iso(i)] for i in range(S.order))
+    identification = compose_perms(embed, iso.as_tuple())
     F = FusionSystem.realized(G, p, P)
     J = thompson_data(P).J
     j_normal, _ = is_normal_in_F(F, J)
@@ -333,7 +334,7 @@ def functor_checks(family: CandidateFamily) -> FunctorReport:
         twisted_members = []
         for j, m in enumerate(family.members):
             alpha = auts[j % len(auts)]
-            twisted = tuple(m.identification[alpha[i]] for i in range(S.order))
+            twisted = compose_perms(m.identification, alpha)
             twisted_members.append(FamilyMember(
                 system=m.system, identification=twisted,
                 j_normal=m.j_normal, qd_free=m.qd_free))

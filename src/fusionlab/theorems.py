@@ -4,17 +4,21 @@ Each harness computes hypotheses and conclusion independently and compares;
 ``hypotheses_hold and not conclusion_holds`` is a hard contradiction.  The
 harnesses never assume the statements they check, so a full catalog sweep
 doubles as a regression oracle for every lower module.
+
+Each harness builds its own family: W(S) is taken from
+``canonical_family`` on S, with the group under test (F's host, or G) and
+the groups ``extras`` in its pool, so the system under test is always a
+candidate member.
 """
 
 from collections import namedtuple
 
 from .errors import HypothesisViolated, InternalInconsistency
-from .fusion import FusionSystem, classify_subgroup, fusion_equal, mask_of
+from .fusion import FusionSystem, classify_subgroup, fusion_equal
 from .groups import (
     DetailRecord,
     Subgroup,
-    bits,
-    is_isomorphic,
+    move_mask,
     o_p_prime,
     p_part,
     subgroup_class_reps,
@@ -40,32 +44,18 @@ class TheoremReport(DetailRecord, namedtuple(
         return self.hypotheses_hold and not self.conclusion_holds
 
 
-def _family_for(F, family):
-    """The given family, or the canonical family on F's carrier with F's
-    host group in its pool, so that the system the host realizes is one of
-    the candidates."""
-    return family or canonical_family(F.carrier, F.p, extras=(F.host,))
+def _w_in(S, p, extras):
+    """(W(S) as a subgroup of S's parent, the W computation), relative to
+    the canonical family on S with the groups ``extras`` in its pool.
 
-
-def _w_in(S, fam):
-    """(W(S | fam) as a subgroup of S's parent, the W computation).
-
-    The family's model is S's standalone copy when the family was built
-    on a subgroup with S's table, since such copies are one derived group
-    per table; a family given by the caller may have another model, which
-    is then identified with S afresh.  W is characteristic, so any
-    isomorphism will do."""
+    The family's model is S's standalone copy, since such copies are one
+    derived group per table; W reaches S through that copy's embedding."""
+    fam = canonical_family(S, p, extras=extras)
     wc = compute_W_iterative(fam)
     local, embed = S.as_group()
-    if fam.S is local:
-        ident = embed
-    else:
-        ok, iso = is_isomorphic(fam.S, local)
-        if not ok:
-            raise InternalInconsistency("family model does not match S")
-        ident = tuple(embed[iso(i)] for i in range(fam.S.order))
-    W = S.parent.subgroup(mask_of(ident[i] for i in bits(wc.W_iter.mask)))
-    return W, wc
+    if fam.S is not local:
+        raise InternalInconsistency("family model is not S's standalone copy")
+    return S.parent.subgroup(move_mask(embed, wc.W_iter.mask)), wc
 
 
 def is_trivial_fusion(F):
@@ -73,18 +63,18 @@ def is_trivial_fusion(F):
     return fusion_equal(F, FusionSystem.inner(F.carrier, F.p))
 
 
-def verify_theorem_1(F, family=None) -> TheoremReport:
+def verify_theorem_1(F, extras=()) -> TheoremReport:
     """S4-free systems at p = 2 normalize the characteristic subgroup W(S)."""
     if F.p != 2:
         raise HypothesisViolated("this statement is specific to p = 2")
-    return _normality_report("T1.1", F, family)
+    return _normality_report("T1.1", F, extras)
 
 
-def _normality_report(theorem_id, F, family):
+def _normality_report(theorem_id, F, extras):
     """Is F Qd(p)-free (S4-free at p = 2), and is W(S) normal in F?  At
     p = 2, a free F also has its model route checked."""
     hyp = is_fusion_H_free(F, qd_group(F.p)).free
-    W, wc = _w_in(F.carrier, _family_for(F, family))
+    W, wc = _w_in(F.carrier, F.p, (F.host, *extras))
     conc, counter = is_normal_in_F(F, W)
     detail = {"W_order": W.order, "chain_length": len(wc.chain) - 1,
               "counterexample": counter}
@@ -114,20 +104,20 @@ def _constrained_route(F, W):
     return "model-checked"
 
 
-def verify_theorem_2(F, family=None) -> TheoremReport:
+def verify_theorem_2(F, extras=()) -> TheoremReport:
     """Qd(p)-free systems normalize W(S); at p = 2 this is the S4
     statement (Qd(2) is the symmetric group on 4 letters)."""
-    report = _normality_report("T1.2", F, family)
+    report = _normality_report("T1.2", F, extras)
     if F.p == 2:
         report.detail["delegated"] = "T1.1"
     return report
 
 
-def verify_theorem_3(F, family=None) -> TheoremReport:
+def verify_theorem_3(F, extras=()) -> TheoremReport:
     """For odd p: F is trivial fusion iff N_F(W(S)) is trivial fusion."""
     if F.p % 2 == 0:
         raise HypothesisViolated("this statement requires an odd prime")
-    W, _ = _w_in(F.carrier, _family_for(F, family))
+    W, _ = _w_in(F.carrier, F.p, (F.host, *extras))
     lhs = is_trivial_fusion(F)
     nf = normalizer_system(F, W)
     if nf.carrier.mask != F.carrier.mask:
@@ -163,25 +153,18 @@ def frobenius_check(G, p) -> TheoremReport:
 
     reps = subgroup_class_reps(
         G, [Q for Q in S.subgroups_within() if Q.order > 1])
-    b = True
-    b_witness = None
+    b_witness = c_witness = None
     for Q in reps:
         N = Q.normalizer_in(full)
-        C = Q.centralizer_in(full)
-        index = N.order // C.order
-        if p_part(index, p) != index:
-            b = False
-            b_witness = Q
-            break
-
-    c = True
-    c_witness = None
-    for Q in reps:
-        N = Q.normalizer_in(full)
-        if not has_normal_p_complement(N, p):
-            c = False
+        if b_witness is None:
+            index = N.order // Q.centralizer_in(full).order
+            if p_part(index, p) != index:
+                b_witness = Q
+        if c_witness is None and not has_normal_p_complement(N, p):
             c_witness = Q
+        if b_witness is not None and c_witness is not None:
             break
+    b, c = b_witness is None, c_witness is None
 
     F = FusionSystem.realized(G, p, S)
     d = is_trivial_fusion(F)
@@ -197,12 +180,12 @@ def frobenius_check(G, p) -> TheoremReport:
                                  "normalizer_witness": c_witness})
 
 
-def thompson_group_check(G, p, family=None) -> TheoremReport:
+def thompson_group_check(G, p, extras=()) -> TheoremReport:
     """For odd p: G has a normal p-complement iff N_G(W(S)) has one."""
     if p % 2 == 0:
         raise HypothesisViolated("this statement requires an odd prime")
     S = sylow(G, p)
-    W, _ = _w_in(S, family or canonical_family(S, p, extras=(G,)))
+    W, _ = _w_in(S, p, (G, *extras))
     NW = W.normalizer_in(G.full_subgroup)
     lhs = has_normal_p_complement(G, p)
     rhs = has_normal_p_complement(NW, p)

@@ -8,13 +8,17 @@ import pytest
 from fusionlab import cli
 from fusionlab.cli import main
 from fusionlab.errors import InternalInconsistency, ParseError
+from fusionlab.fusion import realize_fusion
 from fusionlab.groupfile import (
     eval_subgroup_spec,
     parse_group_file,
     parse_group_text,
     perm_to_cycles,
 )
+from fusionlab.groups import build_group
+from fusionlab.stellmacher import canonical_family
 from fusionlab.suite import SuiteResult
+from fusionlab.theorems import verify_theorem_2
 
 D8_FILE = """\
 # dihedral group of order 8
@@ -59,6 +63,15 @@ def test_parse_malformed_cycle_reports_line():
 def test_parse_rejects_missing_header():
     with pytest.raises(ParseError):
         parse_group_text("perm 3\n(1 2)\n")
+
+
+@pytest.mark.parametrize("name", ["A\tB", "A\x1bB"])
+def test_parse_rejects_a_name_that_is_not_printable(name):
+    """A tab in the name would split its rows of the suite TSV."""
+    with pytest.raises(ParseError) as err:
+        parse_group_text(f"# header\ngroup {name}\nperm 2\n(1 2)\n")
+    assert err.value.line == 2
+    assert "not printable" in str(err.value)
 
 
 def test_parse_rejects_bad_row_width():
@@ -191,6 +204,24 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert main(["analyze", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{dir}"],
+    ["analyze", "{dir}/ff.grp"],
+    ["suite", "--scope", "files", "{dir}/missing.grp"],
+], ids=["directory", "not-utf8", "missing"])
+def test_cli_unreadable_group_file_is_a_parse_error(tmp_path, argv):
+    (tmp_path / "ff.grp").write_bytes(b"group X\xff\n")
+    argv = [a.format(dir=tmp_path) for a in argv]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run([sys.executable, "-m", "fusionlab.cli", *argv],
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.startswith(f"parse error: cannot read {argv[-1]}: ")
+    assert "Traceback" not in run.stderr
+
+
 def test_cli_analyze_rejects_a_table_that_is_not_associative(tmp_path,
                                                             capsys):
     """C2^7 with one intercalate swapped (rows 1, 3 and columns 4, 6): the
@@ -280,7 +311,7 @@ def test_cli_help_and_version_exit_0(flag, capsys):
     assert exc.value.code == 0
 
 
-def _contradicting_theorem(F, family=None):
+def _contradicting_theorem(F, extras=()):
     raise InternalInconsistency("routes disagree on W")
 
 
@@ -508,6 +539,29 @@ def test_cli_verify_with_an_unrelated_family_file(capsys, monkeypatch,
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "conclusion=True" in out and "  W_order: 27\n" in out
+
+
+def test_verify_theorem_2_with_extras_matches_cli_family(
+        capsys, monkeypatch, tmp_path, group_file, wreath648):
+    """C3 wr S3 has W648's Sylow 3-subgroup C3 wr C3 and joins the family
+    as an admitted member; the harness given it in ``extras`` reports the
+    W order and verdict of ``verify --family`` on its file."""
+    c3_wr_s3 = build_group([(1, 2, 0, 3, 4, 5, 6, 7, 8),
+                            (3, 4, 5, 6, 7, 8, 0, 1, 2),
+                            (3, 4, 5, 0, 1, 2, 6, 7, 8)],
+                           name="C3wrS3", kind="perms")
+    F = realize_fusion(wreath648, 3)
+    rep = verify_theorem_2(F, extras=(c3_wr_s3,))
+    fam = canonical_family(F.carrier, 3, extras=(wreath648, c3_wr_s3))
+    assert [m.admitted for m in fam.members] == [True, True, True]
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--theorem", "2", "--group", group_file(wreath648),
+                 "--p", "3", "--family", group_file(c3_wr_s3)]) == 0
+    out = capsys.readouterr().out
+    assert f"hypotheses={rep.hypotheses_hold} " \
+           f"conclusion={rep.conclusion_holds}\n" in out
+    assert f"  W_order: {rep.detail['W_order']}\n" in out
+    assert rep.conclusion_holds and rep.detail["W_order"] == 27
 
 
 @pytest.mark.parametrize("argv", [

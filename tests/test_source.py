@@ -150,6 +150,23 @@ def test_families_are_built_only_in_stellmacher():
     assert found == []
 
 
+def test_theorem_harnesses_build_their_own_family():
+    """The theorem harnesses take W(S) from ``canonical_family`` with the
+    group under test in its pool: none takes a prebuilt family, which
+    could leave that group out, and W reaches S through the embedding of
+    S's standalone copy, not through an isomorphism found afresh."""
+    tree = ast.parse((SRC / "theorems.py").read_text(encoding="utf-8"))
+    funcs = dict(_functions(tree))
+    harnesses = ("verify_theorem_1", "verify_theorem_2", "verify_theorem_3",
+                 "thompson_group_check")
+    params = {name: [a.arg for a in ast.walk(funcs[name].args)
+                     if isinstance(a, ast.arg)] for name in harnesses}
+    assert {name: args for name, args in params.items()
+            if "family" in args} == {}
+    assert "_family_for" not in funcs
+    assert list(_uses(tree, {"is_isomorphic"})) == []
+
+
 def _uses(node, names, func=None):
     """(name, innermost enclosing function or None, line) for each name in
     ``names`` that the tree under ``node`` reads, calls or imports."""

@@ -2,7 +2,14 @@ import pytest
 
 
 from fusionlab.fusion import realize_fusion
-from fusionlab.groups import aut_generators, build_group, group_from_function
+from fusionlab.groups import (
+    aut_generators,
+    build_group,
+    group_from_function,
+    prime_divisors,
+    subgroup_class_reps,
+    sylow,
+)
 from fusionlab.stellmacher import canonical_family, functor_checks
 from fusionlab.theorems import (
     frobenius_check,
@@ -14,7 +21,12 @@ from fusionlab.theorems import (
     verify_theorem_3,
 )
 
-from oracles import has_normal_p_complement_brute
+from oracles import (
+    centralizer_brute,
+    has_normal_p_complement_brute,
+    is_power_of,
+    normalizer_brute,
+)
 
 
 def test_t1_sl23(systems):
@@ -134,6 +146,33 @@ def test_frobenius_full_catalog(cat):
         for p in (2, 3):
             if g.order % p == 0:
                 frobenius_check(g, p)      # raises on any disagreement
+
+
+def test_frobenius_witnesses_are_the_first_failing_class_reps(cat):
+    """nc_witness is the first class representative Q, in the order of
+    ``subgroup_class_reps``, with N_G(Q)/C_G(Q) not a p-group, and
+    normalizer_witness the first whose N_G(Q) has no normal p-complement;
+    both criteria are read element by element."""
+    seen = set()
+    for name, G in cat.items():
+        full = G.full_subgroup
+        for p in prime_divisors(G.order):
+            S = sylow(G, p)
+            reps = subgroup_class_reps(
+                G, [Q for Q in S.subgroups_within() if Q.order > 1])
+            normalizers = [sorted(normalizer_brute(Q, full)) for Q in reps]
+            nc = [Q for Q, N in zip(reps, normalizers) if not is_power_of(
+                len(N) // len(centralizer_brute(Q, full)), p)]
+            nn = [Q for Q, N in zip(reps, normalizers)
+                  if not has_normal_p_complement_brute(G, N, p)]
+            detail = frobenius_check(G, p).detail
+            assert detail["nc_witness"] == (nc[0] if nc else None), (name, p)
+            assert detail["normalizer_witness"] == \
+                (nn[0] if nn else None), (name, p)
+            seen.update(k for k, found in (("nc", nc), ("nn", nn))
+                        if len(found) > 1)
+    # a witness other than the first failing representative would show
+    assert seen == {"nc", "nn"}
 
 
 def test_frobenius_matches_trivial_fusion(cat, systems):
