@@ -10,10 +10,8 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     build_group,
-    group_from_function,
     is_isomorphic,
     kept,
-    regular_generators,
 )
 
 _SL23_GENS = (((1, 1), (0, 1)), ((0, 2), (1, 0)))  # transvection, rotation
@@ -61,47 +59,6 @@ def _heisenberg3_perms():
     return [tuple(index[_matvec(m, v, 3)] for v in vecs) for m in (x, y)]
 
 
-def _extraspecial27_exp9():
-    """C9 : C3 with b a b^-1 = a^4 (order 27, exponent 9), regular perms."""
-    elems = [(i, j) for j in range(3) for i in range(9)]
-
-    def op(u, v):
-        i, j = u
-        k, l = v
-        return ((i + k * pow(4, j, 9)) % 9, (j + l) % 3)
-
-    g = group_from_function(elems, op, name="tmp")
-    return regular_generators(g)
-
-
-def _c13c3_perms():
-    """C13 : C3 as affine maps x -> 3^j x + i on 13 points."""
-    a = tuple((x + 1) % 13 for x in range(13))
-    b = tuple((3 * x) % 13 for x in range(13))
-    return [a, b]
-
-
-def _quaternion_perms():
-    units = [(s, k) for s in (1, -1) for k in "1ijk"]
-
-    def qmul(u, v):
-        table = {("1", "1"): (1, "1"), ("1", "i"): (1, "i"),
-                 ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-                 ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"),
-                 ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-                 ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"),
-                 ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-                 ("k", "1"): (1, "k"), ("k", "i"): (1, "j"),
-                 ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1")}
-        s, a = u
-        t, b = v
-        r, c = table[(a, b)]
-        return (s * t * r, c)
-
-    g = group_from_function(units, qmul, name="tmp")
-    return regular_generators(g, g.full_subgroup.generators()[:2])
-
-
 # name -> generator permutations, built only when the group is asked for
 _PERM_SPECS = {
     "C2": lambda: [(1, 0)],
@@ -110,15 +67,22 @@ _PERM_SPECS = {
     "V4": lambda: [(1, 0, 3, 2), (2, 3, 0, 1)],
     "S3": lambda: [(1, 0, 2), (1, 2, 0)],
     "D8": lambda: [(1, 2, 3, 0), (2, 1, 0, 3)],  # rotation, reflection
-    "Q8": _quaternion_perms,
+    # left multiplication by i and by j on 1, i, j, k, -1, -i, -j, -k
+    "Q8": lambda: [(1, 4, 3, 6, 5, 0, 7, 2), (2, 7, 4, 1, 6, 3, 0, 5)],
     "C3xC3": lambda: [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3)],
     "A4": lambda: [(1, 2, 0, 3), (0, 2, 3, 1)],
     "S4": lambda: [(1, 0, 2, 3), (1, 2, 3, 0)],
     "SL(2,3)": lambda: _linear_perms(_SL23_GENS, 3, 2),
     "GL(2,3)": lambda: _linear_perms(_GL23_GENS, 3, 2),
     "3^(1+2)+": _heisenberg3_perms,
-    "3^(1+2)-": _extraspecial27_exp9,
-    "C13:C3": _c13c3_perms,
+    # C9 : C3 with b a b^-1 = a^4 (exponent 9): left multiplication by a
+    # and by b on the elements a^i b^j, at 9j + i
+    "3^(1+2)-": lambda: [tuple(x - x % 9 + (x + 1) % 9 for x in range(27)),
+                         tuple(9 * ((x // 9 + 1) % 3) + 4 * x % 9
+                               for x in range(27))],
+    # C13 : C3 as the affine maps x -> x + 1 and x -> 3x on 13 points
+    "C13:C3": lambda: [tuple((x + 1) % 13 for x in range(13)),
+                       tuple(3 * x % 13 for x in range(13))],
     "Qd(3)": lambda: affine_qd_perms(3),
 }
 

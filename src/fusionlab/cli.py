@@ -219,6 +219,10 @@ def cmd_wcompute(args):
 
 
 def cmd_verify(args):
+    if args.theorem == "frobenius" and args.family:
+        print("error: --theorem frobenius builds no W(S) family, so it "
+              "takes no --family", file=sys.stderr)
+        return EXIT_USAGE
     G = _load_group(args.group, args.order_cap)
     extras = [_load_group(path, args.order_cap) for path in args.family]
     if args.theorem == "frobenius":

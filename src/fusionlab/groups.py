@@ -771,20 +771,6 @@ def identity_first(table, ident):
     return [[new_of_old[table[a][b]] for b in old_of_new] for a in old_of_new]
 
 
-def group_from_function(elements, op, name="G"):
-    """Cayley table from abstract elements and a multiplication callable."""
-    index = {e: i for i, e in enumerate(elements)}
-    table = [[index[op(a, b)] for b in elements] for a in elements]
-    return _group_from_table(table, name, cap=max(len(elements), 1))
-
-
-def regular_generators(G, gen_idx=None):
-    """Left-regular permutation generators for G (on G.order points)."""
-    if gen_idx is None:
-        gen_idx = G.full_subgroup.generators()
-    return [tuple(G.mul(g, x) for x in range(G.order)) for g in gen_idx]
-
-
 # -- subgroup lattice ----------------------------------------------------
 
 
@@ -1250,6 +1236,12 @@ def orbit(item, perms, move):
 def move_mask(a, m):
     """The image of the subset ``m`` under the permutation tuple a."""
     return mask_of(a[x] for x in bits(m))
+
+
+def pull_mask(a, m):
+    """The preimage of the subset ``m`` under the tuple a: the positions
+    whose entries lie in ``m``."""
+    return mask_of(x for x, y in enumerate(a) if m >> y & 1)
 
 
 def mask_orbit(gens, mask, n):

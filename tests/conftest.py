@@ -79,6 +79,21 @@ def f16c5c4():
     return build_group(gens, name="F16:(C5:C4)", kind="perms")
 
 
+@pytest.fixture(scope="session")
+def gl32():
+    """GL(3,2) = PSL(2,7) of order 168 on the 7 nonzero vectors of F_2^3.
+    At p = 2 its Sylow subgroup is D8 with two essential subgroups, both
+    fully normalized, whose intersection is Z(S) of order 2, and O_2(F) =
+    1: the O_p(F) fixpoint shrinks, and an Alperin search meets states
+    inside neither essential."""
+    from fusionlab.catalog import _linear_perms
+
+    mats = (((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+            ((0, 0, 1), (1, 0, 1), (0, 1, 0)))
+    return build_group(_linear_perms(mats, 2, 3), name="GL(3,2)",
+                       kind="perms")
+
+
 @pytest.fixture()
 def group_file(tmp_path):
     """write(G) -> the path of a group file in tmp_path with G's

@@ -1079,3 +1079,112 @@ def assert_kept_verdicts_exact(G, hs):
             assert is_normal_brute(A, B)
             Q, _ = quotient_group(G, A, within=B)
             assert iso_search_brute(Q, H) is not None
+
+
+# -- the earlier routes of the catalog and of W(S), kept as references -------
+
+
+def group_from_function(elements, op, name="G"):
+    """The group of the multiplication law ``op`` on ``elements``, through
+    its Cayley table."""
+    from fusionlab.groups import build_group
+
+    index = {e: i for i, e in enumerate(elements)}
+    table = [[index[op(a, b)] for b in elements] for a in elements]
+    return build_group(table, name=name, kind="table")
+
+
+def regular_generators(G, gen_idx=None):
+    """Left-regular permutation generators for G (on G.order points)."""
+    if gen_idx is None:
+        gen_idx = G.full_subgroup.generators()
+    return [tuple(G.mul(g, x) for x in range(G.order)) for g in gen_idx]
+
+
+def quaternion_perms_by_law():
+    """Q8's generators as the catalog once built them: the regular action
+    of the first two generators of the group of the quaternion law on
+    +-1, +-i, +-j, +-k."""
+    units = [(s, k) for s in (1, -1) for k in "1ijk"]
+    table = {("1", "1"): (1, "1"), ("1", "i"): (1, "i"),
+             ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
+             ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"),
+             ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
+             ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"),
+             ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
+             ("k", "1"): (1, "k"), ("k", "i"): (1, "j"),
+             ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1")}
+
+    def qmul(u, v):
+        (s, a), (t, b) = u, v
+        r, c = table[(a, b)]
+        return (s * t * r, c)
+
+    g = group_from_function(units, qmul, name="Q8 law")
+    return regular_generators(g, g.full_subgroup.generators()[:2])
+
+
+def extraspecial27_perms_by_law():
+    """The generators of 3^(1+2)- as the catalog once built them: the
+    regular action of the group of the law of C9 : C3, b a b^-1 = a^4, on
+    the pairs (i, j) standing for a^i b^j."""
+    elems = [(i, j) for j in range(3) for i in range(9)]
+
+    def op(u, v):
+        (i, j), (k, l) = u, v
+        return ((i + k * pow(4, j, 9)) % 9, (j + l) % 3)
+
+    return regular_generators(group_from_function(elems, op, name="C9:C3 law"))
+
+
+def w_by_earlier_routes(family):
+    """(chain, witnesses, W_iter mask, W_oneshot mask) of ``family``, with
+    a member's images read as before the one image kernel: a growth step
+    joins the images of the failing subgroup in the member's host and
+    pulls the join back, and the one-shot value reads each map on J at
+    W_0 by hand."""
+    from fusionlab.groups import aut_generators, bits, mask_of, mask_orbit
+    from fusionlab.pgroups import thompson_data
+    from fusionlab.stellmacher import _first_normality_failure
+
+    def pull(a, host_mask):
+        return mask_of(x for x, y in enumerate(a) if host_mask >> y & 1)
+
+    S = family.S
+    a_mask = thompson_data(S.full_subgroup).A.mask
+    auts, _ = aut_generators(S)
+    admitted = family.admitted_members()
+    w, chain, witnesses = a_mask, [a_mask], []
+    while True:
+        orbit = mask_orbit(auts, w, S.order)
+        failure = _first_normality_failure(orbit, admitted)
+        if failure is None:
+            break
+        mi, oi = failure
+        w_image, alpha = orbit[oi]
+        member = admitted[mi]
+        host = member.system.host
+        target = host.subgroup(member.push_mask(w_image))
+        gens = set(target.elems)
+        for t in member.system.maps(target):
+            gens.update(t)
+        grown = pull(member.identification, host.closure_mask(sorted(gens)))
+        witnesses.append((mi, oi, w))
+        w = pull(alpha, grown)
+        chain.append(w)
+    gens = set(bits(a_mask))
+    for member in admitted:
+        F = member.system
+        J = thompson_data(F.carrier).J
+        at = [J.elems.index(x) for x in bits(member.push_mask(a_mask))]
+        for t in F.maps(J):
+            gens.update(bits(pull(member.identification,
+                                  mask_of(t[i] for i in at))))
+    oneshot = S.closure_mask(sorted(gens))
+    while True:
+        grown = S.closure_mask([a[i] for a in auts for i in bits(oneshot)],
+                               oneshot)
+        if grown == oneshot:
+            break
+        oneshot = grown
+    return tuple(chain), tuple(witnesses), w, oneshot

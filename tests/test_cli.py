@@ -222,6 +222,22 @@ def test_cli_unreadable_group_file_is_a_parse_error(tmp_path, argv):
     assert "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("body", ["perm 4\n(1 2 3 4)\n(1 3)\n",
+                                  "perm 4\n(1 2 5)\n"],
+                         ids=["valid", "malformed"])
+def test_cli_verify_frobenius_refuses_family(tmp_path, capsys, body):
+    """The Frobenius check builds no W(S) family, so a --family file is
+    refused before any file is read, a malformed one as well."""
+    path = tmp_path / "fam.grp"
+    path.write_text("group Fam\n" + body)
+    assert main(["verify", "--theorem", "frobenius", "--group", "S4",
+                 "--p", "2", "--family", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_analyze_rejects_a_table_that_is_not_associative(tmp_path,
                                                             capsys):
     """C2^7 with one intercalate swapped (rows 1, 3 and columns 4, 6): the

@@ -10,7 +10,6 @@ import pytest
 from fusionlab.fusion import realize_fusion, verify_axioms
 from fusionlab.groups import (
     build_group,
-    group_from_function,
     o_p,
     sylow,
 )
@@ -23,6 +22,8 @@ from fusionlab.theorems import (
     verify_theorem_2,
     verify_theorem_3,
 )
+
+from oracles import group_from_function
 
 
 def dicyclic12():

@@ -627,6 +627,22 @@ def test_alperin_search_matches_one_search_per_morphism(systems):
     assert done > 0
 
 
+def test_alperin_roundtrip_on_gl32_steps_outside_the_essentials(gl32):
+    """GL(3,2) at p = 2 has two essential subgroups, so the search of a
+    domain meets states inside only one of them, or neither, and skips
+    the other: each of the 44 maps recomposes, and decomposes as a search
+    for it alone does."""
+    F = realize_fusion(gl32, 2)
+    total = 0
+    for P in F.objects():
+        for t in F.maps(P):
+            deco = alperin_decompose(F, wrap_tuple(F, P, F.carrier, t))
+            assert deco.recompose() == dict(zip(P.elems, t))
+            total += 1
+    assert total == 44
+    assert assert_alperin_matches_brute(F) == 44
+
+
 def test_alperin_not_generated_after_other_maps_on_its_domain(cat):
     """The spliced map still raises NotGenerated when the other maps on its
     domain have been decomposed first, so that the kept search of the

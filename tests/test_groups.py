@@ -19,7 +19,6 @@ from fusionlab.groups import (
     aut_generators,
     bits,
     build_group,
-    group_from_function,
     is_hom_tuple,
     is_involved,
     is_isomorphic,
@@ -35,7 +34,6 @@ from fusionlab.groups import (
     p_part,
     prime_divisors,
     quotient_group,
-    regular_generators,
     subgroup_class_reps,
     sylow,
 )
@@ -52,6 +50,8 @@ from oracles import (
     closure_failure_brute,
     closure_of_maps,
     closure_set,
+    extraspecial27_perms_by_law,
+    group_from_function,
     involved_brute,
     is_bijective,
     is_normal_brute,
@@ -63,6 +63,8 @@ from oracles import (
     o_pi_brute,
     order_histogram,
     perm_table_brute,
+    quaternion_perms_by_law,
+    regular_generators,
     table_check_brute,
 )
 
@@ -257,6 +259,17 @@ def test_build_group_relabels_identity_to_zero():
 def test_build_group_order_cap():
     with pytest.raises(OrderCapExceeded):
         build_group([(1, 2, 3, 4, 5, 6, 0)], kind="perms", cap=5)
+
+
+def test_catalog_groups_of_a_law_keep_their_tables(cat):
+    """Q8 and 3^(1+2)- are built from their permutations alone, with the
+    Cayley tables the catalog once built from the regular representation
+    of the group of their multiplication law."""
+    for name, perms in (("Q8", quaternion_perms_by_law()),
+                        ("3^(1+2)-", extraspecial27_perms_by_law())):
+        old = build_group(perms, name=f"{name} by law", kind="perms")
+        assert cat[name].table_hash() == old.table_hash()
+        assert cat[name].perm_rep == old.perm_rep
 
 
 def test_group_axioms_hold_on_catalog(cat):

@@ -167,6 +167,27 @@ def test_theorem_harnesses_build_their_own_family():
     assert list(_uses(tree, {"is_isomorphic"})) == []
 
 
+def test_one_route_per_construction():
+    """A catalog entry is built from its permutations alone, and W(S) reads
+    a member's images through ``stellmacher._images`` alone: the builder
+    of a group from a multiplication law, the regular representation and
+    the host-side closure of the growth step (kept as references in
+    tests/oracles.py) do not come back, and no other function of
+    stellmacher reads a map of a member's system."""
+    banned = {"group_from_function", "regular_generators",
+              "_member_orbit_closure", "_quaternion_perms",
+              "_extraspecial27_exp9"}
+    found = []
+    for name, node in _nodes(ast.AST):
+        for field in ("id", "attr", "name"):
+            if getattr(node, field, None) in banned:
+                found.append(f"{name}:{node.lineno}:{getattr(node, field)}")
+    assert found == []
+    tree = ast.parse((SRC / "stellmacher.py").read_text(encoding="utf-8"))
+    assert {func for _, func, _ in _uses(tree, {"maps", "reader"})} \
+        == {"_images"}
+
+
 def _uses(node, names, func=None):
     """(name, innermost enclosing function or None, line) for each name in
     ``names`` that the tree under ``node`` reads, calls or imports."""

@@ -20,6 +20,8 @@ from fusionlab.stellmacher import (
 )
 from fusionlab.subsystems import category_closure, is_normal_in_F
 
+from oracles import w_by_earlier_routes
+
 
 def make_family(S_sub, p, members):
     model, embed = S_sub.as_group()
@@ -139,6 +141,23 @@ def test_canonical_family_is_built_once_per_table_and_pool(cat):
     assert canonical_family(sylow(GL23, 2), 2) is not fam
 
 
+def test_canonical_family_pool_is_filtered_by_the_p_part_of_the_order(cat):
+    """A pool group is kept when the p-part of its order is |S|: GL(2,3),
+    whose Sylow 2-subgroup has order 16, is left out of a pool on D8, so
+    the family is the one built without it; SL(2,3), whose Sylow
+    2-subgroup Q8 has order 8 but is not D8, is kept in the pool and
+    admits no member."""
+    S = sylow(cat["S4"], 2)
+    fam = canonical_family(S, 2)
+    assert canonical_family(S, 2, extras=(cat["GL(2,3)"],)) is fam
+    alone = canonical_family(S, 2, include_catalog=False)
+    mismatch = canonical_family(S, 2, extras=(cat["SL(2,3)"],),
+                                include_catalog=False)
+    assert mismatch is not alone and mismatch.members == alone.members
+    with pytest.raises(SylowMismatch):
+        admit_member(fam.S, cat["SL(2,3)"], 2)
+
+
 def test_canonical_family_rejects_s_that_is_not_a_p_group(cat):
     with pytest.raises(NotAPGroup):
         canonical_family(cat["Q8"].full_subgroup, 3)
@@ -191,6 +210,28 @@ def test_functor_checks_on_catalog_sylows(cat):
         assert rep.all_hold(), (name, p, rep)
         td = thompson_data(fam.S.full_subgroup)
         assert td.A <= rep.W_iter and rep.W_iter <= td.B
+
+
+def test_w_matches_the_earlier_image_routes(cat, wreath648, f16c5c4):
+    """Both constructions read a member's images through one kernel and
+    close them in the model; on every family the catalog suite builds at
+    p = 2 and 3, in both member orders, and on the two growth instances,
+    the chain, its witnesses and both W values are those of the earlier
+    routes, which joined the growth step's images in the member's host and
+    read each map on J at W_0 by hand."""
+    instances = [(G, p) for G in cat.values() for p in (2, 3)
+                 if G.order % p == 0]
+    instances += [(wreath648, 3), (f16c5c4, 2)]
+    grown = 0
+    for G, p in instances:
+        fam = canonical_family(sylow(G, p), p, extras=(G,))
+        k = len(fam.members)
+        for family in (fam, fam.reordered(tuple(reversed(range(k))))):
+            wc = compute_W_iterative(family)
+            got = (wc.chain, wc.witnesses, wc.W_iter.mask, wc.W_oneshot.mask)
+            assert got == w_by_earlier_routes(family), (G.name, p)
+            grown += len(wc.witnesses)
+    assert grown >= 4
 
 
 # -- the growth loop ---------------------------------------------------------------

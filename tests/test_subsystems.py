@@ -11,6 +11,7 @@ from fusionlab.errors import (
 )
 from fusionlab.fusion import (
     FusionSystem,
+    essential_subgroups,
     fusion_equal,
     realize_fusion,
     verify_axioms,
@@ -182,6 +183,21 @@ def test_o_p_of_F(cat, systems):
     assert o_p_of_F(systems[("Qd(3)", 3)]).order == 9
     for F in systems.values():
         assert o_p_of_F(F).mask == o_p_brute(F).mask
+
+
+def test_o_p_of_F_fixpoint_shrinks_on_gl32(gl32):
+    """GL(3,2) at p = 2: the fixpoint starts at S meet the two essential
+    subgroups, Z(S) of order 2, which their automorphisms move, and ends
+    at O_2(F) = 1."""
+    F = realize_fusion(gl32, 2)
+    assert verify_axioms(F).status == "verified"
+    ess, ess_fn = essential_subgroups(F)
+    assert len(ess_fn) == len(ess) == 2
+    assert all(F.is_fully_normalized(E) for E in ess_fn)
+    start = F.carrier.mask & ess_fn[0].mask & ess_fn[1].mask
+    assert bin(start).count("1") == 2
+    assert o_p_of_F(F).order == 1
+    assert o_p_of_F(F).mask == o_p_brute(F).mask
 
 
 def test_o_p_of_F_verifies_an_explicit_copy_first(systems):

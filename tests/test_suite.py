@@ -350,6 +350,17 @@ def test_cold_suite_decides_each_group_verdict_once(monkeypatch, cold_start):
     assert tables and len(tables) == len(set(tables))
 
 
+def test_cold_suite_builds_catalog_groups_from_their_permutations(cold_start):
+    """A cold catalog suite registers 38 Cayley tables, each by a group the
+    package built or derived: no throwaway group of a multiplication law
+    is left among them."""
+    cold_start()
+    result = run_suite(RunConfig())
+    assert result.failures == 0
+    names = [G.name for G in groups._by_table.values()]
+    assert "tmp" not in names and len(names) == 38
+
+
 def test_cold_suite_finds_essentials_once_per_system(monkeypatch, cold_start):
     """Counts, not timings: on freshly built catalog groups, one suite run
     finds the essential subgroups of each system once, however many

@@ -1,11 +1,10 @@
 import pytest
 
 
-from fusionlab.fusion import realize_fusion
+from fusionlab.fusion import realize_fusion, verify_axioms
 from fusionlab.groups import (
     aut_generators,
     build_group,
-    group_from_function,
     prime_divisors,
     subgroup_class_reps,
     sylow,
@@ -23,6 +22,7 @@ from fusionlab.theorems import (
 
 from oracles import (
     centralizer_brute,
+    group_from_function,
     has_normal_p_complement_brute,
     is_power_of,
     normalizer_brute,
@@ -250,6 +250,24 @@ def test_thompson_and_t1_3_on_w648_use_the_grown_w(wreath648):
     assert thompson_group_check(wreath648, 3).detail["W_order"] == 27
     rep = verify_theorem_3(realize_fusion(wreath648, 3))
     assert rep.conclusion_holds and rep.detail["W_order"] == 27
+
+
+def test_theorems_on_gl32(gl32):
+    """GL(3,2) = PSL(2,7): at p = 2 its system involves S4 and moves
+    W = Z(D8) of order 2, so neither side of Theorem 1.2 holds; at p = 3,
+    W is the Sylow C3, and neither G nor N_G(W) = S3 has a normal
+    3-complement."""
+    F2 = realize_fusion(gl32, 2)
+    assert verify_axioms(F2).status == "verified"
+    rep = verify_theorem_2(F2)
+    assert (rep.hypotheses_hold, rep.conclusion_holds) == (False, False)
+    assert rep.detail["W_order"] == 2
+    F3 = realize_fusion(gl32, 3)
+    rep = verify_theorem_2(F3)
+    assert (rep.hypotheses_hold, rep.conclusion_holds) == (True, True)
+    for rep in (verify_theorem_3(F3), thompson_group_check(gl32, 3)):
+        assert rep.detail["both_sides"] is False
+        assert rep.detail["W_order"] == 3
 
 
 def test_theorem_1_and_functor_checks_on_a4_x_a4_x_c2():
