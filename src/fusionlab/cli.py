@@ -112,6 +112,11 @@ def cmd_fusion(args):
     G = _load_group(args.group, args.order_cap)
     F = realize_fusion(G, args.p)
     S = F.carrier
+    if args.dump_homs:
+        # both specs are read and checked before anything is printed
+        P, R = (eval_subgroup_spec(G, spec) for spec in args.dump_homs)
+        F.require_object(P)
+        F.require_object(R)
     print(f"fusion system of {G.name} on Sylow_{args.p} of order {S.order}")
     report = verify_axioms(F)
     print(f"  axioms: {report.status}")
@@ -131,9 +136,6 @@ def cmd_fusion(args):
             fn = " (fully normalized)" if E in ess_fn else ""
             print(f"    {_subgroup_desc(E)}{fn}")
     if args.dump_homs:
-        p_spec, r_spec = args.dump_homs
-        P = eval_subgroup_spec(G, p_spec)
-        R = eval_subgroup_spec(G, r_spec)
         morphisms = hom_set(F, P, R)
         print(f"  Hom(P,R) with |P|={P.order}, |R|={R.order}: "
               f"{len(morphisms)} morphisms")

@@ -28,6 +28,7 @@ from .groups import (
     derived_group,
     is_hom_tuple,
     kept,
+    left_cosets,
     mask_of,
     move_mask,
     o_p,
@@ -53,14 +54,15 @@ def conj_tuple(G: FiniteGroup, g: int, P: Subgroup):
     return G.conj_images(g, P.elems)
 
 
-def conj_maps(G: FiniteGroup, P: Subgroup, by, into):
-    """The distinct maps x -> g x g^-1 on P, for g in ``by``, that send P
-    into the subgroup mask ``into``, sorted: one tuple per distinct key
-    (``Subgroup.key``), not one per element of ``by``."""
+def conj_maps(G: FiniteGroup, P: Subgroup, A: Subgroup, C: Subgroup, into):
+    """The distinct maps x -> g x g^-1 on P, for g in A, that send P into
+    the subgroup mask ``into``, sorted: one tuple per distinct key
+    (``Subgroup.key``).  C <= A centralizes P, so g is walked over the
+    least members of the left cosets of C in A (``left_cosets``)."""
     gens = P.generators()
     seen = set()
     out = []
-    for g in by:
+    for g, _ in left_cosets(G, A, C):
         key = G.conj_images(g, gens)
         if key in seen:
             continue
@@ -103,6 +105,7 @@ class _Memos:
     def __init__(self, status, maps):
         self.status = status   # FusionSystem.saturation_status
         self.maps = maps   # hom-sets, by domain mask
+        self.c_in_ambient = None   # C_A(S), whose cosets the hom-sets walk
         self.objects = None
         self.axioms = None   # verify_axioms
         self.essentials = None
@@ -285,8 +288,10 @@ class FusionSystem:
         return self.stabilizing(Q, Q)
 
     def aut_s_tuples(self, Q):
-        """Aut_S(Q): conjugation maps by carrier elements normalizing Q."""
-        return conj_maps(self.host, Q, self.n_in_carrier(Q).elems, Q.mask)
+        """Aut_S(Q): conjugation maps by carrier elements normalizing Q,
+        one per left coset of C_S(Q) in N_S(Q)."""
+        return conj_maps(self.host, Q, self.n_in_carrier(Q),
+                         self.c_in_carrier(Q), Q.mask)
 
     def aut_group(self, Q):
         """(FiniteGroup of Aut_F(Q), elements as image tuples, index map)."""
@@ -300,10 +305,16 @@ class FusionSystem:
 
 
 def _conjugation_maps(F, P):
-    if F.ambient is None:
+    """Hom_F(P, S) of a realized system: conjugation by the ambient A, one
+    map per left coset of C_A(S) (kept on F), which centralizes P."""
+    A = F.ambient
+    if A is None:
         raise ObjectOutsideS("explicit system lacks hom-sets for this "
                              "domain; carrier mismatch?")
-    return conj_maps(F.host, P, F.ambient.elems, F.carrier.mask)
+    memo = F._memo
+    if memo.c_in_ambient is None:
+        memo.c_in_ambient = F.carrier.centralizer_in(A)
+    return conj_maps(F.host, P, A, memo.c_in_ambient, F.carrier.mask)
 
 
 def _f_class(F, Q):
@@ -427,17 +438,21 @@ def _n_phi_tuple(F, P, t):
 
     An automorphism of phi(P) is fixed by its values on phi(gens P), so x
     lies in N_phi exactly when (phi(x g x^-1))_g, g over the generators of
-    P, equals (y phi(g) y^-1)_g for some y in N_S(phi P)."""
+    P, equals (y phi(g) y^-1)_g for some y in N_S(phi P).  Both conjugations
+    depend only on the left coset of the centralizer, so y is walked over
+    N_S(phi P)/C_S(phi P) and x over N_S(P)/C_S(P), each x deciding its
+    whole coset."""
     G = F.host
     gens = P.generators()
     tgens = P.key(t)
     img = G.subgroup(mask_of(t))
-    keys = {G.conj_images(y, tgens) for y in F.n_in_carrier(img).elems}
+    keys = {G.conj_images(y, tgens) for y, _ in
+            left_cosets(G, F.n_in_carrier(img), F.c_in_carrier(img))}
     nq = F.n_in_carrier(P)
     m = 0
-    for x in nq.elems:
+    for x, coset in left_cosets(G, nq, F.c_in_carrier(P)):
         if P.reader(G.conj_images(x, gens))(t) in keys:
-            m |= 1 << x
+            m |= coset
     sub = G.subgroup(m)  # validates subgroup-ness
     floor = P.join(F.c_in_carrier(P))   # both kept: on F and on the host
     if not (floor <= sub and sub <= nq):
@@ -589,11 +604,14 @@ def _verify(F, host, carrier):
     for witness, *_ in _category_gaps(host, objs, maps_of, keys_of):
         return AxiomReport("failed", witness)
 
-    # FS1: all S-conjugation maps present
+    # FS1: all S-conjugation maps present.  Z(S) centralizes every P, so
+    # u is walked over the least members of the cosets of Z(S) in S: the
+    # least failing u of S is the least member of its coset.
+    conjugators = [u for u, _ in left_cosets(host, carrier, carrier.center())]
     for P in objs:
         keys = keys_of[P.mask]
         gens = P.generators()
-        for u in carrier.elems:
+        for u in conjugators:
             if host.conj_images(u, gens) not in keys:
                 return AxiomReport("failed", ("FS1", P, u))
 

@@ -120,6 +120,7 @@ class FiniteGroup:
         self._isomorphic = {}   # is_isomorphic(self, H), by H
         self._quotients = {}   # quotient_group, by (N mask, B mask)
         self._classes = {}   # _conjugates, by subgroup mask
+        self._cosets = {}   # left_cosets, by (A mask, C mask)
         self._hash = None
         _by_table.setdefault(self.table_hash(), self)
 
@@ -530,13 +531,19 @@ class Subgroup:
 
     def as_group(self):
         """(standalone FiniteGroup, embed) with embed[i] the parent index;
-        the group is the ``derived_group`` of its table."""
+        the group is the ``derived_group`` of its table.  The copy of a
+        whole group has the parent's own table, so it is the group kept
+        under the parent's ``table_hash()`` (the parent itself, when none
+        is), and no table is copied or packed."""
         if self._as_group is None:
             G = self.parent
             es = self._elems
-            pos = self.pos_map()
-            table = [[pos[G._mul[a][b]] for b in es] for a in es]
-            sub = derived_group(table, f"{G.name}|sub{self.order}")
+            if len(es) == G.order:
+                sub = _by_table.setdefault(G.table_hash(), G)
+            else:
+                pos = self.pos_map()
+                table = [[pos[G._mul[a][b]] for b in es] for a in es]
+                sub = derived_group(table, f"{G.name}|sub{self.order}")
             self._as_group = (sub, es)
         return self._as_group
 
@@ -1007,7 +1014,31 @@ def _kept_o_pi(G, p, within, prime_to_p):
                 G, W, p, prime_to_p)
 
 
-# -- quotients ---------------------------------------------------------------
+# -- cosets and quotients ----------------------------------------------------
+
+
+def left_cosets(G, A, C):
+    """(g, mask of gC) for the least member g of each left coset gC of
+    C <= A, in increasing g, computed once per (A, C) and kept on G: the
+    cosets of a quotient A/C, and the conjugations of A.
+
+    When C centralizes P, x -> g x g^-1 on P is the same map for every
+    member of gC, so a walk of these g meets each conjugation map on P of
+    A's elements, and meets it first where a walk of A in increasing order
+    would: at the least member of its coset."""
+    return kept(G._cosets, (A.mask, C.mask), _left_cosets, G, A, C)
+
+
+def _left_cosets(G, A, C):
+    mul, cs = G._mul, C.elems
+    out = []
+    seen = 0
+    for g in A.elems:
+        if not seen >> g & 1:
+            m = mask_of(map(mul[g].__getitem__, cs))
+            seen |= m
+            out.append((g, m))
+    return tuple(out)
 
 
 class QuotientMap(namedtuple("QuotientMap", "source quotient coset_of reps")):
@@ -1034,7 +1065,9 @@ def quotient_group(G, N, name=None, within=None):
     on G's own table.  B's elements are walked in increasing order and each
     coset is labelled by its least member, identity first, so B/N has the
     table a standalone copy of B would give; B/N is the ``derived_group``
-    of that table.  The pair is built once per (N, B) and kept on G."""
+    of that table.  B/1 labels each x by its position in B, which is B's
+    own copy, ``B.as_group()``, under that copy's name.  The pair is built
+    once per (N, B) and kept on G."""
     B = within if within is not None else G.full_subgroup
     return kept(G._quotients, (N.mask, B.mask), _quotient, G, N, B, name)
 
@@ -1042,23 +1075,25 @@ def quotient_group(G, N, name=None, within=None):
 def _quotient(G, N, B, name):
     if not (N <= B and N.is_normal_in(B)):
         raise NotNormal("quotient by a subgroup that is not normal in B")
-    mul = G._mul
     coset_of = [-1] * G.order
-    reps = []
-    for x in B.elems:
-        if coset_of[x] < 0:
-            idx = len(reps)
+    if N.order == 1:
+        Q, reps = B.as_group()
+        for i, x in enumerate(reps):
+            coset_of[x] = i
+    else:
+        reps = []
+        for x, coset in left_cosets(G, B, N):
+            for y in bits(coset):
+                coset_of[y] = len(reps)
             reps.append(x)
-            row = mul[x]
-            for h in N.elems:
-                coset_of[row[h]] = idx
-    k = len(reps)
-    table = [[coset_of[mul[reps[a]][reps[b]]] for b in range(k)]
-             for a in range(k)]
-    if name is None:
-        base = G.name if B.order == G.order else f"{G.name}|sub{B.order}"
-        name = f"{base}/{N.order}"
-    Q = derived_group(table, name)
+        mul = G._mul
+        k = len(reps)
+        table = [[coset_of[mul[reps[a]][reps[b]]] for b in range(k)]
+                 for a in range(k)]
+        if name is None:
+            base = G.name if B.order == G.order else f"{G.name}|sub{B.order}"
+            name = f"{base}/{N.order}"
+        Q = derived_group(table, name)
     proj = QuotientMap(G, Q, tuple(coset_of), tuple(reps))
     _check_projection(B, N, proj)
     return Q, proj

@@ -260,7 +260,15 @@ def _images(member, D, X):
 def compute_W_oneshot(family: CandidateFamily) -> Subgroup:
     """<psi(W_0) : psi in Hom_F(J(S), S), F admitted>, closed under Aut(S)
     (the class of admissible categories is stable under transport by S's
-    automorphisms, so the family-relative value must be too)."""
+    automorphisms, so the family-relative value must be too).
+
+    No known family makes the closure grow.  Every catalog S of order 8,
+    16 or 27 has A(S) = B(S), and the value lies between them.  On the
+    Sylow subgroups of W648 and F16:(C5:C4), where A(S) < B(S), the value
+    before the closure is Aut(S)-invariant for every twist of the
+    members' identifications by the identity or a generator of Aut(S).
+    The loop stays, because the definition asks for the closure and
+    nothing shows it idle in general."""
     S = family.S
     if S.order == 1:
         raise NotAPGroup("W(S) is defined for nontrivial p-groups only")

@@ -38,6 +38,7 @@ from .groups import (
     bits,
     is_isomorphic,
     kept,
+    left_cosets,
     o_p_prime,
     p_part,
     quotient_group,
@@ -161,8 +162,10 @@ def _subsystem_kind(F, Q, kind):
         carrier = by = F.carrier
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    qgens = Q.generators()
-    allowed = {F.host.conj_images(g, qgens) for g in by.elems}
+    # conjugation by g acts on Q as by every member of g C_by(Q)
+    G, qgens = F.host, Q.generators()
+    cent = G.subgroup(by.mask & F.c_in_carrier(Q).mask)
+    allowed = {G.conj_images(g, qgens) for g, _ in left_cosets(G, by, cent)}
     return carrier, allowed, (None if A is None
                               else Q.centralizer_in(A).join(by))
 

@@ -250,11 +250,48 @@ def assert_strongly_p_embedded_matches_brute(G, p, table=None):
     return spe
 
 
+def quotient_brute(G, N, B):
+    """B/N element by element: (table, coset labels over G, -1 outside B,
+    representatives).  B is walked in increasing order, each coset is
+    labelled when its least member is met, and the product of two cosets
+    is read at their representatives."""
+    coset_of = [-1] * G.order
+    reps = []
+    for x in B.elems:
+        if coset_of[x] < 0:
+            for h in N.elems:
+                coset_of[G.mul(x, h)] = len(reps)
+            reps.append(x)
+    table = [[coset_of[G.mul(a, b)] for b in reps] for a in reps]
+    return table, coset_of, reps
+
+
+def assert_quotient_matches_brute(B, N):
+    """quotient_group(G, N, within=B) against ``quotient_brute``: the same
+    table, coset labels and representatives, and the group is the one
+    ``derived_group`` gives for that table.  For N = 1 that group is B's
+    own copy, ``B.as_group()``."""
+    from fusionlab.groups import derived_group, quotient_group
+
+    G = B.parent
+    q, proj = quotient_group(G, N, within=B)
+    table, coset_of, reps = quotient_brute(G, N, B)
+    assert [q.mul_row(a) for a in range(q.order)] == table
+    assert list(proj.coset_of) == coset_of
+    assert list(proj.reps) == reps
+    assert q is derived_group(table, "unused")
+    if N.order == 1:
+        assert q is B.as_group()[0]
+        assert list(B.as_group()[1]) == reps
+
+
 def assert_section_matches_copy(B, A):
     """quotient_group(G, A, within=B) on G's own table against the long way
     round: the quotient of a standalone copy of B by the copy of A, with its
-    coset labels read back onto G (-1 outside B).  The tables, the coset
-    labels, push and the kernel must agree."""
+    coset labels read back onto G (-1 outside B), and against the quotient
+    element by element (``quotient_brute``), which does not take B/1 as
+    B's copy.  The tables, the coset labels, push and the kernel must
+    agree."""
     from fusionlab.groups import mask_of, quotient_group
 
     G = B.parent
@@ -268,6 +305,7 @@ def assert_section_matches_copy(B, A):
     assert [q.mul_row(a) for a in range(q.order)] == \
         [q_copy.mul_row(a) for a in range(q_copy.order)]
     assert list(proj.coset_of) == coset_of
+    assert_quotient_matches_brute(B, A)
     # walked in increasing order, the labels first appear as 0, 1, 2, ...:
     # each coset is labelled by the rank of its least member
     assert list(dict.fromkeys(c for c in coset_of if c >= 0)) == \
@@ -651,7 +689,7 @@ def closure_seeds(F, rng):
         maps = F.maps(P)
         third[P.mask] = tuple(sorted(rng.sample(maps, -(-len(maps) // 3))))
     return {
-        "inner-on-S": {S.mask: conj_maps(F.host, S, S.elems, S.mask)},
+        "inner-on-S": {S.mask: conj_maps(F.host, S, S, S.center(), S.mask)},
         "aut-generators": {S.mask: tuple(
             elems[i] for i in autg.full_subgroup.generators())},
         "random-third": third,
@@ -704,6 +742,66 @@ def n_phi_brute(F, P, t):
     if not floor <= set(members) <= n_p:
         raise InternalInconsistency("Q C_S(Q) <= N_phi <= N_S(Q) violated")
     return sub
+
+
+def left_cosets_brute(G, A, C):
+    """(g, mask of gC) for the least g of each left coset of C in A, in
+    increasing g: every coset formed from every element of A."""
+    cosets = {}
+    for g in A.elems:
+        m = sum(1 << G.mul(g, c) for c in C.elems)
+        cosets.setdefault(m, g)
+    return sorted(((g, m) for m, g in cosets.items()))
+
+
+def fs1_brute(F):
+    """FS1 by the definition: the first (P, u), P over F's objects and u
+    over S in increasing order, whose map x -> u x u^-1 on P is not in
+    Hom_F(P, S); None when there is none."""
+    for P in F.objects():
+        maps = set(F.maps(P))
+        for u in F.carrier.elems:
+            if conj_brute(F.host, u, P) not in maps:
+                return P, u
+    return None
+
+
+def assert_conjugations_match_every_element(F):
+    """F's conjugation loops, which walk one member of each left coset of
+    a centralizer, against the walk of every element: each hom-set of a
+    realized F against conjugation by every element of the ambient,
+    Aut_S(Q) against conjugation by every element of N_S(Q), N_phi of
+    each map against ``n_phi_brute``, and the FS1 verdict and witness of
+    F and of the inclusions alone on S against ``fs1_brute``.  Returns
+    the number of maps checked."""
+    from fusionlab.fusion import (
+        FusionSystem,
+        _n_phi_tuple,
+        mask_of,
+        verify_axioms,
+    )
+
+    G, S = F.host, F.carrier
+    count = 0
+    for P in F.objects():
+        if F.is_realized():
+            images = {conj_brute(G, g, P) for g in F.ambient.elems}
+            assert F.maps(P) == tuple(sorted(
+                t for t in images if mask_of(t) & ~S.mask == 0))
+        assert F.aut_s_tuples(P) == tuple(sorted(
+            {conj_brute(G, u, P) for u in normalizer_brute(P, S)}))
+        for t in F.maps(P):
+            assert _n_phi_tuple(F, P, t) == n_phi_brute(F, P, t)
+            count += 1
+    bare = FusionSystem.explicit_system(G, F.p, S, {}, name="inclusions")
+    for X in (F, bare):
+        witness = verify_axioms(X).witness
+        want = fs1_brute(X)
+        if want is None:
+            assert witness is None or witness[0] != "FS1"
+        else:
+            assert witness == ("FS1", *want)
+    return count
 
 
 def verify_axioms_brute(F):

@@ -238,6 +238,23 @@ def test_cli_verify_frobenius_refuses_family(tmp_path, capsys, body):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("specs,prefix", [(["99", "1"], "parse error: "),
+                                          (["a", "b"], "error: "),
+                                          (["1", "99"], "parse error: ")],
+                         ids=["index-out-of-range", "outside-the-carrier",
+                              "second-spec"])
+def test_cli_fusion_checks_dump_homs_specs_before_output(capsys, specs,
+                                                         prefix):
+    """A bad --dump-homs spec, the first or the second, ends the call
+    with exit 1 before anything is printed: one line on stderr and an
+    empty stdout, not the header and the axiom verdict first."""
+    assert main(["fusion", "S4", "2", "--dump-homs", *specs]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_analyze_rejects_a_table_that_is_not_associative(tmp_path,
                                                             capsys):
     """C2^7 with one intercalate swapped (rows 1, 3 and columns 4, 6): the

@@ -36,6 +36,7 @@ from fusionlab.subsystems import category_closure
 from oracles import (
     alperin_decompose_brute,
     assert_alperin_matches_brute,
+    assert_conjugations_match_every_element,
     assert_strongly_p_embedded_matches_brute,
     automorphisms_raw,
     brute_centric,
@@ -365,6 +366,14 @@ def test_n_phi_matches_elementwise_oracle(systems):
             for t in F.maps(Q):
                 got = n_phi(F, wrap_tuple(F, Q, F.carrier, t))
                 assert got == n_phi_brute(F, Q, t)
+
+
+def test_conjugation_loops_match_every_element_on_catalog_systems(systems):
+    """Every hom-set, Aut_S(Q), N_phi and FS1 verdict with its witness,
+    walked over one member of each left coset of a centralizer, against
+    the walk of every element, on every catalog system at p = 2 and 3."""
+    assert sum(map(assert_conjugations_match_every_element,
+                   systems.values())) > 0
 
 
 def test_n_phi_sandwich(systems):

@@ -24,6 +24,7 @@ from fusionlab.groups import (
     is_isomorphic,
     is_prime,
     kept,
+    left_cosets,
     mask_of,
     mask_orbit,
     move_mask,
@@ -37,12 +38,16 @@ from fusionlab.groups import (
     subgroup_class_reps,
     sylow,
 )
-from fusionlab.hfree import sigma3_involvement_check
+from fusionlab.hfree import (
+    centric_radical_fn_subgroups,
+    sigma3_involvement_check,
+)
 
 from oracles import (
     assert_kernels_match_oracles,
     assert_reader_reads_at_positions,
     assert_kept_verdicts_exact,
+    assert_quotient_matches_brute,
     assert_section_matches_copy,
     automorphisms,
     automorphisms_raw,
@@ -57,6 +62,7 @@ from oracles import (
     is_normal_brute,
     iso_search_brute,
     is_power_of,
+    left_cosets_brute,
     looks_like_a4,
     looks_like_s3,
     mask_orbits_brute,
@@ -692,6 +698,45 @@ def test_section_quotient_matches_standalone_copy(cat, name):
         for A in B.subgroups_within():
             if A.is_normal_in(B):
                 assert_section_matches_copy(B, A)
+
+
+def test_trivial_quotient_is_the_element_wise_quotient(cat, systems):
+    """B/1, taken as B's own copy, against the quotient element by element
+    (tables, coset labels, representatives and the group object): for B
+    = G and each Sylow subgroup of every catalog group, for every N_G(Q)
+    that the suite's models section divides, and Out_F(Q) = Aut_F(Q)/1
+    for each abelian object Q of every catalog system."""
+    checked = 0
+    for G in cat.values():
+        for B in [G.full_subgroup] + [sylow(G, p)
+                                      for p in prime_divisors(G.order)]:
+            assert_quotient_matches_brute(B, G.trivial_subgroup)
+            checked += 1
+    for F in systems.values():
+        G = F.host
+        for Q in centric_radical_fn_subgroups(F):
+            assert_quotient_matches_brute(Q.normalizer_in(F.ambient),
+                                          G.trivial_subgroup)
+            checked += 1
+        for Q in F.objects():
+            if Q.is_abelian():
+                out, _, (autg, _, _) = F.out_group(Q)
+                assert out is autg
+                assert_quotient_matches_brute(autg.full_subgroup,
+                                              autg.trivial_subgroup)
+                checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("name", ["S4", "SL(2,3)", "D8", "3^(1+2)+"])
+def test_left_cosets_match_every_element(cat, name):
+    """``left_cosets(G, A, C)`` against the cosets gC of every g in A, for
+    every pair C <= A of subgroups.  In S4, C3 is not normal, so its left
+    and right cosets differ."""
+    G = cat[name]
+    for A in G.subgroups():
+        for C in A.subgroups_within():
+            assert list(left_cosets(G, A, C)) == left_cosets_brute(G, A, C)
 
 
 def test_section_quotient_rejects_a_outside_b_or_not_normal(cat):

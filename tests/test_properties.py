@@ -19,6 +19,7 @@ from fusionlab.groups import (
     is_hom_tuple,
     is_involved,
     is_isomorphic,
+    left_cosets,
     mask_of,
     o_p,
     o_p_prime,
@@ -32,6 +33,7 @@ from oracles import (
     SCREENED_H,
     assert_alperin_matches_brute,
     assert_closure_matches_oracle,
+    assert_conjugations_match_every_element,
     assert_H_free_matches_models,
     assert_kept_verdicts_exact,
     assert_reader_reads_at_positions,
@@ -50,6 +52,7 @@ from oracles import (
     is_hom_brute,
     iso_search_brute,
     is_power_of,
+    left_cosets_brute,
     normal_in_F_brute,
     o_p_brute,
     o_pi_brute,
@@ -365,6 +368,24 @@ def test_axiom_reports_match_the_oracle(gens, p):
     for Q in F.objects():
         E = FusionSystem(g, p, Q, ambient=g.full_subgroup)
         assert verify_axioms(E) == verify_axioms_brute(E)
+
+
+@settings(**COMMON)
+@given(group_specs, st.sampled_from([2, 3]))
+def test_conjugation_loops_match_every_element_on_random_groups(gens, p):
+    """On F_S(G) and on conjugation by G on every subgroup Q of S as the
+    carrier: every hom-set, Aut_S(Q), N_phi and FS1 verdict with its
+    witness against the walk of every element; and on G of order at most
+    48, ``left_cosets`` against every element for each pair C <= A."""
+    g = build_group([list(q) for q in gens], kind="perms", cap=200)
+    F = realize_fusion(g, p)
+    for Q in F.objects():
+        assert_conjugations_match_every_element(
+            FusionSystem.conjugation(g, p, Q, g.full_subgroup))
+    if g.order <= 48:
+        for A in g.subgroups():
+            for C in A.subgroups_within():
+                assert list(left_cosets(g, A, C)) == left_cosets_brute(g, A, C)
 
 
 @settings(**COMMON)

@@ -491,6 +491,7 @@ def test_keyed_facts_are_stored_only_through_kept():
     assert stores <= allowed
     memo_of = {
         "_join": {"join"}, "_class_walk": {"_conjugates"},
+        "_left_cosets": {"left_cosets"},
         "_canonical_sylow": {"sylow"}, "_o_pi": {"_kept_o_pi"},
         "_quotient": {"quotient_group"},
         "_find_isomorphism": {"is_isomorphic"},
@@ -518,6 +519,38 @@ def test_keyed_facts_are_stored_only_through_kept():
                     and getattr(node.value, "id", None) == "functools"):
                 found.append(f"{name}:{node.lineno}:functools.{node.attr}")
     assert found == []
+
+
+def test_conjugations_walk_left_cosets_of_a_centralizer():
+    """A conjugation on P <= S depends only on the left coset of a
+    subgroup that centralizes P, so F's conjugation loops walk
+    ``groups.left_cosets``, the coset walk of ``groups._quotient`` too:
+    ``conj_maps`` (behind the realized hom-sets and Aut_S(Q)), FS1 in
+    ``_verify``, ``_n_phi_tuple`` and the ``allowed`` set of
+    ``_subsystem_kind``.  None of them, nor
+    ``_conjugation_maps`` and ``FusionSystem.aut_s_tuples``, reads an
+    ``.elems``, so none walks the elements of an ambient or a carrier
+    again."""
+    loops = {"fusion.py": {"conj_maps", "_conjugation_maps",
+                           "FusionSystem.aut_s_tuples", "_verify",
+                           "_n_phi_tuple"},
+             "subsystems.py": {"_subsystem_kind"}, "groups.py": set()}
+    found = []
+    callers = set()
+    for name, quals in loops.items():
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        for qual, func in _functions(tree):
+            if qual not in quals:
+                continue
+            found += [f"{name}:{node.lineno}:{qual}"
+                      for node in ast.walk(func)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "elems"]
+        callers |= {func for _, func, _ in _uses(tree, {"left_cosets"})
+                    if func is not None}
+    assert found == []
+    assert callers == {"conj_maps", "_verify", "_n_phi_tuple",
+                       "_subsystem_kind", "_quotient"}
 
 
 def test_suite_handles_errors_only_in_its_check_kernel():

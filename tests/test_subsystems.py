@@ -23,6 +23,7 @@ from fusionlab.groups import (
     o_p,
 )
 from fusionlab.subsystems import (
+    _subsystem_kind,
     category_closure,
     centralizer_like_system,
     generated_system,
@@ -36,6 +37,7 @@ from fusionlab.subsystems import (
 
 from oracles import (
     assert_closure_matches_oracle,
+    assert_conjugations_match_every_element,
     assert_subsystem_rules_match_brute,
     centralizer_brute,
     closure_seeds,
@@ -404,6 +406,26 @@ def test_subsystem_rules_match_brute_on_catalog_systems(systems):
             assert {R.mask: sub.maps(R) for R in sub.objects()} == \
                 subsystem_rule_brute(F, Q, "normalizer")
     assert checked > 0
+
+
+def test_conjugation_loops_match_every_element_on_subsystem_sources(systems):
+    """The conjugation systems that realize the subsystems of every kind
+    at every object of every catalog system (N_A(Q), and C_A(Q) joined
+    with 1, N_S(Q) or S): their hom-sets, Aut_S(Q), N_phi and FS1 verdicts
+    with witnesses against the walk of every element.  Their ambients are
+    not the host, and C_A(S) is not normal in them."""
+    sources = {}
+    for F in systems.values():
+        for Q in F.objects():
+            kinds = ["normalizer", "centralizer", "mixed"]
+            if is_normal_in_F(F, Q)[0]:
+                kinds.append("product")
+            for kind in kinds:
+                carrier, _, source = _subsystem_kind(F, Q, kind)
+                sources[(id(F.host), F.p, carrier.mask, source.mask)] = \
+                    FusionSystem.conjugation(F.host, F.p, carrier, source)
+    assert sum(map(assert_conjugations_match_every_element,
+                   sources.values())) > 0
 
 
 # -- quotient systems ---------------------------------------------------------------

@@ -292,3 +292,33 @@ def test_theorem_1_and_functor_checks_on_a4_x_a4_x_c2():
     assert len(fam.admitted_members()) == 2
     report = functor_checks(fam)
     assert report.all_hold() and report.W_iter.order == 32
+
+
+def _direct_product(*factors):
+    """The direct product of permutation groups, each factor's generators
+    moved onto points of their own."""
+    degrees = [len(G.perm_rep[0]) for G in factors]
+    total = sum(degrees)
+    gens, at = [], 0
+    for G, degree in zip(factors, degrees):
+        gens += [tuple(range(at)) + tuple(x + at for x in g)
+                 + tuple(range(at + degree, total)) for g in G.perm_rep]
+        at += degree
+    return build_group(gens, kind="perms",
+                       name="x".join(G.name for G in factors))
+
+
+@pytest.mark.parametrize("names,want", [
+    (("S4", "S4"), (False, False, 4)),
+    (("A4", "A4", "V4"), (True, True, 64)),
+], ids=["S4xS4", "A4xA4xV4"])
+def test_theorem_2_near_the_cap(cat, names, want):
+    """Theorem 1.2 at p = 2 on two products of order 576 whose Sylow
+    subgroup has order 64: S4 x S4 involves S4, so neither side holds;
+    A4 x A4 x V4 is S4-free, and its abelian S = C2^6 is W.  Each hom-set
+    walks one member of each left coset of C_G(S), of order 4 and 64."""
+    G = _direct_product(*(cat[name] for name in names))
+    assert G.order == 576
+    rep = verify_theorem_2(realize_fusion(G, 2))
+    assert (rep.hypotheses_hold, rep.conclusion_holds,
+            rep.detail["W_order"]) == want
