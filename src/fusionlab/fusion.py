@@ -106,7 +106,6 @@ class _Memos:
         self.status = status   # FusionSystem.saturation_status
         self.maps = maps   # hom-sets, by domain mask
         self.c_in_ambient = None   # C_A(S), whose cosets the hom-sets walk
-        self.objects = None
         self.axioms = None   # verify_axioms
         self.essentials = None
         self.classes = {}
@@ -224,10 +223,8 @@ class FusionSystem:
     # -- objects and hom-sets --------------------------------------------
 
     def objects(self):
-        memo = self._memo
-        if memo.objects is None:
-            memo.objects = tuple(self.carrier.subgroups_within())
-        return memo.objects
+        """The carrier's lattice, the tuple the carrier keeps."""
+        return self.carrier.subgroups_within()
 
     def require_object(self, P):
         if P.parent is not self.host or not P <= self.carrier:

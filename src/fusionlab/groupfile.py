@@ -15,7 +15,7 @@ be printable: no tab or other control character.
 
 import re
 
-from .errors import ParseError
+from .errors import OrderCapExceeded, ParseError
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, build_group
 
 _CYCLE_RE = re.compile(r"\(\s*(\d+(?:[\s,]+\d+)*)?\s*\)")
@@ -87,6 +87,9 @@ def parse_group_text(text, cap=DEFAULT_ORDER_CAP) -> FiniteGroup:
             if mode == "perm" and n > 64:
                 raise ParseError("permutations act on at most 64 points",
                                  line=idx)
+            if mode == "table" and n > cap:
+                # refused before any row is read, whatever the rows hold
+                raise OrderCapExceeded(f"table order {n} exceeds cap {cap}")
             continue
         if mode == "perm":
             perms.append(parse_cycles(line, n, line_no=idx))

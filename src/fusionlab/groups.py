@@ -522,12 +522,19 @@ class Subgroup:
 
     def subgroups_within(self):
         """All subgroups contained in self, canonically ordered (size, then
-        bit-vector).  One lattice walk on the parent's own table, limited
-        to self's elements; the sorted masks are kept on self."""
+        bit-vector), kept on self.  A fact of self's table: walked once, on
+        the group ``as_group`` gives, and moved along the increasing
+        embedding, which keeps each mask's size and the masks' order."""
         if self._lattice is None:
-            found = _subgroup_lattice_masks(self.parent, within=self)
-            self._lattice = sorted(found, key=lambda m: (m.bit_count(), m))
-        return [self.parent.subgroup(m) for m in self._lattice]
+            group, embed = self.as_group()
+            if group is self.parent:
+                masks = sorted(_subgroup_lattice_masks(group),
+                               key=lambda m: (m.bit_count(), m))
+            else:
+                masks = [move_mask(embed, H.mask)
+                         for H in group.full_subgroup.subgroups_within()]
+            self._lattice = tuple(map(self.parent.subgroup, masks))
+        return self._lattice
 
     def as_group(self):
         """(standalone FiniteGroup, embed) with embed[i] the parent index;
@@ -805,20 +812,16 @@ def prime_divisors(n):
     return primes
 
 
-def _subgroup_lattice_masks(G, seeds=None, within=None):
-    """{mask: generators} of every subgroup of W = ``within`` (a Subgroup;
-    default G) that contains one of ``seeds`` (Subgroups of W; by default
-    the trivial one, so W's whole lattice).
-
-    The walk runs on G's own table: it adjoins prime-power-order elements
-    of W to known subgroups, and is complete because every overgroup of a
-    seed inside W is reached along a chain that adds one prime-power
-    generator at a time.  The generators are the walk's own; they are not
-    handed to the Subgroups, whose ``generators()`` depend on the mask
-    alone."""
+def _subgroup_lattice_masks(G, seeds=None):
+    """{mask: generators} of every subgroup of G that contains one of
+    ``seeds`` (Subgroups; by default the trivial one, so G's whole
+    lattice).  The walk adjoins prime-power-order elements to known
+    subgroups, and is complete because every overgroup of a seed is
+    reached along a chain that adds one prime-power generator at a time.
+    The generators are the walk's own; they are not handed to the
+    Subgroups, whose ``generators()`` depend on the mask alone."""
     mul, orders = G._mul, G.elem_orders
-    elems = range(1, G.order) if within is None else within.elems[1:]
-    pp_elems = [x for x in elems
+    pp_elems = [x for x in range(1, G.order)
                 if p_part(orders[x], _smallest_prime_factor(orders[x]))
                 == orders[x]]
     found = ({1: ()} if seeds is None

@@ -133,7 +133,9 @@ def canonical_family(S_sub: Subgroup, p: int, extras=(),
     group whose table an earlier one has.  Built once per (S's table, p,
     the pool's tables)."""
     n = S_sub.order
-    if n > 1 and p_part(n, p) != n:
+    if n == 1:
+        raise NotAPGroup("W(S) is defined for nontrivial p-groups only")
+    if p_part(n, p) != n:
         raise NotAPGroup(f"S has order {n}, which is not a power of {p}")
     pool = []
     if include_catalog:

@@ -54,6 +54,10 @@ from .theorems import (
 
 PRIMES = (2, 3)
 
+# a report's file name: "%", "/" and " " percent-encoded, so that distinct
+# names stay distinct and a name without them is kept as it is
+_FILE_NAME = str.maketrans({"%": "%25", "/": "%2F", " ": "%20"})
+
 
 class RunConfig:
     """The largest admissible group order, and where per-instance TSV
@@ -372,7 +376,8 @@ def _write_reports(config, result):
     for row in result.rows:
         by_instance.setdefault((row[0], row[1]), []).append(row)
     for (section, instance), rows in sorted(by_instance.items()):
-        safe = f"{section}__{instance}".replace("/", "_").replace(" ", "_")
+        # no section name holds "_", so the first "__" ends the section
+        safe = f"{section}__{instance}".translate(_FILE_NAME)
         path = os.path.join(config.report_dir, safe + ".tsv")
         body = "\n".join("\t".join(r) for r in rows) + "\n"
         fd, tmp = tempfile.mkstemp(dir=config.report_dir, suffix=".tmp")

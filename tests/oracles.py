@@ -80,6 +80,55 @@ def brute_force_subgroups(G, max_gens=3):
     return found
 
 
+def lattice_walk_within(W):
+    """The masks of every subgroup of W, sorted by (size, mask), from one
+    lattice walk on the table of W's parent limited to W's elements.
+
+    The route ``Subgroup.subgroups_within`` took before it moved the
+    lattice of W's standalone copy along the embedding: each known
+    subgroup is extended by every element of W of prime-power order that
+    it does not yet cover, and each double coset H x H is skipped once
+    one of its members is tried."""
+    from fusionlab.groups import bits, prime_divisors
+
+    G = W.parent
+    mul, orders = G._mul, G.elem_orders
+    pp_elems = [x for x in W.elems[1:]
+                if len(prime_divisors(orders[x])) == 1]
+    found = {1: ()}
+    frontier = [1]
+    while frontier:
+        fresh = []
+        for hmask in frontier:
+            hgens = found[hmask]
+            helems = tuple(bits(hmask))
+            covered = hmask
+            for x in pp_elems:
+                if covered >> x & 1:
+                    continue
+                kmask = G.closure_mask(hgens + (x,), hmask)
+                if kmask not in found:
+                    found[kmask] = hgens + (x,)
+                    fresh.append(kmask)
+                for h1 in helems:
+                    row = mul[mul[h1][x]]
+                    for h2 in helems:
+                        covered |= 1 << row[h2]
+        frontier = fresh
+    return sorted(found, key=lambda m: (m.bit_count(), m))
+
+
+def assert_lattice_is_the_walk_within(W):
+    """W's kept lattice is the walk within W on its parent's table: the
+    same masks in the same order, each the interned subgroup of W's
+    parent.  Returns the number of subgroups."""
+    lattice = W.subgroups_within()
+    assert isinstance(lattice, tuple)
+    assert [H.mask for H in lattice] == lattice_walk_within(W), W
+    assert all(H is W.parent.subgroup(H.mask) for H in lattice)
+    return len(lattice)
+
+
 def order_histogram(G):
     hist = {}
     for k in G.elem_orders:

@@ -295,13 +295,28 @@ table 3
 """
 
 
+def _cyclic_table(n, short_row=False):
+    """A group file with the table of C_n, its first row one entry short
+    when ``short_row``."""
+    rows = [" ".join(str((a + b) % n) for b in range(n)) for a in range(n)]
+    if short_row:
+        rows[0] = rows[0].rsplit(" ", 1)[0]
+    return f"group c{n}\ntable {n}\n" + "\n".join(rows) + "\n"
+
+
 @pytest.mark.parametrize("text,cap,reason", [
     (D8_FILE, "5", "closure exceeded order cap 5"),
     (C3_TABLE, "2", "table order 3 exceeds cap 2"),
-], ids=["perm", "table"])
+    ("group big\ntable 2000\n", "1000", "table order 2000 exceeds cap 1000"),
+    (_cyclic_table(12, short_row=True), "10",
+     "table order 12 exceeds cap 10"),
+    (_cyclic_table(12), "10", "table order 12 exceeds cap 10"),
+], ids=["perm", "table", "table-header-only", "table-short-row",
+        "table-good-rows"])
 def test_cli_group_file_above_cap_exits_3(tmp_path, text, cap, reason):
-    """A perm file stops inside the closure, a table file at its size:
-    either way a typed error and exit 3, with no traceback."""
+    """A perm file stops inside the closure, a table file at its
+    ``table <n>`` line, before any row is read: whatever its rows hold, a
+    typed error and exit 3, with no traceback."""
     path = tmp_path / "big.grp"
     path.write_text(text)
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -312,6 +327,28 @@ def test_cli_group_file_above_cap_exits_3(tmp_path, text, cap, reason):
     assert run.returncode == 3
     assert run.stderr == f"cap exceeded: {reason}\n"
     assert run.stdout == ""
+
+
+def test_cli_malformed_table_within_the_cap_is_a_parse_error(tmp_path,
+                                                            capsys):
+    """Within the cap, a short row is still a parse error (exit 1)."""
+    path = tmp_path / "c12.grp"
+    path.write_text(_cyclic_table(12, short_row=True))
+    assert main(["--order-cap", "12", "analyze", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "parse error: line 3: table row has 11 entries, expected 12\n")
+
+
+def test_cli_suite_gives_an_over_cap_table_one_skip_row(tmp_path, capsys):
+    """A table file above the cap is refused at its size line, so the
+    suite gives it one ``order-cap`` skip row, short rows or not."""
+    path = tmp_path / "c12.grp"
+    path.write_text(_cyclic_table(12, short_row=True))
+    assert main(["--order-cap", "10", "suite", "--scope", "files",
+                 "--format", "tsv", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "section\tinstance\tcheck\tstatus\tdetail",
+        f"scope\t{path}\torder-cap\tskip\ttable order 12 exceeds cap 10"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -424,6 +461,24 @@ def test_cli_unwritable_witness_dump_is_reported(monkeypatch, tmp_path,
     rc = main(["verify", "--theorem", "1", "--group", "S4", "--p", "2"])
     assert rc == 2
     assert "could not be written" in capsys.readouterr().err
+
+
+def test_cli_verify_on_a_trivial_sylow_subgroup_builds_no_family(
+        capsys, cold_start):
+    """C3 at p = 2 has S = 1, so W(S) is undefined: ``canonical_family``
+    says so before it builds any group of its pool.  One ``error:`` line
+    and exit 1; the only catalog groups built are C3 itself and S4, the
+    Qd(2) of the H-freeness test."""
+    import importlib
+
+    catalog = importlib.import_module("fusionlab.catalog")
+    cold_start()
+    assert main(["verify", "--theorem", "2", "--group", "C3", "--p", "2"]) \
+        == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: W(S) is defined for nontrivial p-groups only\n"
+    assert set(catalog._cache) == {"C3", "S4"}
 
 
 def test_cli_catalog(capsys):

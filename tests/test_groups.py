@@ -45,6 +45,7 @@ from fusionlab.hfree import (
 
 from oracles import (
     assert_kernels_match_oracles,
+    assert_lattice_is_the_walk_within,
     assert_reader_reads_at_positions,
     assert_kept_verdicts_exact,
     assert_quotient_matches_brute,
@@ -403,6 +404,42 @@ def test_generators_and_lattices_do_not_depend_on_call_history(cat, name):
     after.subgroups()
     assert read(after) == first
     assert first[1] == [[k for k in masks if k & ~m == 0] for m in masks]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_sylow_lattices_are_the_walk_within_on_the_parent(cat, name):
+    """The lattice of each Sylow subgroup, moved from its standalone copy
+    along the embedding, is the walk within it on G's own table: the same
+    masks in the same order.  A relabelled copy of G embeds its Sylow
+    subgroups at other indices, and gives the walk within them too."""
+    for G in (cat[name], _relabelled(cat[name], 5)):
+        for p in prime_divisors(G.order):
+            assert_lattice_is_the_walk_within(sylow(G, p))
+
+
+def test_whole_lattice_is_walked_once_per_table(cat, monkeypatch):
+    """A second group with a table met before takes the lattice of the
+    first, moved along the identity: no walk, the same masks, and its own
+    interned subgroups."""
+    from fusionlab import groups
+
+    G = cat["S4"]
+    G.subgroups()
+    walks = []
+    real = groups._subgroup_lattice_masks
+
+    def counting(H, seeds=None):
+        walks.append(H)
+        return real(H, seeds)
+
+    monkeypatch.setattr(groups, "_subgroup_lattice_masks", counting)
+    twin = build_group([G.mul_row(a) for a in range(G.order)], name="S4'",
+                       kind="table")
+    assert assert_lattice_is_the_walk_within(twin.full_subgroup) == 30
+    assert [H.mask for H in twin.subgroups()] == \
+        [H.mask for H in G.subgroups()]
+    assert all(H.parent is twin for H in twin.subgroups())
+    assert walks == []
 
 
 def test_reader_and_conjugation_images_match_element_loops(cat):

@@ -36,6 +36,7 @@ from oracles import (
     assert_conjugations_match_every_element,
     assert_H_free_matches_models,
     assert_kept_verdicts_exact,
+    assert_lattice_is_the_walk_within,
     assert_reader_reads_at_positions,
     assert_strongly_p_embedded_matches_brute,
     assert_kernels_match_oracles,
@@ -110,6 +111,16 @@ def test_lattice_closed_under_meet_and_conjugation(gens):
             assert (H.mask & K.mask) in masks
         for x in range(g.order):
             assert H.conjugate_mask(x) in masks
+
+
+@settings(**COMMON)
+@given(group_specs)
+def test_lattices_within_are_the_walk_within_on_the_parent(gens):
+    """Every subgroup's lattice, moved from its standalone copy along the
+    embedding, is the walk within it on the parent's table: the same masks
+    in the same order, the Sylow subgroups included."""
+    g = build_group([list(p) for p in gens], kind="perms", cap=200)
+    assert sum(map(assert_lattice_is_the_walk_within, g.subgroups())) >= 1
 
 
 @settings(**COMMON)

@@ -565,3 +565,30 @@ def test_suite_handles_errors_only_in_its_check_kernel():
     found = [node.lineno for node in ast.walk(tree)
              if isinstance(node, tries) and id(node) not in inside]
     assert inside and found == []
+
+
+def test_each_lattice_is_walked_on_its_own_table():
+    """The lattice kernel has two modes, a group's whole lattice and the
+    overgroups of seeds, and no ``within``: a subgroup's lattice is its
+    standalone copy's, moved along the embedding.  So only
+    ``Subgroup.subgroups_within`` (the whole lattice) and ``_find_section``
+    (the overgroups) call it, and F's objects are the carrier's kept
+    lattice, not a second copy in ``fusion._Memos``."""
+    tree = ast.parse((SRC / "groups.py").read_text(encoding="utf-8"))
+    args = dict(_functions(tree))["_subgroup_lattice_masks"].args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] \
+        == ["G", "seeds"]
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for qual, func in _functions(tree):
+            if any(getattr(node, "id", getattr(node, "attr", None))
+                   == "_subgroup_lattice_masks" for node in ast.walk(func)):
+                callers.add(f"{path.name}:{qual}")
+    assert callers == {"groups.py:Subgroup.subgroups_within",
+                       "groups.py:_find_section"}
+    tree = ast.parse((SRC / "fusion.py").read_text(encoding="utf-8"))
+    memos = dict(_functions(tree))["_Memos.__init__"]
+    fields = {node.attr for node in ast.walk(memos)
+              if isinstance(node, ast.Attribute)}
+    assert "maps" in fields and "objects" not in fields

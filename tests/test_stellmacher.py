@@ -165,6 +165,21 @@ def test_canonical_family_rejects_s_that_is_not_a_p_group(cat):
         canonical_family(cat["S3"].full_subgroup, 2)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_canonical_family_refuses_the_trivial_group_first(cat, monkeypatch,
+                                                          p):
+    """W(S) needs S > 1: the family of S = 1 is refused before any group
+    of its pool is built."""
+    from fusionlab import stellmacher
+
+    def no_build(name):
+        raise AssertionError(f"built {name}")
+
+    monkeypatch.setattr(stellmacher, "catalog_group", no_build)
+    with pytest.raises(NotAPGroup, match="nontrivial p-groups only"):
+        canonical_family(cat["C3"].trivial_subgroup, p)
+
+
 @pytest.mark.parametrize("p", [0, 1])
 def test_canonical_family_refuses_p_below_2(cat, p):
     with pytest.raises(UnsupportedPrime):

@@ -38,6 +38,7 @@ from fusionlab.subsystems import (
 from oracles import (
     assert_closure_matches_oracle,
     assert_conjugations_match_every_element,
+    assert_lattice_is_the_walk_within,
     assert_subsystem_rules_match_brute,
     centralizer_brute,
     closure_seeds,
@@ -426,6 +427,32 @@ def test_conjugation_loops_match_every_element_on_subsystem_sources(systems):
                     FusionSystem.conjugation(F.host, F.p, carrier, source)
     assert sum(map(assert_conjugations_match_every_element,
                    sources.values())) > 0
+
+
+def test_subsystem_carrier_lattices_are_the_walk_within(systems):
+    """The objects of every subsystem at every object of every catalog
+    system (carriers N_S(Q), C_S(Q), Q C_S(Q) and S), and of the system
+    they generate at O_p(F), are their carrier's lattice moved from its
+    standalone copy: the walk within that carrier on the host's table."""
+    carriers = {}
+    for F in systems.values():
+        for Q in F.objects():
+            kinds = ["normalizer", "centralizer", "mixed"]
+            if is_normal_in_F(F, Q)[0]:
+                kinds.append("product")
+            for kind in kinds:
+                carrier = _subsystem_kind(F, Q, kind)[0]
+                carriers[(id(F.host), carrier.mask)] = carrier
+        Q = o_p_of_F(F)
+        if Q.order > 1:
+            R = Q.join(F.c_in_carrier(Q))
+            gen = generated_system([centralizer_like_system(F, Q, "product"),
+                                    normalizer_system(F, R)])
+            assert gen.objects() is gen.carrier.subgroups_within()
+            carriers[(id(F.host), gen.carrier.mask)] = gen.carrier
+    assert len(carriers) > len(systems)
+    for carrier in carriers.values():
+        assert_lattice_is_the_walk_within(carrier)
 
 
 # -- quotient systems ---------------------------------------------------------------

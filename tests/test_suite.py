@@ -132,6 +132,29 @@ def test_report_files_written_atomically(tmp_path):
     assert all(name.endswith(".tsv") for name in reports)
 
 
+def test_report_files_are_one_per_section_and_instance(tmp_path):
+    """Group names that differ only in " ", "/", "_" or "%" give distinct
+    report files: each (section, instance) pair gets its own file, holding
+    its own rows, and a name without those characters is kept as it is."""
+    names = ["C2 x", "C2_x", "C2/x", "C2%20x", "C2%2Fx"]
+    result = run_suite(RunConfig(report_dir=str(tmp_path / "r")),
+                       groups=[build_group([(1, 0)], name=n, kind="perms")
+                               for n in names],
+                       scope="files")
+    by_pair = {}
+    for row in result.rows:
+        by_pair.setdefault((row[0], row[1]), []).append(row)
+    reports = {name: (tmp_path / "r" / name).read_text(encoding="utf-8")
+               for name in os.listdir(tmp_path / "r")}
+    assert len(reports) == len(by_pair) > len(names)
+    assert sorted(reports.values()) == sorted(
+        "\n".join("\t".join(r) for r in rows) + "\n"
+        for rows in by_pair.values())
+    plain = [f"{section}__{instance}.tsv" for section, instance in by_pair
+             if not set(instance) & set("% /")]
+    assert plain and set(plain) <= set(reports)
+
+
 def test_cli_suite_files_scope(tmp_path, capsys):
     path = tmp_path / "d8.grp"
     path.write_text(D8_FILE)
@@ -348,6 +371,27 @@ def test_cold_suite_decides_each_group_verdict_once(monkeypatch, cold_start):
     for kind, made in calls.items():
         assert made and len(made) == len(set(made)), kind
     assert tables and len(tables) == len(set(tables))
+
+
+def test_cold_suite_walks_each_whole_lattice_once(monkeypatch, cold_start):
+    """Counts, not timings: on freshly built catalog groups, one suite run
+    walks the whole lattice of each Cayley table at most once.  A Sylow
+    subgroup, a carrier or a family's model with that table takes the
+    walked lattice, moved along its embedding; the seeded walks of the
+    section search are not whole lattices."""
+    cold_start()
+    walked, seeded = [], []
+    real = groups._subgroup_lattice_masks
+
+    def counting(G, seeds=None):
+        (walked if seeds is None else seeded).append(G.table_hash())
+        return real(G, seeds)
+
+    monkeypatch.setattr(groups, "_subgroup_lattice_masks", counting)
+    result = run_suite(RunConfig())
+    assert result.failures == 0
+    assert walked and seeded
+    assert len(walked) == len(set(walked))
 
 
 def test_cold_suite_builds_catalog_groups_from_their_permutations(cold_start):

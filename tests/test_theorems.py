@@ -21,6 +21,7 @@ from fusionlab.theorems import (
 )
 
 from oracles import (
+    assert_lattice_is_the_walk_within,
     centralizer_brute,
     group_from_function,
     has_normal_p_complement_brute,
@@ -312,13 +313,40 @@ def _direct_product(*factors):
     (("S4", "S4"), (False, False, 4)),
     (("A4", "A4", "V4"), (True, True, 64)),
 ], ids=["S4xS4", "A4xA4xV4"])
-def test_theorem_2_near_the_cap(cat, names, want):
+def test_theorem_2_near_the_cap(cat, names, want, monkeypatch, cold_start):
     """Theorem 1.2 at p = 2 on two products of order 576 whose Sylow
     subgroup has order 64: S4 x S4 involves S4, so neither side holds;
     A4 x A4 x V4 is S4-free, and its abelian S = C2^6 is W.  Each hom-set
-    walks one member of each left coset of C_G(S), of order 4 and 64."""
+    walks one member of each left coset of C_G(S), of order 4 and 64.
+    Counts, not timings: from a cold start, no Cayley table has its whole
+    lattice walked twice, and S's table (F's objects and the family's
+    model) is walked once."""
+    from fusionlab import groups
+
+    walked = []
+    real = groups._subgroup_lattice_masks
+
+    def counting(H, seeds=None):
+        if seeds is None:
+            walked.append((H.order, H.table_hash()))
+        return real(H, seeds)
+
+    cold_start()
+    monkeypatch.setattr(groups, "_subgroup_lattice_masks", counting)
     G = _direct_product(*(cat[name] for name in names))
     assert G.order == 576
     rep = verify_theorem_2(realize_fusion(G, 2))
     assert (rep.hypotheses_hold, rep.conclusion_holds,
             rep.detail["W_order"]) == want
+    assert len(walked) == len(set(walked))
+    assert [n for n, _ in walked if n == 64] == [64]
+
+
+def test_lattices_near_the_cap_are_the_walk_within(cat, wreath648):
+    """The lattice of the Sylow 3-subgroup of W648 (order 81) and of the
+    Sylow 2-subgroup of GL(2,3) x D8 (order 128, near the cap), moved from
+    their standalone copies, are the walks within them on G's table."""
+    assert assert_lattice_is_the_walk_within(sylow(wreath648, 3)) > 1
+    G = _direct_product(cat["GL(2,3)"], cat["D8"])
+    assert G.order == 384
+    assert assert_lattice_is_the_walk_within(sylow(G, 2)) > 1
